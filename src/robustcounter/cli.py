@@ -45,9 +45,9 @@ def _read_model(path: str) -> Model:
 
 def _solver_options(args) -> SolverOptions:
     opts = SolverOptions()
-    if getattr(args, "max_nodes", None):
+    if getattr(args, "max_nodes", None) is not None:
         opts.max_nodes = args.max_nodes
-    if getattr(args, "time_limit", None):
+    if getattr(args, "time_limit", None) is not None:
         opts.time_limit_seconds = args.time_limit
     return opts
 
@@ -222,7 +222,7 @@ def parse_grid_spec(tokens) -> list[tuple[float, float, float]]:
 
 def _sweep_cell(payload) -> tuple[float, float, float, str, float]:
     """Worker for parallel sweeps; rebuilds the model from primitive data."""
-    kind, data, mode, exact, point = payload
+    kind, data, mode, exact, point, options = payload
     eps, delta, kappa = point
     try:
         if kind == "instance":
@@ -237,7 +237,7 @@ def _sweep_cell(payload) -> tuple[float, float, float, str, float]:
             else:
                 model = symmetric_robust_counterpart(
                     model, uset, eps, delta, kappa).model
-        sol = solve(model)
+        sol = solve(model, options)
         return (eps, delta, kappa, sol.status, sol.objective)
     except Exception:
         return (eps, delta, kappa, "error", math.nan)
@@ -252,7 +252,7 @@ def cmd_sweep(args) -> int:
     try:
         if path.is_dir():
             load_instance(path)  # validate early for a clean usage error
-            payload_of = lambda pt: ("instance", str(path), args.mode, args.exact_assignment, pt)
+            kind, data, exact = "instance", str(path), args.exact_assignment
         else:
             model_text = path.read_text()
             model = import_text(model_text)
@@ -260,16 +260,18 @@ def cmd_sweep(args) -> int:
                 return _fail("model-file sweeps need --annotations")
             annot_text = Path(args.annotations).read_text()
             parse_annotations(annot_text, model)
-            payload_of = lambda pt: ("model", (model_text, annot_text), args.mode, False, pt)
+            kind, data, exact = "model", (model_text, annot_text), False
     except (OSError, ParseError, InstanceError, ValueError) as exc:
         return _fail(str(exc))
 
     points = [(0.0, 0.0, 1.0)] + [p for p in grid if p != (0.0, 0.0, 1.0)]
+    options = _solver_options(args)
+    payloads = [(kind, data, args.mode, exact, p, options) for p in points]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_sweep_cell, [payload_of(p) for p in points]))
+            results = list(pool.map(_sweep_cell, payloads))
     else:
-        results = [_sweep_cell(payload_of(p)) for p in points]
+        results = [_sweep_cell(p) for p in payloads]
 
     nominal_objective = math.nan
     for eps, delta, kappa, status, objective in results:
@@ -433,6 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel workers for sweep cells")
+    _add_solver_params(p)
     p.add_argument("-o", "--output", required=True, help="output CSV path")
     p.set_defaults(func=cmd_sweep)
 

@@ -82,9 +82,6 @@ class LinExpr:
     def value(self, values) -> float:
         return self.constant + sum(c * values[v] for v, c in self.terms)
 
-    def variables(self):
-        return [v for v, _ in self.terms]
-
 
 @dataclass(frozen=True)
 class ConeTerm:
@@ -346,7 +343,8 @@ class StandardFormLP:
 
     ``sense`` records the source model's objective sense: for ``min`` models
     the canonical optimum is the negated model optimum.  ``restore`` maps a
-    standard-form point back to model-variable values.
+    standard-form point back to model-variable values; ``with_bounds`` gives
+    the same model's standard form under other bounds.
     """
 
     c: np.ndarray
@@ -360,6 +358,7 @@ class StandardFormLP:
     col_scale: np.ndarray
     var_offset: np.ndarray
     sense: str
+    layout: "_Layout | None" = field(default=None, repr=False, compare=False)
 
     @property
     def n_cols(self) -> int:
@@ -367,12 +366,111 @@ class StandardFormLP:
 
     def restore(self, x: np.ndarray) -> dict[int, float]:
         values = self.var_offset.copy()
-        for col in range(self.n_cols):
-            values[self.col_var[col]] += self.col_scale[col] * x[col]
-        return {i: float(values[i]) for i in range(values.shape[0])}
+        np.add.at(values, self.col_var, self.col_scale * x)  # in column order
+        return dict(enumerate(values.tolist()))
 
     def model_objective(self, canonical: float) -> float:
         return canonical if self.sense == "max" else -canonical
+
+    def with_bounds(self, bounds: dict[int, tuple[float, float]]) -> "StandardFormLP":
+        """This model's standard form under ``bounds``, which must leave the
+        same bounds finite; the constraint matrices are shared, read-only."""
+        return self.layout.form(bounds)
+
+
+def _bound_arrays(model: Model, bounds) -> np.ndarray:
+    """Rows ``[lower, upper]`` of every variable, ``bounds`` overriding."""
+    bounds = bounds or {}
+    pairs = [bounds.get(v.id, (v.lower, v.upper)) for v in model.variables]
+    return np.array(pairs, dtype=float).reshape(-1, 2).T
+
+
+class _Layout:
+    """Columns and rows of a model's standard form (see :func:`to_standard_form`),
+    fixed by which bounds are finite.  Only the variable offsets, the bound
+    rows' right-hand sides and the row constants the offsets shift depend on
+    the bound values, so :meth:`form` recomputes just those.
+    """
+
+    def __init__(self, model: Model, lo: np.ndarray, hi: np.ndarray):
+        self.model = model
+        self.lo_finite, self.hi_finite = np.isfinite(lo), np.isfinite(hi)
+        self.ub_vars = np.flatnonzero(self.lo_finite & self.hi_finite)
+        col_var, col_scale, var_cols = [], [], []
+        for v in range(len(model.variables)):
+            scales = ((1.0,) if self.lo_finite[v] else (-1.0,) if self.hi_finite[v]
+                      else (1.0, -1.0))
+            var_cols.append(range(len(col_var), len(col_var) + len(scales)))
+            col_var += [v] * len(scales)
+            col_scale += scales
+        n_cols = len(col_var)
+
+        exprs = [con.lhs for con in model.constraints] + [model.objective]
+        rows, flat_var, flat_coef = [], [], []
+        for expr in exprs:
+            row = [0.0] * n_cols
+            for var_id, coeff in expr.terms:
+                flat_var.append(var_id)
+                flat_coef.append(coeff)
+                for col in var_cols[var_id]:
+                    row[col] += coeff * col_scale[col]
+            rows.append(row)
+        rows = np.array(rows)
+        lengths = np.array([len(e.terms) for e in exprs])
+        listed = np.arange(lengths.max()) < lengths[:, None]
+        # pads multiply an appended zero offset by -0.0: x + -0.0 == x for
+        # every x, signed zeros included
+        self.term_var = np.full(listed.shape, len(model.variables))
+        self.term_coef = np.full(listed.shape, -0.0)
+        self.term_var[listed], self.term_coef[listed] = flat_var, flat_coef
+        self.constant = np.array([e.constant for e in exprs])
+        self.is_ub = np.array([c.sense != "=" for c in model.constraints], dtype=bool)
+        self.sign = np.array([-1.0 if c.sense == ">=" else 1.0 for c in model.constraints])
+        self.rhs = np.array([con.rhs for con in model.constraints], dtype=float)
+
+        bound_rows = np.eye(n_cols)[[var_cols[v][0] for v in self.ub_vars]]
+        con_rows = rows[:-1] * self.sign[:, None]
+        self.a_ub = np.vstack([bound_rows, con_rows[self.is_ub]])
+        self.a_eq = con_rows[~self.is_ub]
+        self.c = rows[-1] if model.objective_sense == "max" else -rows[-1]
+        self.col_var = np.array(col_var, dtype=int)
+        self.col_scale = np.array(col_scale)
+        self.integer_mask = np.array(
+            [model.variables[v].is_integer for v in col_var], dtype=bool)
+        for arr in (self.a_ub, self.a_eq, self.c, self.col_var, self.col_scale,
+                    self.integer_mask):
+            arr.flags.writeable = False
+
+    def form(self, bounds) -> StandardFormLP:
+        lo, hi = _bound_arrays(self.model, bounds)
+        inverted = np.flatnonzero(lo > hi)
+        if inverted.size:
+            v = inverted[0]
+            raise ModelError(f"inverted bounds for {self.model.variables[v].name!r}: "
+                             f"[{lo[v]}, {hi[v]}]")
+        if not (np.array_equal(np.isfinite(lo), self.lo_finite)
+                and np.array_equal(np.isfinite(hi), self.hi_finite)):
+            raise ModelError("bounds change which bounds are finite")
+        var_offset = np.where(self.lo_finite, lo, np.where(self.hi_finite, hi, 0.0))
+        # row constants summed term by term in the order the rows list them
+        shifts = self.term_coef * np.append(var_offset, 0.0)[self.term_var]
+        const = np.add.accumulate(np.column_stack([self.constant, shifts]), axis=1)[:, -1]
+        rhs = (self.rhs - const[:-1]) * self.sign
+        obj_const = const[-1] if self.model.objective_sense == "max" else -const[-1]
+        return StandardFormLP(
+            c=self.c,
+            c0=obj_const,
+            a_ub=self.a_ub,
+            b_ub=np.concatenate([hi[self.ub_vars] - lo[self.ub_vars], rhs[self.is_ub]]),
+            a_eq=self.a_eq,
+            b_eq=rhs[~self.is_ub],
+            integer_mask=self.integer_mask,
+            col_var=self.col_var,
+            col_scale=self.col_scale,
+            var_offset=var_offset,
+            sense=self.model.objective_sense,
+            layout=self,
+        )
 
 
 def to_standard_form(model: Model, bounds: dict[int, tuple[float, float]] | None = None
@@ -382,99 +480,14 @@ def to_standard_form(model: Model, bounds: dict[int, tuple[float, float]] | None
     Finite lower bounds become affine shifts, upper-bounded-only variables are
     mirrored, and doubly-free variables are split into positive and negative
     parts; finite upper bounds become extra ``<=`` rows.  ``bounds`` optionally
-    overrides per-variable bounds (used by branch-and-bound nodes).
+    overrides per-variable bounds.
 
     Any feasible point of the original maps to a feasible point of the
     standard form with equal objective value, and vice versa.
     """
     if model.has_cones():
         raise ModelError("model has cone terms; standard form is cone-free")
-    n_vars = len(model.variables)
-    var_offset = np.zeros(n_vars)
-    col_var: list[int] = []
-    col_scale: list[float] = []
-    ub_rows: list[tuple[dict[int, float], float]] = []  # over columns
-    var_cols: list[list[int]] = [[] for _ in range(n_vars)]
-
-    for v in model.variables:
-        lo, hi = v.lower, v.upper
-        if bounds is not None and v.id in bounds:
-            lo, hi = bounds[v.id]
-        if lo > hi:
-            raise ModelError(f"inverted bounds for {v.name!r}: [{lo}, {hi}]")
-        if math.isfinite(lo):
-            col = len(col_var)
-            col_var.append(v.id)
-            col_scale.append(1.0)
-            var_cols[v.id].append(col)
-            var_offset[v.id] = lo
-            if math.isfinite(hi):
-                ub_rows.append(({col: 1.0}, hi - lo))
-        elif math.isfinite(hi):
-            col = len(col_var)
-            col_var.append(v.id)
-            col_scale.append(-1.0)
-            var_cols[v.id].append(col)
-            var_offset[v.id] = hi
-        else:
-            for scale in (1.0, -1.0):
-                col = len(col_var)
-                col_var.append(v.id)
-                col_scale.append(scale)
-                var_cols[v.id].append(col)
-
-    n_cols = len(col_var)
-
-    def expand(expr: LinExpr) -> tuple[np.ndarray, float]:
-        row = np.zeros(n_cols)
-        const = expr.constant
-        for var_id, coeff in expr.terms:
-            const += coeff * var_offset[var_id]
-            for col in var_cols[var_id]:
-                row[col] += coeff * col_scale[col]
-        return row, const
-
-    a_ub_rows, b_ub_vals = [], []
-    a_eq_rows, b_eq_vals = [], []
-    for cols, rhs in ub_rows:
-        row = np.zeros(n_cols)
-        for col, coeff in cols.items():
-            row[col] = coeff
-        a_ub_rows.append(row)
-        b_ub_vals.append(rhs)
-    for con in model.constraints:
-        row, const = expand(con.lhs)
-        rhs = con.rhs - const
-        if con.sense == "<=":
-            a_ub_rows.append(row)
-            b_ub_vals.append(rhs)
-        elif con.sense == ">=":
-            a_ub_rows.append(-row)
-            b_ub_vals.append(-rhs)
-        else:
-            a_eq_rows.append(row)
-            b_eq_vals.append(rhs)
-
-    obj_row, obj_const = expand(model.objective)
-    if model.objective_sense == "min":
-        obj_row, obj_const = -obj_row, -obj_const
-
-    integer_mask = np.array(
-        [model.variables[v].is_integer for v in col_var], dtype=bool
-    )
-    return StandardFormLP(
-        c=obj_row,
-        c0=obj_const,
-        a_ub=np.array(a_ub_rows) if a_ub_rows else np.zeros((0, n_cols)),
-        b_ub=np.array(b_ub_vals),
-        a_eq=np.array(a_eq_rows) if a_eq_rows else np.zeros((0, n_cols)),
-        b_eq=np.array(b_eq_vals),
-        integer_mask=integer_mask,
-        col_var=np.array(col_var, dtype=int),
-        col_scale=np.array(col_scale),
-        var_offset=var_offset,
-        sense=model.objective_sense,
-    )
+    return _Layout(model, *_bound_arrays(model, bounds)).form(bounds)
 
 
 # -- text format -------------------------------------------------------------

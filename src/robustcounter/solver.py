@@ -8,6 +8,11 @@ bound with FIFO tie-breaks.  Square-root cone terms are handled by lazy outer
 approximation: supporting hyperplanes of the convex radical are added at
 violated incumbents until the exact rows hold.
 
+Branching only tightens finite integer bounds, so every node LP of a tree is
+the root's standard-form layout with the node's bounds written in; the
+matrices are expanded once per ``solve_milp`` call.  Duals of the final
+basis are computed only for ``solve_lp``; branch and bound never reads them.
+
 One solve runs on one thread; distinct solves on distinct models may run
 concurrently (no shared mutable state).
 """
@@ -36,6 +41,7 @@ from .model import (
 )
 
 _PIVOT_TOL = 1e-9
+_MAX_ITER = 1_000_000  # pivots per simplex phase before it reports "limit"
 _BOUND_CAP = 1e9  # branching cap for unbounded integer variables
 _PRUNE_TOL = 1e-9
 
@@ -52,8 +58,6 @@ class SolverOptions:
     max_nodes: int = 200_000
     max_cone_rounds: int = 200
     time_limit_seconds: float = INF
-    branching: str = "most_fractional"
-    node_order: str = "best_bound"
 
     def __post_init__(self):
         for name in ("feasibility_tol", "integrality_tol", "cone_cut_tol"):
@@ -66,7 +70,6 @@ class NodeRecord:
     """One branch-and-bound subproblem: bound tightenings relative to the model."""
 
     bounds: dict[int, tuple[float, float]]
-    parent_bound: float
     depth: int
 
 
@@ -87,37 +90,38 @@ class _SimplexResult:
 
 
 def _pivot(tab, basis, row, col):
+    # masked rank-1 update, one multiply and one subtract per element as row
+    # by row; rows whose pivot-column entry is within the tolerance stay as is
     tab[row] /= tab[row, col]
-    piv_row = tab[row]
-    for r in range(tab.shape[0]):
-        if r != row and abs(tab[r, col]) > _PIVOT_TOL:
-            tab[r] -= tab[r, col] * piv_row
+    mask = np.abs(tab[:, col]) > _PIVOT_TOL
+    mask[row] = False
+    np.subtract(tab, np.multiply.outer(tab[:, col], tab[row]), out=tab,
+                where=mask[:, None])
     basis[row] = col
 
 
-def _run_simplex(tab, basis, n_cols, max_iter=1_000_000):
+def _run_simplex(tab, basis, n_cols):
     """Minimize over the tableau in place with Bland's rule.
 
     ``tab`` rows are [A | b] plus a final reduced-cost row [cbar | -obj].
-    Returns (status, iterations); status is 'optimal' or 'unbounded'.
+    Returns (status, iterations); status is 'optimal', 'unbounded' or
+    'limit' after ``_MAX_ITER`` pivots.
     """
     m = tab.shape[0] - 1
-    iters = 0
-    while iters < max_iter:
-        cbar = tab[-1, :n_cols]
-        enter = -1
-        for j in range(n_cols):
-            if cbar[j] < -_PIVOT_TOL:
-                enter = j
-                break
-        if enter < 0:
+    cbar = tab[-1, :n_cols]
+    for iters in range(_MAX_ITER):
+        improving = (cbar < -_PIVOT_TOL).nonzero()[0]
+        if not improving.size:
             return "optimal", iters
+        enter = int(improving[0])
+        # ratio test in row order: a ratio more than the tolerance below the
+        # best wins, one within the tolerance wins on the lower basis index
+        col, rhs = tab[:m, enter].tolist(), tab[:m, -1].tolist()
         leave = -1
         best_ratio = INF
-        for r in range(m):
-            a = tab[r, enter]
+        for r, a in enumerate(col):
             if a > _PIVOT_TOL:
-                ratio = tab[r, -1] / a
+                ratio = rhs[r] / a
                 if (ratio < best_ratio - _PIVOT_TOL
                         or (abs(ratio - best_ratio) <= _PIVOT_TOL
                             and (leave < 0 or basis[r] < basis[leave]))):
@@ -126,8 +130,7 @@ def _run_simplex(tab, basis, n_cols, max_iter=1_000_000):
         if leave < 0:
             return "unbounded", iters
         _pivot(tab, basis, leave, enter)
-        iters += 1
-    return "limit", iters
+    return "limit", _MAX_ITER
 
 
 def solve_lp(sf: StandardFormLP, options: SolverOptions | None = None) -> Solution:
@@ -135,12 +138,13 @@ def solve_lp(sf: StandardFormLP, options: SolverOptions | None = None) -> Soluti
 
     Status ``optimal`` certifies primal feasibility within the feasibility
     tolerance and no improving reduced cost; ``infeasible`` certifies a
-    positive phase-1 optimum; ``unbounded`` certifies an improving ray.
+    positive phase-1 optimum; ``unbounded`` certifies an improving ray;
+    ``limit_reached`` means a phase hit the pivot cap.
     The returned values are restored to model-variable space and the duals of
     the final basis are stashed in ``stats.extra['duals']``.
     """
     options = options or SolverOptions()
-    res = _solve_standard(sf, options)
+    res = _solve_standard(sf, options, duals=True)
     stats = SolverStats(iterations=res.iterations)
     if res.status == "optimal":
         values = sf.restore(res.x)
@@ -154,8 +158,10 @@ def solve_lp(sf: StandardFormLP, options: SolverOptions | None = None) -> Soluti
     return Solution("limit_reached", {}, math.nan, stats)
 
 
-def _solve_standard(sf: StandardFormLP, options: SolverOptions) -> _SimplexResult:
-    """Two-phase simplex on the canonical maximization; internal min convention."""
+def _solve_standard(sf: StandardFormLP, options: SolverOptions,
+                    duals: bool = False) -> _SimplexResult:
+    """Two-phase simplex on the canonical maximization; internal min convention.
+    The final basis's duals are computed only when ``duals`` is set."""
     n = sf.n_cols
     m_ub, m_eq = sf.a_ub.shape[0], sf.a_eq.shape[0]
     if sf.a_ub.shape[1] != n or (m_eq and sf.a_eq.shape[1] != n):
@@ -163,68 +169,53 @@ def _solve_standard(sf: StandardFormLP, options: SolverOptions) -> _SimplexResul
     if sf.b_ub.shape[0] != m_ub or sf.b_eq.shape[0] != m_eq:
         raise SolverError("right-hand side length does not match matrix rows")
     m = m_ub + m_eq
-
-    # rows: [A_ub | I_slack] and [A_eq | 0], signs flipped to keep rhs >= 0
-    a = np.zeros((m, n + m_ub))
-    b = np.zeros(m)
-    row_sign = np.ones(m)
-    a[:m_ub, :n] = sf.a_ub
-    a[:m_ub, n:] = np.eye(m_ub)
-    b[:m_ub] = sf.b_ub
-    if m_eq:
-        a[m_ub:, :n] = sf.a_eq
-        b[m_ub:] = sf.b_eq
-    for r in range(m):
-        if b[r] < 0:
-            a[r] *= -1.0
-            b[r] *= -1.0
-            row_sign[r] = -1.0
-
-    # initial basis: clean slacks where available, artificials elsewhere
-    need_art = [r for r in range(m) if r >= m_ub or row_sign[r] < 0]
     n_work = n + m_ub
-    n_total = n_work + len(need_art)
+
+    # rows: [A_ub | I_slack] and [A_eq | 0], signs flipped to keep rhs >= 0,
+    # then one artificial column per row without a clean slack
+    b = np.concatenate([sf.b_ub, sf.b_eq])
+    flip = b < 0
+    need_art = np.flatnonzero(flip | (np.arange(m) >= m_ub))
+    n_total = n_work + need_art.shape[0]
     tab = np.zeros((m + 1, n_total + 1))
-    tab[:m, :n_work] = a
-    tab[:m, -1] = b
-    basis = [-1] * m
-    for r in range(m_ub):
-        if row_sign[r] > 0:
-            basis[r] = n + r
-    for k, r in enumerate(need_art):
-        col = n_work + k
-        tab[r, col] = 1.0
-        basis[r] = col
+    tab[:m_ub, :n] = sf.a_ub
+    tab[np.arange(m_ub), n + np.arange(m_ub)] = 1.0
+    if m_eq:
+        tab[m_ub:m, :n] = sf.a_eq
+    tab[:m, -1] = np.where(flip, -b, b)
+    tab[:m][flip, :n_work] *= -1.0
+    signed = tab[:m, :n_work].copy() if duals else None
+    basis = [n + r for r in range(m)]  # slack columns; artificials set below
+    tab[need_art, n_work + np.arange(need_art.shape[0])] = 1.0
+    for k, r in enumerate(need_art.tolist()):
+        basis[r] = n_work + k
 
     total_iters = 0
-    if need_art:
+    keep_rows = list(range(m))
+    if need_art.size:
         # phase 1: minimize the artificial sum
         tab[-1, n_work:n_total] = 1.0
         for r in need_art:
             tab[-1] -= tab[r]
         status, iters = _run_simplex(tab, basis, n_total)
         total_iters += iters
+        if status == "limit":
+            return _SimplexResult("limit", iterations=total_iters)
         phase1 = -tab[-1, -1]
         if phase1 > options.feasibility_tol:
             return _SimplexResult("infeasible", iterations=total_iters)
-        # drive leftover zero-level artificials out of the basis
+        # drive leftover zero-level artificials out of the basis; a row with
+        # no usable entry is redundant and dropped
         keep_rows = []
         for r in range(m):
             if basis[r] >= n_work:
-                pivot_col = -1
-                for j in range(n_work):
-                    if abs(tab[r, j]) > 1e-7:
-                        pivot_col = j
-                        break
-                if pivot_col >= 0:
-                    _pivot(tab, basis, r, pivot_col)
-                    keep_rows.append(r)
-                # else: redundant row, dropped below
-            else:
-                keep_rows.append(r)
+                usable = np.flatnonzero(np.abs(tab[r, :n_work]) > 1e-7)
+                if not usable.size:
+                    continue
+                _pivot(tab, basis, r, int(usable[0]))
+            keep_rows.append(r)
         if len(keep_rows) < m:
-            rows = keep_rows + [m]
-            tab = tab[rows]
+            tab = tab[keep_rows + [m]]
             basis = [basis[r] for r in keep_rows]
             m = len(keep_rows)
         tab = np.delete(tab, np.s_[n_work:n_total], axis=1)
@@ -240,37 +231,23 @@ def _solve_standard(sf: StandardFormLP, options: SolverOptions) -> _SimplexResul
             tab[-1] -= coeff * tab[r]
     status, iters = _run_simplex(tab, basis, n_work)
     total_iters += iters
-    if status == "unbounded":
-        return _SimplexResult("unbounded", iterations=total_iters)
-    if status == "limit":
-        return _SimplexResult("limit", iterations=total_iters)
+    if status != "optimal":
+        return _SimplexResult(status, iterations=total_iters)
 
     x = np.zeros(n_work)
-    for r in range(m):
-        x[basis[r]] = tab[r, -1]
+    x[basis] = tab[:m, -1]
     x = np.maximum(x, 0.0)
     objective = float(sf.c @ x[:n] + sf.c0)
+    if not duals:
+        return _SimplexResult("optimal", x[:n], objective, total_iters)
 
     # simplex multipliers from the final basis, mapped to max-convention duals
-    cols = np.zeros((m, m))
-    cb = np.zeros(m)
-    a_full = np.zeros((m_ub + m_eq, n_work))
-    a_full[:m_ub, :n] = sf.a_ub
-    a_full[:m_ub, n:] = np.eye(m_ub)
-    if m_eq:
-        a_full[m_ub:, :n] = sf.a_eq
-    row_ids = keep_rows if need_art and len(basis) < m_ub + m_eq else list(range(m_ub + m_eq))
-    signed = a_full[row_ids] * row_sign[row_ids, None]
-    for k, col in enumerate(basis):
-        cols[:, k] = signed[:, col]
-        cb[k] = c_min[col]
     try:
-        y_int = np.linalg.solve(cols.T, cb)
+        y_int = np.linalg.solve(signed[keep_rows][:, basis].T, c_min[basis])
     except np.linalg.LinAlgError:
         y_int = np.zeros(m)
     y_max = np.zeros(m_ub + m_eq)
-    for k, r in enumerate(row_ids):
-        y_max[r] = -row_sign[r] * y_int[k]
+    y_max[keep_rows] = np.where(flip[keep_rows], 1.0, -1.0) * y_int
     return _SimplexResult("optimal", x[:n], objective, total_iters,
                           duals_ub=y_max[:m_ub], duals_eq=y_max[m_ub:])
 
@@ -309,8 +286,9 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
 
     Branching variable: most fractional, ties broken by lowest id.  Node
     order: best bound, ties FIFO.  An exhausted tree certifies the incumbent
-    optimal (within the LP tolerances); hitting ``max_nodes`` or the time
-    limit yields ``limit_reached`` carrying the incumbent if one exists.
+    optimal (within the LP tolerances); hitting ``max_nodes``, the time
+    limit or the simplex pivot cap yields ``limit_reached`` carrying the
+    incumbent if one exists.
     """
     options = options or SolverOptions()
     if model.has_cones():
@@ -325,7 +303,8 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
     best_values = None
     best_cano = -INF
     counter = 0
-    heap = [(-INF, counter, NodeRecord(root_bounds, INF, 0))]
+    root = to_standard_form(model, bounds=root_bounds)
+    heap = [(-INF, counter, NodeRecord(root_bounds, 0))]
     status = "optimal"
     bound_sequence: list[float] = []
     stats.extra["bound_sequence"] = bound_sequence
@@ -337,15 +316,15 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
         if stats.nodes >= options.max_nodes or time.monotonic() > deadline:
             status = "limit_reached"
             break
-        try:
-            sf = to_standard_form(model, bounds=node.bounds)
-        except ModelError:
-            continue  # inverted node bounds: empty subproblem
+        sf = root.with_bounds(node.bounds)
         res = _solve_standard(sf, options)
         stats.nodes += 1
         stats.iterations += res.iterations
         if res.status == "infeasible":
             continue
+        if res.status == "limit":
+            status = "limit_reached"
+            break
         if res.status == "unbounded":
             obj = INF if model.objective_sense == "max" else -INF
             return Solution("unbounded", {}, obj, stats)
@@ -373,7 +352,7 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
             if clo <= chi:
                 counter += 1
                 heapq.heappush(
-                    heap, (-cano, counter, NodeRecord(child, cano, node.depth + 1))
+                    heap, (-cano, counter, NodeRecord(child, node.depth + 1))
                 )
 
     if best_values is None:
@@ -420,7 +399,8 @@ def solve_cone(model: Model, options: SolverOptions | None = None) -> Solution:
     exactly at the incumbent, and adds supporting-hyperplane cuts for rows
     violated by more than ``cone_cut_tol``.  Supporting hyperplanes of a
     convex radical never cut off exactly-feasible points, so the final
-    incumbent is optimal for the original model.
+    incumbent is optimal for the original model.  The time limit and
+    ``max_nodes`` bound the whole call: each round gets what is left.
     """
     options = options or SolverOptions()
     cone_rows = [c for c in model.constraints if c.cone is not None]
@@ -437,13 +417,17 @@ def solve_cone(model: Model, options: SolverOptions | None = None) -> Solution:
         relaxed = LinExpr.from_terms(con.lhs.terms, con.lhs.constant + floor_const)
         work.constraints[con.id] = replace(con, lhs=relaxed, cone=None)
 
-    total = SolverStats()
+    deadline = time.monotonic() + options.time_limit_seconds
+    total = SolverStats(extra={"bound_sequence": []})
     last = None
     worst = 0.0
     for _ in range(options.max_cone_rounds):
-        sol = solve_milp(work.finalize(), options)
+        left = replace(options, time_limit_seconds=deadline - time.monotonic(),
+                       max_nodes=options.max_nodes - total.nodes)
+        sol = solve_milp(work.finalize(), left)
         total.nodes += sol.stats.nodes
         total.iterations += sol.stats.iterations
+        total.extra["bound_sequence"] += sol.stats.extra.pop("bound_sequence")
         total.extra.update(sol.stats.extra)
         if sol.status != "optimal":
             sol.stats = total

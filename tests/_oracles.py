@@ -3,7 +3,9 @@
 Everything here deliberately avoids the code paths it checks: quantiles come
 from bisection on an erf-based CDF, MILP optima from exhaustive enumeration,
 robust optima from explicit corner realization, LP optima from vertex
-enumeration or scipy.  Generators are seeded and deterministic.
+enumeration or scipy.  The scalar simplex kernel is the row-by-row pivot and
+element-by-element Bland scan the solver's vectorised kernel must reproduce
+pivot for pivot.  Generators are seeded and deterministic.
 """
 
 from __future__ import annotations
@@ -372,3 +374,52 @@ def brute_force_robust_binary_fast(model: Model, uset: UncertainSet,
     best_idx = int(np.argmax(objs))
     values = {i: float(points[best_idx, i]) for i in range(n)}
     return "optimal", float(objs[best_idx]), values
+
+
+# -- scalar simplex kernel ------------------------------------------------------
+
+_PIVOT_TOL = 1e-9
+
+
+def reference_pivot(tab, basis, row, col):
+    """Row-by-row pivot: rows whose pivot-column entry is within the
+    tolerance are skipped."""
+    tab[row] /= tab[row, col]
+    piv_row = tab[row]
+    for r in range(tab.shape[0]):
+        if r != row and abs(tab[r, col]) > _PIVOT_TOL:
+            tab[r] -= tab[r, col] * piv_row
+    basis[row] = col
+
+
+def reference_run_simplex(tab, basis, n_cols, max_iter=1_000_000):
+    """Bland's rule with scalar scans: the first improving column enters; the
+    ratio test walks the rows in order, a ratio more than the tolerance below
+    the best wins and one within it wins on the lower basis index."""
+    m = tab.shape[0] - 1
+    iters = 0
+    while iters < max_iter:
+        cbar = tab[-1, :n_cols]
+        enter = -1
+        for j in range(n_cols):
+            if cbar[j] < -_PIVOT_TOL:
+                enter = j
+                break
+        if enter < 0:
+            return "optimal", iters
+        leave = -1
+        best_ratio = math.inf
+        for r in range(m):
+            a = tab[r, enter]
+            if a > _PIVOT_TOL:
+                ratio = tab[r, -1] / a
+                if (ratio < best_ratio - _PIVOT_TOL
+                        or (abs(ratio - best_ratio) <= _PIVOT_TOL
+                            and (leave < 0 or basis[r] < basis[leave]))):
+                    best_ratio = ratio
+                    leave = r
+        if leave < 0:
+            return "unbounded", iters
+        reference_pivot(tab, basis, leave, enter)
+        iters += 1
+    return "limit", iters

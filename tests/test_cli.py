@@ -1,10 +1,11 @@
+import argparse
 import csv
 import json
 import math
 
 import pytest
 
-from robustcounter.cli import main, parse_grid_spec
+from robustcounter.cli import _solver_options, main, parse_grid_spec
 from robustcounter.fixtures import demo_instance, demo_lp, one_row_uncertain
 from robustcounter.model import export_text, import_text
 from robustcounter.sitesel import write_instance
@@ -250,3 +251,18 @@ def test_solve_node_limit_exit_four(workdir):
     model = build_rc(load_instance(workdir / "big"), 0.05, 0.0, 0.14)
     (workdir / "big_rc.txt").write_text(export_text(model))
     assert main(["solve", str(workdir / "big_rc.txt"), "--max-nodes", "1"]) == 4
+
+
+def test_zero_limits_are_honoured():
+    opts = _solver_options(argparse.Namespace(max_nodes=0, time_limit=0.0))
+    assert (opts.max_nodes, opts.time_limit_seconds) == (0, 0.0)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_cells_get_solver_options(workdir, jobs):
+    out = workdir / "sweep.csv"
+    rc = main(["sweep", str(workdir / "hk_demo"), "eps=0,0.05", "--mode", "irc",
+               "--max-nodes", "0", "--jobs", jobs, "-o", str(out)])
+    assert rc == 0
+    rows = list(csv.DictReader(out.open()))
+    assert [r["status"] for r in rows] == ["limit_reached"] * 2

@@ -1,8 +1,15 @@
+import contextlib
 import math
+import time
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+
+from robustcounter import solver as solver_mod
+from robustcounter.fixtures import demo_instance
 
 from robustcounter.model import (
     INF,
@@ -19,7 +26,15 @@ from robustcounter.solver import (
     solve_milp,
 )
 
-from _oracles import brute_force_binary, random_binary_model, random_lp_model
+from robustcounter.sitesel import build_irc, build_nominal, build_rc
+
+from _oracles import (
+    brute_force_binary,
+    random_binary_model,
+    random_lp_model,
+    reference_pivot,
+    reference_run_simplex,
+)
 
 
 def _lp(sense="max"):
@@ -334,8 +349,6 @@ def test_beale_cycling_example_terminates():
 
 def test_mixed_integer_matches_scipy_highs():
     """General-integer and mixed models against scipy's MILP solver."""
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
     rng = np.random.default_rng(123456)
     agreements = 0
     for trial in range(60):
@@ -388,3 +401,149 @@ def test_mixed_integer_matches_scipy_highs():
         elif res.status == 2:
             assert sol.status == "infeasible"
     assert agreements >= 20
+
+
+# -- limits ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("sense, row_sense", [("max", "<="), ("min", ">=")])
+def test_simplex_pivot_cap_reports_limit(monkeypatch, sense, row_sense):
+    """A simplex phase that hits its pivot cap gives ``limit_reached`` from
+    solve_lp and solve_milp; a ``>=`` row needs phase 1, a ``<=`` row not."""
+    monkeypatch.setattr(solver_mod, "_MAX_ITER", 0)
+    for kind in ("continuous", "integer"):
+        m = Model()
+        x = m.add_variable("x", kind, 0, 10)
+        y = m.add_variable("y", kind, 0, 10)
+        m.set_objective(sense, [(x, 2.0), (y, 3.0)])
+        m.add_constraint([(x, 2.0), (y, 2.0)], row_sense, 5.0)
+        assert solve(m.finalize()).status == "limit_reached"
+
+
+def test_cone_time_limit_bounds_the_whole_call():
+    model = build_rc(demo_instance(), 0.05, 0.0, 0.14)
+    start = time.perf_counter()
+    sol = solve(model, SolverOptions(time_limit_seconds=0.1))
+    elapsed = time.perf_counter() - start
+    assert sol.status == "limit_reached"
+    assert elapsed < 0.2
+
+
+def test_cone_node_limit_bounds_the_whole_call():
+    # the first cone round alone needs 21 nodes, all rounds 305
+    sol = solve(build_rc(demo_instance(), 0.05, 0.0, 0.14), SolverOptions(max_nodes=40))
+    assert sol.status == "limit_reached"
+    assert sol.stats.nodes <= 40
+
+
+def test_cone_bound_sequence_spans_every_round():
+    sol = solve(build_rc(demo_instance(), 0.05, 0.0, 0.14))
+    assert sol.stats.cone_cuts > 0
+    # every solved node's bound is popped once, in every round
+    assert len(sol.stats.extra["bound_sequence"]) >= sol.stats.nodes
+
+
+# -- pivot sequence ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("build, objective, nodes, iterations, cuts", [
+    (build_nominal, 261.0, 5, 148, 0),
+    (lambda inst: build_irc(inst, 0.05, 0.0), 177.0, 25, 617, 0),
+    (lambda inst: build_rc(inst, 0.05, 0.0, 0.14), 159.0, 305, 12_207, 10),
+])
+def test_hk_demo_pivot_counts_exact(build, objective, nodes, iterations, cuts):
+    """Node and LP-iteration counts pin the whole pivot sequence."""
+    sol = solve(build(demo_instance()))
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(objective, abs=1e-6)
+    assert (sol.stats.nodes, sol.stats.iterations, sol.stats.cone_cuts) == (
+        nodes, iterations, cuts)
+
+
+@contextlib.contextmanager
+def _scalar_kernel():
+    saved = solver_mod._pivot, solver_mod._run_simplex
+    solver_mod._pivot, solver_mod._run_simplex = reference_pivot, reference_run_simplex
+    try:
+        yield
+    finally:
+        solver_mod._pivot, solver_mod._run_simplex = saved
+
+
+@st.composite
+def _bounded_models(draw):
+    """Small models with every column kind (shifted, mirrored, split) kept
+    bounded by box rows; integer variables have finite bounds.  Rows pass
+    within a drawn slack of an integer point, so most models are feasible."""
+    n = draw(st.integers(2, 6))
+    small = st.integers(-6, 6)
+    spec = {"kinds": [], "bounds": [], "rows": [], "sense": draw(st.sampled_from(["max", "min"]))}
+    point = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["continuous", "integer", "binary"]))
+        lo = float(draw(st.integers(-4, 1)))
+        hi = float(draw(st.integers(2, 6)))
+        point.append(draw(st.integers(0, 1)) if kind == "binary" else draw(st.integers(lo, 2)))
+        if kind == "binary":
+            lo, hi = 0.0, 1.0
+        elif kind == "continuous":
+            lo, hi = draw(st.sampled_from([(lo, hi), (-math.inf, hi), (-math.inf, math.inf),
+                                           (lo, math.inf)]))
+        spec["kinds"].append(kind)
+        spec["bounds"].append((lo, hi))
+    spec["c"] = [float(draw(small)) for _ in range(n)]
+    for _ in range(draw(st.integers(1, 5))):
+        coeffs = [draw(small) for _ in range(n)]
+        sense = draw(st.sampled_from(["<=", ">=", "="]))
+        slack = 0 if sense == "=" else draw(st.integers(-2, 8))
+        at_point = sum(a * x for a, x in zip(coeffs, point))
+        rhs = at_point + slack if sense == "<=" else at_point - slack
+        spec["rows"].append(([float(a) for a in coeffs], sense, float(rhs)))
+    return spec
+
+
+def _model_of(spec, relax):
+    m = Model()
+    ids = [m.add_variable(f"x{i}", "continuous" if relax else kind, lo, hi)
+           for i, (kind, (lo, hi)) in enumerate(zip(spec["kinds"], spec["bounds"]))]
+    m.set_objective(spec["sense"], list(zip(ids, spec["c"])))
+    for coeffs, sense, rhs in spec["rows"]:
+        m.add_constraint(list(zip(ids, coeffs)), sense, rhs)
+    for v in ids:
+        m.add_constraint([(v, 1.0)], "<=", 20.0)
+        m.add_constraint([(v, 1.0)], ">=", -20.0)
+    return m.finalize()
+
+
+def _highs(spec, relax):
+    sign = -1.0 if spec["sense"] == "max" else 1.0
+    lo = [max(lo, -20.0) for lo, _ in spec["bounds"]]
+    hi = [min(hi, 20.0) for _, hi in spec["bounds"]]
+    rows = [LinearConstraint([coeffs], *{"<=": (-np.inf, rhs), ">=": (rhs, np.inf),
+                                          "=": (rhs, rhs)}[sense])
+            for coeffs, sense, rhs in spec["rows"]]
+    integrality = [0 if relax or k == "continuous" else 1 for k in spec["kinds"]]
+    res = milp(sign * np.array(spec["c"]), constraints=rows, integrality=integrality,
+               bounds=Bounds(lo, hi), options={"mip_rel_gap": 0.0})
+    return res.status, (sign * res.fun if res.status == 0 else None)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_bounded_models(), st.booleans())
+def test_vectorised_kernel_matches_scalar_kernel_and_highs(spec, relax):
+    """Objectives agree with HiGHS; the vectorised pivot and Bland scans take
+    exactly the steps of the scalar reference kernel."""
+    model = _model_of(spec, relax)
+    sol = solve(model)
+    with _scalar_kernel():
+        ref = solve(model)
+    assert (sol.status, sol.stats.nodes, sol.stats.iterations) == (
+        ref.status, ref.stats.nodes, ref.stats.iterations)
+    assert sol.objective == ref.objective or (
+        math.isnan(sol.objective) and math.isnan(ref.objective))
+    status, objective = _highs(spec, relax)
+    if status == 2:
+        assert sol.status == "infeasible"
+    else:
+        assert status == 0 and sol.status == "optimal"
+        assert abs(sol.objective - objective) <= 1e-6 * max(1.0, abs(objective))
