@@ -41,7 +41,8 @@ print(f"MILP: objective {sol.objective:.6f} at a = {sol.values[a]:.0f}, "
       f"b = {sol.values[b]:.0f} ({sol.stats.nodes} nodes explored)")
 
 # Rows may carry a square-root cone term; the solver handles those by outer
-# approximation, adding supporting hyperplanes at violated incumbents.
+# approximation inside its branch and bound, adding supporting hyperplanes at
+# integer-feasible points that violate the row.
 soc = Model("cone")
 z = soc.add_variable("z")
 soc.set_objective("max", [(z, 1.0)])

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import ConeTerm, Model
-from .uncertainty import RHS, Bounded, UncertainSet, omega_from_kappa
+from .uncertainty import RHS, Bounded, UncertainSet, _num, omega_from_kappa
 
 _ID_OK = str.isidentifier
 
@@ -487,23 +487,26 @@ def write_instance(instance: SiteSelectionInstance, path) -> None:
         w = csv.writer(fh)
         w.writerow(["id", "name", "population"])
         for u in instance.units:
-            w.writerow([u.id, u.name, f"{u.population:g}"])
+            w.writerow([u.id, u.name, _num(u.population)])
     with (root / "sites.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["id", "name", "fixed_cost", "variable_cost"])
         for s in instance.sites:
-            w.writerow([s.id, s.name, f"{s.fixed_cost:g}", f"{s.variable_cost:g}"])
+            w.writerow([s.id, s.name, _num(s.fixed_cost), _num(s.variable_cost)])
     with (root / "prob.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["id"] + [s.id for s in instance.sites])
         for i, u in enumerate(instance.units):
-            w.writerow([u.id] + [f"{p:g}" for p in instance.probabilities[i]])
-    names = [instance.sites[j].id for j in instance.uncertain_fixed]
-    knames = [instance.sites[j].id for j in instance.uncertain_variable]
+            w.writerow([u.id] + [_num(p) for p in instance.probabilities[i]])
+    every = tuple(range(len(instance.sites)))
+
+    def site_list(indices):
+        return "all" if indices == every else ",".join(instance.sites[j].id for j in indices)
+
     (root / "config.txt").write_text(
-        f"budget={instance.budget:g}\n"
-        f"min_enrollment={instance.min_enrollment:g}\n"
+        f"budget={_num(instance.budget)}\n"
+        f"min_enrollment={_num(instance.min_enrollment)}\n"
         f"max_sites={instance.max_sites}\n"
-        f"uncertain_fixed={','.join(names) if len(names) < len(instance.sites) else 'all'}\n"
-        f"uncertain_variable={','.join(knames) if len(knames) < len(instance.sites) else 'all'}\n"
+        f"uncertain_fixed={site_list(instance.uncertain_fixed)}\n"
+        f"uncertain_variable={site_list(instance.uncertain_variable)}\n"
     )

@@ -1,17 +1,27 @@
-"""Embedded optimizer: two-phase simplex, branch-and-bound, cone cuts.
+"""Embedded optimizer: two-phase simplex and one branch-and-bound tree that
+also cuts square-root cone rows.
 
 Everything here is deterministic: identical inputs and options produce
 identical Solutions, including node counts.  The simplex uses Bland's rule
 throughout (termination over speed), branching picks the most fractional
 variable with lowest-index tie-breaks, and the node queue is ordered by best
-bound with FIFO tie-breaks.  Square-root cone terms are handled by lazy outer
-approximation: supporting hyperplanes of the convex radical are added at
-violated incumbents until the exact rows hold.
+bound with FIFO tie-breaks.
 
-Branching only tightens finite integer bounds, so every node LP of a tree is
-the root's standard-form layout with the node's bounds written in; the
-matrices are expanded once per ``solve_milp`` call.  Duals of the final
-basis are computed only for ``solve_lp``; branch and bound never reads them.
+Square-root cone rows are handled by LP/NLP-based branch and bound (Quesada
+& Grossmann 1992): node LPs see each cone row at its radical floor, and at
+every integer-feasible node the exact rows are checked and violated ones get
+a supporting hyperplane of the convex radical.  The cuts go into the working
+model for the rest of the tree and the node is queued again, so one tree
+serves the whole solve and its time, node and cut-round limits bound the
+whole call.  Supporting hyperplanes never cut off exactly-feasible points,
+and incumbents are taken only where every cone row holds.
+
+Branching only tightens finite integer bounds, so every node LP is the
+current working model's standard-form layout with the node's bounds written
+in; the matrices are expanded once per call and again after each round of
+cuts.  Duals of the final basis are computed only for ``solve_lp``; branch
+and bound never reads them.  One deadline, taken when the call starts, stops
+the tree and the simplex inside every node LP.
 
 One solve runs on one thread; distinct solves on distinct models may run
 concurrently (no shared mutable state).
@@ -31,9 +41,9 @@ from .model import (
     INF,
     INTEGRALITY_TOL,
     ConeTerm,
+    Constraint,
     LinExpr,
     Model,
-    ModelError,
     Solution,
     SolverStats,
     StandardFormLP,
@@ -56,7 +66,7 @@ class SolverOptions:
     integrality_tol: float = INTEGRALITY_TOL
     cone_cut_tol: float = 1e-6
     max_nodes: int = 200_000
-    max_cone_rounds: int = 200
+    max_cone_rounds: int = 200  # integer-feasible nodes at which cuts are added
     time_limit_seconds: float = INF
 
     def __post_init__(self):
@@ -100,12 +110,13 @@ def _pivot(tab, basis, row, col):
     basis[row] = col
 
 
-def _run_simplex(tab, basis, n_cols):
+def _run_simplex(tab, basis, n_cols, deadline):
     """Minimize over the tableau in place with Bland's rule.
 
     ``tab`` rows are [A | b] plus a final reduced-cost row [cbar | -obj].
     Returns (status, iterations); status is 'optimal', 'unbounded' or
-    'limit' after ``_MAX_ITER`` pivots.
+    'limit' after ``_MAX_ITER`` pivots or once ``deadline`` (a
+    ``time.monotonic`` value) has passed with a pivot still to make.
     """
     m = tab.shape[0] - 1
     cbar = tab[-1, :n_cols]
@@ -113,6 +124,8 @@ def _run_simplex(tab, basis, n_cols):
         improving = (cbar < -_PIVOT_TOL).nonzero()[0]
         if not improving.size:
             return "optimal", iters
+        if time.monotonic() >= deadline:
+            return "limit", iters
         enter = int(improving[0])
         # ratio test in row order: a ratio more than the tolerance below the
         # best wins, one within the tolerance wins on the lower basis index
@@ -133,18 +146,23 @@ def _run_simplex(tab, basis, n_cols):
     return "limit", _MAX_ITER
 
 
+def _deadline(options: SolverOptions) -> float:
+    """The ``time.monotonic`` value at which the call's time limit runs out."""
+    return time.monotonic() + options.time_limit_seconds
+
+
 def solve_lp(sf: StandardFormLP, options: SolverOptions | None = None) -> Solution:
     """Solve a standard-form LP by two-phase primal simplex.
 
     Status ``optimal`` certifies primal feasibility within the feasibility
     tolerance and no improving reduced cost; ``infeasible`` certifies a
     positive phase-1 optimum; ``unbounded`` certifies an improving ray;
-    ``limit_reached`` means a phase hit the pivot cap.
+    ``limit_reached`` means a phase hit the pivot cap or the time limit.
     The returned values are restored to model-variable space and the duals of
     the final basis are stashed in ``stats.extra['duals']``.
     """
     options = options or SolverOptions()
-    res = _solve_standard(sf, options, duals=True)
+    res = _solve_standard(sf, options, _deadline(options), duals=True)
     stats = SolverStats(iterations=res.iterations)
     if res.status == "optimal":
         values = sf.restore(res.x)
@@ -158,10 +176,11 @@ def solve_lp(sf: StandardFormLP, options: SolverOptions | None = None) -> Soluti
     return Solution("limit_reached", {}, math.nan, stats)
 
 
-def _solve_standard(sf: StandardFormLP, options: SolverOptions,
+def _solve_standard(sf: StandardFormLP, options: SolverOptions, deadline: float,
                     duals: bool = False) -> _SimplexResult:
     """Two-phase simplex on the canonical maximization; internal min convention.
-    The final basis's duals are computed only when ``duals`` is set."""
+    Both phases stop at ``deadline``.  The final basis's duals are computed
+    only when ``duals`` is set."""
     n = sf.n_cols
     m_ub, m_eq = sf.a_ub.shape[0], sf.a_eq.shape[0]
     if sf.a_ub.shape[1] != n or (m_eq and sf.a_eq.shape[1] != n):
@@ -197,7 +216,7 @@ def _solve_standard(sf: StandardFormLP, options: SolverOptions,
         tab[-1, n_work:n_total] = 1.0
         for r in need_art:
             tab[-1] -= tab[r]
-        status, iters = _run_simplex(tab, basis, n_total)
+        status, iters = _run_simplex(tab, basis, n_total, deadline)
         total_iters += iters
         if status == "limit":
             return _SimplexResult("limit", iterations=total_iters)
@@ -229,7 +248,7 @@ def _solve_standard(sf: StandardFormLP, options: SolverOptions,
         coeff = tab[-1, basis[r]]
         if abs(coeff) > _PIVOT_TOL:
             tab[-1] -= coeff * tab[r]
-    status, iters = _run_simplex(tab, basis, n_work)
+    status, iters = _run_simplex(tab, basis, n_work, deadline)
     total_iters += iters
     if status != "optimal":
         return _SimplexResult(status, iterations=total_iters)
@@ -281,20 +300,47 @@ def _fractional_vars(model: Model, values, tol: float):
     return out
 
 
+def _relax_cones(model: Model, cone_rows) -> Model:
+    """Unfrozen copy of ``model`` with each cone row replaced by its value at
+    the radical floor, a valid relaxation: the radical never falls below
+    ``sqrt(constant_inside)``."""
+    work = model.copy(name=f"{model.name}__oa")
+    for con in cone_rows:
+        floor_const = con.cone.scale * math.sqrt(con.cone.constant_inside)
+        relaxed = LinExpr.from_terms(con.lhs.terms, con.lhs.constant + floor_const)
+        work.constraints[con.id] = replace(con, lhs=relaxed, cone=None)
+    return work
+
+
+def _cone_violations(cone_rows, values) -> list[tuple[Constraint, float]]:
+    """Each cone row with its exact residual ``lhs + cone - rhs`` at ``values``."""
+    return [(con, con.lhs.value(values) + con.cone.value(values) - con.rhs)
+            for con in cone_rows]
+
+
 def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
-    """Branch-and-bound over LP relaxations.
+    """Branch-and-bound over LP relaxations, with cone rows cut in the tree.
 
     Branching variable: most fractional, ties broken by lowest id.  Node
-    order: best bound, ties FIFO.  An exhausted tree certifies the incumbent
-    optimal (within the LP tolerances); hitting ``max_nodes``, the time
-    limit or the simplex pivot cap yields ``limit_reached`` carrying the
-    incumbent if one exists.
+    order: best bound, ties FIFO.  Cone rows enter the node LPs at their
+    radical floor; at a node whose LP point is integer-feasible every cone
+    row is evaluated exactly, and rows violated by more than
+    ``cone_cut_tol`` get a supporting-hyperplane cut.  The cuts join every
+    later node LP, and the node goes back into the queue under its own LP
+    bound, which the cuts leave valid.  An incumbent is accepted only when
+    every cone row holds.
+
+    An exhausted tree certifies the incumbent optimal (within the LP and cut
+    tolerances); hitting ``max_nodes``, ``max_cone_rounds`` separations, the
+    time limit or the simplex pivot cap yields ``limit_reached`` carrying the
+    incumbent if one exists.  With cone rows, ``stats.extra["cone_violation"]``
+    is the worst cone-row residual at the returned values, or at the last
+    cut-off point when none are returned.
     """
     options = options or SolverOptions()
-    if model.has_cones():
-        raise ModelError("cone terms present; use solve_cone")
-    deadline = (time.monotonic() + options.time_limit_seconds
-                if options.time_limit_seconds != INF else INF)
+    deadline = _deadline(options)
+    cone_rows = [c for c in model.constraints if c.cone is not None]
+    work = _relax_cones(model, cone_rows) if cone_rows else model
     root_bounds, capped = _root_bounds(model)
     stats = SolverStats()
     if capped:
@@ -303,7 +349,9 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
     best_values = None
     best_cano = -INF
     counter = 0
-    root = to_standard_form(model, bounds=root_bounds)
+    separations = 0
+    cut_off = 0.0
+    root = to_standard_form(work, bounds=root_bounds)
     heap = [(-INF, counter, NodeRecord(root_bounds, 0))]
     status = "optimal"
     bound_sequence: list[float] = []
@@ -317,7 +365,7 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
             status = "limit_reached"
             break
         sf = root.with_bounds(node.bounds)
-        res = _solve_standard(sf, options)
+        res = _solve_standard(sf, options, deadline)
         stats.nodes += 1
         stats.iterations += res.iterations
         if res.status == "infeasible":
@@ -326,14 +374,34 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
             status = "limit_reached"
             break
         if res.status == "unbounded":
-            obj = INF if model.objective_sense == "max" else -INF
-            return Solution("unbounded", {}, obj, stats)
+            status = "unbounded"
+            break
         cano = res.objective  # canonical max value from _solve_standard
         if cano <= best_cano + _PRUNE_TOL and best_values is not None:
             continue
         values = sf.restore(res.x)
         fractional = _fractional_vars(model, values, options.integrality_tol)
         if not fractional:
+            violated = [(con, viol) for con, viol in _cone_violations(cone_rows, values)
+                        if viol > options.cone_cut_tol]
+            if violated:
+                cut_off = max(viol for _, viol in violated)
+                if separations >= options.max_cone_rounds:
+                    status = "limit_reached"
+                    break
+                separations += 1
+                for con, _ in violated:
+                    terms, constant = _cone_support_cut(con.cone, values)
+                    stats.cone_cuts += 1
+                    work.add_constraint(
+                        LinExpr.from_terms(con.lhs.terms + tuple(terms),
+                                           con.lhs.constant + constant),
+                        "<=", con.rhs, label=f"{con.label}__cut{stats.cone_cuts}",
+                    )
+                root = to_standard_form(work, bounds=root_bounds)
+                counter += 1
+                heapq.heappush(heap, (-cano, counter, node))
+                continue
             if cano > best_cano:
                 best_cano = cano
                 best_values = values
@@ -355,6 +423,14 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
                     heap, (-cano, counter, NodeRecord(child, node.depth + 1))
                 )
 
+    if status == "unbounded":
+        best_values = None
+    if cone_rows:
+        stats.extra["cone_violation"] = cut_off if best_values is None else max(
+            [0.0] + [viol for _, viol in _cone_violations(cone_rows, best_values)])
+    if status == "unbounded":
+        obj = INF if model.objective_sense == "max" else -INF
+        return Solution("unbounded", {}, obj, stats)
     if best_values is None:
         if status == "limit_reached":
             return Solution("limit_reached", {}, math.nan, stats)
@@ -393,73 +469,12 @@ def _cone_support_cut(cone: ConeTerm, values):
 
 
 def solve_cone(model: Model, options: SolverOptions | None = None) -> Solution:
-    """Outer-approximation loop for models with square-root cone rows.
-
-    Each round solves the current linearized MILP, evaluates every cone row
-    exactly at the incumbent, and adds supporting-hyperplane cuts for rows
-    violated by more than ``cone_cut_tol``.  Supporting hyperplanes of a
-    convex radical never cut off exactly-feasible points, so the final
-    incumbent is optimal for the original model.  The time limit and
-    ``max_nodes`` bound the whole call: each round gets what is left.
-    """
-    options = options or SolverOptions()
-    cone_rows = [c for c in model.constraints if c.cone is not None]
-    if not cone_rows:
-        return solve_milp(model, options)
-
-    work = model.copy(name=f"{model.name}__oa")
-    # replace each cone row by its value at the radical floor (valid relaxation:
-    # the radical never falls below sqrt(constant_inside))
-    originals = {}
-    for con in cone_rows:
-        originals[con.id] = con
-        floor_const = con.cone.scale * math.sqrt(con.cone.constant_inside)
-        relaxed = LinExpr.from_terms(con.lhs.terms, con.lhs.constant + floor_const)
-        work.constraints[con.id] = replace(con, lhs=relaxed, cone=None)
-
-    deadline = time.monotonic() + options.time_limit_seconds
-    total = SolverStats(extra={"bound_sequence": []})
-    last = None
-    worst = 0.0
-    for _ in range(options.max_cone_rounds):
-        left = replace(options, time_limit_seconds=deadline - time.monotonic(),
-                       max_nodes=options.max_nodes - total.nodes)
-        sol = solve_milp(work.finalize(), left)
-        total.nodes += sol.stats.nodes
-        total.iterations += sol.stats.iterations
-        total.extra["bound_sequence"] += sol.stats.extra.pop("bound_sequence")
-        total.extra.update(sol.stats.extra)
-        if sol.status != "optimal":
-            sol.stats = total
-            return sol
-        worst = 0.0
-        violated = []
-        for con in originals.values():
-            lhs_val = con.lhs.value(sol.values) + con.cone.value(sol.values)
-            viol = lhs_val - con.rhs
-            if viol > options.cone_cut_tol:
-                violated.append(con)
-                worst = max(worst, viol)
-        if not violated:
-            sol.stats = total
-            return sol
-        work = work.copy()
-        for con in violated:
-            terms, constant = _cone_support_cut(con.cone, sol.values)
-            cut_terms = list(con.lhs.terms) + list(terms)
-            cut = LinExpr.from_terms(cut_terms, con.lhs.constant + constant)
-            total.cone_cuts += 1
-            work.add_constraint(
-                cut, "<=", con.rhs,
-                label=f"{con.label}__cut{total.cone_cuts}",
-            )
-        last = sol
-
-    total.extra["cone_violation"] = worst
-    out = last or Solution("limit_reached", {}, math.nan, total)
-    out.status = "limit_reached"
-    out.stats = total
-    return out
+    """Solve a model with square-root cone rows: one branch and bound
+    (:func:`solve_milp`) that separates supporting-hyperplane cuts at its
+    integer-feasible nodes.  Supporting hyperplanes of a convex radical never
+    cut off exactly-feasible points, so an exhausted tree's incumbent is
+    optimal for the original model."""
+    return solve_milp(model, options)
 
 
 def solve(model: Model, options: SolverOptions | None = None) -> Solution:

@@ -453,21 +453,26 @@ def parse_annotations(text: str, model: Model) -> UncertainSet:
     return uset
 
 
+def _num(x: float) -> str:
+    """Shortest text that parses back to the same float."""
+    return repr(float(x))
+
+
 def _format_distribution(dist) -> str:
     if isinstance(dist, Bounded):
-        return "bounded" if dist.epsilon is None else f"bounded {dist.epsilon:g}"
+        return "bounded" if dist.epsilon is None else f"bounded {_num(dist.epsilon)}"
     if isinstance(dist, BoundedRange):
-        return f"range {dist.low:g} {dist.high:g}"
+        return f"range {_num(dist.low)} {_num(dist.high)}"
     if isinstance(dist, Normal):
-        return f"normal {dist.mean:g} {dist.std:g}"
+        return f"normal {_num(dist.mean)} {_num(dist.std)}"
     if isinstance(dist, Uniform):
         return "uniform"
     if isinstance(dist, Poisson):
-        return f"poisson {dist.mean:g}"
+        return f"poisson {_num(dist.mean)}"
     if isinstance(dist, Binomial):
-        return f"binomial {dist.n} {dist.p:g}"
+        return f"binomial {dist.n} {_num(dist.p)}"
     if isinstance(dist, Discrete):
-        pairs = " ".join(f"{v:g} {p:g}" for v, p in zip(dist.values, dist.probs))
+        pairs = " ".join(f"{_num(v)} {_num(p)}" for v, p in zip(dist.values, dist.probs))
         return f"discrete {pairs}"
     raise ValueError(f"unsupported distribution {dist!r}")
 

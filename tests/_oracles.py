@@ -5,17 +5,23 @@ from bisection on an erf-based CDF, MILP optima from exhaustive enumeration,
 robust optima from explicit corner realization, LP optima from vertex
 enumeration or scipy.  The scalar simplex kernel is the row-by-row pivot and
 element-by-element Bland scan the solver's vectorised kernel must reproduce
-pivot for pivot.  Generators are seeded and deterministic.
+pivot for pivot.  The restart loop is the outer approximation for cone rows
+that solves a fresh branch and bound per round of cuts, against which the
+solver's single-tree cone cuts are checked.  Generators are seeded and
+deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import time
+from dataclasses import replace
 
 import numpy as np
 
-from robustcounter.model import Model
+from robustcounter import solver
+from robustcounter.model import LinExpr, Model, Solution, SolverStats
 from robustcounter.uncertainty import RHS, Bounded, UncertainSet, Uniform
 
 
@@ -392,10 +398,11 @@ def reference_pivot(tab, basis, row, col):
     basis[row] = col
 
 
-def reference_run_simplex(tab, basis, n_cols, max_iter=1_000_000):
+def reference_run_simplex(tab, basis, n_cols, deadline=math.inf, max_iter=1_000_000):
     """Bland's rule with scalar scans: the first improving column enters; the
     ratio test walks the rows in order, a ratio more than the tolerance below
-    the best wins and one within it wins on the lower basis index."""
+    the best wins and one within it wins on the lower basis index.  Stops
+    with 'limit' when a pivot is due at or after ``deadline``."""
     m = tab.shape[0] - 1
     iters = 0
     while iters < max_iter:
@@ -407,6 +414,8 @@ def reference_run_simplex(tab, basis, n_cols, max_iter=1_000_000):
                 break
         if enter < 0:
             return "optimal", iters
+        if time.monotonic() >= deadline:
+            return "limit", iters
         leave = -1
         best_ratio = math.inf
         for r in range(m):
@@ -423,3 +432,43 @@ def reference_run_simplex(tab, basis, n_cols, max_iter=1_000_000):
         reference_pivot(tab, basis, leave, enter)
         iters += 1
     return "limit", iters
+
+
+# -- restart loop for cone rows ---------------------------------------------------
+
+
+def reference_solve_cone(model: Model, max_rounds: int = 200):
+    """Outer approximation by restarts: each round solves a fresh branch and
+    bound over the model with every cone row at its radical floor plus every
+    cut so far, then cuts the rows the incumbent violates by more than 1e-6.
+    Returns the first incumbent that satisfies every cone row, a non-optimal
+    round's Solution as it is, or ``limit_reached`` after ``max_rounds``."""
+    cone_rows = [c for c in model.constraints if c.cone is not None]
+    work = model.copy()
+    for con in cone_rows:
+        floor_const = con.cone.scale * math.sqrt(con.cone.constant_inside)
+        relaxed = LinExpr.from_terms(con.lhs.terms, con.lhs.constant + floor_const)
+        work.constraints[con.id] = replace(con, lhs=relaxed, cone=None)
+    total = SolverStats()
+    for _ in range(max_rounds):
+        sol = solver.solve_milp(work.finalize())
+        total.nodes += sol.stats.nodes
+        total.iterations += sol.stats.iterations
+        sol.stats = total
+        if sol.status != "optimal":
+            return sol
+        violated = [con for con in cone_rows
+                    if con.lhs.value(sol.values) + con.cone.value(sol.values) - con.rhs
+                    > 1e-6]
+        if not violated:
+            return sol
+        work = work.copy()
+        for con in violated:
+            terms, constant = solver._cone_support_cut(con.cone, sol.values)
+            total.cone_cuts += 1
+            work.add_constraint(
+                LinExpr.from_terms(list(con.lhs.terms) + list(terms),
+                                   con.lhs.constant + constant),
+                "<=", con.rhs, label=f"{con.label}__cut{total.cone_cuts}",
+            )
+    return Solution("limit_reached", {}, math.nan, total)

@@ -1,8 +1,12 @@
 import itertools
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustcounter.fixtures import demo_instance, tiny_instance
 from robustcounter.robustify import interval_robust_counterpart
@@ -354,6 +358,42 @@ def test_instance_round_trip(tmp_path):
     sol_a = solve(build_nominal(inst))
     sol_b = solve(build_nominal(again))
     assert sol_a.objective == pytest.approx(sol_b.objective, abs=1e-9)
+
+
+_finite = st.floats(0.0, 1e12, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _instances(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    name = st.from_regex(r"[A-Za-z][A-Za-z0-9 ,]{0,6}[A-Za-z0-9]", fullmatch=True)
+    units = [PopulationUnit(f"u{i}", draw(name), draw(_finite)) for i in range(m)]
+    sites = [SiteCandidate(f"s{j}", draw(name), draw(_finite), draw(_finite))
+             for j in range(n)]
+    weights = np.array([[draw(st.floats(0.0, 1.0)) for _ in range(n)] for _ in range(m)])
+    probabilities = weights / np.maximum(weights.sum(axis=1, keepdims=True), 1.0)
+    subsets = st.lists(st.integers(0, n - 1), max_size=n).map(tuple)
+    return SiteSelectionInstance(
+        tuple(units), tuple(sites), probabilities,
+        budget=draw(st.floats(1.0, 1e12, exclude_min=True)),
+        min_enrollment=draw(_finite), max_sites=draw(st.integers(1, 10)),
+        uncertain_fixed=draw(subsets), uncertain_variable=draw(subsets),
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_instances())
+def test_instance_directory_round_trips_exactly(inst):
+    with tempfile.TemporaryDirectory() as tmp:
+        write_instance(inst, Path(tmp) / "inst")
+        again = load_instance(Path(tmp) / "inst")
+    assert again.units == inst.units
+    assert again.sites == inst.sites
+    assert np.array_equal(again.probabilities, inst.probabilities)
+    assert (again.budget, again.min_enrollment, again.max_sites) == (
+        inst.budget, inst.min_enrollment, inst.max_sites)
+    assert again.uncertain_fixed == inst.uncertain_fixed
+    assert again.uncertain_variable == inst.uncertain_variable
 
 
 def test_load_instance_names_bad_probability_cell(tmp_path):

@@ -26,7 +26,9 @@ from robustcounter.solver import (
     solve_milp,
 )
 
+from robustcounter.robustify import symmetric_robust_counterpart
 from robustcounter.sitesel import build_irc, build_nominal, build_rc
+from robustcounter.uncertainty import RHS, UncertainSet, Uniform
 
 from _oracles import (
     brute_force_binary,
@@ -34,6 +36,7 @@ from _oracles import (
     random_lp_model,
     reference_pivot,
     reference_run_simplex,
+    reference_solve_cone,
 )
 
 
@@ -316,6 +319,46 @@ def test_cone_cuts_never_cut_feasible_points():
             assert cut_val <= exact.rhs + 1e-9
 
 
+def _rc_of_random_model(seed, n_vars, n_cons, entries, rhs_uncertain, kappa):
+    """RC of ``random_binary_model`` with the first ``entries`` terms of row 0
+    (and its RHS when asked) tagged uniform."""
+    model = random_binary_model(np.random.default_rng(seed), n_vars, n_cons)
+    uset = UncertainSet()
+    for var_id, _ in model.constraints[0].lhs.terms[:entries]:
+        uset.add(0, var_id, Uniform())
+    if rhs_uncertain:
+        uset.add(0, RHS, Uniform())
+    return symmetric_robust_counterpart(model, uset, 0.2, 0.0, kappa).model
+
+
+def test_rc_of_random_model_is_not_unbounded():
+    """Its objective reads only binaries, so no relaxation is unbounded;
+    enumerating the 2^10 binary points (SLSQP on the cone auxiliaries, the
+    benchmark's ``ConeBruteForce``) gives 19.93738282."""
+    sol = solve(_rc_of_random_model(11, 10, 3, 8, True, 0.05))
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(19.93738282415742, abs=1e-6)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 10_000), st.integers(3, 7), st.integers(1, 3), st.integers(1, 7),
+       st.booleans(), st.sampled_from([0.05, 0.14, 0.5]))
+def test_single_tree_matches_restart_loop(seed, n_vars, n_cons, entries, rhs_uncertain,
+                                          kappa):
+    """Cuts separated inside one tree reach the optimum of the restart loop,
+    with and without a constant inside the radical, and every incumbent
+    satisfies its cone rows."""
+    model = _rc_of_random_model(seed, n_vars, n_cons, entries, rhs_uncertain, kappa)
+    sol = solve(model)
+    ref = reference_solve_cone(model)
+    tol = SolverOptions().cone_cut_tol
+    for out in (sol, ref):
+        if out.values:
+            assert model.max_violation(out.values) <= tol
+    if sol.status == "optimal" and ref.status == "optimal":
+        assert abs(sol.objective - ref.objective) <= 1e-6
+
+
 def test_cone_cut_count_reported():
     m, x = _cone_model(1.0, 1.0, 0.0, 10.0)
     sol = solve_cone(m)
@@ -420,8 +463,33 @@ def test_simplex_pivot_cap_reports_limit(monkeypatch, sense, row_sense):
         assert solve(m.finalize()).status == "limit_reached"
 
 
+def test_lp_time_limit_reports_limit():
+    m, _, _ = _lp()
+    sol = solve_lp(to_standard_form(m), SolverOptions(time_limit_seconds=0))
+    assert sol.status == "limit_reached"
+    assert sol.values == {}
+
+
+def test_node_lps_share_the_call_deadline(monkeypatch):
+    """Every node LP of one call stops at the call's own deadline."""
+    deadlines = []
+    run = solver_mod._run_simplex
+
+    def spy(tab, basis, n_cols, deadline):
+        deadlines.append(deadline)
+        return run(tab, basis, n_cols, deadline)
+
+    monkeypatch.setattr(solver_mod, "_run_simplex", spy)
+    sol = solve(build_rc(demo_instance(), 0.05, 0.0, 0.14),
+                SolverOptions(time_limit_seconds=60.0))
+    assert sol.status == "optimal"
+    assert len(deadlines) >= sol.stats.nodes > 1
+    assert len(set(deadlines)) == 1 and math.isfinite(deadlines[0])
+
+
 def test_cone_time_limit_bounds_the_whole_call():
-    model = build_rc(demo_instance(), 0.05, 0.0, 0.14)
+    # unlimited, this solve takes about 1 s: 183 nodes and 176 cone cuts
+    model = _rc_of_random_model(11, 10, 3, 8, True, 0.05)
     start = time.perf_counter()
     sol = solve(model, SolverOptions(time_limit_seconds=0.1))
     elapsed = time.perf_counter() - start
@@ -430,17 +498,56 @@ def test_cone_time_limit_bounds_the_whole_call():
 
 
 def test_cone_node_limit_bounds_the_whole_call():
-    # the first cone round alone needs 21 nodes, all rounds 305
-    sol = solve(build_rc(demo_instance(), 0.05, 0.0, 0.14), SolverOptions(max_nodes=40))
+    # the whole tree needs 37 nodes
+    sol = solve(build_rc(demo_instance(), 0.05, 0.0, 0.14), SolverOptions(max_nodes=20))
     assert sol.status == "limit_reached"
-    assert sol.stats.nodes <= 40
+    assert sol.stats.nodes <= 20
+
+
+def test_cone_round_limit_bounds_the_whole_call():
+    # the whole tree separates at 10 integer-feasible nodes, one cut each
+    sol = solve(build_rc(demo_instance(), 0.05, 0.0, 0.14), SolverOptions(max_cone_rounds=3))
+    assert sol.status == "limit_reached"
+    assert sol.stats.cone_cuts == 3
 
 
 def test_cone_bound_sequence_spans_every_round():
     sol = solve(build_rc(demo_instance(), 0.05, 0.0, 0.14))
     assert sol.stats.cone_cuts > 0
-    # every solved node's bound is popped once, in every round
+    # every solved node's bound is popped once, re-queued nodes included
     assert len(sol.stats.extra["bound_sequence"]) >= sol.stats.nodes
+
+
+@pytest.mark.parametrize("model, options", [
+    (build_rc(demo_instance(), 0.05, 0.0, 0.14), SolverOptions(max_nodes=5)),
+    (build_rc(demo_instance(), 0.05, 0.0, 0.14), SolverOptions(max_nodes=20)),
+    (build_rc(demo_instance(), 0.05, 0.0, 0.14), SolverOptions(max_cone_rounds=0)),
+    (build_rc(demo_instance(), 0.05, 0.0, 0.14), SolverOptions(max_cone_rounds=3)),
+    (_rc_of_random_model(11, 10, 3, 8, True, 0.05), SolverOptions(max_cone_rounds=20)),
+    (_rc_of_random_model(11, 10, 3, 8, True, 0.05), SolverOptions(time_limit_seconds=0.05)),
+    (build_rc(demo_instance(), 0.05, 0.0, 0.14), SolverOptions(time_limit_seconds=0)),
+], ids=["nodes-5", "nodes-20", "rounds-0", "rounds-3", "rounds-20", "time-0.05",
+        "time-0"])
+def test_limit_stopped_cone_solve_returns_cone_feasible_values_or_none(model, options):
+    """A cone solve stopped by a limit returns a cone-feasible incumbent or no
+    values, and reports the worst cone violation either way."""
+    sol = solve(model, options)
+    assert sol.status == "limit_reached"
+    violation = sol.stats.extra["cone_violation"]
+    if sol.values:
+        assert model.max_violation(sol.values) <= options.cone_cut_tol
+        assert 0.0 <= violation <= options.cone_cut_tol
+        assert sol.objective == pytest.approx(model.objective_value(sol.values), abs=1e-9)
+    else:
+        assert math.isnan(sol.objective)
+        assert violation >= 0.0
+
+
+def test_cone_violation_reported_on_optimal_exit():
+    model = build_rc(demo_instance(), 0.05, 0.0, 0.14)
+    sol = solve(model)
+    assert 0.0 <= sol.stats.extra["cone_violation"] <= SolverOptions().cone_cut_tol
+    assert model.max_violation(sol.values) <= SolverOptions().cone_cut_tol
 
 
 # -- pivot sequence ----------------------------------------------------------------
@@ -449,7 +556,7 @@ def test_cone_bound_sequence_spans_every_round():
 @pytest.mark.parametrize("build, objective, nodes, iterations, cuts", [
     (build_nominal, 261.0, 5, 148, 0),
     (lambda inst: build_irc(inst, 0.05, 0.0), 177.0, 25, 617, 0),
-    (lambda inst: build_rc(inst, 0.05, 0.0, 0.14), 159.0, 305, 12_207, 10),
+    (lambda inst: build_rc(inst, 0.05, 0.0, 0.14), 159.0, 37, 1_440, 10),
 ])
 def test_hk_demo_pivot_counts_exact(build, objective, nodes, iterations, cuts):
     """Node and LP-iteration counts pin the whole pivot sequence."""

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustcounter.model import Model
 from robustcounter.uncertainty import (
@@ -248,6 +250,45 @@ def test_annotation_round_trip():
     assert again.entries[0].distribution == Bounded(0.05)
     assert again.entries[1].distribution == Normal(100.0, 5.0)
     assert again.entries[2].is_rhs
+
+
+_reals = st.floats(-1e12, 1e12, allow_nan=False)
+_positive = st.floats(0.0, 1e12, exclude_min=True)
+
+
+@st.composite
+def _discrete(draw):
+    weights = draw(st.lists(st.integers(1, 1000), min_size=1, max_size=5))
+    probs = [w / sum(weights) for w in weights]
+    probs[-1] = 1.0 - math.fsum(probs[:-1])
+    values = draw(st.lists(_reals, min_size=len(probs), max_size=len(probs)))
+    return Discrete(tuple(values), tuple(probs))
+
+
+_distributions = st.one_of(
+    st.builds(Bounded, st.none() | st.floats(0.0, 1e6)),
+    st.tuples(_reals, _reals).map(sorted).map(lambda lh: BoundedRange(*lh)),
+    st.builds(Normal, _reals, _positive),
+    st.just(Uniform()),
+    st.builds(Poisson, _positive),
+    st.builds(Binomial, st.integers(0, 10_000), st.floats(0.0, 1.0)),
+    _discrete(),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_distributions, _distributions, _distributions)
+def test_annotations_round_trip_exactly(d_x, d_y, d_rhs):
+    m, x, y = _small_model()
+    uset = UncertainSet([(0, x, d_x), (0, y, d_y), (0, RHS, d_rhs)])
+    again = parse_annotations(format_annotations(uset, m), m)
+    assert [e.distribution for e in again] == [d_x, d_y, d_rhs]
+
+
+def test_annotation_normal_keeps_every_digit():
+    m, x, _ = _small_model()
+    uset = UncertainSet([(0, x, Normal(100.123456789, 5.0))])
+    assert "normal 100.123456789 5.0" in format_annotations(uset, m)
 
 
 def test_annotation_unknown_label_named():
