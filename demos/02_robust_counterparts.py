@@ -38,7 +38,7 @@ sol = solve(irc.model)
 print(f"interval counterpart: x = {sol.objective:.6f} "
       f"(worst corner 1.1*x <= 9)")
 
-# Certification replays every corner of the uncertainty box.
+# Certification finds the worst corner of the uncertainty box entry by entry.
 report = corner_check(m, uset, {x: sol.values[x]}, EPS, 0.0)
 print(f"  corner check at the robust point: certified = {report.certified} "
       f"({report.corners_checked} corners)")

@@ -3,7 +3,7 @@
 Build a nominal model, tag uncertain coefficients, derive the bounded- or
 reliability-level robust counterpart mechanically, solve it with the embedded
 simplex / branch-and-bound / cone-cut solver, and verify the robustness claim
-by exhaustive corner checking or Monte Carlo estimation::
+by an exact worst-corner check or Monte Carlo estimation::
 
     from robustcounter import (
         Model, UncertainSet, Bounded, RHS,
@@ -81,7 +81,6 @@ from .uncertainty import (
     Discrete,
     Normal,
     Poisson,
-    RobustConfig,
     UncertainEntry,
     UncertainSet,
     Uniform,

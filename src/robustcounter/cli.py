@@ -12,6 +12,7 @@ environment variable ``ROBUSTCOUNTER_SEED`` supplies the default seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -19,13 +20,19 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from . import validate as validate_mod
 from .model import Model, ParseError, export_text, import_text
 from .robustify import interval_robust_counterpart, symmetric_robust_counterpart
-from .sitesel import InstanceError, build_irc, build_nominal, build_rc, load_instance
+from .sitesel import (
+    InstanceError,
+    SiteSelectionInstance,
+    build_irc,
+    build_nominal,
+    build_rc,
+    load_instance,
+)
 from .solver import SolverOptions, solve
 from .uncertainty import parse_annotations
-from .validate import SweepRow, corner_check, monte_carlo_check, write_sweep_csv
+from .validate import corner_check, monte_carlo_check, sweep, write_sweep_csv
 
 _STATUS_EXIT = {"optimal": 0, "infeasible": 2, "unbounded": 3, "limit_reached": 4}
 
@@ -220,27 +227,17 @@ def parse_grid_spec(tokens) -> list[tuple[float, float, float]]:
     return grid
 
 
-def _sweep_cell(payload) -> tuple[float, float, float, str, float]:
-    """Worker for parallel sweeps; rebuilds the model from primitive data."""
-    kind, data, mode, exact, point, options = payload
-    eps, delta, kappa = point
-    try:
-        if kind == "instance":
-            instance = load_instance(data)
-            model = _build_sitesel(instance, mode, eps, delta, kappa, exact)
-        else:
-            model_text, annot_text = data
-            model = import_text(model_text)
-            uset = parse_annotations(annot_text, model)
-            if mode == "irc":
-                model = interval_robust_counterpart(model, uset, eps, delta).model
-            else:
-                model = symmetric_robust_counterpart(
-                    model, uset, eps, delta, kappa).model
-        sol = solve(model, options)
-        return (eps, delta, kappa, sol.status, sol.objective)
-    except Exception:
-        return (eps, delta, kappa, "error", math.nan)
+def _sweep_model(source, mode: str, exact: bool, eps: float, delta: float,
+                 kappa: float) -> Model:
+    """One sweep cell's model: a site-selection instance or a (model,
+    uncertain set) pair robustified at the point.  Module level so that
+    parallel sweeps can pickle it."""
+    if isinstance(source, SiteSelectionInstance):
+        return _build_sitesel(source, mode, eps, delta, kappa, exact)
+    model, uset = source
+    if mode == "irc":
+        return interval_robust_counterpart(model, uset, eps, delta).model
+    return symmetric_robust_counterpart(model, uset, eps, delta, kappa).model
 
 
 def cmd_sweep(args) -> int:
@@ -251,40 +248,25 @@ def cmd_sweep(args) -> int:
     path = Path(args.input)
     try:
         if path.is_dir():
-            load_instance(path)  # validate early for a clean usage error
-            kind, data, exact = "instance", str(path), args.exact_assignment
+            source = load_instance(path)
         else:
-            model_text = path.read_text()
-            model = import_text(model_text)
+            model = import_text(path.read_text())
             if not args.annotations:
                 return _fail("model-file sweeps need --annotations")
-            annot_text = Path(args.annotations).read_text()
-            parse_annotations(annot_text, model)
-            kind, data, exact = "model", (model_text, annot_text), False
+            uset = parse_annotations(Path(args.annotations).read_text(), model)
+            source = (model, uset)
     except (OSError, ParseError, InstanceError, ValueError) as exc:
         return _fail(str(exc))
 
-    points = [(0.0, 0.0, 1.0)] + [p for p in grid if p != (0.0, 0.0, 1.0)]
+    build = functools.partial(_sweep_model, source, args.mode,
+                              args.exact_assignment)
     options = _solver_options(args)
-    payloads = [(kind, data, args.mode, exact, p, options) for p in points]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_sweep_cell, payloads))
+            rows = sweep(build, grid, options, pool)
     else:
-        results = [_sweep_cell(p) for p in payloads]
-
-    nominal_objective = math.nan
-    for eps, delta, kappa, status, objective in results:
-        if (eps, delta, kappa) == (0.0, 0.0, 1.0) and status == "optimal":
-            nominal_objective = objective
-    rows = []
-    for eps, delta, kappa, status, objective in results:
-        gap = math.nan
-        if status == "optimal" and math.isfinite(nominal_objective):
-            denom = abs(nominal_objective) if nominal_objective != 0 else 1.0
-            gap = (nominal_objective - objective) / denom
-        rows.append(SweepRow(eps, delta, kappa, status, objective,
-                             nominal_objective, gap))
+        rows = sweep(build, grid, options)
+    nominal_objective = rows[0].nominal_objective
     with open(args.output, "w", newline="") as fh:
         write_sweep_csv(rows, fh)
     if args.json:
@@ -432,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--annotations", help="required for model-file sweeps")
     p.add_argument("--mode", choices=("irc", "rc"), default="rc")
     p.add_argument("--exact-assignment", action="store_true")
-    p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel workers for sweep cells")
     _add_solver_params(p)
@@ -445,10 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("annotations")
     p.add_argument("--solution", help="solution JSON (from solve --json); "
                    "defaults to solving the model itself")
-    p.add_argument("--corner", action="store_true",
-                   help="exhaustive corner certification (default)")
     p.add_argument("--mc", type=int, metavar="N", default=0,
-                   help="Monte Carlo estimation with N samples")
+                   help="Monte Carlo estimation with N samples instead of the "
+                   "corner check")
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=_default_seed())

@@ -3,9 +3,10 @@
 Two transformations on a nominal model plus an uncertain set:
 
 * :func:`interval_robust_counterpart` -- bounded (interval) uncertainty with
-  level ``epsilon`` and infeasibility tolerance ``delta``.  Per uncertain
-  ``<=`` row it adds the worst-case row with absolute-value auxiliaries and
-  sandwich links, keeping every nominal row verbatim.
+  per-entry intervals (global level ``epsilon`` unless a tag sets its own)
+  and infeasibility tolerance ``delta``.  Per uncertain ``<=`` row it adds
+  the separable worst-case row, with absolute-value auxiliaries only for
+  mixed-sign variables, keeping every nominal row verbatim.
 * :func:`symmetric_robust_counterpart` -- symmetric random uncertainty with
   reliability level ``kappa``.  The worst-case row gains a square-root cone
   term weighted by ``epsilon * omega`` where ``kappa = exp(-omega^2/2)``.
@@ -24,7 +25,12 @@ import math
 from dataclasses import dataclass, field
 
 from .model import ConeTerm, LinExpr, Model, ModelError
-from .uncertainty import UncertainSet, normal_lambda, omega_from_kappa
+from .uncertainty import (
+    UncertainSet,
+    bounded_interval,
+    normal_lambda,
+    omega_from_kappa,
+)
 
 IRC_SUFFIX = "__irc"
 RC_SUFFIX = "__rc"
@@ -35,7 +41,8 @@ class CounterpartArtifacts:
     """A robust counterpart model plus the bookkeeping produced with it.
 
     ``aux_u`` maps (constraint id, variable id) to the absolute-value
-    auxiliary; ``aux_v`` (symmetric counterparts only) maps the same key to
+    auxiliary (interval counterparts add one only for a mixed-sign
+    variable); ``aux_v`` (symmetric counterparts only) maps the same key to
     the cone-splitting auxiliary.  ``provenance`` maps every added constraint
     back to the nominal row it protects.
     """
@@ -74,45 +81,52 @@ def interval_robust_counterpart(model: Model, uncertain_set: UncertainSet,
                                 ) -> CounterpartArtifacts:
     """Bounded-uncertainty counterpart.
 
+    Each uncertain entry ranges over its own interval ``[lo_j, hi_j]`` from
+    :func:`bounded_interval`.  The entries of a row vary independently, so
+    the worst case of the row is separable: each takes the end of its
+    interval that raises the left-hand side (Ben-Tal & Nemirovski 2000).
     Per uncertain row ``sum(a_j x_j) <= b`` the output carries
 
-        sum(a_j x_j) + eps * sum_{j in M} |a_j| u_j
-            <= b - eps*|b|*[RHS uncertain] + delta * max(1, |b|)
+        sum(c_j x_j) + sum_{j mixed} rad_j u_j <= lo_b + delta * max(1, |b|)
 
-    with links ``-u_j <= x_j <= u_j`` and ``u_j >= 0``, alongside all nominal
-    rows and the unchanged objective.  Any feasible point of the counterpart
-    is feasible for the nominal model.
+    where ``c_j`` is ``hi_j`` when ``x_j >= 0``, ``lo_j`` when ``x_j <= 0``,
+    and the midpoint ``mid_j`` for a mixed-sign variable, which alone gets an
+    auxiliary ``u_j >= 0`` with half-width ``rad_j`` and links
+    ``-u_j <= x_j <= u_j``.  ``lo_b`` is the low end of an uncertain
+    right-hand side, else ``b``.  All nominal rows and the objective are
+    kept, so any feasible point of the counterpart is nominal feasible.
     """
     out, grouped = _prepare(model, uncertain_set, epsilon, delta, IRC_SUFFIX)
     art = CounterpartArtifacts(model=out)
     for con_id in sorted(grouped):
         con = model.constraints[con_id]
         coeffs = dict(con.lhs.terms)
-        rhs_uncertain = any(e.is_rhs for e in grouped[con_id])
-        robust_terms = list(con.lhs.terms)
+        rhs = con.rhs
         for entry in grouped[con_id]:
             if entry.is_rhs:
+                rhs = bounded_interval(con.rhs, entry.distribution, epsilon)[0]
                 continue
             var = model.variables[entry.target]
+            lo, hi = bounded_interval(coeffs[var.id], entry.distribution, epsilon)
+            if var.lower >= 0:
+                coeffs[var.id] = hi
+                continue
+            if var.upper <= 0:
+                coeffs[var.id] = lo
+                continue
+            coeffs[var.id] = 0.5 * (lo + hi)
             u = out.add_variable(f"u_{con.label}_{var.name}", "continuous", 0.0)
             art.aux_u[(con_id, var.id)] = u
-            robust_terms.append((u, epsilon * abs(coeffs[var.id])))
-            up = out.add_constraint(
-                [(var.id, 1.0), (u, -1.0)], "<=", 0.0,
-                label=f"{con.label}{IRC_SUFFIX}_lnk_{var.name}_up",
-            )
-            lo = out.add_constraint(
-                [(var.id, -1.0), (u, -1.0)], "<=", 0.0,
-                label=f"{con.label}{IRC_SUFFIX}_lnk_{var.name}_lo",
-            )
-            art.provenance[up] = con_id
-            art.provenance[lo] = con_id
-        rhs = con.rhs
-        if rhs_uncertain:
-            rhs -= epsilon * abs(con.rhs)
-        rhs += _slack_allowance(con.rhs, delta)
+            coeffs[u] = 0.5 * (hi - lo)
+            for sign, side in ((1.0, "up"), (-1.0, "lo")):
+                link = out.add_constraint(
+                    [(var.id, sign), (u, -1.0)], "<=", 0.0,
+                    label=f"{con.label}{IRC_SUFFIX}_lnk_{var.name}_{side}",
+                )
+                art.provenance[link] = con_id
         robust = out.add_constraint(
-            LinExpr.from_terms(robust_terms, con.lhs.constant), "<=", rhs,
+            LinExpr.from_terms(coeffs.items(), con.lhs.constant), "<=",
+            rhs + _slack_allowance(con.rhs, delta),
             label=f"{con.label}{IRC_SUFFIX}",
         )
         art.provenance[robust] = con_id

@@ -4,9 +4,9 @@ Builds the nominal expected-utilization maximization (open at most S sites
 under a budget, an enrollment floor per open site, and full assignment of
 population units) plus its two robust variants:
 
-* interval robust budget row with absolute-value auxiliaries on the uncertain
-  fixed costs, inflated uncertain variable costs, and the worst-case budget
-  ``(1 - eps + delta) * C``;
+* interval robust budget row, the interval counterpart of the nominal model:
+  uncertain fixed and variable costs inflated to ``(1 + eps)`` times nominal
+  against the worst-case budget ``(1 - eps + delta) * C``;
 * reliability-level robust budget row carrying a square-root cone over the
   uncertain fixed/variable cost blocks with the squared budget inside the
   radical and right-hand side ``(1 + delta) * C``.
@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import ConeTerm, Model
+from .robustify import interval_robust_counterpart
 from .uncertainty import RHS, Bounded, UncertainSet, _num, omega_from_kappa
 
 _ID_OK = str.isidentifier
@@ -229,32 +230,15 @@ def build_irc(instance: SiteSelectionInstance, epsilon: float, delta: float,
               exact_assignment: bool = False) -> Model:
     """Nominal model plus the bounded-uncertainty robust budget row.
 
-    The robust row keeps the nominal fixed-cost terms, adds
-    ``eps * f_j * s_j`` for sites with uncertain fixed cost (with sandwich
-    links ``-s_j <= y_j <= s_j``), inflates uncertain variable costs to
-    ``(1 + eps) * v_j`` and uses the worst-case budget
+    The interval counterpart of the nominal model under
+    :func:`budget_uncertain_set`: every binary is nonnegative, so the robust
+    row charges uncertain fixed and variable costs at ``(1 + eps)`` times
+    nominal, with no auxiliaries, against the worst-case budget
     ``(1 - eps + delta) * C``.
     """
-    if epsilon < 0 or delta < 0:
-        raise InstanceError("epsilon and delta must be nonnegative")
-    m, x_ids, y_ids, u = _base_model(instance, "sitesel_irc", exact_assignment)
-    in_k = set(instance.uncertain_variable)
-    terms = [(y_ids[j], site.fixed_cost) for j, site in enumerate(instance.sites)]
-    for j, site in enumerate(instance.sites):
-        inflate = (1.0 + epsilon) if j in in_k else 1.0
-        for i in range(len(instance.units)):
-            terms.append((x_ids[(i, j)], inflate * site.variable_cost * u[i, j]))
-    for j in instance.uncertain_fixed:
-        site = instance.sites[j]
-        s = m.add_variable(f"s_{site.id}", "continuous", 0.0)
-        terms.append((s, epsilon * abs(site.fixed_cost)))
-        m.add_constraint([(y_ids[j], 1.0), (s, -1.0)], "<=", 0.0,
-                         label=f"budget__irc_lnk_{site.id}_up")
-        m.add_constraint([(y_ids[j], -1.0), (s, -1.0)], "<=", 0.0,
-                         label=f"budget__irc_lnk_{site.id}_lo")
-    m.add_constraint(terms, "<=", (1.0 - epsilon + delta) * instance.budget,
-                     label="budget__irc")
-    return m.finalize()
+    nominal = build_nominal(instance, exact_assignment)
+    uset = budget_uncertain_set(instance, nominal)
+    return interval_robust_counterpart(nominal, uset, epsilon, delta).model
 
 
 def build_rc(instance: SiteSelectionInstance, epsilon: float, delta: float,
@@ -268,6 +252,12 @@ def build_rc(instance: SiteSelectionInstance, epsilon: float, delta: float,
     the formulation carries no linear protection for that block.  The radical
     constant is the squared budget and the right-hand side is
     ``(1 + delta) * C`` with the cone weighted by ``eps * omega``.
+
+    This is not the symmetric counterpart of the nominal model under
+    :func:`budget_uncertain_set`: that one gives every variable-cost entry
+    its own cone component and its own linear protection ``eps |a| u``,
+    while this row aggregates each site's variable-cost block into one cone
+    component and gives the block no linear protection.
     """
     if epsilon < 0 or delta < 0:
         raise InstanceError("epsilon and delta must be nonnegative")
@@ -312,10 +302,10 @@ def budget_uncertain_set(instance: SiteSelectionInstance, model: Model
                          ) -> UncertainSet:
     """Uncertain entries on the budget row of a built model.
 
-    Gives the mechanical counterpart transformations the same uncertainty the
-    dedicated builders encode: fixed costs for sites in the uncertain-fixed
-    set, per-assignment variable-cost coefficients for the uncertain-variable
-    set, and the budget itself on the right-hand side.
+    Fixed costs for sites in the uncertain-fixed set, per-assignment
+    variable-cost coefficients for the uncertain-variable set, and the
+    budget itself on the right-hand side, all at the global level:
+    :func:`build_irc` is the interval counterpart under this set.
     """
     budget = model.constraint_by_label("budget")
     uset = UncertainSet()

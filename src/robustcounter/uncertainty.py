@@ -5,6 +5,7 @@ the right-hand side) of one constraint is tagged with a distribution.  This
 module holds those tags plus the scalar conversions used by the robust
 counterparts:
 
+* ``bounded_interval`` -- the realization interval of one uncertain entry
 * ``omega_from_kappa`` -- the reliability weight from ``kappa = exp(-omega^2/2)``
 * ``normal_lambda``    -- the standard-normal quantile at ``1 - kappa``
 * ``discrete_deviation`` -- smallest ``t`` with ``P(X > t) <= kappa`` for
@@ -31,7 +32,6 @@ __all__ = [
     "Poisson",
     "Binomial",
     "Discrete",
-    "RobustConfig",
     "UncertainEntry",
     "UncertainSet",
     "omega_from_kappa",
@@ -143,33 +143,6 @@ class Discrete:
 
 
 Distribution = (Bounded, BoundedRange, Normal, Uniform, Poisson, Binomial, Discrete)
-
-
-@dataclass(frozen=True)
-class RobustConfig:
-    """The (epsilon, delta, kappa) triple shared by the robust counterparts.
-
-    epsilon: level of uncertainty (relative deviation bound)
-    delta:   infeasibility tolerance, scaled by max{1, |rhs|} per row
-    kappa:   reliability level in (0, 1]; kappa = 1 degenerates gracefully
-             (zero reliability weight), kappa = 0 is rejected.
-    """
-
-    epsilon: float = 0.0
-    delta: float = 0.0
-    kappa: float = 1.0
-
-    def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
-        if not 0.0 < self.kappa <= 1.0:
-            raise ValueError("kappa must lie in (0, 1]")
-
-    @property
-    def omega(self) -> float:
-        return omega_from_kappa(self.kappa)
 
 
 @dataclass(frozen=True)
@@ -335,22 +308,29 @@ def discrete_deviation(distribution, kappa: float):
     )
 
 
-def bounded_interval(nominal: float, distribution_or_epsilon) -> tuple[float, float]:
-    """Realization interval for a bounded uncertain value.
+def bounded_interval(nominal: float, distribution_or_epsilon,
+                     epsilon: float | None = None) -> tuple[float, float]:
+    """Realization interval ``[low, high]`` of one uncertain value.
 
-    A relative level eps maps nominal a to [a - eps|a|, a + eps|a|]; an
-    explicit BoundedRange is returned as given.
+    An explicit BoundedRange is returned as given; ``Bounded(eps_j)`` maps
+    nominal a to [a - eps_j|a|, a + eps_j|a|]; a bare level eps, and every
+    other tag at the global level ``epsilon``, map a to [a - eps|a|,
+    a + eps|a|].  The interval counterpart and the corner check both read an
+    entry's interval here.
     """
     if not math.isfinite(nominal):
         raise ValueError("nominal value must be finite")
-    if isinstance(distribution_or_epsilon, BoundedRange):
-        return distribution_or_epsilon.low, distribution_or_epsilon.high
-    if isinstance(distribution_or_epsilon, Bounded):
-        eps = distribution_or_epsilon.epsilon
-        if eps is None:
-            raise ValueError("Bounded tag without epsilon needs the global level")
+    tag = distribution_or_epsilon
+    if isinstance(tag, BoundedRange):
+        return tag.low, tag.high
+    if isinstance(tag, Bounded) and tag.epsilon is not None:
+        eps = tag.epsilon
+    elif not isinstance(tag, Distribution):
+        eps = float(tag)
+    elif epsilon is None:
+        raise ValueError(f"{tag!r} without epsilon needs the global level")
     else:
-        eps = float(distribution_or_epsilon)
+        eps = epsilon
     if eps < 0:
         raise ValueError("epsilon must be nonnegative")
     spread = eps * abs(nominal)
@@ -362,17 +342,14 @@ def deviation_radius(nominal: float, distribution, epsilon: float,
     """Worst-case single-coefficient deviation radius used for conservatism
     comparisons across distribution families.
 
-    Bounded/Uniform: epsilon * |nominal| (half the realization interval for an
-    explicit range).  Normal: epsilon * normal_lambda(kappa) * std * |nominal|.
-    Poisson/Binomial/Discrete: epsilon * |nominal| * discrete_deviation.
+    Bounded/BoundedRange/Uniform: half the :func:`bounded_interval` width
+    (epsilon * |nominal| at the global level).  Normal: epsilon *
+    normal_lambda(kappa) * std * |nominal|.  Poisson/Binomial/Discrete:
+    epsilon * |nominal| * discrete_deviation.
     """
-    if isinstance(distribution, BoundedRange):
-        return (distribution.high - distribution.low) / 2.0
-    if isinstance(distribution, Bounded):
-        eps = distribution.epsilon if distribution.epsilon is not None else epsilon
-        return eps * abs(nominal)
-    if isinstance(distribution, Uniform):
-        return epsilon * abs(nominal)
+    if isinstance(distribution, (Bounded, BoundedRange, Uniform)):
+        low, high = bounded_interval(nominal, distribution, epsilon)
+        return (high - low) / 2.0
     if isinstance(distribution, Normal):
         return epsilon * normal_lambda(kappa) * distribution.std * abs(nominal)
     return epsilon * abs(nominal) * discrete_deviation(distribution, kappa)

@@ -3,15 +3,15 @@
 Three checks, all operating on a *nominal* model, an uncertain set, and a
 candidate solution:
 
-* :func:`corner_check` -- exhaustive worst-case certification for bounded
-  uncertainty.  Every realization with each uncertain value at an interval
-  endpoint is evaluated; certification requires every violation to stay
+* :func:`corner_check` -- exact worst-case certification for bounded
+  uncertainty.  The worst corner of each row is found entry by entry (the
+  worst case is separable); certification requires every violation to stay
   within the ``delta * max(1, |rhs|)`` allowance.
 * :func:`monte_carlo_check` -- violation-probability estimation for random
   uncertainty, with splittable per-entry random streams so adding an entry
   never perturbs the draws of the others.
 * :func:`sweep` -- solve a builder across an (epsilon, delta, kappa) grid and
-  tabulate objectives against the nominal solve.
+  tabulate objectives against the nominal solve, serially or on an executor.
 
 Sweep grid points are embarrassingly parallel; the estimator is sequential
 per seed to keep reproducibility.
@@ -20,7 +20,7 @@ per seed to keep reproducibility.
 from __future__ import annotations
 
 import csv
-import itertools
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -40,7 +40,6 @@ from .uncertainty import (
     bounded_interval,
 )
 
-_CORNER_CAP = 20
 _CERT_TOL = 1e-9
 
 
@@ -75,15 +74,20 @@ def _nominal_coefficient(model: Model, entry) -> float:
 
 def corner_check(model: Model, uncertain_set: UncertainSet, solution_values,
                  epsilon: float, delta: float) -> CornerReport:
-    """Certify a solution against every corner of the uncertainty box.
+    """Certify a solution against the worst corner of the uncertainty box.
 
-    Coefficient and right-hand-side uncertainties are flipped jointly; the
-    corner set factorizes across constraints (an entry belongs to exactly one
-    row), so per-row enumeration covers the full product of intervals.
-    Constraints without uncertain entries are checked for plain feasibility.
+    Each uncertain entry belongs to exactly one row and ranges over its own
+    interval (:func:`bounded_interval`), independently of the others, so the
+    worst case of a row is separable: for a ``<=`` row it is
+    ``sum_j max(lo_j x_j, hi_j x_j) - rhs_lo``, ``>=`` rows mirror it and
+    ``=`` rows take the larger of the two sides.  That is the worst of all
+    ``2**len(uncertain_set)`` corners, which ``corners_checked`` reports,
+    without enumerating them.  Certification requires every violation to stay
+    within the ``delta * max(1, |rhs|)`` allowance.  Constraints without
+    uncertain entries are checked for plain feasibility.
 
-    Only bounded interval distributions are supported, and at most 20
-    uncertain entries (use :func:`monte_carlo_check` beyond that).
+    Only bounded interval distributions are supported; use
+    :func:`monte_carlo_check` for random ones.
     """
     uncertain_set.validate(model)
     for entry in uncertain_set:
@@ -92,65 +96,36 @@ def corner_check(model: Model, uncertain_set: UncertainSet, solution_values,
                 f"corner_check supports bounded distributions only, got "
                 f"{type(entry.distribution).__name__}; use monte_carlo_check"
             )
-    if len(uncertain_set) > _CORNER_CAP:
-        raise ValueError(
-            f"{len(uncertain_set)} uncertain entries exceed the 2^{_CORNER_CAP} "
-            "corner cap; use monte_carlo_check"
-        )
-
-    def interval(entry):
-        nominal = _nominal_coefficient(model, entry)
-        dist = entry.distribution
-        if isinstance(dist, Bounded) and dist.epsilon is None:
-            return bounded_interval(nominal, epsilon)
-        return bounded_interval(nominal, dist)
 
     grouped = uncertain_set.by_constraint()
     worst: dict[int, float] = {}
     allowance: dict[int, float] = {}
     for con in model.constraints:
         entries = grouped.get(con.id, [])
-        base_lhs = con.lhs.value(solution_values)
-        if con.cone is not None:
-            base_lhs += con.cone.value(solution_values)
         if not entries:
             resid = model.evaluate_constraint(solution_values, con.id)
             worst[con.id] = max(0.0, resid)
             allowance[con.id] = FEASIBILITY_TOL
             continue
         allowance[con.id] = delta * max(1.0, abs(con.rhs))
-        lows, highs, weights = [], [], []
-        rhs_entry_bounds = None
+        lhs = con.lhs.value(solution_values)
+        if con.cone is not None:
+            lhs += con.cone.value(solution_values)
+        lhs_low = lhs_high = lhs
+        rhs_low = rhs_high = con.rhs
         for entry in entries:
-            low, high = interval(entry)
             nominal = _nominal_coefficient(model, entry)
+            low, high = bounded_interval(nominal, entry.distribution, epsilon)
             if entry.is_rhs:
-                rhs_entry_bounds = (low, high)
-            else:
-                lows.append(low - nominal)
-                highs.append(high - nominal)
-                weights.append(solution_values[entry.target])
-        lows = np.asarray(lows)
-        highs = np.asarray(highs)
-        weights = np.asarray(weights)
-        k = lows.shape[0]
-        if k:
-            bits = np.array(list(itertools.product((0.0, 1.0), repeat=k)))
-            lhs_shift = bits @ (highs * weights) + (1.0 - bits) @ (lows * weights)
-        else:
-            lhs_shift = np.zeros(1)
-        if rhs_entry_bounds is not None:
-            rhs_options = np.array(rhs_entry_bounds)
-        else:
-            rhs_options = np.array([con.rhs])
-        diff = (base_lhs + lhs_shift)[:, None] - rhs_options[None, :]
-        if con.sense == "<=":
-            viol = diff
-        elif con.sense == ">=":
-            viol = -diff
-        else:
-            viol = np.abs(diff)
-        worst[con.id] = max(0.0, float(viol.max()))
+                rhs_low, rhs_high = low, high
+                continue
+            x = solution_values[entry.target]
+            shifts = ((low - nominal) * x, (high - nominal) * x)
+            lhs_low += min(shifts)
+            lhs_high += max(shifts)
+        over, under = lhs_high - rhs_low, rhs_high - lhs_low
+        viol = {"<=": over, ">=": under}.get(con.sense, max(over, under))
+        worst[con.id] = max(0.0, viol)
     certified = all(
         worst[cid] <= allowance[cid] + _CERT_TOL for cid in worst
     )
@@ -287,38 +262,43 @@ class SweepRow:
     relative_gap: float
 
 
-def sweep(builder, grid, options: SolverOptions | None = None) -> list[SweepRow]:
+def _solve_cell(builder, options, point) -> tuple[str, float]:
+    try:
+        sol = solve(builder(*point), options)
+        return sol.status, sol.objective
+    except Exception:  # individual failures must not kill the sweep
+        return "error", math.nan
+
+
+def sweep(builder, grid, options: SolverOptions | None = None,
+          executor=None) -> list[SweepRow]:
     """Solve ``builder(eps, delta, kappa)`` at every grid point.
 
-    The nominal point (0, 0, 1) is prepended when the grid does not contain
-    it.  Individual failures are recorded as status ``error`` and the sweep
-    continues.  ``relative_gap`` is the objective shortfall relative to the
-    nominal optimum.
+    The nominal point (0, 0, 1) comes first, added when the grid does not
+    contain it.  Individual failures are recorded as status ``error`` and
+    the sweep continues.  ``relative_gap`` is the objective shortfall
+    relative to the nominal optimum.  ``executor`` (anything with ``map``,
+    such as a ``ProcessPoolExecutor``) runs the cells; a process pool needs
+    a picklable builder.
     """
     points = [tuple(map(float, p)) for p in grid]
     if not points:
         raise ValueError("sweep grid is empty")
     nominal_point = (0.0, 0.0, 1.0)
-    if nominal_point not in points:
-        points = [nominal_point] + points
-
+    points = [nominal_point] + [p for p in points if p != nominal_point]
+    cell = functools.partial(_solve_cell, builder, options)
+    results = list((executor.map if executor is not None else map)(cell, points))
+    status, nominal_objective = results[0]
+    if status != "optimal":
+        nominal_objective = math.nan
     rows: list[SweepRow] = []
-    nominal_objective = math.nan
-    for eps, delta, kappa in points:
-        try:
-            sol = solve(builder(eps, delta, kappa), options)
-            status, objective = sol.status, sol.objective
-        except Exception:  # individual failures must not kill the sweep
-            status, objective = "error", math.nan
-        if (eps, delta, kappa) == nominal_point and status == "optimal":
-            nominal_objective = objective
-        rows.append(SweepRow(eps, delta, kappa, status, objective,
-                             math.nan, math.nan))
-    for row in rows:
-        row.nominal_objective = nominal_objective
-        if row.status == "optimal" and math.isfinite(nominal_objective):
+    for (eps, delta, kappa), (status, objective) in zip(points, results):
+        gap = math.nan
+        if status == "optimal" and math.isfinite(nominal_objective):
             denom = abs(nominal_objective) if nominal_objective != 0 else 1.0
-            row.relative_gap = (nominal_objective - row.objective) / denom
+            gap = (nominal_objective - objective) / denom
+        rows.append(SweepRow(eps, delta, kappa, status, objective,
+                             nominal_objective, gap))
     return rows
 
 

@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the code paths it checks: quantiles come
 from bisection on an erf-based CDF, MILP optima from exhaustive enumeration,
-robust optima from explicit corner realization, LP optima from vertex
-enumeration or scipy.  The scalar simplex kernel is the row-by-row pivot and
+robust optima and worst violations from explicit corner realization, LP
+optima from vertex enumeration or scipy.  The scalar simplex kernel is the row-by-row pivot and
 element-by-element Bland scan the solver's vectorised kernel must reproduce
 pivot for pivot.  The restart loop is the outer approximation for cone rows
 that solves a fresh branch and bound per round of cuts, against which the
@@ -20,9 +20,11 @@ from dataclasses import replace
 
 import numpy as np
 
+from scipy.optimize import Bounds, LinearConstraint, milp
+
 from robustcounter import solver
-from robustcounter.model import LinExpr, Model, Solution, SolverStats
-from robustcounter.uncertainty import RHS, Bounded, UncertainSet, Uniform
+from robustcounter.model import FEASIBILITY_TOL, LinExpr, Model, Solution, SolverStats
+from robustcounter.uncertainty import RHS, Bounded, BoundedRange, UncertainSet, Uniform
 
 
 def erf_cdf_quantile(p: float) -> float:
@@ -159,6 +161,88 @@ def brute_force_robust_binary(model: Model, uset: UncertainSet, epsilon: float,
     if best is None:
         return "infeasible", math.nan, None
     return "optimal", best, best_point
+
+
+def entry_interval(nominal: float, distribution, epsilon: float):
+    """An entry's interval: an explicit range as given, ``Bounded(eps_j)`` at
+    its own level, every other tag at the global level."""
+    if isinstance(distribution, BoundedRange):
+        return distribution.low, distribution.high
+    eps = epsilon
+    if isinstance(distribution, Bounded) and distribution.epsilon is not None:
+        eps = distribution.epsilon
+    return nominal - eps * abs(nominal), nominal + eps * abs(nominal)
+
+
+def reference_corner_check(model: Model, uset: UncertainSet, values,
+                           epsilon: float, delta: float, tol: float = 1e-9):
+    """Worst violation of every row of a cone-free model over all 2^k corners
+    of its own k uncertain entries, by enumeration.
+
+    Returns (worst violation per constraint id, certified): a row is
+    certified when its worst violation stays within
+    ``delta * max(1, |rhs|) + tol * max(1, |rhs|)``; rows without entries
+    within the feasibility tolerance.
+    """
+    grouped = uset.by_constraint()
+    worst: dict[int, float] = {}
+    certified = True
+    for con in model.constraints:
+        entries = grouped.get(con.id, [])
+        scale = max(1.0, abs(con.rhs))
+        if not entries:
+            worst[con.id] = max(0.0, model.evaluate_constraint(values, con.id))
+            certified &= worst[con.id] <= FEASIBILITY_TOL + tol * scale
+            continue
+        coeffs = dict(con.lhs.terms)
+        ends = [entry_interval(con.rhs if e.is_rhs else coeffs[e.target],
+                               e.distribution, epsilon) for e in entries]
+        row_worst = 0.0
+        for corner in itertools.product(*ends):
+            realized, rhs = dict(coeffs), con.rhs
+            for entry, value in zip(entries, corner):
+                if entry.is_rhs:
+                    rhs = value
+                else:
+                    realized[entry.target] = value
+            diff = con.lhs.constant + sum(
+                a * values[v] for v, a in realized.items()) - rhs
+            viol = {"<=": diff, ">=": -diff}.get(con.sense, abs(diff))
+            row_worst = max(row_worst, viol)
+        worst[con.id] = row_worst
+        certified &= row_worst <= (delta + tol) * scale
+    return worst, certified
+
+
+def highs_solve(model: Model):
+    """(status, objective) of a cone-free model by scipy's HiGHS on matrices
+    assembled from its rows; status is 'optimal', 'infeasible' or the
+    scipy status code."""
+    n = len(model.variables)
+    a = np.zeros((len(model.constraints), n))
+    lo = np.full(len(model.constraints), -np.inf)
+    hi = np.full(len(model.constraints), np.inf)
+    for r, con in enumerate(model.constraints):
+        for v, coeff in con.lhs.terms:
+            a[r, v] = coeff
+        if con.sense in ("<=", "="):
+            hi[r] = con.rhs - con.lhs.constant
+        if con.sense in (">=", "="):
+            lo[r] = con.rhs - con.lhs.constant
+    c = np.zeros(n)
+    for v, coeff in model.objective.terms:
+        c[v] = coeff
+    sign = -1.0 if model.objective_sense == "max" else 1.0
+    res = milp(sign * c, constraints=[LinearConstraint(a, lo, hi)],
+               integrality=[v.kind != "continuous" for v in model.variables],
+               bounds=Bounds([v.lower for v in model.variables],
+                             [v.upper for v in model.variables]),
+               options={"mip_rel_gap": 0.0})
+    if res.status == 2:
+        return "infeasible", math.nan
+    if res.status != 0:
+        return res.status, math.nan
+    return "optimal", sign * res.fun + model.objective.constant
 
 
 # -- generators ---------------------------------------------------------------------

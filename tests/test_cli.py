@@ -198,14 +198,14 @@ def test_validate_corner_certified(workdir, tmp_path, capsys):
     sol_path.write_text(capsys.readouterr().out)
     rc = main(["validate", str(workdir / "one_row.txt"),
                str(workdir / "one_row.unc"), "--solution", str(sol_path),
-               "--eps", "0.1", "--corner"])
+               "--eps", "0.1"])
     assert rc == 0
 
 
 def test_validate_nominal_not_certified(workdir, capsys):
     # without --solution the model's own optimum is validated
     rc = main(["validate", str(workdir / "one_row.txt"),
-               str(workdir / "one_row.unc"), "--eps", "0.1", "--corner"])
+               str(workdir / "one_row.unc"), "--eps", "0.1"])
     out = capsys.readouterr().out
     assert rc == 2
     assert "certified: no" in out

@@ -15,6 +15,7 @@ from robustcounter.solver import solve
 from robustcounter.uncertainty import (
     RHS,
     Bounded,
+    BoundedRange,
     UncertainSet,
     Uniform,
     normal_lambda,
@@ -25,9 +26,9 @@ from robustcounter.validate import corner_check
 from _oracles import random_uncertain_ilp
 
 
-def _one_row():
+def _one_row(lower=0.0):
     m = Model("one_row")
-    x = m.add_variable("x")
+    x = m.add_variable("x", "continuous", lower)
     m.set_objective("max", [(x, 1.0)])
     m.add_constraint([(x, 1.0)], "<=", 10.0, label="c")
     return m.finalize(), x
@@ -63,10 +64,11 @@ def test_irc_large_delta_lets_nominal_bind():
 
 
 def test_irc_structure():
-    m, x = _one_row()
+    # a free x keeps its absolute-value auxiliary and both links
+    m, x = _one_row(lower=-math.inf)
     uset = _both_uncertain(x)
     art = interval_robust_counterpart(m, uset, 0.1, 0.0)
-    # nominal rows retained verbatim, one aux per coefficient entry
+    # nominal rows retained verbatim, one aux per mixed-sign coefficient entry
     assert art.model.constraints[0].lhs == m.constraints[0].lhs
     assert art.model.constraints[0].rhs == m.constraints[0].rhs
     assert set(art.aux_u) == {(0, x)}
@@ -76,6 +78,71 @@ def test_irc_structure():
     assert robust.rhs == pytest.approx(9.0)
     labels = {c.label for c in art.model.constraints}
     assert {"c__irc_lnk_x_up", "c__irc_lnk_x_lo"} <= labels
+
+
+def test_irc_sign_known_variable_gets_no_auxiliary():
+    # x >= 0: the worst case of the coefficient is its high end, 1.1
+    m, x = _one_row()
+    art = interval_robust_counterpart(m, _both_uncertain(x), 0.1, 0.0)
+    assert art.aux_u == {}
+    assert len(art.model.variables) == 1
+    assert [c.label for c in art.model.constraints] == ["c", "c__irc"]
+    robust = art.model.constraint_by_label("c__irc")
+    assert dict(robust.lhs.terms) == {x: pytest.approx(1.1)}
+    assert robust.rhs == pytest.approx(9.0)
+
+
+def _tagged_model(variables, objective, rows):
+    """Continuous x >= 0 variables, a max objective, and ``(label, coeffs,
+    rhs, tags)`` rows whose tags map a variable name or "RHS" to a tag."""
+    m = Model()
+    ids = {name: m.add_variable(name, "continuous", 0.0) for name in variables}
+    m.set_objective("max", [(ids[n], c) for n, c in objective.items()])
+    uset = UncertainSet()
+    for label, coeffs, rhs, tags in rows:
+        cid = m.add_constraint([(ids[n], a) for n, a in coeffs.items()], "<=",
+                               rhs, label=label)
+        for target, tag in tags.items():
+            uset.add(cid, RHS if target == "RHS" else ids[target], tag)
+    return m.finalize(), uset
+
+
+# per-entry tags wider than the global eps; the expected optima put every
+# tagged coefficient at the high end of its own interval and the RHS at its
+# low end
+_ENTRY_CASES = {
+    # 1.2 x <= 9
+    "bounded": (["x"], {"x": 1.0},
+                [("cap", {"x": 1.0}, 10.0, {"x": Bounded(0.2), "RHS": Bounded()})],
+                0.1, 7.5),
+    # 2.8 x + 1.1 y <= 12, y <= 4: y = 4, x = 7.6 / 2.8
+    "range": (["x", "y"], {"x": 3.0, "y": 2.0},
+              [("cap", {"x": 2.0, "y": 1.0}, 12.0,
+                {"x": BoundedRange(1.5, 2.8), "y": Bounded()}),
+               ("side", {"y": 1.0}, 4.0, {})],
+              0.1, 113.0 / 7.0),
+    # 1.3 x + 1.05 y + 2.5 z <= 19, x <= 8, y <= 6: z = 2.3 / 2.5
+    "mixed": (["x", "y", "z"], {"x": 2.0, "y": 1.0, "z": 1.5},
+              [("cap", {"x": 1.0, "y": 1.0, "z": 2.0}, 20.0,
+                {"x": Bounded(0.3), "y": Bounded(), "z": BoundedRange(1.0, 2.5),
+                 "RHS": Bounded()}),
+               ("cx", {"x": 1.0}, 8.0, {}),
+               ("cy", {"y": 1.0}, 6.0, {})],
+              0.05, 23.38),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ENTRY_CASES))
+def test_irc_honours_per_entry_intervals(case):
+    variables, objective, rows, eps, optimum = _ENTRY_CASES[case]
+    model, uset = _tagged_model(variables, objective, rows)
+    sol = solve(interval_robust_counterpart(model, uset, eps, 0.0).model)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(optimum, abs=1e-9)
+    values = {v.id: sol.values[v.id] for v in model.variables}
+    report = corner_check(model, uset, values, eps, 0.0)
+    assert report.certified
+    assert report.worst_violation[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_irc_rejects_ge_uncertain_rows():

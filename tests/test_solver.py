@@ -555,7 +555,7 @@ def test_cone_violation_reported_on_optimal_exit():
 
 @pytest.mark.parametrize("build, objective, nodes, iterations, cuts", [
     (build_nominal, 261.0, 5, 148, 0),
-    (lambda inst: build_irc(inst, 0.05, 0.0), 177.0, 25, 617, 0),
+    (lambda inst: build_irc(inst, 0.05, 0.0), 177.0, 25, 578, 0),
     (lambda inst: build_rc(inst, 0.05, 0.0, 0.14), 159.0, 37, 1_440, 10),
 ])
 def test_hk_demo_pivot_counts_exact(build, objective, nodes, iterations, cuts):

@@ -15,7 +15,6 @@ from robustcounter.uncertainty import (
     Discrete,
     Normal,
     Poisson,
-    RobustConfig,
     UncertainSet,
     Uniform,
     bounded_interval,
@@ -168,6 +167,17 @@ def test_bounded_interval_explicit_range():
     assert bounded_interval(11.1, BoundedRange(10.1, 11.3)) == (10.1, 11.3)
 
 
+def test_bounded_interval_per_entry_level():
+    # a tag's own level wins; a bare Bounded() or any other tag takes the
+    # global level, which must then be given
+    assert bounded_interval(10.0, Bounded(0.2), 0.1) == (8.0, 12.0)
+    assert bounded_interval(10.0, Bounded(), 0.1) == (9.0, 11.0)
+    assert bounded_interval(10.0, Uniform(), 0.1) == (9.0, 11.0)
+    assert bounded_interval(11.1, BoundedRange(10.1, 11.3), 0.1) == (10.1, 11.3)
+    with pytest.raises(ValueError, match="global level"):
+        bounded_interval(10.0, Bounded())
+
+
 def test_bounded_interval_rejects_nonfinite():
     with pytest.raises(ValueError):
         bounded_interval(math.inf, 0.1)
@@ -189,16 +199,7 @@ def test_normal_vs_bounded_radius_ordering():
             assert normal > bounded
 
 
-# -- RobustConfig / UncertainSet -----------------------------------------------------------
-
-
-def test_robust_config_validation():
-    cfg = RobustConfig(0.05, 0.1, 0.24)
-    assert cfg.omega == pytest.approx(omega_from_kappa(0.24))
-    with pytest.raises(ValueError):
-        RobustConfig(-0.1, 0.0, 0.5)
-    with pytest.raises(ValueError):
-        RobustConfig(0.0, 0.0, 0.0)
+# -- UncertainSet ---------------------------------------------------------------------------
 
 
 def test_distribution_validation():

@@ -2,11 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustcounter.model import Model
 from robustcounter.robustify import (
     interval_robust_counterpart,
     symmetric_robust_counterpart,
+)
+from robustcounter.sitesel import (
+    PopulationUnit,
+    SiteCandidate,
+    SiteSelectionInstance,
+    budget_uncertain_set,
+    build_irc,
+    build_nominal,
 )
 from robustcounter.solver import solve
 from robustcounter.uncertainty import (
@@ -25,7 +35,7 @@ from robustcounter.validate import (
     write_sweep_csv,
 )
 
-from _oracles import random_uncertain_ilp
+from _oracles import highs_solve, random_uncertain_ilp, reference_corner_check
 
 
 def _one_row():
@@ -88,15 +98,41 @@ def test_corner_rejects_random_distributions():
         corner_check(m, uset, {x: 1.0}, 0.1, 0.0)
 
 
-def test_corner_rejects_too_many_entries():
-    m = Model()
-    ids = [m.add_variable(f"x{i}") for i in range(21)]
-    m.set_objective("max", [(v, 1.0) for v in ids])
-    m.add_constraint([(v, 1.0) for v in ids], "<=", 100.0, label="c")
-    m.finalize()
-    uset = UncertainSet([(0, v, Bounded()) for v in ids])
-    with pytest.raises(ValueError, match="cap"):
-        corner_check(m, uset, {v: 0.0 for v in ids}, 0.1, 0.0)
+def _generated_instance(units, sites, gen_seed):
+    """Seeded m x n site-selection instance with every cost and the budget
+    uncertain: populations 40-200, fixed costs 40-90, variable costs
+    0.05-0.2, Dirichlet(1) choice probabilities, budget 0.45 * sum(f) + 20."""
+    rng = np.random.default_rng([units, sites, gen_seed])
+    unit_list = [PopulationUnit(f"u{i}", f"unit {i}", float(rng.integers(40, 201)))
+                 for i in range(units)]
+    site_list = [SiteCandidate(f"s{j}", f"site {j}", float(rng.integers(40, 91)),
+                               round(float(rng.uniform(0.05, 0.2)), 3))
+                 for j in range(sites)]
+    probabilities = rng.dirichlet(np.ones(sites), size=units)
+    budget = 0.45 * sum(s.fixed_cost for s in site_list) + 20.0
+    return SiteSelectionInstance.with_all_uncertain(
+        unit_list, site_list, probabilities, budget, 25.0, sites // 2)
+
+
+def test_corner_certifies_46_entries_without_cap():
+    """The budget row of a generated 8x5 instance carries 46 entries (5 fixed
+    costs, 40 variable costs, the budget): the IRC optimum is certified and
+    its worst case at eps 0.5 is every cost up and the budget down."""
+    inst = _generated_instance(8, 5, 1)
+    nominal = build_nominal(inst)
+    uset = budget_uncertain_set(inst, nominal)
+    assert len(uset) == 46
+    sol = solve(build_irc(inst, 0.05, 0.02))
+    assert sol.status == "optimal"
+    point = {v.id: sol.values[v.id] for v in nominal.variables}
+    report = corner_check(nominal, uset, point, 0.05, 0.02)
+    assert report.certified
+    assert report.corners_checked == 2 ** 46
+    budget = nominal.constraint_by_label("budget")
+    wide = corner_check(nominal, uset, point, 0.5, 0.0)
+    assert not wide.certified
+    assert wide.worst_violation[budget.id] == pytest.approx(
+        1.5 * budget.lhs.value(point) - 0.5 * inst.budget, abs=1e-9)
 
 
 def test_corner_delta_allowance_scales_with_rhs():
@@ -121,6 +157,105 @@ def test_corner_check_on_ge_rows():
     assert not report.certified
     assert report.worst_violation[0] == pytest.approx(0.2)
     assert corner_check(m, uset, {x: 2.2}, 0.1, 0.0).certified
+
+
+_BOX = ((0.0, 6.0), (-6.0, 0.0), (-4.0, 5.0))
+_QUARTERS = st.integers(-12, 12).map(lambda k: k / 4.0)
+
+
+@st.composite
+def _tag(draw, nominal):
+    kind = draw(st.sampled_from(["global", "own", "range"]))
+    if kind == "global":
+        return Bounded()
+    if kind == "own":
+        return Bounded(draw(st.sampled_from([0.0, 0.05, 0.2, 0.5])))
+    return BoundedRange(nominal - draw(st.integers(0, 3)) / 4.0,
+                        nominal + draw(st.integers(0, 3)) / 4.0)
+
+
+@st.composite
+def _tagged_rows(draw):
+    """Rows over 1-4 boxed variables of either sign or mixed sign, each of
+    any sense, with some coefficients and right-hand sides tagged
+    ``Bounded()``, ``Bounded(eps_j)`` or ``BoundedRange``."""
+    n = draw(st.integers(1, 4))
+    bounds = [draw(st.sampled_from(_BOX)) for _ in range(n)]
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        cols = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                             unique=True))
+        coeffs = {j: float(draw(st.integers(-4, 4).filter(bool))) for j in cols}
+        rhs = float(draw(st.integers(-5, 10)))
+        tags = {j: draw(_tag(a)) for j, a in coeffs.items() if draw(st.booleans())}
+        if draw(st.booleans()):
+            tags["RHS"] = draw(_tag(rhs))
+        rows.append((coeffs, draw(st.sampled_from(["<=", ">=", "="])), rhs, tags))
+    return {
+        "bounds": bounds,
+        "objective": [float(draw(st.integers(-3, 3))) for _ in range(n)],
+        "rows": rows,
+        "point": [min(max(draw(_QUARTERS), lo), hi) for lo, hi in bounds],
+        "eps": draw(st.sampled_from([0.0, 0.05, 0.1, 0.3])),
+        "delta": draw(st.sampled_from([0.0, 0.05])),
+    }
+
+
+def _negated(tag):
+    return BoundedRange(-tag.high, -tag.low) if isinstance(tag, BoundedRange) else tag
+
+
+def _tagged_model(spec, rows):
+    m = Model()
+    ids = [m.add_variable(f"x{j}", "continuous", lo, hi)
+           for j, (lo, hi) in enumerate(spec["bounds"])]
+    m.set_objective("max", list(zip(ids, spec["objective"])))
+    uset = UncertainSet()
+    for coeffs, sense, rhs, tags in rows:
+        cid = m.add_constraint([(ids[j], a) for j, a in coeffs.items()], sense, rhs)
+        for target, tag in tags.items():
+            uset.add(cid, RHS if target == "RHS" else ids[target], tag)
+    return m.finalize(), uset
+
+
+def _as_le_rows(rows):
+    """Each row as ``<=`` rows: ``>=`` rows negated, ``=`` rows as both."""
+    out = []
+    for coeffs, sense, rhs, tags in rows:
+        if sense != ">=":
+            out.append((coeffs, "<=", rhs, tags))
+        if sense != "<=":
+            out.append(({j: -a for j, a in coeffs.items()}, "<=", -rhs,
+                        {t: _negated(tag) for t, tag in tags.items()}))
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_tagged_rows())
+def test_corner_check_and_irc_match_enumeration(spec):
+    """The separable worst case equals the 2^k corner enumeration on rows of
+    every sense, and the IRC optimum of the rows written as ``<=`` rows is
+    certified by the enumeration, with HiGHS agreeing on the IRC."""
+    eps, delta = spec["eps"], spec["delta"]
+    model, uset = _tagged_model(spec, spec["rows"])
+    point = dict(enumerate(spec["point"]))
+    report = corner_check(model, uset, point, eps, delta)
+    want, _ = reference_corner_check(model, uset, point, eps, delta)
+    for con in model.constraints:
+        assert abs(report.worst_violation[con.id] - want[con.id]) <= (
+            1e-9 * max(1.0, abs(con.rhs)))
+
+    le_model, le_uset = _tagged_model(spec, _as_le_rows(spec["rows"]))
+    irc = interval_robust_counterpart(le_model, le_uset, eps, delta).model
+    sol = solve(irc)
+    status, objective = highs_solve(irc)
+    assert sol.status == status
+    if status != "optimal":
+        return
+    assert abs(sol.objective - objective) <= 1e-6 * max(1.0, abs(objective))
+    values = {v.id: sol.values[v.id] for v in model.variables}
+    _, certified = reference_corner_check(model, uset, values, eps, delta, tol=1e-7)
+    assert certified
 
 
 # -- monte_carlo_check ------------------------------------------------------------
