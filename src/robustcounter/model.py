@@ -13,6 +13,7 @@ text format for persisting models.
 
 from __future__ import annotations
 
+import copy
 import math
 import re
 from dataclasses import dataclass, field
@@ -343,8 +344,8 @@ class StandardFormLP:
 
     ``sense`` records the source model's objective sense: for ``min`` models
     the canonical optimum is the negated model optimum.  ``restore`` maps a
-    standard-form point back to model-variable values; ``with_bounds`` gives
-    the same model's standard form under other bounds.
+    standard-form point back to model-variable values; ``layout`` gives the
+    same model's standard form under other bounds.
     """
 
     c: np.ndarray
@@ -372,11 +373,6 @@ class StandardFormLP:
     def model_objective(self, canonical: float) -> float:
         return canonical if self.sense == "max" else -canonical
 
-    def with_bounds(self, bounds: dict[int, tuple[float, float]]) -> "StandardFormLP":
-        """This model's standard form under ``bounds``, which must leave the
-        same bounds finite; the constraint matrices are shared, read-only."""
-        return self.layout.form(bounds)
-
 
 def _bound_arrays(model: Model, bounds) -> np.ndarray:
     """Rows ``[lower, upper]`` of every variable, ``bounds`` overriding."""
@@ -403,45 +399,91 @@ class _Layout:
             var_cols.append(range(len(col_var), len(col_var) + len(scales)))
             col_var += [v] * len(scales)
             col_scale += scales
-        n_cols = len(col_var)
-
-        exprs = [con.lhs for con in model.constraints] + [model.objective]
-        rows, flat_var, flat_coef = [], [], []
-        for expr in exprs:
-            row = [0.0] * n_cols
-            for var_id, coeff in expr.terms:
-                flat_var.append(var_id)
-                flat_coef.append(coeff)
-                for col in var_cols[var_id]:
-                    row[col] += coeff * col_scale[col]
-            rows.append(row)
-        rows = np.array(rows)
-        lengths = np.array([len(e.terms) for e in exprs])
-        listed = np.arange(lengths.max()) < lengths[:, None]
-        # pads multiply an appended zero offset by -0.0: x + -0.0 == x for
-        # every x, signed zeros included
-        self.term_var = np.full(listed.shape, len(model.variables))
-        self.term_coef = np.full(listed.shape, -0.0)
-        self.term_var[listed], self.term_coef[listed] = flat_var, flat_coef
-        self.constant = np.array([e.constant for e in exprs])
-        self.is_ub = np.array([c.sense != "=" for c in model.constraints], dtype=bool)
-        self.sign = np.array([-1.0 if c.sense == ">=" else 1.0 for c in model.constraints])
-        self.rhs = np.array([con.rhs for con in model.constraints], dtype=float)
-
-        bound_rows = np.eye(n_cols)[[var_cols[v][0] for v in self.ub_vars]]
-        con_rows = rows[:-1] * self.sign[:, None]
-        self.a_ub = np.vstack([bound_rows, con_rows[self.is_ub]])
-        self.a_eq = con_rows[~self.is_ub]
-        self.c = rows[-1] if model.objective_sense == "max" else -rows[-1]
+        self.var_cols = var_cols
         self.col_var = np.array(col_var, dtype=int)
         self.col_scale = np.array(col_scale)
         self.integer_mask = np.array(
             [model.variables[v].is_integer for v in col_var], dtype=bool)
+
+        # the objective first, then every row
+        exprs = [model.objective] + [con.lhs for con in model.constraints]
+        self.term_var, self.term_coef = self._terms(exprs)
+        self.constant = np.array([e.constant for e in exprs])
+        rows = self._dense(exprs)
+        self.c = rows[0] if model.objective_sense == "max" else -rows[0]
+        self.is_ub, self.sign, self.rhs = self._senses(model.constraints)
+        con_rows = rows[1:] * self.sign[:, None]
+        bound_rows = np.eye(len(col_var))[[var_cols[v][0] for v in self.ub_vars]]
+        self.a_ub = np.vstack([bound_rows, con_rows[self.is_ub]])
+        self.a_eq = con_rows[~self.is_ub]
         for arr in (self.a_ub, self.a_eq, self.c, self.col_var, self.col_scale,
                     self.integer_mask):
             arr.flags.writeable = False
 
+    def _terms(self, exprs):
+        """Each expression's (variable, coefficient) terms as two padded
+        arrays; pads multiply an appended zero offset by -0.0, and
+        x + -0.0 == x for every x, signed zeros included."""
+        lengths = np.array([len(e.terms) for e in exprs])
+        listed = np.arange(lengths.max(initial=0)) < lengths[:, None]
+        term_var = np.full(listed.shape, len(self.model.variables))
+        term_coef = np.full(listed.shape, -0.0)
+        term_var[listed] = [v for e in exprs for v, _ in e.terms]
+        term_coef[listed] = [a for e in exprs for _, a in e.terms]
+        return term_var, term_coef
+
+    def _dense(self, exprs) -> np.ndarray:
+        """Dense coefficient rows of ``exprs`` over the columns."""
+        scale = self.col_scale.tolist()
+        rows = []
+        for expr in exprs:
+            row = [0.0] * len(scale)
+            for var_id, coeff in expr.terms:
+                for col in self.var_cols[var_id]:
+                    row[col] += coeff * scale[col]
+            rows.append(row)
+        return np.array(rows).reshape(len(exprs), len(self.col_var))
+
+    @staticmethod
+    def _senses(constraints):
+        is_ub = np.array([c.sense != "=" for c in constraints], dtype=bool)
+        sign = np.array([-1.0 if c.sense == ">=" else 1.0 for c in constraints])
+        rhs = np.array([c.rhs for c in constraints], dtype=float)
+        return is_ub, sign, rhs
+
+    def extended(self, constraints) -> "_Layout":
+        """This layout with ``constraints``, the rows the model has gained
+        since it was built, appended: the same columns, bound rows and
+        arrays as a rebuild, without re-reading the older rows.  New ``<=``
+        and ``>=`` rows follow the older inequality rows, new ``=`` rows the
+        older equality rows."""
+        new = copy.copy(self)
+        term_var, term_coef = self._terms([c.lhs for c in constraints])
+        width = max(self.term_var.shape[1], term_var.shape[1])
+
+        def stack(old, added, fill):
+            out = np.full((len(old) + len(added), width), fill, dtype=old.dtype)
+            out[:len(old), :old.shape[1]] = old
+            out[len(old):, :added.shape[1]] = added
+            return out
+
+        new.term_var = stack(self.term_var, term_var, len(self.model.variables))
+        new.term_coef = stack(self.term_coef, term_coef, -0.0)
+        new.constant = np.concatenate([self.constant,
+                                       [c.lhs.constant for c in constraints]])
+        is_ub, sign, rhs = self._senses(constraints)
+        new.is_ub = np.concatenate([self.is_ub, is_ub])
+        new.sign = np.concatenate([self.sign, sign])
+        new.rhs = np.concatenate([self.rhs, rhs])
+        rows = self._dense([c.lhs for c in constraints]) * sign[:, None]
+        new.a_ub = np.vstack([self.a_ub, rows[is_ub]])
+        new.a_eq = np.vstack([self.a_eq, rows[~is_ub]])
+        new.a_ub.flags.writeable = new.a_eq.flags.writeable = False
+        return new
+
     def form(self, bounds) -> StandardFormLP:
+        """The model's standard form under ``bounds``, which must leave the
+        same bounds finite; the constraint matrices are shared, read-only."""
         lo, hi = _bound_arrays(self.model, bounds)
         inverted = np.flatnonzero(lo > hi)
         if inverted.size:
@@ -455,8 +497,8 @@ class _Layout:
         # row constants summed term by term in the order the rows list them
         shifts = self.term_coef * np.append(var_offset, 0.0)[self.term_var]
         const = np.add.accumulate(np.column_stack([self.constant, shifts]), axis=1)[:, -1]
-        rhs = (self.rhs - const[:-1]) * self.sign
-        obj_const = const[-1] if self.model.objective_sense == "max" else -const[-1]
+        rhs = (self.rhs - const[1:]) * self.sign
+        obj_const = const[0] if self.model.objective_sense == "max" else -const[0]
         return StandardFormLP(
             c=self.c,
             c0=obj_const,

@@ -1,11 +1,17 @@
-"""Embedded optimizer: two-phase simplex and one branch-and-bound tree that
-also cuts square-root cone rows.
+"""Embedded optimizer: simplex, and one branch-and-bound tree that also cuts
+square-root cone rows.
 
 Everything here is deterministic: identical inputs and options produce
-identical Solutions, including node counts.  The simplex uses Bland's rule
-throughout (termination over speed), branching picks the most fractional
-variable with lowest-index tie-breaks, and the node queue is ordered by best
-bound with FIFO tie-breaks.
+identical Solutions, including node counts.  An LP without a basis to start
+from (``solve_lp``, the root of a tree) is solved by two-phase primal
+simplex with Bland's rule.  Every other node LP starts from the optimal
+basis of the LP it was made from (Koberstein 2005; Achterberg 2007): the
+basis is refactored from the original matrix, so no rounding drifts from
+node to node, and a dual simplex (Bland's leaving row, the largest pivot
+among near-tied ratios) restores feasibility.  A node whose basis is
+singular, or whose dual 'infeasible' no Farkas ray confirms, is solved cold.
+Branching picks the most fractional variable with lowest-index tie-breaks,
+and the node queue is ordered by best bound with FIFO tie-breaks.
 
 Square-root cone rows are handled by LP/NLP-based branch and bound (Quesada
 & Grossmann 1992): node LPs see each cone row at its radical floor, and at
@@ -18,9 +24,10 @@ and incumbents are taken only where every cone row holds.
 
 Branching only tightens finite integer bounds, so every node LP is the
 current working model's standard-form layout with the node's bounds written
-in; the matrices are expanded once per call and again after each round of
-cuts.  Duals of the final basis are computed only for ``solve_lp``; branch
-and bound never reads them.  One deadline, taken when the call starts, stops
+in: the matrices are expanded once per call, cut rows are appended to them,
+and a child LP differs from its parent's only in the right-hand side.
+Duals of the final basis are computed only for ``solve_lp``; branch and
+bound never reads them.  One deadline, taken when the call starts, stops
 the tree and the simplex inside every node LP.
 
 One solve runs on one thread; distinct solves on distinct models may run
@@ -51,7 +58,7 @@ from .model import (
 )
 
 _PIVOT_TOL = 1e-9
-_MAX_ITER = 1_000_000  # pivots per simplex phase before it reports "limit"
+_MAX_ITER = 1_000_000  # pivots per simplex loop before it reports "limit"
 _BOUND_CAP = 1e9  # branching cap for unbounded integer variables
 _PRUNE_TOL = 1e-9
 
@@ -77,24 +84,28 @@ class SolverOptions:
 
 @dataclass
 class NodeRecord:
-    """One branch-and-bound subproblem: bound tightenings relative to the model."""
+    """One branch-and-bound subproblem: bound tightenings relative to the
+    model, and the optimal basis of the LP it was made from, if it has one."""
 
     bounds: dict[int, tuple[float, float]]
     depth: int
+    basis: tuple[int, ...] | None = None
 
 
 # -- simplex ----------------------------------------------------------------
 
 
 class _SimplexResult:
-    __slots__ = ("status", "x", "objective", "iterations", "duals_ub", "duals_eq")
+    __slots__ = ("status", "x", "objective", "iterations", "basis", "duals_ub",
+                 "duals_eq")
 
-    def __init__(self, status, x=None, objective=math.nan, iterations=0,
+    def __init__(self, status, x=None, objective=math.nan, iterations=0, basis=None,
                  duals_ub=None, duals_eq=None):
         self.status = status
         self.x = x
         self.objective = objective
         self.iterations = iterations
+        self.basis = basis
         self.duals_ub = duals_ub
         self.duals_eq = duals_eq
 
@@ -146,6 +157,38 @@ def _run_simplex(tab, basis, n_cols, deadline):
     return "limit", _MAX_ITER
 
 
+def _run_dual(tab, basis, n_cols, deadline):
+    """Dual simplex over the tableau in place, from nonnegative reduced costs.
+
+    The leaving row is Bland's: the lowest basis index among rows whose
+    value is below the tolerance's negative.  The entering column has the
+    smallest ratio ``cbar_j / |a_rj|`` among columns with ``a_rj`` below it;
+    ratios within the tolerance of the smallest go to the largest
+    ``|a_rj|``, then to the lowest index.  Returns (status, iterations);
+    status is 'optimal' once every row's value is feasible, 'infeasible'
+    when a leaving row has no entering column, or 'limit' as for
+    :func:`_run_simplex`.
+    """
+    m = tab.shape[0] - 1
+    cbar = tab[-1, :n_cols]
+    for iters in range(_MAX_ITER):
+        negative = (tab[:m, -1] < -_PIVOT_TOL).nonzero()[0]
+        if not negative.size:
+            return "optimal", iters
+        if time.monotonic() >= deadline:
+            return "limit", iters
+        leave = min(negative.tolist(), key=basis.__getitem__)
+        row = tab[leave, :n_cols]
+        cand = (row < -_PIVOT_TOL).nonzero()[0]
+        if not cand.size:
+            return "infeasible", iters
+        size = -row[cand]
+        ratio = cbar[cand] / size
+        near = ratio <= ratio.min() + _PIVOT_TOL
+        _pivot(tab, basis, leave, int(cand[near][np.argmax(size[near])]))
+    return "limit", _MAX_ITER
+
+
 def _deadline(options: SolverOptions) -> float:
     """The ``time.monotonic`` value at which the call's time limit runs out."""
     return time.monotonic() + options.time_limit_seconds
@@ -177,9 +220,15 @@ def solve_lp(sf: StandardFormLP, options: SolverOptions | None = None) -> Soluti
 
 
 def _solve_standard(sf: StandardFormLP, options: SolverOptions, deadline: float,
-                    duals: bool = False) -> _SimplexResult:
-    """Two-phase simplex on the canonical maximization; internal min convention.
-    Both phases stop at ``deadline``.  The final basis's duals are computed
+                    duals: bool = False, basis=None) -> _SimplexResult:
+    """Simplex on the canonical maximization; internal min convention.
+
+    With ``basis``, an optimal basis of an LP with the same matrix (or the
+    same matrix before inequality rows were appended), the LP is first solved
+    warm (:func:`_solve_warm`); the cold two-phase path runs
+    without one, or when the warm path cannot give a sound verdict.  Every
+    simplex loop stops at ``deadline``.  The result carries the final basis
+    (``None`` when phase 1 dropped a redundant row); its duals are computed
     only when ``duals`` is set."""
     n = sf.n_cols
     m_ub, m_eq = sf.a_ub.shape[0], sf.a_eq.shape[0]
@@ -187,23 +236,126 @@ def _solve_standard(sf: StandardFormLP, options: SolverOptions, deadline: float,
         raise SolverError("constraint matrix width does not match objective length")
     if sf.b_ub.shape[0] != m_ub or sf.b_eq.shape[0] != m_eq:
         raise SolverError("right-hand side length does not match matrix rows")
+    warm_iters = 0
+    if basis is not None:
+        res = _solve_warm(sf, options, deadline, basis)
+        if res.status != "retry":
+            return res
+        warm_iters = res.iterations
+    res = _solve_cold(sf, options, deadline, duals)
+    res.iterations += warm_iters
+    return res
+
+
+def _optimal(sf: StandardFormLP, tab, basis, iterations) -> _SimplexResult:
+    """The optimal result read off a final tableau and its basis."""
+    x = np.zeros(tab.shape[1] - 1)
+    x[basis] = tab[:-1, -1]
+    x = np.maximum(x[:sf.n_cols], 0.0)
+    return _SimplexResult("optimal", x, float(sf.c @ x + sf.c0), iterations,
+                          tuple(basis))
+
+
+def _standard_matrix(sf: StandardFormLP) -> np.ndarray:
+    """``[A_ub I | b_ub]`` over ``[A_eq 0 | b_eq]``: every row with the slack
+    columns after the structural ones."""
+    n, m_ub = sf.n_cols, sf.a_ub.shape[0]
+    mat = np.zeros((m_ub + sf.a_eq.shape[0], n + m_ub + 1))
+    mat[:m_ub, :n] = sf.a_ub
+    mat[np.arange(m_ub), n + np.arange(m_ub)] = 1.0
+    mat[m_ub:, :n] = sf.a_eq
+    mat[:, -1] = np.concatenate([sf.b_ub, sf.b_eq])
+    return mat
+
+
+def _refactor(mat, basis):
+    """``B^-1 mat`` for the basis columns ``B`` of ``mat``, or None when B is
+    too near singular: its computed ``B^-1 B`` strays from the identity by
+    more than the pivot tolerance, below which the kernel reads entries as
+    zero."""
+    eye = np.eye(len(basis))
+    try:
+        tab = np.linalg.solve(mat[:, basis], mat)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.abs(tab[:, basis] - eye).max(initial=0.0) <= _PIVOT_TOL:
+        return None
+    tab[:, basis] = eye
+    return tab
+
+
+def _solve_warm(sf: StandardFormLP, options: SolverOptions, deadline: float,
+                basis) -> _SimplexResult:
+    """Dual simplex from ``basis`` (Koberstein 2005), refactored from the
+    original matrix: the tableau is ``B^-1 [A | b]`` for the basis columns
+    ``B``, so no rounding carries over from the LP the basis came from.
+
+    A basis shorter than the rows is one from before inequality rows were
+    appended (:meth:`_Layout.extended`); their slacks join it.  Negative
+    reduced costs left by rounding are shifted to zero for the dual simplex
+    and restored for a primal phase 2 that finishes.  An 'infeasible' stands
+    only when a Farkas ray ``y = B^-T e_r`` checked against ``[A | b]``
+    proves it.  Status 'retry', with the pivots spent, asks for the cold
+    path: a singular basis, or an unproven 'infeasible'.
+    """
+    n, m_ub = sf.n_cols, sf.a_ub.shape[0]
+    mat = _standard_matrix(sf)
+    m, n_work = mat.shape[0], mat.shape[1] - 1
+    basis = list(basis) + list(range(n + m_ub - m + len(basis), n + m_ub))
+    rows = _refactor(mat, basis)
+    if rows is None:
+        return _SimplexResult("retry")
+    tab = np.vstack([rows, np.zeros(n_work + 1)])
+    cost = np.zeros(n_work + 1)
+    cost[:n] = -sf.c
+    tab[-1] = cost - cost[basis] @ tab[:m]
+    tab[-1, basis] = 0.0
+    shifted = tab[-1, :n_work] < 0.0
+    tab[-1, :n_work][shifted] = 0.0
+
+    status, iters = _run_dual(tab, basis, n_work, deadline)
+    if status == "infeasible":
+        rows = np.flatnonzero(tab[:m, -1] < -_PIVOT_TOL)
+        try:
+            y = np.linalg.solve(mat[:, basis].T, np.eye(m)[:, rows])
+        except np.linalg.LinAlgError:
+            return _SimplexResult("retry", iterations=iters)
+        ray = y.T @ mat
+        scale = np.maximum(1.0, np.abs(y).max(axis=0, initial=0.0))
+        if np.any((ray[:, :-1].min(axis=1, initial=0.0) >= -_PIVOT_TOL * scale)
+                  & (ray[:, -1] < -options.feasibility_tol * scale)):
+            return _SimplexResult("infeasible", iterations=iters)
+        return _SimplexResult("retry", iterations=iters)
+    if status == "limit":
+        return _SimplexResult("limit", iterations=iters)
+    if shifted.any():
+        tab[-1] = cost - cost[basis] @ tab[:m]
+    status, more = _run_simplex(tab, basis, n_work, deadline)
+    iters += more
+    if status != "optimal":
+        return _SimplexResult(status, iterations=iters)
+    return _optimal(sf, tab, basis, iters)
+
+
+def _solve_cold(sf: StandardFormLP, options: SolverOptions, deadline: float,
+                duals: bool) -> _SimplexResult:
+    """Two-phase primal simplex from the slack and artificial basis."""
+    n = sf.n_cols
+    m_ub, m_eq = sf.a_ub.shape[0], sf.a_eq.shape[0]
     m = m_ub + m_eq
     n_work = n + m_ub
 
-    # rows: [A_ub | I_slack] and [A_eq | 0], signs flipped to keep rhs >= 0,
-    # then one artificial column per row without a clean slack
-    b = np.concatenate([sf.b_ub, sf.b_eq])
-    flip = b < 0
+    # the standard rows with signs flipped to keep rhs >= 0, then one
+    # artificial column per row without a clean slack
+    mat = _standard_matrix(sf)
+    flip = mat[:, -1] < 0
+    mat[flip] *= -1.0
     need_art = np.flatnonzero(flip | (np.arange(m) >= m_ub))
     n_total = n_work + need_art.shape[0]
     tab = np.zeros((m + 1, n_total + 1))
-    tab[:m_ub, :n] = sf.a_ub
-    tab[np.arange(m_ub), n + np.arange(m_ub)] = 1.0
-    if m_eq:
-        tab[m_ub:m, :n] = sf.a_eq
-    tab[:m, -1] = np.where(flip, -b, b)
-    tab[:m][flip, :n_work] *= -1.0
-    signed = tab[:m, :n_work].copy() if duals else None
+    tab[:m, :n_work] = mat[:, :-1]
+    tab[:m, -1] = mat[:, -1]
+    signed = mat[:, :-1] if duals else None
     basis = [n + r for r in range(m)]  # slack columns; artificials set below
     tab[need_art, n_work + np.arange(need_art.shape[0])] = 1.0
     for k, r in enumerate(need_art.tolist()):
@@ -253,12 +405,11 @@ def _solve_standard(sf: StandardFormLP, options: SolverOptions, deadline: float,
     if status != "optimal":
         return _SimplexResult(status, iterations=total_iters)
 
-    x = np.zeros(n_work)
-    x[basis] = tab[:m, -1]
-    x = np.maximum(x, 0.0)
-    objective = float(sf.c @ x[:n] + sf.c0)
+    res = _optimal(sf, tab, basis, total_iters)
+    if len(keep_rows) < m_ub + m_eq:
+        res.basis = None
     if not duals:
-        return _SimplexResult("optimal", x[:n], objective, total_iters)
+        return res
 
     # simplex multipliers from the final basis, mapped to max-convention duals
     try:
@@ -267,8 +418,8 @@ def _solve_standard(sf: StandardFormLP, options: SolverOptions, deadline: float,
         y_int = np.zeros(m)
     y_max = np.zeros(m_ub + m_eq)
     y_max[keep_rows] = np.where(flip[keep_rows], 1.0, -1.0) * y_int
-    return _SimplexResult("optimal", x[:n], objective, total_iters,
-                          duals_ub=y_max[:m_ub], duals_eq=y_max[m_ub:])
+    res.duals_ub, res.duals_eq = y_max[:m_ub], y_max[m_ub:]
+    return res
 
 
 # -- branch and bound --------------------------------------------------------
@@ -333,7 +484,10 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
     An exhausted tree certifies the incumbent optimal (within the LP and cut
     tolerances); hitting ``max_nodes``, ``max_cone_rounds`` separations, the
     time limit or the simplex pivot cap yields ``limit_reached`` carrying the
-    incumbent if one exists.  With cone rows, ``stats.extra["cone_violation"]``
+    incumbent if one exists.  Only the root LP can make the call
+    ``unbounded``: once a node LP is optimal, a later node LP that claims an
+    unbounded ray does so from rounding, and the call stops with
+    ``limit_reached`` as well.  With cone rows, ``stats.extra["cone_violation"]``
     is the worst cone-row residual at the returned values, or at the last
     cut-off point when none are returned.
     """
@@ -351,9 +505,10 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
     counter = 0
     separations = 0
     cut_off = 0.0
-    root = to_standard_form(work, bounds=root_bounds)
+    layout = to_standard_form(work, bounds=root_bounds).layout
     heap = [(-INF, counter, NodeRecord(root_bounds, 0))]
     status = "optimal"
+    bounded = False  # some node LP was optimal, so none can be unbounded
     bound_sequence: list[float] = []
     stats.extra["bound_sequence"] = bound_sequence
     while heap:
@@ -364,8 +519,8 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
         if stats.nodes >= options.max_nodes or time.monotonic() > deadline:
             status = "limit_reached"
             break
-        sf = root.with_bounds(node.bounds)
-        res = _solve_standard(sf, options, deadline)
+        sf = layout.form(node.bounds)
+        res = _solve_standard(sf, options, deadline, basis=node.basis)
         stats.nodes += 1
         stats.iterations += res.iterations
         if res.status == "infeasible":
@@ -374,8 +529,11 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
             status = "limit_reached"
             break
         if res.status == "unbounded":
-            status = "unbounded"
+            # bounds and cuts only shrink the region, so after an optimal
+            # node LP this is rounding, and the tree cannot go on soundly
+            status = "limit_reached" if bounded else "unbounded"
             break
+        bounded = True
         cano = res.objective  # canonical max value from _solve_standard
         if cano <= best_cano + _PRUNE_TOL and best_values is not None:
             continue
@@ -390,6 +548,7 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
                     status = "limit_reached"
                     break
                 separations += 1
+                n_rows = len(work.constraints)
                 for con, _ in violated:
                     terms, constant = _cone_support_cut(con.cone, values)
                     stats.cone_cuts += 1
@@ -398,9 +557,9 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
                                            con.lhs.constant + constant),
                         "<=", con.rhs, label=f"{con.label}__cut{stats.cone_cuts}",
                     )
-                root = to_standard_form(work, bounds=root_bounds)
+                layout = layout.extended(work.constraints[n_rows:])
                 counter += 1
-                heapq.heappush(heap, (-cano, counter, node))
+                heapq.heappush(heap, (-cano, counter, replace(node, basis=res.basis)))
                 continue
             if cano > best_cano:
                 best_cano = cano
@@ -420,7 +579,7 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
             if clo <= chi:
                 counter += 1
                 heapq.heappush(
-                    heap, (-cano, counter, NodeRecord(child, node.depth + 1))
+                    heap, (-cano, counter, NodeRecord(child, node.depth + 1, res.basis))
                 )
 
     if status == "unbounded":

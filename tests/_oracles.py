@@ -3,9 +3,11 @@
 Everything here deliberately avoids the code paths it checks: quantiles come
 from bisection on an erf-based CDF, MILP optima from exhaustive enumeration,
 robust optima and worst violations from explicit corner realization, LP
-optima from vertex enumeration or scipy.  The scalar simplex kernel is the row-by-row pivot and
-element-by-element Bland scan the solver's vectorised kernel must reproduce
-pivot for pivot.  The restart loop is the outer approximation for cone rows
+optima from vertex enumeration or scipy, cone optima from an outer
+approximation with HiGHS as the master.  The scalar simplex kernel is the
+row-by-row pivot, the element-by-element Bland scan and the element-by-element
+dual simplex scan the solver's vectorised kernel must reproduce pivot for
+pivot.  The restart loop is the outer approximation for cone rows
 that solves a fresh branch and bound per round of cuts, against which the
 solver's single-tree cone cuts are checked.  Generators are seeded and
 deterministic.
@@ -24,6 +26,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from robustcounter import solver
 from robustcounter.model import FEASIBILITY_TOL, LinExpr, Model, Solution, SolverStats
+from robustcounter.sitesel import PopulationUnit, SiteCandidate, SiteSelectionInstance
 from robustcounter.uncertainty import RHS, Bounded, BoundedRange, UncertainSet, Uniform
 
 
@@ -214,10 +217,9 @@ def reference_corner_check(model: Model, uset: UncertainSet, values,
     return worst, certified
 
 
-def highs_solve(model: Model):
-    """(status, objective) of a cone-free model by scipy's HiGHS on matrices
-    assembled from its rows; status is 'optimal', 'infeasible' or the
-    scipy status code."""
+def _highs_rows(model: Model):
+    """(c, sign, A, row lows, row highs) of a model's linear parts, for
+    scipy's ``milp``: ``sign * c`` is minimized."""
     n = len(model.variables)
     a = np.zeros((len(model.constraints), n))
     lo = np.full(len(model.constraints), -np.inf)
@@ -232,12 +234,23 @@ def highs_solve(model: Model):
     c = np.zeros(n)
     for v, coeff in model.objective.terms:
         c[v] = coeff
-    sign = -1.0 if model.objective_sense == "max" else 1.0
-    res = milp(sign * c, constraints=[LinearConstraint(a, lo, hi)],
-               integrality=[v.kind != "continuous" for v in model.variables],
-               bounds=Bounds([v.lower for v in model.variables],
-                             [v.upper for v in model.variables]),
-               options={"mip_rel_gap": 0.0})
+    return c, -1.0 if model.objective_sense == "max" else 1.0, a, lo, hi
+
+
+def _highs_milp(model: Model, c, a, lo, hi):
+    return milp(c, constraints=[LinearConstraint(a, lo, hi)],
+                integrality=[v.kind != "continuous" for v in model.variables],
+                bounds=Bounds([v.lower for v in model.variables],
+                              [v.upper for v in model.variables]),
+                options={"mip_rel_gap": 0.0})
+
+
+def highs_solve(model: Model):
+    """(status, objective) of a cone-free model by scipy's HiGHS on matrices
+    assembled from its rows; status is 'optimal', 'infeasible' or the
+    scipy status code."""
+    c, sign, a, lo, hi = _highs_rows(model)
+    res = _highs_milp(model, sign * c, a, lo, hi)
     if res.status == 2:
         return "infeasible", math.nan
     if res.status != 0:
@@ -245,7 +258,70 @@ def highs_solve(model: Model):
     return "optimal", sign * res.fun + model.objective.constant
 
 
+def oa_highs_solve(model: Model, tol: float = 1e-7, max_rounds: int = 1000):
+    """(status, objective, rounds) of a model with square-root cone rows by
+    outer approximation with HiGHS as the MILP master.
+
+    Each cone row ``lhs + s*sqrt(k + sum((a_j x_j)^2)) <= rhs`` enters the
+    master as its linear part plus ``s*sqrt(k)``, the radical's least value.
+    While the master optimum x* breaks a cone row by more than ``tol``, the
+    row gets the tangent plane of the radical at x*,
+    ``s*(k + sum(a_j^2 x*_j x_j)) / sqrt(k + sum((a_j x*_j)^2))``, which
+    never exceeds the radical.  Status is 'optimal', 'infeasible', the scipy
+    status code, or 'limit' after ``max_rounds`` masters.
+    """
+    c, sign, a, lo, hi = _highs_rows(model)
+    cone_rows = [con for con in model.constraints if con.cone is not None]
+    for con in cone_rows:
+        hi[con.id] -= con.cone.scale * math.sqrt(con.cone.constant_inside)
+    for rounds in range(1, max_rounds + 1):
+        res = _highs_milp(model, sign * c, a, lo, hi)
+        if res.status == 2:
+            return "infeasible", math.nan, rounds
+        if res.status != 0:
+            return res.status, math.nan, rounds
+        x = res.x
+        cuts = []
+        for con in cone_rows:
+            cone = con.cone
+            radical = math.sqrt(cone.constant_inside
+                                + sum((coeff * x[v]) ** 2 for v, coeff in cone.components))
+            lhs = con.lhs.constant + sum(coeff * x[v] for v, coeff in con.lhs.terms)
+            if lhs + cone.scale * radical - con.rhs > tol:
+                row = a[con.id].copy()
+                for v, coeff in cone.components:
+                    row[v] += cone.scale * coeff * coeff * x[v] / radical
+                cut_hi = (con.rhs - con.lhs.constant
+                          - cone.scale * cone.constant_inside / radical)
+                cuts.append((row, cut_hi))
+        if not cuts:
+            return "optimal", sign * res.fun + model.objective.constant, rounds
+        a = np.vstack([a] + [row for row, _ in cuts])
+        lo = np.concatenate([lo, np.full(len(cuts), -np.inf)])
+        hi = np.concatenate([hi, [cut_hi for _, cut_hi in cuts]])
+    return "limit", math.nan, max_rounds
+
+
 # -- generators ---------------------------------------------------------------------
+
+
+def generated_instance(units: int, sites: int, gen_seed: int):
+    """Seeded ``units`` x ``sites`` site-selection instance, drawn exactly as
+    the benchmark's ``bench/workloads.generate_instance`` draws it:
+    populations 40-200, fixed costs 40-90, variable costs 0.05-0.2 per
+    person, Dirichlet(1) choice probabilities, budget ``0.45 * sum(f) + 20``,
+    enrollment floor 25, ``sites // 2`` sites at most, every cost and the
+    budget uncertain."""
+    rng = np.random.default_rng([units, sites, gen_seed])
+    unit_list = [PopulationUnit(f"u{i}", f"unit {i}", float(rng.integers(40, 201)))
+                 for i in range(units)]
+    site_list = [SiteCandidate(f"s{j}", f"site {j}", float(rng.integers(40, 91)),
+                               round(float(rng.uniform(0.05, 0.2)), 3))
+                 for j in range(sites)]
+    probabilities = rng.dirichlet(np.ones(sites), size=units)
+    budget = 0.45 * sum(s.fixed_cost for s in site_list) + 20.0
+    return SiteSelectionInstance.with_all_uncertain(
+        unit_list, site_list, probabilities, budget, 25.0, sites // 2)
 
 
 def random_binary_model(rng: np.random.Generator, n_vars: int, n_cons: int,
@@ -513,6 +589,40 @@ def reference_run_simplex(tab, basis, n_cols, deadline=math.inf, max_iter=1_000_
                     leave = r
         if leave < 0:
             return "unbounded", iters
+        reference_pivot(tab, basis, leave, enter)
+        iters += 1
+    return "limit", iters
+
+
+def reference_run_dual(tab, basis, n_cols, deadline=math.inf, max_iter=1_000_000):
+    """Dual simplex with scalar scans: the leaving row has the lowest basis
+    index among rows whose value is below the tolerance's negative; the
+    entering column has the smallest ratio ``cbar_j / |a_rj|`` among
+    columns with ``a_rj`` below it, ratios within the tolerance of the
+    smallest going to the largest ``|a_rj|`` and then to the lowest index.
+    Stops with 'limit' when a pivot is due at or after ``deadline``."""
+    m = tab.shape[0] - 1
+    iters = 0
+    while iters < max_iter:
+        leave = -1
+        for r in range(m):
+            if tab[r, -1] < -_PIVOT_TOL and (leave < 0 or basis[r] < basis[leave]):
+                leave = r
+        if leave < 0:
+            return "optimal", iters
+        if time.monotonic() >= deadline:
+            return "limit", iters
+        best_ratio = math.inf
+        for j in range(n_cols):
+            if tab[leave, j] < -_PIVOT_TOL:
+                best_ratio = min(best_ratio, tab[-1, j] / -tab[leave, j])
+        if best_ratio == math.inf:
+            return "infeasible", iters
+        enter, size = -1, 0.0
+        for j in range(n_cols):
+            a = tab[leave, j]
+            if a < -_PIVOT_TOL and tab[-1, j] / -a <= best_ratio + _PIVOT_TOL and -a > size:
+                enter, size = j, -a
         reference_pivot(tab, basis, leave, enter)
         iters += 1
     return "limit", iters

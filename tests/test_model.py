@@ -184,6 +184,31 @@ def test_standard_form_equivalence_on_random_models():
     assert solved >= 30  # random mixed-sense rows leave plenty feasible
 
 
+def test_layout_extended_equals_rebuild():
+    """Rows appended to a standard-form layout give, bit for bit, the arrays
+    a rebuild of the grown model gives, under other bounds too."""
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        work = random_lp_model(rng).copy()
+        layout = to_standard_form(work).layout
+        n_rows = len(work.constraints)
+        ids = [v.id for v in work.variables]
+        for _ in range(int(rng.integers(1, 4))):
+            picked = rng.choice(ids, size=int(rng.integers(1, len(ids) + 1)))
+            terms = [(int(v), float(c)) for v, c in zip(picked, rng.uniform(-4, 4, len(picked)))]
+            work.add_constraint(LinExpr.from_terms(terms, float(rng.uniform(-2, 2))),
+                                ("<=", ">=", "=")[int(rng.integers(0, 3))],
+                                float(rng.uniform(-5, 15)))
+        grown = layout.extended(work.constraints[n_rows:])
+        moved = {v.id: (v.lower - 1.5, v.upper + 0.5) for v in work.variables}
+        for bounds in (None, moved):
+            got, want = grown.form(bounds), to_standard_form(work, bounds)
+            for name in ("c", "a_ub", "b_ub", "a_eq", "b_eq", "var_offset"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+            assert repr(got.c0) == repr(want.c0)
+
+
 # -- text format ---------------------------------------------------------------
 
 

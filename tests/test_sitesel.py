@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustcounter.fixtures import demo_instance, tiny_instance
-from robustcounter.robustify import interval_robust_counterpart
 from robustcounter.sitesel import (
     InstanceError,
     PopulationUnit,
@@ -24,6 +23,9 @@ from robustcounter.sitesel import (
     write_instance,
 )
 from robustcounter.solver import solve
+from robustcounter.validate import corner_check
+
+from _oracles import highs_solve
 
 
 def _pair_instance(budget=80.0):
@@ -261,20 +263,28 @@ def test_irc_examples_from_tiny_instance():
     assert solve(build_irc(inst, 0.3, 0.0)).status == "infeasible"
 
 
-def test_irc_dedicated_equals_mechanical():
-    """The dedicated budget row and the mechanical counterpart of the nominal
-    budget row land on the same optimum."""
-    inst = _pair_instance(80.0)
-    for eps, delta in ((0.0, 0.0), (0.05, 0.0), (0.1, 0.02), (0.2, 0.1)):
-        dedicated = solve(build_irc(inst, eps, delta))
+@pytest.mark.parametrize("inst, eps, delta", [
+    (_pair_instance(80.0), 0.0, 0.0),
+    (_pair_instance(80.0), 0.05, 0.0),
+    (_pair_instance(80.0), 0.1, 0.02),
+    (_pair_instance(80.0), 0.2, 0.1),
+    (demo_instance(), 0.05, 0.0),
+    (demo_instance(), 0.1, 0.05),
+], ids=["pair-0-0", "pair-0.05-0", "pair-0.1-0.02", "pair-0.2-0.1", "hk-0.05-0",
+        "hk-0.1-0.05"])
+def test_irc_optimum_matches_highs_and_is_certified(inst, eps, delta):
+    """The IRC's optimum equals HiGHS's on the same rows, and the exact worst
+    corner of the nominal budget row's intervals certifies it."""
+    model = build_irc(inst, eps, delta)
+    sol = solve(model)
+    status, objective = highs_solve(model)
+    assert sol.status == status
+    if status == "optimal":
+        assert sol.objective == pytest.approx(objective, abs=1e-6)
         nominal = build_nominal(inst)
-        art = interval_robust_counterpart(
-            nominal, budget_uncertain_set(inst, nominal), eps, delta)
-        mechanical = solve(art.model)
-        assert dedicated.status == mechanical.status
-        if dedicated.status == "optimal":
-            assert dedicated.objective == pytest.approx(mechanical.objective,
-                                                        abs=1e-6)
+        report = corner_check(nominal, budget_uncertain_set(inst, nominal), sol.values,
+                              eps, delta)
+        assert report.certified
 
 
 def test_rc_nominal_reduction():

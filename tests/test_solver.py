@@ -1,6 +1,7 @@
 import contextlib
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,9 +33,13 @@ from robustcounter.uncertainty import RHS, UncertainSet, Uniform
 
 from _oracles import (
     brute_force_binary,
+    generated_instance,
+    highs_solve,
+    oa_highs_solve,
     random_binary_model,
     random_lp_model,
     reference_pivot,
+    reference_run_dual,
     reference_run_simplex,
     reference_solve_cone,
 )
@@ -340,6 +345,84 @@ def test_rc_of_random_model_is_not_unbounded():
     assert sol.objective == pytest.approx(19.93738282415742, abs=1e-6)
 
 
+def test_rc_cone_stall_reaches_the_enumerated_optimum():
+    """A model whose node LPs once pivoted on 1e-7 and drifted until the same
+    cut repeated for 200 rounds; enumerating its 2^10 binary points with the
+    benchmark's ``ConeBruteForce`` gives 29.171899355657605."""
+    sol = solve(_rc_of_random_model(13, 10, 3, 8, True, 0.05))
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(29.171899355657605, abs=1e-6)
+
+
+def _generated_rc(units, sites, rhs_shift=0.0):
+    """RC of a generated site-selection instance (eps 0.05, delta 0, kappa
+    0.14) with its cone row's right-hand side moved by ``rhs_shift``."""
+    model = build_rc(generated_instance(units, sites, 0), 0.05, 0.0, 0.14)
+    work = model.copy()
+    for con in model.constraints:
+        if con.cone is not None:
+            work.constraints[con.id] = replace(con, rhs=con.rhs + rhs_shift)
+    return work.finalize()
+
+
+@pytest.mark.parametrize("rhs_shift", [0.0, -1e-3], ids=["as-built", "tightened"])
+def test_generated_rc_matches_outer_approximation(rhs_shift):
+    """gen 8x5 rc once gave a false optimum 324.036 and, with its cone row
+    tightened by 1e-3, a false ``unbounded``; outer approximation with HiGHS
+    as the master gives 351.0611 for both."""
+    model = _generated_rc(8, 5, rhs_shift)
+    status, objective, _ = oa_highs_solve(model)
+    assert status == "optimal"
+    assert objective == pytest.approx(351.0611078739722, abs=1e-3)
+    sol = solve(model)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(objective, abs=1e-6)
+    assert model.max_violation(sol.values) <= SolverOptions().cone_cut_tol
+
+
+def test_generated_irc_reaches_the_highs_optimum():
+    """gen 12x8 irc once ran away in phase 1 of its third node LP until the
+    pivot cap (about 250 s, no incumbent)."""
+    model = build_irc(generated_instance(12, 8, 0), 0.05, 0.0)
+    status, objective = highs_solve(model)
+    assert (status, objective) == ("optimal", pytest.approx(643.8119481811668, abs=1e-6))
+    sol = solve(model, SolverOptions(time_limit_seconds=120.0))
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(objective, abs=1e-6)
+
+
+def test_node_lp_claiming_unbounded_below_an_optimal_root_stops_the_call(monkeypatch):
+    """Bounds and cuts only shrink the region, so once a node LP is optimal a
+    later 'unbounded' is rounding: the call stops with ``limit_reached`` and
+    keeps its incumbent instead of returning ``unbounded``."""
+    model = build_nominal(demo_instance())
+    solve_standard = solver_mod._solve_standard
+    calls = []
+
+    def claim_unbounded_after(n_good):
+        def node_lp(*args, **kwargs):
+            calls.append(None)
+            if len(calls) > n_good:
+                return solver_mod._SimplexResult("unbounded")
+            return solve_standard(*args, **kwargs)
+        return node_lp
+
+    # the tree has 5 nodes and its incumbent 261 comes from the fourth
+    monkeypatch.setattr(solver_mod, "_solve_standard", claim_unbounded_after(1))
+    sol = solve(model)
+    assert (sol.status, sol.stats.nodes, sol.values) == ("limit_reached", 2, {})
+    assert math.isnan(sol.objective)
+    calls.clear()
+    monkeypatch.setattr(solver_mod, "_solve_standard", claim_unbounded_after(4))
+    sol = solve(model)
+    assert (sol.status, sol.stats.nodes, sol.objective) == ("limit_reached", 5, 261.0)
+    assert model.max_violation(sol.values) <= 1e-6
+    # an unbounded root LP is a real verdict
+    calls.clear()
+    monkeypatch.setattr(solver_mod, "_solve_standard", claim_unbounded_after(0))
+    assert solve(model).status == "unbounded"
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 10_000), st.integers(3, 7), st.integers(1, 3), st.integers(1, 7),
        st.booleans(), st.sampled_from([0.05, 0.14, 0.5]))
@@ -471,15 +554,18 @@ def test_lp_time_limit_reports_limit():
 
 
 def test_node_lps_share_the_call_deadline(monkeypatch):
-    """Every node LP of one call stops at the call's own deadline."""
+    """Every node LP of one call, cold or warm, stops at the call's own
+    deadline."""
     deadlines = []
-    run = solver_mod._run_simplex
 
-    def spy(tab, basis, n_cols, deadline):
-        deadlines.append(deadline)
-        return run(tab, basis, n_cols, deadline)
+    def spy(run):
+        def loop(tab, basis, n_cols, deadline):
+            deadlines.append(deadline)
+            return run(tab, basis, n_cols, deadline)
+        return loop
 
-    monkeypatch.setattr(solver_mod, "_run_simplex", spy)
+    for name in ("_run_simplex", "_run_dual"):
+        monkeypatch.setattr(solver_mod, name, spy(getattr(solver_mod, name)))
     sol = solve(build_rc(demo_instance(), 0.05, 0.0, 0.14),
                 SolverOptions(time_limit_seconds=60.0))
     assert sol.status == "optimal"
@@ -488,8 +574,8 @@ def test_node_lps_share_the_call_deadline(monkeypatch):
 
 
 def test_cone_time_limit_bounds_the_whole_call():
-    # unlimited, this solve takes about 1 s: 183 nodes and 176 cone cuts
-    model = _rc_of_random_model(11, 10, 3, 8, True, 0.05)
+    # unlimited, this solve finds no incumbent in 60 s
+    model = _generated_rc(12, 8)
     start = time.perf_counter()
     sol = solve(model, SolverOptions(time_limit_seconds=0.1))
     elapsed = time.perf_counter() - start
@@ -498,14 +584,14 @@ def test_cone_time_limit_bounds_the_whole_call():
 
 
 def test_cone_node_limit_bounds_the_whole_call():
-    # the whole tree needs 37 nodes
+    # the whole tree needs 32 nodes
     sol = solve(build_rc(demo_instance(), 0.05, 0.0, 0.14), SolverOptions(max_nodes=20))
     assert sol.status == "limit_reached"
     assert sol.stats.nodes <= 20
 
 
 def test_cone_round_limit_bounds_the_whole_call():
-    # the whole tree separates at 10 integer-feasible nodes, one cut each
+    # the whole tree separates at 7 integer-feasible nodes, one cut each
     sol = solve(build_rc(demo_instance(), 0.05, 0.0, 0.14), SolverOptions(max_cone_rounds=3))
     assert sol.status == "limit_reached"
     assert sol.stats.cone_cuts == 3
@@ -523,8 +609,10 @@ def test_cone_bound_sequence_spans_every_round():
     (build_rc(demo_instance(), 0.05, 0.0, 0.14), SolverOptions(max_nodes=20)),
     (build_rc(demo_instance(), 0.05, 0.0, 0.14), SolverOptions(max_cone_rounds=0)),
     (build_rc(demo_instance(), 0.05, 0.0, 0.14), SolverOptions(max_cone_rounds=3)),
-    (_rc_of_random_model(11, 10, 3, 8, True, 0.05), SolverOptions(max_cone_rounds=20)),
-    (_rc_of_random_model(11, 10, 3, 8, True, 0.05), SolverOptions(time_limit_seconds=0.05)),
+    # unlimited, the first model separates at 23 nodes; the second finds no
+    # incumbent in 60 s
+    (_rc_of_random_model(23, 12, 3, 10, False, 0.05), SolverOptions(max_cone_rounds=20)),
+    (_generated_rc(12, 8), SolverOptions(time_limit_seconds=0.05)),
     (build_rc(demo_instance(), 0.05, 0.0, 0.14), SolverOptions(time_limit_seconds=0)),
 ], ids=["nodes-5", "nodes-20", "rounds-0", "rounds-3", "rounds-20", "time-0.05",
         "time-0"])
@@ -554,10 +642,10 @@ def test_cone_violation_reported_on_optimal_exit():
 
 
 @pytest.mark.parametrize("build, objective, nodes, iterations, cuts", [
-    (build_nominal, 261.0, 5, 148, 0),
-    (lambda inst: build_irc(inst, 0.05, 0.0), 177.0, 25, 578, 0),
-    (lambda inst: build_rc(inst, 0.05, 0.0, 0.14), 159.0, 37, 1_440, 10),
-])
+    (build_nominal, 261.0, 5, 40, 0),
+    (lambda inst: build_irc(inst, 0.05, 0.0), 177.0, 31, 162, 0),
+    (lambda inst: build_rc(inst, 0.05, 0.0, 0.14), 159.0, 32, 200, 7),
+], ids=["nominal", "irc", "rc"])
 def test_hk_demo_pivot_counts_exact(build, objective, nodes, iterations, cuts):
     """Node and LP-iteration counts pin the whole pivot sequence."""
     sol = solve(build(demo_instance()))
@@ -569,12 +657,15 @@ def test_hk_demo_pivot_counts_exact(build, objective, nodes, iterations, cuts):
 
 @contextlib.contextmanager
 def _scalar_kernel():
-    saved = solver_mod._pivot, solver_mod._run_simplex
-    solver_mod._pivot, solver_mod._run_simplex = reference_pivot, reference_run_simplex
+    names = ("_pivot", "_run_simplex", "_run_dual")
+    saved = [getattr(solver_mod, name) for name in names]
+    for name, ref in zip(names, (reference_pivot, reference_run_simplex, reference_run_dual)):
+        setattr(solver_mod, name, ref)
     try:
         yield
     finally:
-        solver_mod._pivot, solver_mod._run_simplex = saved
+        for name, fn in zip(names, saved):
+            setattr(solver_mod, name, fn)
 
 
 @st.composite
@@ -638,8 +729,8 @@ def _highs(spec, relax):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_bounded_models(), st.booleans())
 def test_vectorised_kernel_matches_scalar_kernel_and_highs(spec, relax):
-    """Objectives agree with HiGHS; the vectorised pivot and Bland scans take
-    exactly the steps of the scalar reference kernel."""
+    """Objectives agree with HiGHS; the vectorised pivot, Bland and dual
+    simplex scans take exactly the steps of the scalar reference kernel."""
     model = _model_of(spec, relax)
     sol = solve(model)
     with _scalar_kernel():
