@@ -38,7 +38,12 @@ _STATUS_EXIT = {"optimal": 0, "infeasible": 2, "unbounded": 3, "limit_reached": 
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("ROBUSTCOUNTER_SEED", "0"))
+    text = os.environ.get("ROBUSTCOUNTER_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(
+            f"ROBUSTCOUNTER_SEED must be an integer, got {text!r}") from None
 
 
 def _fail(message: str) -> int:
@@ -315,8 +320,12 @@ def cmd_validate(args) -> int:
         return _fail(str(exc))
 
     if args.mc:
-        est = monte_carlo_check(model, uset, values, args.eps, args.delta,
-                                args.mc, args.seed)
+        try:
+            seed = _default_seed() if args.seed is None else args.seed
+            est = monte_carlo_check(model, uset, values, args.eps, args.delta,
+                                    args.mc, seed)
+        except ValueError as exc:
+            return _fail(str(exc))
         if args.json:
             print(json.dumps({
                 "method": "monte_carlo",
@@ -431,7 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
                    "corner check")
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None,
+                   help="Monte Carlo seed in [0, 2**64) (default "
+                   "$ROBUSTCOUNTER_SEED, else 0)")
     _add_solver_params(p)
     p.set_defaults(func=cmd_validate)
 

@@ -13,8 +13,9 @@ candidate solution:
 * :func:`sweep` -- solve a builder across an (epsilon, delta, kappa) grid and
   tabulate objectives against the nominal solve, serially or on an executor.
 
-Sweep grid points are embarrassingly parallel; the estimator is sequential
-per seed to keep reproducibility.
+Sweep grid points are embarrassingly parallel.  The estimator draws its
+entries concurrently, each from its own counter-based stream, and adds them
+to their rows in entry order, so its bits do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,6 +92,8 @@ def corner_check(model: Model, uncertain_set: UncertainSet, solution_values,
     Only bounded interval distributions are supported; use
     :func:`monte_carlo_check` for random ones.
     """
+    if not delta >= 0.0:
+        raise ValueError(f"delta must be nonnegative, got {delta}")
     uncertain_set.validate(model)
     for entry in uncertain_set:
         if not isinstance(entry.distribution, (Bounded, BoundedRange)):
@@ -147,39 +152,55 @@ def _entry_stream(seed: int, entry_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _sample_perturbed(nominal: float, dist, epsilon: float, rng, n: int
-                      ) -> np.ndarray:
-    """N realizations of one uncertain value.
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _deviation(nominal: float, dist, epsilon: float, rng, n: int) -> np.ndarray:
+    """N draws of ``realization - nominal`` for one uncertain value, finished
+    in one buffer.
 
     Bounded/Uniform draw a symmetric perturbation xi ~ U[-1, 1] and realize
     ``nominal * (1 + eps * xi)`` (per-entry half-widths override the global
     level); BoundedRange draws uniformly over its explicit interval; other
     tags draw xi from the tagged distribution and realize the same relative
-    form, normals truncated to six standard deviations.
+    form, normals truncated to six standard deviations.  The in-place steps
+    are the IEEE operations of ``nominal * (1 + eps * xi) - nominal`` in
+    that order, and ``u * 2 - 1`` is numpy's ``uniform(-1, 1)``, so the bits
+    are those of the out-of-place form.
     """
     if isinstance(dist, BoundedRange):
-        return rng.uniform(dist.low, dist.high, size=n)
-    if isinstance(dist, Bounded):
-        eps = dist.epsilon if dist.epsilon is not None else epsilon
-        xi = rng.uniform(-1.0, 1.0, size=n)
-        return nominal * (1.0 + eps * xi)
-    if isinstance(dist, Uniform):
-        xi = rng.uniform(-1.0, 1.0, size=n)
-        return nominal * (1.0 + epsilon * xi)
-    if isinstance(dist, Normal):
-        xi = rng.normal(dist.mean, dist.std, size=n)
-        xi = np.clip(xi, dist.mean - 6.0 * dist.std, dist.mean + 6.0 * dist.std)
-        return nominal * (1.0 + epsilon * xi)
-    if isinstance(dist, Poisson):
-        xi = rng.poisson(dist.mean, size=n)
-        return nominal * (1.0 + epsilon * xi)
-    if isinstance(dist, Binomial):
-        xi = rng.binomial(dist.n, dist.p, size=n)
-        return nominal * (1.0 + epsilon * xi)
-    if isinstance(dist, Discrete):
-        xi = rng.choice(np.asarray(dist.values), size=n, p=np.asarray(dist.probs))
-        return nominal * (1.0 + epsilon * xi)
-    raise ValueError(f"unsupported distribution {dist!r}")
+        out = rng.uniform(dist.low, dist.high, size=n)
+        out -= nominal
+        return out
+    eps = epsilon
+    if isinstance(dist, (Bounded, Uniform)):
+        if isinstance(dist, Bounded) and dist.epsilon is not None:
+            eps = dist.epsilon
+        out = rng.random(n)
+        out *= 2.0
+        out -= 1.0
+    elif isinstance(dist, Normal):
+        out = rng.normal(dist.mean, dist.std, size=n)
+        np.clip(out, dist.mean - 6.0 * dist.std, dist.mean + 6.0 * dist.std,
+                out=out)
+    elif isinstance(dist, Poisson):
+        out = rng.poisson(dist.mean, size=n).astype(np.float64)
+    elif isinstance(dist, Binomial):
+        out = rng.binomial(dist.n, dist.p, size=n).astype(np.float64)
+    elif isinstance(dist, Discrete):
+        out = rng.choice(np.asarray(dist.values), size=n,
+                         p=np.asarray(dist.probs)).astype(np.float64)
+    else:
+        raise ValueError(f"unsupported distribution {dist!r}")
+    out *= eps
+    out += 1.0
+    out *= nominal
+    out -= nominal
+    return out
 
 
 def monte_carlo_check(model: Model, uncertain_set: UncertainSet, solution_values,
@@ -191,47 +212,63 @@ def monte_carlo_check(model: Model, uncertain_set: UncertainSet, solution_values
     realized right-hand side by more than ``delta * max(1, |rhs|)`` (plus a
     1e-9 guard for solver noise).  The reported frequency is the worst row's
     frequency, matching the per-row form of the reliability guarantee;
-    per-row frequencies ride along.  Identical seeds give identical
-    estimates bit for bit.
+    per-row frequencies ride along.
+
+    ``epsilon`` must be finite (an infinite level turns realizations into
+    NaN) and ``epsilon`` and ``delta`` nonnegative.  ``seed`` must lie in
+    ``[0, 2**64)``; it is the low word of every entry's Philox key.
+
+    Entries are drawn on a thread pool with one worker per CPU this process
+    may run on (at most one per entry), opened and closed within the call.
+    Each entry's term is added to its row in entry order, so identical seeds
+    give identical estimates bit for bit on any CPU count.
     """
     if n_samples < 1000:
         raise ValueError("need at least 1000 samples for a meaningful estimate")
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
+    if not delta >= 0.0:
+        raise ValueError(f"delta must be nonnegative, got {delta}")
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     uncertain_set.validate(model)
-    realizations: dict[int, np.ndarray] = {}
-    for idx, entry in enumerate(uncertain_set):
-        nominal = _nominal_coefficient(model, entry)
-        rng = _entry_stream(seed, idx)
-        realizations[idx] = _sample_perturbed(
-            nominal, entry.distribution, epsilon, rng, n_samples
-        )
+    entries = list(uncertain_set)
 
-    grouped: dict[int, list[int]] = {}
-    for idx, entry in enumerate(uncertain_set):
-        grouped.setdefault(entry.constraint_id, []).append(idx)
+    lhs: dict[int, np.ndarray] = {}
+    rhs: dict[int, np.ndarray] = {}
+    for entry in entries:
+        con = model.constraints[entry.constraint_id]
+        if con.id not in lhs:
+            lhs[con.id] = np.full(n_samples, con.lhs.value(solution_values))
+            if con.cone is not None:
+                lhs[con.id] += con.cone.value(solution_values)
+            rhs[con.id] = np.full(n_samples, con.rhs)
+
+    def term(idx: int) -> np.ndarray:
+        entry = entries[idx]
+        out = _deviation(_nominal_coefficient(model, entry), entry.distribution,
+                         epsilon, _entry_stream(seed, idx), n_samples)
+        if not entry.is_rhs:
+            out *= solution_values[entry.target]
+        return out
+
+    workers = max(1, min(_available_cpus(), len(entries)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for entry, dev in zip(entries, pool.map(term, range(len(entries)))):
+            side = rhs if entry.is_rhs else lhs
+            side[entry.constraint_id] += dev
 
     per_constraint: dict[int, float] = {}
     worst_count = 0
-    entries = list(uncertain_set)
-    for con_id, idxs in grouped.items():
+    for con_id in lhs:
         con = model.constraints[con_id]
-        lhs = np.full(n_samples, con.lhs.value(solution_values))
-        if con.cone is not None:
-            lhs += con.cone.value(solution_values)
-        rhs = np.full(n_samples, con.rhs)
-        for idx in idxs:
-            entry = entries[idx]
-            nominal = _nominal_coefficient(model, entry)
-            if entry.is_rhs:
-                rhs += realizations[idx] - nominal
-            else:
-                lhs += (realizations[idx] - nominal) * solution_values[entry.target]
         allowance = delta * max(1.0, abs(con.rhs))
         if con.sense == "<=":
-            resid = lhs - rhs
+            resid = lhs[con_id] - rhs[con_id]
         elif con.sense == ">=":
-            resid = rhs - lhs
+            resid = rhs[con_id] - lhs[con_id]
         else:
-            resid = np.abs(lhs - rhs)
+            resid = np.abs(lhs[con_id] - rhs[con_id])
         count = int(np.sum(resid > allowance + _CERT_TOL))
         per_constraint[con_id] = count / n_samples
         worst_count = max(worst_count, count)

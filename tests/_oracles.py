@@ -7,7 +7,9 @@ optima from vertex enumeration or scipy, cone optima from an outer
 approximation with HiGHS as the master.  The scalar simplex kernel is the
 row-by-row pivot, the element-by-element Bland scan and the element-by-element
 dual simplex scan the solver's vectorised kernel must reproduce pivot for
-pivot.  The restart loop is the outer approximation for cone rows
+pivot.  The reference Monte Carlo estimator keeps every entry's draws and
+sums each row at the end, as the streaming, concurrent estimator must
+reproduce bit for bit.  The restart loop is the outer approximation for cone rows
 that solves a fresh branch and bound per round of cuts, against which the
 solver's single-tree cone cuts are checked.  Generators are seeded and
 deterministic.
@@ -27,7 +29,18 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from robustcounter import solver
 from robustcounter.model import FEASIBILITY_TOL, LinExpr, Model, Solution, SolverStats
 from robustcounter.sitesel import PopulationUnit, SiteCandidate, SiteSelectionInstance
-from robustcounter.uncertainty import RHS, Bounded, BoundedRange, UncertainSet, Uniform
+from robustcounter.uncertainty import (
+    RHS,
+    Binomial,
+    Bounded,
+    BoundedRange,
+    Discrete,
+    Normal,
+    Poisson,
+    UncertainSet,
+    Uniform,
+)
+from robustcounter.validate import ViolationEstimate
 
 
 def erf_cdf_quantile(p: float) -> float:
@@ -215,6 +228,116 @@ def reference_corner_check(model: Model, uset: UncertainSet, values,
         worst[con.id] = row_worst
         certified &= row_worst <= (delta + tol) * scale
     return worst, certified
+
+
+# -- reference Monte Carlo estimator ------------------------------------------------
+
+
+def _reference_entry_stream(seed: int, entry_index: int) -> np.random.Generator:
+    key = (int(seed) & (2 ** 64 - 1)) | (int(entry_index) << 64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _reference_nominal(model: Model, entry) -> float:
+    con = model.constraints[entry.constraint_id]
+    if entry.is_rhs:
+        return con.rhs
+    return dict(con.lhs.terms)[entry.target]
+
+
+def reference_sample_perturbed(nominal: float, dist, epsilon: float, rng, n: int
+                      ) -> np.ndarray:
+    """N realizations of one uncertain value.
+
+    Bounded/Uniform draw a symmetric perturbation xi ~ U[-1, 1] and realize
+    ``nominal * (1 + eps * xi)`` (per-entry half-widths override the global
+    level); BoundedRange draws uniformly over its explicit interval; other
+    tags draw xi from the tagged distribution and realize the same relative
+    form, normals truncated to six standard deviations.
+    """
+    if isinstance(dist, BoundedRange):
+        return rng.uniform(dist.low, dist.high, size=n)
+    if isinstance(dist, Bounded):
+        eps = dist.epsilon if dist.epsilon is not None else epsilon
+        xi = rng.uniform(-1.0, 1.0, size=n)
+        return nominal * (1.0 + eps * xi)
+    if isinstance(dist, Uniform):
+        xi = rng.uniform(-1.0, 1.0, size=n)
+        return nominal * (1.0 + epsilon * xi)
+    if isinstance(dist, Normal):
+        xi = rng.normal(dist.mean, dist.std, size=n)
+        xi = np.clip(xi, dist.mean - 6.0 * dist.std, dist.mean + 6.0 * dist.std)
+        return nominal * (1.0 + epsilon * xi)
+    if isinstance(dist, Poisson):
+        xi = rng.poisson(dist.mean, size=n)
+        return nominal * (1.0 + epsilon * xi)
+    if isinstance(dist, Binomial):
+        xi = rng.binomial(dist.n, dist.p, size=n)
+        return nominal * (1.0 + epsilon * xi)
+    if isinstance(dist, Discrete):
+        xi = rng.choice(np.asarray(dist.values), size=n, p=np.asarray(dist.probs))
+        return nominal * (1.0 + epsilon * xi)
+    raise ValueError(f"unsupported distribution {dist!r}")
+
+
+def reference_monte_carlo_check(model: Model, uncertain_set: UncertainSet,
+                                solution_values, epsilon: float, delta: float,
+                                n_samples: int, seed: int) -> ViolationEstimate:
+    """The straightforward estimator: every entry's realizations are drawn
+    and kept, then each row's realized sides are summed entry by entry.
+    ``monte_carlo_check`` must reproduce it bit for bit."""
+    if n_samples < 1000:
+        raise ValueError("need at least 1000 samples for a meaningful estimate")
+    uncertain_set.validate(model)
+    realizations: dict[int, np.ndarray] = {}
+    for idx, entry in enumerate(uncertain_set):
+        nominal = _reference_nominal(model, entry)
+        rng = _reference_entry_stream(seed, idx)
+        realizations[idx] = reference_sample_perturbed(
+            nominal, entry.distribution, epsilon, rng, n_samples
+        )
+
+    grouped: dict[int, list[int]] = {}
+    for idx, entry in enumerate(uncertain_set):
+        grouped.setdefault(entry.constraint_id, []).append(idx)
+
+    per_constraint: dict[int, float] = {}
+    worst_count = 0
+    entries = list(uncertain_set)
+    for con_id, idxs in grouped.items():
+        con = model.constraints[con_id]
+        lhs = np.full(n_samples, con.lhs.value(solution_values))
+        if con.cone is not None:
+            lhs += con.cone.value(solution_values)
+        rhs = np.full(n_samples, con.rhs)
+        for idx in idxs:
+            entry = entries[idx]
+            nominal = _reference_nominal(model, entry)
+            if entry.is_rhs:
+                rhs += realizations[idx] - nominal
+            else:
+                lhs += (realizations[idx] - nominal) * solution_values[entry.target]
+        allowance = delta * max(1.0, abs(con.rhs))
+        if con.sense == "<=":
+            resid = lhs - rhs
+        elif con.sense == ">=":
+            resid = rhs - lhs
+        else:
+            resid = np.abs(lhs - rhs)
+        count = int(np.sum(resid > allowance + 1e-9))
+        per_constraint[con_id] = count / n_samples
+        worst_count = max(worst_count, count)
+
+    frequency = worst_count / n_samples
+    ci = 3.0 * math.sqrt(frequency * (1.0 - frequency) / n_samples)
+    return ViolationEstimate(
+        samples=n_samples,
+        violations=worst_count,
+        frequency=frequency,
+        ci_half_width=ci,
+        seed=seed,
+        per_constraint=per_constraint,
+    )
 
 
 def _highs_rows(model: Model):

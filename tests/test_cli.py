@@ -231,6 +231,39 @@ def test_seed_env_default(workdir, monkeypatch, capsys):
     assert payload["seed"] == 777
 
 
+def _validate_mc(workdir, *extra):
+    return main(["validate", str(workdir / "one_row.txt"),
+                 str(workdir / "one_row.unc"), "--eps", "0.1", *extra])
+
+
+def test_validate_mc_too_few_samples_exit_one(workdir, capsys):
+    assert _validate_mc(workdir, "--mc", "10") == 1
+    assert "error: need at least 1000 samples" in capsys.readouterr().err
+
+
+def test_validate_bad_seed_env_exit_one(workdir, monkeypatch, capsys):
+    monkeypatch.setenv("ROBUSTCOUNTER_SEED", "abc")
+    assert _validate_mc(workdir, "--mc", "2000") == 1
+    assert "error: ROBUSTCOUNTER_SEED must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64), str(2 ** 64 + 1)])
+def test_validate_seed_outside_64_bits_exit_one(workdir, capsys, seed):
+    assert _validate_mc(workdir, "--mc", "2000", "--seed", seed) == 1
+    assert "error: seed must lie in [0, 2**64)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, name", [
+    (["--mc", "2000", "--eps", "-0.5"], "epsilon"),
+    (["--mc", "2000", "--delta", "-0.1"], "delta"),
+    (["--delta", "-0.1"], "delta"),
+])
+def test_validate_negative_levels_exit_one(workdir, capsys, extra, name):
+    assert _validate_mc(workdir, *extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be") and "nonnegative" in err
+
+
 def test_usage_error_exit_one():
     assert main(["frobnicate"]) == 1
 

@@ -1,11 +1,14 @@
 import math
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustcounter.model import Model
+from robustcounter import validate
+from robustcounter.model import ConeTerm, Model
 from robustcounter.robustify import (
     interval_robust_counterpart,
     symmetric_robust_counterpart,
@@ -21,8 +24,10 @@ from robustcounter.sitesel import (
 from robustcounter.solver import solve
 from robustcounter.uncertainty import (
     RHS,
+    Binomial,
     Bounded,
     BoundedRange,
+    Discrete,
     Normal,
     Poisson,
     UncertainSet,
@@ -35,7 +40,13 @@ from robustcounter.validate import (
     write_sweep_csv,
 )
 
-from _oracles import highs_solve, random_uncertain_ilp, reference_corner_check
+from _oracles import (
+    highs_solve,
+    random_uncertain_ilp,
+    reference_corner_check,
+    reference_monte_carlo_check,
+    reference_sample_perturbed,
+)
 
 
 def _one_row():
@@ -143,6 +154,13 @@ def test_corner_delta_allowance_scales_with_rhs():
     assert report.certified
     report = corner_check(m, uset, {x: 10.0}, 0.1, 0.05)
     assert not report.certified
+
+
+def test_corner_rejects_negative_delta():
+    m, x = _one_row()
+    uset = UncertainSet([(0, x, Bounded())])
+    with pytest.raises(ValueError, match="delta"):
+        corner_check(m, uset, {x: 1.0}, 0.1, -0.05)
 
 
 def test_corner_check_on_ge_rows():
@@ -275,6 +293,40 @@ def test_mc_requires_enough_samples():
         monte_carlo_check(m, uset, {x: 1.0}, 0.1, 0.0, 10, seed=1)
 
 
+@pytest.mark.parametrize("epsilon, delta, name", [
+    (-0.5, 0.0, "epsilon"), (0.1, -0.05, "delta"), (math.nan, 0.0, "epsilon"),
+    (math.inf, 0.0, "epsilon"),
+])
+def test_mc_rejects_negative_or_infinite_levels(epsilon, delta, name):
+    m, x = _one_row()
+    uset = UncertainSet([(0, x, Uniform()), (0, RHS, Uniform())])
+    with pytest.raises(ValueError, match=name):
+        monte_carlo_check(m, uset, {x: 10.0}, epsilon, delta, 2000, seed=1)
+
+
+def test_mc_seeds_must_fit_64_bits():
+    """Seeds are Philox key words: outside [0, 2**64) they would alias a
+    seed inside it (2**64 + 1 repeats seed 1, -1 repeats 2**64 - 1)."""
+    m, x = _one_row()
+    uset = UncertainSet([(0, x, Uniform())])
+    for seed in (0, 2 ** 64 - 1):
+        est = monte_carlo_check(m, uset, {x: 10.0}, 0.1, 0.0, 2000, seed=seed)
+        assert est.seed == seed and 0 < est.violations < 2000
+    for seed in (-1, 2 ** 64, 2 ** 64 + 1):
+        with pytest.raises(ValueError, match="seed"):
+            monte_carlo_check(m, uset, {x: 10.0}, 0.1, 0.0, 2000, seed=seed)
+
+
+def test_mc_leaves_no_thread_behind():
+    """The draw pool lives within the call, so a later fork (``sweep --jobs``)
+    starts from a single-threaded process."""
+    m, x = _one_row()
+    uset = UncertainSet([(0, x, Uniform()), (0, RHS, Normal(0.0, 1.0))])
+    before = set(threading.enumerate())
+    monte_carlo_check(m, uset, {x: 10.0}, 0.1, 0.0, 2000, seed=1)
+    assert set(threading.enumerate()) == before
+
+
 def test_mc_binding_nominal_violates_half_the_time():
     m, x = _one_row()
     uset = UncertainSet([(0, x, Uniform())])
@@ -334,6 +386,142 @@ def test_mc_poisson_tagged_entries():
     # realized coefficient 1 + 0.05 * xi with xi ~ Poisson(5); violation
     # needs (1 + .05 xi) * 5 > 10, i.e. xi > 20: vanishingly rare
     assert est.frequency < 0.01
+
+
+_MC_FAMILIES = ["bounded", "bounded eps_j", "range", "uniform", "normal",
+                "poisson", "binomial", "discrete"]
+_DISCRETE = [Discrete((-1.0, 1.0), (0.5, 0.5)),
+             Discrete((-2, 0, 3), (0.25, 0.5, 0.25)),
+             Discrete((0.5,), (1.0,))]
+
+
+@st.composite
+def _mc_tag(draw, nominal):
+    """Any tag family the sampler knows, with small parameters."""
+    kind = draw(st.sampled_from(_MC_FAMILIES))
+    if kind == "bounded":
+        return Bounded()
+    if kind == "bounded eps_j":
+        return Bounded(draw(st.sampled_from([0.0, 0.05, 0.2, 0.5])))
+    if kind == "range":
+        return BoundedRange(nominal - draw(st.integers(0, 3)) / 4.0,
+                            nominal + draw(st.integers(0, 3)) / 4.0)
+    if kind == "uniform":
+        return Uniform()
+    if kind == "normal":
+        return Normal(draw(st.sampled_from([-1.0, 0.0, 0.5])),
+                      draw(st.sampled_from([0.5, 1.0, 2.0])))
+    if kind == "poisson":
+        return Poisson(draw(st.sampled_from([0.5, 1.0, 5.0])))
+    if kind == "binomial":
+        return Binomial(draw(st.integers(0, 6)),
+                        draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])))
+    return draw(st.sampled_from(_DISCRETE))
+
+
+@st.composite
+def _mc_cases(draw):
+    """1-3 uncertain rows of any sense over 1-4 variables, ``<=`` rows with
+    or without a cone term, coefficients and right-hand sides carrying any
+    tag, the entries of all rows interleaved in a drawn order."""
+    n = draw(st.integers(1, 4))
+    m = Model()
+    ids = [m.add_variable(f"x{j}", "continuous", -10.0, 10.0) for j in range(n)]
+    m.set_objective("max", [(v, 1.0) for v in ids])
+    point = {v: draw(st.integers(-12, 12)) / 4.0 for v in ids}
+    entries = []
+    for _ in range(draw(st.integers(1, 3))):
+        cols = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=n, unique=True))
+        coeffs = {j: float(draw(st.integers(-4, 4).filter(bool))) for j in cols}
+        sense = draw(st.sampled_from(["<=", ">=", "="]))
+        # near the row's value at the point, so violations are neither
+        # certain nor impossible
+        rhs = (sum(a * point[j] for j, a in coeffs.items())
+               + draw(st.integers(-2, 2)) / 2.0)
+        cone = None
+        if sense == "<=" and draw(st.booleans()):
+            cone = ConeTerm.from_components(
+                draw(st.sampled_from([0.1, 0.5])), list(coeffs.items()),
+                draw(st.sampled_from([0.0, 4.0])))
+        cid = m.add_constraint(list(coeffs.items()), sense, rhs, cone=cone)
+        targets = [j for j in cols if draw(st.booleans())]
+        if draw(st.booleans()) or not targets:
+            targets.append(RHS)
+        for target in targets:
+            nominal = rhs if target is RHS else coeffs[target]
+            entries.append((cid, target, draw(_mc_tag(nominal))))
+    uset = UncertainSet(draw(st.permutations(entries)))
+    return {
+        "model": m.finalize(),
+        "uset": uset,
+        "point": point,
+        "eps": draw(st.sampled_from([0.0, 0.05, 0.1, 0.3])),
+        "delta": draw(st.sampled_from([0.0, 0.05, 0.3])),
+        "n_samples": draw(st.sampled_from([1000, 1001, 4097, 20000])),
+        "seed": draw(st.integers(0, 2 ** 64 - 1)),
+    }
+
+
+@pytest.mark.parametrize("cpus", [1, None], ids=["one_cpu", "all_cpus"])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=_mc_cases())
+def test_mc_matches_reference_bit_for_bit(cpus, case):
+    """Streaming, concurrently drawn estimates equal the keep-every-draw
+    reference exactly, with one worker and with every CPU."""
+    args = (case["model"], case["uset"], case["point"], case["eps"],
+            case["delta"], case["n_samples"], case["seed"])
+    want = reference_monte_carlo_check(*args)
+    if cpus is None:
+        got = monte_carlo_check(*args)
+    else:
+        with mock.patch.object(validate, "_available_cpus", lambda: cpus):
+            got = monte_carlo_check(*args)
+    assert got.violations == want.violations
+    assert got.frequency == want.frequency
+    assert got.per_constraint == want.per_constraint
+    assert list(got.per_constraint) == list(want.per_constraint)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_mc_deviation_kernel_matches_reference_bits(data):
+    """The in-place kernel returns the bits of ``realization - nominal`` (times
+    the variable's value for a coefficient) for every tag family."""
+    nominal = float(data.draw(st.integers(-40, 40))) / 4.0
+    dist = data.draw(_mc_tag(nominal))
+    eps = data.draw(st.sampled_from([0.0, 0.05, 0.1, 0.3]))
+    n = data.draw(st.sampled_from([1000, 1001, 4097]))
+    seed = data.draw(st.integers(0, 2 ** 64 - 1))
+    idx = data.draw(st.integers(0, 20))
+    x = data.draw(st.sampled_from([0.0, -0.25, 1.0, 3.7, 1e6]))
+    got = validate._deviation(nominal, dist, eps, validate._entry_stream(seed, idx), n)
+    want = reference_sample_perturbed(
+        nominal, dist, eps, validate._entry_stream(seed, idx), n) - nominal
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    got *= x
+    assert got.tobytes() == (want * x).tobytes()
+
+
+def test_mc_adds_terms_in_entry_order():
+    """Floating-point sums depend on their order.  Terms of 1e16, -1e16 and 1
+    on a row whose nominal side is 1 sum to 1 in that order (1 + 1e16 rounds
+    to 1e16) and to 2 in reverse, so a right-hand side of 1.5 tells the two
+    orders apart."""
+    m = Model()
+    ids = [m.add_variable(name, "continuous", -math.inf) for name in "xyz"]
+    m.set_objective("max", [(ids[0], 1.0)])
+    m.add_constraint([(v, 1.0) for v in ids], "<=", 1.5)
+    m.finalize()
+    point = dict(zip(ids, (1e16, -1e16, 1.0)))
+
+    def entries(order):
+        # xi = 1 at eps 1 doubles a coefficient: each term equals its x
+        return UncertainSet([(0, v, Discrete((1.0,), (1.0,))) for v in order])
+
+    args = (point, 1.0, 0.0, 1000, 0)
+    assert reference_monte_carlo_check(m, entries(ids), *args).violations == 0
+    assert monte_carlo_check(m, entries(ids), *args).violations == 0
+    assert monte_carlo_check(m, entries(ids[::-1]), *args).violations == 1000
 
 
 # -- sweep ---------------------------------------------------------------------------
