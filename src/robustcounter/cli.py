@@ -334,6 +334,10 @@ def cmd_validate(args) -> int:
                 "frequency": est.frequency,
                 "ci_half_width": est.ci_half_width,
                 "seed": est.seed,
+                "per_constraint": {
+                    model.constraints[cid].label: f
+                    for cid, f in est.per_constraint.items()
+                },
             }, indent=2, sort_keys=True))
         else:
             print(f"samples: {est.samples}")

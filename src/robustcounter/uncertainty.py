@@ -7,19 +7,21 @@ counterparts:
 
 * ``bounded_interval`` -- the realization interval of one uncertain entry
 * ``omega_from_kappa`` -- the reliability weight from ``kappa = exp(-omega^2/2)``
-* ``normal_lambda``    -- the standard-normal quantile at ``1 - kappa``
+* ``normal_lambda``    -- the standard-normal quantile at ``1 - kappa``,
+  from the standard library's ``statistics.NormalDist`` (Wichura's AS241)
 * ``discrete_deviation`` -- smallest ``t`` with ``P(X > t) <= kappa`` for
   Poisson / binomial / general discrete tags
 
-All operations are pure functions and safe to call from any thread.
+All operations are pure functions and safe to call from any thread.  The
+module needs only the standard library and the model: importing the package
+loads numpy and nothing else outside the standard library.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.special import ndtri
+from statistics import NormalDist
 
 from .model import Model, ModelError
 
@@ -64,6 +66,12 @@ RHS = _RhsMarker()
 # -- distribution tags --------------------------------------------------------
 
 
+def _require_finite(*params: float) -> None:
+    """Tag parameters must be finite: a NaN or infinite one gives NaN draws."""
+    if not all(math.isfinite(p) for p in params):
+        raise ValueError(f"distribution parameters must be finite, got {params}")
+
+
 @dataclass(frozen=True)
 class Bounded:
     """Interval of relative half-width epsilon around the nominal value.
@@ -74,8 +82,8 @@ class Bounded:
     epsilon: float | None = None
 
     def __post_init__(self):
-        if self.epsilon is not None and self.epsilon < 0:
-            raise ValueError("bounded half-width must be nonnegative")
+        if self.epsilon is not None and not 0 <= self.epsilon < math.inf:
+            raise ValueError("bounded half-width must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -86,6 +94,7 @@ class BoundedRange:
     high: float
 
     def __post_init__(self):
+        _require_finite(self.low, self.high)
         if self.low > self.high:
             raise ValueError(f"empty range [{self.low}, {self.high}]")
 
@@ -96,6 +105,7 @@ class Normal:
     std: float
 
     def __post_init__(self):
+        _require_finite(self.mean, self.std)
         if self.std <= 0:
             raise ValueError("normal std must be positive")
 
@@ -110,6 +120,7 @@ class Poisson:
     mean: float
 
     def __post_init__(self):
+        _require_finite(self.mean)
         if self.mean <= 0:
             raise ValueError("poisson mean must be positive")
 
@@ -136,6 +147,7 @@ class Discrete:
     def __post_init__(self):
         if len(self.values) != len(self.probs) or not self.values:
             raise ValueError("discrete support and probabilities must match")
+        _require_finite(*self.values, *self.probs)
         if any(p < 0 for p in self.probs):
             raise ValueError("discrete probabilities must be nonnegative")
         if abs(sum(self.probs) - 1.0) > 1e-9:
@@ -231,14 +243,24 @@ def omega_from_kappa(kappa: float) -> float:
     return math.sqrt(-2.0 * math.log(kappa))
 
 
+_STANDARD_NORMAL = NormalDist()
+
+
 def normal_lambda(kappa: float) -> float:
     """Standard-normal quantile at 1 - kappa (the deviation factor).
 
     Antisymmetric around kappa = 1/2: normal_lambda(k) == -normal_lambda(1-k).
+    Wichura's AS241 keeps the result within a few ulp of the exact quantile.
+    Below 2**-53, ``1 - kappa`` rounds to 1, whose quantile is infinite, so
+    such a kappa is rejected.
     """
     if not 0.0 < kappa < 1.0:
         raise ValueError(f"kappa must lie in (0, 1), got {kappa}")
-    return float(ndtri(1.0 - kappa))
+    p = 1.0 - kappa
+    if p == 1.0:
+        raise ValueError(
+            f"kappa {kappa} is below 2**-53: 1 - kappa rounds to 1")
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 def _poisson_tail_iter(mean: float):

@@ -15,7 +15,8 @@ candidate solution:
 
 Sweep grid points are embarrassingly parallel.  The estimator draws its
 entries concurrently, each from its own counter-based stream, and adds them
-to their rows in entry order, so its bits do not depend on the thread count.
+to their rows in entry order, so its bits do not depend on the thread count;
+coefficients of a variable at 0 are not drawn at all.
 """
 
 from __future__ import annotations
@@ -68,6 +69,24 @@ class ViolationEstimate:
     per_constraint: dict[int, float] = field(default_factory=dict)
 
 
+def _require_finite_values(model: Model, solution_values, constraints) -> None:
+    """Reject a NaN or infinite value of any variable the rows read.
+
+    A NaN row fails every comparison and so would pass as satisfied, and an
+    infinite value turns a deviation into ``inf - inf``.
+    """
+    for con in constraints:
+        var_ids = [v for v, _ in con.lhs.terms]
+        if con.cone is not None:
+            var_ids += [v for v, _ in con.cone.components]
+        for var_id in var_ids:
+            value = solution_values.get(var_id, 0.0)
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"solution value of {model.variables[var_id].name} is "
+                    f"{value}; values must be finite")
+
+
 def _nominal_coefficient(model: Model, entry) -> float:
     con = model.constraints[entry.constraint_id]
     if entry.is_rhs:
@@ -90,11 +109,13 @@ def corner_check(model: Model, uncertain_set: UncertainSet, solution_values,
     uncertain entries are checked for plain feasibility.
 
     Only bounded interval distributions are supported; use
-    :func:`monte_carlo_check` for random ones.
+    :func:`monte_carlo_check` for random ones.  Every value the rows read
+    must be finite.
     """
     if not delta >= 0.0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
     uncertain_set.validate(model)
+    _require_finite_values(model, solution_values, model.constraints)
     for entry in uncertain_set:
         if not isinstance(entry.distribution, (Bounded, BoundedRange)):
             raise ValueError(
@@ -215,13 +236,21 @@ def monte_carlo_check(model: Model, uncertain_set: UncertainSet, solution_values
     per-row frequencies ride along.
 
     ``epsilon`` must be finite (an infinite level turns realizations into
-    NaN) and ``epsilon`` and ``delta`` nonnegative.  ``seed`` must lie in
-    ``[0, 2**64)``; it is the low word of every entry's Philox key.
+    NaN) and ``epsilon`` and ``delta`` nonnegative, and so must every value
+    the uncertain rows read.  ``seed`` must lie in ``[0, 2**64)``; it is the
+    low word of every entry's Philox key.
 
-    Entries are drawn on a thread pool with one worker per CPU this process
-    may run on (at most one per entry), opened and closed within the call.
-    Each entry's term is added to its row in entry order, so identical seeds
-    give identical estimates bit for bit on any CPU count.
+    A coefficient whose variable's value is +-0 is skipped: no stream is
+    opened, nothing is drawn or added.  Streams are keyed by entry index and
+    adding +-0 changes no count, so while every skipped term would be finite
+    the estimate is the one with every entry drawn.  (A deviation that
+    overflows to inf would give ``inf * 0 = NaN``, and a NaN row never
+    counts as violated; skipped, the row is counted from its other terms.)
+    The other entries are drawn on a thread pool with one worker per CPU
+    this process may run on (at most one per entry), opened and closed
+    within the call.  Each entry's term is added to its row in entry order,
+    so identical seeds give identical estimates bit for bit on any CPU
+    count.
     """
     if n_samples < 1000:
         raise ValueError("need at least 1000 samples for a meaningful estimate")
@@ -233,6 +262,9 @@ def monte_carlo_check(model: Model, uncertain_set: UncertainSet, solution_values
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     uncertain_set.validate(model)
     entries = list(uncertain_set)
+    _require_finite_values(
+        model, solution_values,
+        [model.constraints[cid] for cid in uncertain_set.by_constraint()])
 
     lhs: dict[int, np.ndarray] = {}
     rhs: dict[int, np.ndarray] = {}
@@ -252,9 +284,12 @@ def monte_carlo_check(model: Model, uncertain_set: UncertainSet, solution_values
             out *= solution_values[entry.target]
         return out
 
-    workers = max(1, min(_available_cpus(), len(entries)))
+    drawn = [idx for idx, entry in enumerate(entries)
+             if entry.is_rhs or solution_values[entry.target] != 0.0]
+    workers = max(1, min(_available_cpus(), len(drawn)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for entry, dev in zip(entries, pool.map(term, range(len(entries)))):
+        for idx, dev in zip(drawn, pool.map(term, drawn)):
+            entry = entries[idx]
             side = rhs if entry.is_rhs else lhs
             side[entry.constraint_id] += dev
 

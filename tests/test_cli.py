@@ -221,6 +221,25 @@ def test_validate_mc_reports_frequency(workdir, capsys):
     assert 0.0 <= payload["frequency"] <= 1.0
 
 
+def test_validate_mc_json_reports_rows_by_label(workdir, capsys):
+    rc = main(["validate", str(workdir / "one_row.txt"),
+               str(workdir / "one_row.unc"), "--eps", "0.1", "--mc", "5000",
+               "--seed", "42", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert list(payload["per_constraint"]) == ["cap"]
+    assert payload["per_constraint"]["cap"] == payload["frequency"] > 0.0
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("mc", [[], ["--mc", "2000"]], ids=["corner", "mc"])
+def test_validate_nonfinite_solution_exit_one(workdir, capsys, bad, mc):
+    sol_path = workdir / "sol.json"
+    sol_path.write_text(f'{{"values": {{"x": {bad}}}}}')
+    assert _validate_mc(workdir, "--solution", str(sol_path), *mc) == 1
+    assert capsys.readouterr().err.startswith("error: solution value of x is")
+
+
 def test_seed_env_default(workdir, monkeypatch, capsys):
     monkeypatch.setenv("ROBUSTCOUNTER_SEED", "777")
     rc = main(["validate", str(workdir / "one_row.txt"),

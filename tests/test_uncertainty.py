@@ -1,11 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
+from scipy.special import ndtri
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import robustcounter
 from robustcounter.model import Model
 from robustcounter.uncertainty import (
     RHS,
@@ -77,9 +83,55 @@ def test_normal_lambda_antisymmetry():
 
 
 def test_normal_lambda_domain():
-    for bad in (0.0, 1.0, -0.1, 1.1):
+    for bad in (0.0, 1.0, -0.1, 1.1, math.nan):
         with pytest.raises(ValueError):
             normal_lambda(bad)
+
+
+def test_normal_lambda_rejects_kappa_below_2_53():
+    """Below 2**-53, 1 - kappa rounds to 1 and the quantile would be inf."""
+    assert normal_lambda(2.0 ** -53) == pytest.approx(8.2095361516, abs=1e-9)
+    for tiny in (2.0 ** -54, 1e-17, 5e-324):
+        with pytest.raises(ValueError, match="2\\*\\*-53"):
+            normal_lambda(tiny)
+
+
+def test_normal_lambda_matches_ndtri():
+    """scipy's ndtri as the oracle, over the open interval and both tails.
+
+    Both are a few ulp from the exact quantile and can differ by up to
+    about 1.02e-15 relative (at kappa = 0.1387, where the exact value is
+    1 ulp from this one and 3.5 ulp from ndtri's), hence 2e-15."""
+    grid = np.concatenate([
+        np.linspace(0.0, 1.0, 10_001)[1:-1],
+        np.geomspace(2.0 ** -53, 0.5, 500),
+        1.0 - np.geomspace(2.0 ** -53, 0.5, 500),
+    ])
+    for kappa in map(float, grid):
+        want = float(ndtri(1.0 - kappa))
+        assert math.isclose(normal_lambda(kappa), want, rel_tol=2e-15,
+                            abs_tol=1e-300), kappa
+
+
+def test_import_loads_numpy_alone():
+    """Importing the package and its CLI loads numpy and the standard
+    library and nothing else: no scipy.  (``__mp_main__`` is the alias
+    multiprocessing gives the main module.)"""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import robustcounter, robustcounter.cli\n"
+        "new = {m.split('.')[0] for m in set(sys.modules) - before\n"
+        "       if not m.startswith('__')}\n"
+        "print(' '.join(sorted(new - set(sys.stdlib_module_names))))\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    src = str(Path(robustcounter.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True).stdout.split("\n")
+    assert out[0].split() == ["numpy", "robustcounter"]
+    assert out[1] == ""
 
 
 def test_normal_lambda_monte_carlo_agreement():
@@ -213,6 +265,24 @@ def test_distribution_validation():
         Discrete((1.0, 2.0), (0.6, 0.6))
     with pytest.raises(ValueError):
         BoundedRange(3.0, 1.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda bad: Bounded(bad),
+    lambda bad: BoundedRange(bad, bad),
+    lambda bad: BoundedRange(0.0, bad),
+    lambda bad: Normal(bad, 1.0),
+    lambda bad: Normal(0.0, bad),
+    lambda bad: Poisson(bad),
+    lambda bad: Discrete((0.0, bad), (0.5, 0.5)),
+    lambda bad: Discrete((0.0, 1.0), (bad, 0.5)),
+], ids=["bounded", "range low", "range high", "normal mean", "normal std",
+        "poisson", "discrete value", "discrete prob"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_distribution_rejects_nonfinite_parameters(make, bad):
+    """A NaN or infinite parameter would make every draw NaN or infinite."""
+    with pytest.raises(ValueError):
+        make(bad)
 
 
 def _small_model():

@@ -102,6 +102,16 @@ def test_corner_respects_explicit_ranges():
     assert not report.certified
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_corner_rejects_nonfinite_values(bad):
+    """A NaN row fails every comparison, so ``x <= 10`` at x = NaN used to
+    pass as certified with a worst violation of 0."""
+    m, x = _one_row()
+    for uset in (UncertainSet(), UncertainSet([(0, x, Bounded())])):
+        with pytest.raises(ValueError, match="solution value of x"):
+            corner_check(m, uset, {x: bad}, 0.1, 0.0)
+
+
 def test_corner_rejects_random_distributions():
     m, x = _one_row()
     uset = UncertainSet([(0, x, Normal(0.0, 1.0))])
@@ -286,6 +296,65 @@ def test_mc_zero_epsilon_never_violates():
     assert est.frequency == 0.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_mc_rejects_nonfinite_values(bad):
+    """At x = NaN no sample counted as a violation; at x = inf about half did,
+    from ``inf - inf``."""
+    m, x = _one_row()
+    for tags in ([(0, x, Uniform())], [(0, RHS, Uniform())]):
+        with pytest.raises(ValueError, match="solution value of x"):
+            monte_carlo_check(m, UncertainSet(tags), {x: bad}, 0.1, 0.0,
+                              1000, seed=1)
+
+
+def test_mc_skips_entries_with_zero_terms():
+    """Coefficients of a variable at +-0 open no stream, and the estimate is
+    still the reference's, with every uncertain row counted."""
+    m = Model()
+    x, y, z = (m.add_variable(name, "continuous", -10.0, 10.0) for name in "xyz")
+    m.set_objective("max", [(x, 1.0)])
+    m.add_constraint([(x, 1.0), (y, 2.0)], "<=", 3.0, label="a")
+    m.add_constraint([(y, 1.0), (z, -1.0)], ">=", 0.0, label="b")
+    m.add_constraint([(z, 1.0)], "=", 2.0, label="c")
+    m.finalize()
+    point = {x: 3.0, y: -0.0, z: 2.0}
+    uset = UncertainSet([
+        (0, y, Uniform()),                  # 0: y is -0: skipped
+        (0, x, Bounded()),                  # 1: drawn
+        (0, RHS, Normal(0.0, 1.0)),         # 2: drawn
+        (1, y, BoundedRange(0.5, 2.0)),     # 3: y is -0: skipped
+        (1, RHS, Poisson(2.0)),             # 4: drawn
+        (1, z, Bounded()),                  # 5: drawn
+        (2, RHS, Discrete((1.0, -1.0), (0.5, 0.5))),  # 6: drawn
+        (2, z, BoundedRange(0.9, 1.1)),     # 7: drawn
+    ])
+    m0 = Model()
+    w = m0.add_variable("w")
+    m0.set_objective("max", [(w, 1.0)])
+    m0.add_constraint([(w, 1.0)], "<=", 0.0, label="zero")
+    m0.finalize()
+    cases = [
+        (m, uset, point, 0.1, [1, 2, 4, 5, 6, 7]),
+        # no entry drawn: the row is still counted
+        (m0, UncertainSet([(0, w, Uniform())]), {w: 0.0}, 0.2, []),
+    ]
+    for model, tags, values, eps, drawn in cases:
+        opened = []
+
+        def stream(seed, idx, _open=validate._entry_stream):
+            opened.append(idx)
+            return _open(seed, idx)
+
+        args = (model, tags, values, eps, 0.0, 2000, 17)
+        with mock.patch.object(validate, "_entry_stream", stream):
+            got = monte_carlo_check(*args)
+        assert sorted(opened) == drawn
+        want = reference_monte_carlo_check(*args)
+        assert list(got.per_constraint) == sorted({e.constraint_id for e in tags})
+        assert got.per_constraint == want.per_constraint
+        assert got.violations == want.violations
+
+
 def test_mc_requires_enough_samples():
     m, x = _one_row()
     uset = UncertainSet([(0, x, Uniform())])
@@ -428,7 +497,10 @@ def _mc_cases(draw):
     m = Model()
     ids = [m.add_variable(f"x{j}", "continuous", -10.0, 10.0) for j in range(n)]
     m.set_objective("max", [(v, 1.0) for v in ids])
-    point = {v: draw(st.integers(-12, 12)) / 4.0 for v in ids}
+    # one value in four is a zero of either sign, whose entries are skipped
+    point = {v: draw(st.sampled_from([0.0, -0.0]) if draw(st.integers(0, 3)) == 0
+                     else st.integers(-12, 12).map(lambda k: k / 4.0))
+             for v in ids}
     entries = []
     for _ in range(draw(st.integers(1, 3))):
         cols = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=n, unique=True))
