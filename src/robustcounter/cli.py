@@ -2,7 +2,8 @@
 build and solve site-selection instances, run parameter sweeps, and validate
 solutions against uncertainty.
 
-Exit codes: 0 optimal/success, 1 usage or parse error, 2 infeasible (or
+Exit codes: 0 optimal/success, 1 rejected input or unreadable/unwritable
+file (reported once, by :func:`main`, as ``error: ...``), 2 infeasible (or
 certification failure), 3 unbounded, 4 limit reached.  All floating-point
 output is printed with 6 decimals; CSV files carry full precision.  The
 ``--json`` flag mirrors every report as a machine-readable object.  The
@@ -20,10 +21,9 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .model import Model, ParseError, export_text, import_text
+from .model import Model, export_text, import_text
 from .robustify import interval_robust_counterpart, symmetric_robust_counterpart
 from .sitesel import (
-    InstanceError,
     SiteSelectionInstance,
     build_irc,
     build_nominal,
@@ -56,12 +56,8 @@ def _read_model(path: str) -> Model:
 
 
 def _solver_options(args) -> SolverOptions:
-    opts = SolverOptions()
-    if getattr(args, "max_nodes", None) is not None:
-        opts.max_nodes = args.max_nodes
-    if getattr(args, "time_limit", None) is not None:
-        opts.time_limit_seconds = args.time_limit
-    return opts
+    limits = {"max_nodes": args.max_nodes, "time_limit_seconds": args.time_limit}
+    return SolverOptions(**{k: v for k, v in limits.items() if v is not None})
 
 
 def _print_solution(model: Model, sol, as_json: bool, extra=None):
@@ -92,10 +88,7 @@ def _print_solution(model: Model, sol, as_json: bool, extra=None):
 
 
 def cmd_solve(args) -> int:
-    try:
-        model = _read_model(args.model)
-    except (OSError, ParseError) as exc:
-        return _fail(str(exc))
+    model = _read_model(args.model)
     sol = solve(model, _solver_options(args))
     _print_solution(model, sol, args.json)
     return _STATUS_EXIT[sol.status]
@@ -105,20 +98,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_robustify(args) -> int:
-    try:
-        model = _read_model(args.model)
-        uset = parse_annotations(Path(args.annotations).read_text(), model)
-    except (OSError, ParseError, ValueError) as exc:
-        return _fail(str(exc))
-    try:
-        if args.mode == "irc":
-            art = interval_robust_counterpart(model, uset, args.eps, args.delta)
-        else:
-            art = symmetric_robust_counterpart(
-                model, uset, args.eps, args.delta, args.kappa
-            )
-    except ValueError as exc:
-        return _fail(str(exc))
+    model = _read_model(args.model)
+    uset = parse_annotations(Path(args.annotations).read_text(), model)
+    if args.mode == "irc":
+        art = interval_robust_counterpart(model, uset, args.eps, args.delta)
+    else:
+        art = symmetric_robust_counterpart(model, uset, args.eps, args.delta, args.kappa)
     text = export_text(art.model)
     Path(args.output).write_text(text)
     if args.json:
@@ -147,12 +132,9 @@ def _build_sitesel(instance, mode: str, eps: float, delta: float, kappa: float,
 
 
 def cmd_sitesel(args) -> int:
-    try:
-        instance = load_instance(args.instance)
-        model = _build_sitesel(instance, args.mode, args.eps, args.delta,
-                               args.kappa, args.exact_assignment)
-    except (InstanceError, ValueError) as exc:
-        return _fail(str(exc))
+    instance = load_instance(args.instance)
+    model = _build_sitesel(instance, args.mode, args.eps, args.delta,
+                           args.kappa, args.exact_assignment)
     sol = solve(model, _solver_options(args))
     if sol.status != "optimal":
         _print_solution(model, sol, args.json)
@@ -190,6 +172,12 @@ def cmd_sitesel(args) -> int:
 # -- sweep ----------------------------------------------------------------------
 
 
+def _finite(key: str, numbers: list[float]) -> list[float]:
+    if not all(map(math.isfinite, numbers)):
+        raise ValueError(f"{key}: values must be finite, got {numbers}")
+    return numbers
+
+
 def _parse_axis(spec: str, key: str) -> list[float]:
     spec = spec.strip()
     if not spec:
@@ -198,7 +186,7 @@ def _parse_axis(spec: str, key: str) -> list[float]:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError(f"{key}: range must be start:step:stop, got {spec!r}")
-        start, step, stop = (float(p) for p in parts)
+        start, step, stop = _finite(key, [float(p) for p in parts])
         if step <= 0:
             raise ValueError(f"{key}: range step must be positive")
         out = []
@@ -207,7 +195,7 @@ def _parse_axis(spec: str, key: str) -> list[float]:
             out.append(round(v, 12))
             v += step
         return out
-    return [float(tok) for tok in spec.split(",") if tok.strip()]
+    return _finite(key, [float(tok) for tok in spec.split(",") if tok.strip()])
 
 
 def parse_grid_spec(tokens) -> list[tuple[float, float, float]]:
@@ -246,23 +234,18 @@ def _sweep_model(source, mode: str, exact: bool, eps: float, delta: float,
 
 
 def cmd_sweep(args) -> int:
-    try:
-        grid = parse_grid_spec(args.grid)
-    except ValueError as exc:
-        return _fail(str(exc))
+    grid = parse_grid_spec(args.grid)
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     path = Path(args.input)
-    try:
-        if path.is_dir():
-            source = load_instance(path)
-        else:
-            model = import_text(path.read_text())
-            if not args.annotations:
-                return _fail("model-file sweeps need --annotations")
-            uset = parse_annotations(Path(args.annotations).read_text(), model)
-            source = (model, uset)
-    except (OSError, ParseError, InstanceError, ValueError) as exc:
-        return _fail(str(exc))
-
+    if path.is_dir():
+        source = load_instance(path)
+    else:
+        model = import_text(path.read_text())
+        if not args.annotations:
+            raise ValueError("model-file sweeps need --annotations")
+        uset = parse_annotations(Path(args.annotations).read_text(), model)
+        source = (model, uset)
     build = functools.partial(_sweep_model, source, args.mode,
                               args.exact_assignment)
     options = _solver_options(args)
@@ -306,26 +289,19 @@ def _load_solution_values(path: str, model: Model) -> dict[int, float]:
 
 
 def cmd_validate(args) -> int:
-    try:
-        model = _read_model(args.model)
-        uset = parse_annotations(Path(args.annotations).read_text(), model)
-        if args.solution:
-            values = _load_solution_values(args.solution, model)
-        else:
-            sol = solve(model, _solver_options(args))
-            if sol.status != "optimal":
-                return _fail(f"model solve ended {sol.status}; supply --solution")
-            values = sol.values
-    except (OSError, ParseError, ValueError) as exc:
-        return _fail(str(exc))
+    model = _read_model(args.model)
+    uset = parse_annotations(Path(args.annotations).read_text(), model)
+    if args.solution:
+        values = _load_solution_values(args.solution, model)
+    else:
+        sol = solve(model, _solver_options(args))
+        if sol.status != "optimal":
+            raise ValueError(f"model solve ended {sol.status}; supply --solution")
+        values = sol.values
 
     if args.mc:
-        try:
-            seed = _default_seed() if args.seed is None else args.seed
-            est = monte_carlo_check(model, uset, values, args.eps, args.delta,
-                                    args.mc, seed)
-        except ValueError as exc:
-            return _fail(str(exc))
+        seed = _default_seed() if args.seed is None else args.seed
+        est = monte_carlo_check(model, uset, values, args.eps, args.delta, args.mc, seed)
         if args.json:
             print(json.dumps({
                 "method": "monte_carlo",
@@ -344,10 +320,7 @@ def cmd_validate(args) -> int:
             print(f"violation frequency: {est.frequency:.6f} "
                   f"(+/- {est.ci_half_width:.6f}, seed {est.seed})")
         return 0
-    try:
-        report = corner_check(model, uset, values, args.eps, args.delta)
-    except ValueError as exc:
-        return _fail(str(exc))
+    report = corner_check(model, uset, values, args.eps, args.delta)
     if args.json:
         print(json.dumps({
             "method": "corner",
@@ -459,7 +432,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:  # every library input error is a ValueError
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -98,12 +98,11 @@ class ConeTerm:
     constant_inside: float = 0.0
 
     def __post_init__(self):
-        if self.scale < 0:
-            raise ModelError(f"cone scale must be nonnegative, got {self.scale}")
-        if self.constant_inside < 0:
-            raise ModelError(
-                f"cone constant must be nonnegative, got {self.constant_inside}"
-            )
+        if not 0 <= self.scale < INF:
+            raise ModelError(f"cone scale must be finite and nonnegative, got {self.scale}")
+        if not 0 <= self.constant_inside < INF:
+            raise ModelError(f"cone constant must be finite and nonnegative, "
+                             f"got {self.constant_inside}")
 
     @staticmethod
     def from_components(scale, components, constant_inside=0.0) -> "ConeTerm":
@@ -181,7 +180,8 @@ class Model:
         """Append a variable and return its id (stable for the model's life).
 
         Binary variables have their bounds forced to [0, 1] regardless of the
-        arguments.  Bound inversion (lower > upper) is rejected.
+        arguments.  NaN bounds, a lower bound of +inf, an upper bound of -inf
+        and bound inversion (lower > upper) are rejected.
         """
         self._check_mutable()
         if not name:
@@ -193,6 +193,9 @@ class Model:
         if kind == "binary":
             lower, upper = 0.0, 1.0
         lower, upper = float(lower), float(upper)
+        if not (lower < INF and upper > -INF):
+            raise ModelError(f"bounds of {name!r} must be numbers with lower < inf "
+                             f"and upper > -inf, got [{lower}, {upper}]")
         if lower > upper:
             raise ModelError(
                 f"inverted bounds for {name!r}: lower {lower} > upper {upper}"
@@ -203,16 +206,23 @@ class Model:
         return vid
 
     def _check_expr(self, expr: LinExpr):
-        for var_id, _ in expr.terms:
+        for var_id, coeff in expr.terms:
             if not (0 <= var_id < len(self.variables)):
                 raise ModelError(f"unknown variable id {var_id}")
+            if not math.isfinite(coeff):
+                raise ModelError(f"coefficient of {self.variables[var_id].name!r} "
+                                 f"must be finite, got {coeff}")
+        if not math.isfinite(expr.constant):
+            raise ModelError(f"constant must be finite, got {expr.constant}")
 
     def add_constraint(self, lhs, sense: str, rhs: float, label: str = "",
                        cone: ConeTerm | None = None) -> int:
         """Append a constraint; duplicate terms in ``lhs`` are merged.
 
         ``lhs`` may be a LinExpr or an iterable of (var_id, coeff) pairs.
-        A cone term is only permitted on ``<=`` rows.
+        Coefficients and constants must be finite and ``rhs`` not NaN (an
+        infinite ``rhs`` makes a vacuous or an infeasible row).  A cone term
+        is only permitted on ``<=`` rows.
         """
         self._check_mutable()
         if not isinstance(lhs, LinExpr):
@@ -222,12 +232,16 @@ class Model:
         self._check_expr(lhs)
         if sense not in SENSES:
             raise ModelError(f"unknown sense {sense!r}")
+        if math.isnan(rhs):
+            raise ModelError("right-hand side must not be NaN")
         if cone is not None:
             if sense != "<=":
                 raise ModelError("cone terms are only permitted on <= constraints")
-            for var_id, _ in cone.components:
+            for var_id, coeff in cone.components:
                 if not (0 <= var_id < len(self.variables)):
                     raise ModelError(f"unknown variable id {var_id} in cone term")
+                if not math.isfinite(coeff):
+                    raise ModelError(f"cone coefficient must be finite, got {coeff}")
         cid = len(self.constraints)
         if not label:
             label = f"c{cid}"
@@ -354,7 +368,6 @@ class StandardFormLP:
     b_ub: np.ndarray
     a_eq: np.ndarray
     b_eq: np.ndarray
-    integer_mask: np.ndarray
     col_var: np.ndarray
     col_scale: np.ndarray
     var_offset: np.ndarray
@@ -383,66 +396,47 @@ def _bound_arrays(model: Model, bounds) -> np.ndarray:
 
 class _Layout:
     """Columns and rows of a model's standard form (see :func:`to_standard_form`),
-    fixed by which bounds are finite.  Only the variable offsets, the bound
-    rows' right-hand sides and the row constants the offsets shift depend on
-    the bound values, so :meth:`form` recomputes just those.
+    fixed by which bounds are finite.  ``rows`` holds the objective and then
+    every constraint as ``[constant | coefficient of each variable]``; only
+    the variable offsets, the bound rows' right-hand sides and the row
+    constants the offsets shift depend on the bound values, so :meth:`form`
+    recomputes just those.
     """
 
     def __init__(self, model: Model, lo: np.ndarray, hi: np.ndarray):
         self.model = model
         self.lo_finite, self.hi_finite = np.isfinite(lo), np.isfinite(hi)
         self.ub_vars = np.flatnonzero(self.lo_finite & self.hi_finite)
-        col_var, col_scale, var_cols = [], [], []
-        for v in range(len(model.variables)):
-            scales = ((1.0,) if self.lo_finite[v] else (-1.0,) if self.hi_finite[v]
-                      else (1.0, -1.0))
-            var_cols.append(range(len(col_var), len(col_var) + len(scales)))
-            col_var += [v] * len(scales)
-            col_scale += scales
-        self.var_cols = var_cols
-        self.col_var = np.array(col_var, dtype=int)
-        self.col_scale = np.array(col_scale)
-        self.integer_mask = np.array(
-            [model.variables[v].is_integer for v in col_var], dtype=bool)
-
-        # the objective first, then every row
-        exprs = [model.objective] + [con.lhs for con in model.constraints]
-        self.term_var, self.term_coef = self._terms(exprs)
-        self.constant = np.array([e.constant for e in exprs])
-        rows = self._dense(exprs)
-        self.c = rows[0] if model.objective_sense == "max" else -rows[0]
+        # one column per variable, two (x+ then x-) for a free one
+        free = ~(self.lo_finite | self.hi_finite)
+        self.col_var = np.repeat(np.arange(len(lo)), 1 + free)
+        negated = (np.diff(self.col_var, prepend=-1) == 0) | (
+            ~self.lo_finite & self.hi_finite)[self.col_var]
+        self.col_scale = np.where(negated, -1.0, 1.0)
+        self.rows = self._rows([model.objective] + [con.lhs for con in model.constraints])
+        cols = self._columns(self.rows)
+        self.c = cols[0] if model.objective_sense == "max" else -cols[0]
         self.is_ub, self.sign, self.rhs = self._senses(model.constraints)
-        con_rows = rows[1:] * self.sign[:, None]
-        bound_rows = np.eye(len(col_var))[[var_cols[v][0] for v in self.ub_vars]]
+        con_rows = cols[1:] * self.sign[:, None]
+        bound_rows = (self.col_var == self.ub_vars[:, None]).astype(float)
         self.a_ub = np.vstack([bound_rows, con_rows[self.is_ub]])
         self.a_eq = con_rows[~self.is_ub]
-        for arr in (self.a_ub, self.a_eq, self.c, self.col_var, self.col_scale,
-                    self.integer_mask):
+        for arr in (self.a_ub, self.a_eq, self.c, self.col_var, self.col_scale):
             arr.flags.writeable = False
 
-    def _terms(self, exprs):
-        """Each expression's (variable, coefficient) terms as two padded
-        arrays; pads multiply an appended zero offset by -0.0, and
-        x + -0.0 == x for every x, signed zeros included."""
-        lengths = np.array([len(e.terms) for e in exprs])
-        listed = np.arange(lengths.max(initial=0)) < lengths[:, None]
-        term_var = np.full(listed.shape, len(self.model.variables))
-        term_coef = np.full(listed.shape, -0.0)
-        term_var[listed] = [v for e in exprs for v, _ in e.terms]
-        term_coef[listed] = [a for e in exprs for _, a in e.terms]
-        return term_var, term_coef
+    def _rows(self, exprs) -> np.ndarray:
+        """``[constant | coefficient of each variable]`` of each expression."""
+        rows = np.zeros((len(exprs), 1 + len(self.model.variables)))
+        rows[:, 0] = [e.constant for e in exprs]
+        rows[np.repeat(np.arange(len(exprs)), [len(e.terms) for e in exprs]),
+             [1 + v for e in exprs for v, _ in e.terms]] = [
+                 a for e in exprs for _, a in e.terms]
+        return rows
 
-    def _dense(self, exprs) -> np.ndarray:
-        """Dense coefficient rows of ``exprs`` over the columns."""
-        scale = self.col_scale.tolist()
-        rows = []
-        for expr in exprs:
-            row = [0.0] * len(scale)
-            for var_id, coeff in expr.terms:
-                for col in self.var_cols[var_id]:
-                    row[col] += coeff * scale[col]
-            rows.append(row)
-        return np.array(rows).reshape(len(exprs), len(self.col_var))
+    def _columns(self, rows) -> np.ndarray:
+        # take keeps rows C-contiguous (c @ x rounds by layout); + 0.0 turns
+        # -0.0 into 0.0, as summing into a zeroed row did
+        return rows.take(1 + self.col_var, axis=1) * self.col_scale + 0.0
 
     @staticmethod
     def _senses(constraints):
@@ -458,26 +452,15 @@ class _Layout:
         and ``>=`` rows follow the older inequality rows, new ``=`` rows the
         older equality rows."""
         new = copy.copy(self)
-        term_var, term_coef = self._terms([c.lhs for c in constraints])
-        width = max(self.term_var.shape[1], term_var.shape[1])
-
-        def stack(old, added, fill):
-            out = np.full((len(old) + len(added), width), fill, dtype=old.dtype)
-            out[:len(old), :old.shape[1]] = old
-            out[len(old):, :added.shape[1]] = added
-            return out
-
-        new.term_var = stack(self.term_var, term_var, len(self.model.variables))
-        new.term_coef = stack(self.term_coef, term_coef, -0.0)
-        new.constant = np.concatenate([self.constant,
-                                       [c.lhs.constant for c in constraints]])
+        rows = self._rows([c.lhs for c in constraints])
+        new.rows = np.vstack([self.rows, rows])
         is_ub, sign, rhs = self._senses(constraints)
         new.is_ub = np.concatenate([self.is_ub, is_ub])
         new.sign = np.concatenate([self.sign, sign])
         new.rhs = np.concatenate([self.rhs, rhs])
-        rows = self._dense([c.lhs for c in constraints]) * sign[:, None]
-        new.a_ub = np.vstack([self.a_ub, rows[is_ub]])
-        new.a_eq = np.vstack([self.a_eq, rows[~is_ub]])
+        cols = self._columns(rows) * sign[:, None]
+        new.a_ub = np.vstack([self.a_ub, cols[is_ub]])
+        new.a_eq = np.vstack([self.a_eq, cols[~is_ub]])
         new.a_ub.flags.writeable = new.a_eq.flags.writeable = False
         return new
 
@@ -494,9 +477,9 @@ class _Layout:
                 and np.array_equal(np.isfinite(hi), self.hi_finite)):
             raise ModelError("bounds change which bounds are finite")
         var_offset = np.where(self.lo_finite, lo, np.where(self.hi_finite, hi, 0.0))
-        # row constants summed term by term in the order the rows list them
-        shifts = self.term_coef * np.append(var_offset, 0.0)[self.term_var]
-        const = np.add.accumulate(np.column_stack([self.constant, shifts]), axis=1)[:, -1]
+        # row constants summed in variable order, the order the rows list
+        # their terms; a sequential sum, so no BLAS reordering
+        const = np.add.accumulate(self.rows * np.append(1.0, var_offset), axis=1)[:, -1]
         rhs = (self.rhs - const[1:]) * self.sign
         obj_const = const[0] if self.model.objective_sense == "max" else -const[0]
         return StandardFormLP(
@@ -506,7 +489,6 @@ class _Layout:
             b_ub=np.concatenate([hi[self.ub_vars] - lo[self.ub_vars], rhs[self.is_ub]]),
             a_eq=self.a_eq,
             b_eq=rhs[~self.is_ub],
-            integer_mask=self.integer_mask,
             col_var=self.col_var,
             col_scale=self.col_scale,
             var_offset=var_offset,
@@ -522,7 +504,11 @@ def to_standard_form(model: Model, bounds: dict[int, tuple[float, float]] | None
     Finite lower bounds become affine shifts, upper-bounded-only variables are
     mirrored, and doubly-free variables are split into positive and negative
     parts; finite upper bounds become extra ``<=`` rows.  ``bounds`` optionally
-    overrides per-variable bounds.
+    overrides per-variable bounds.  Each standard-form column is a column of
+    one dense matrix of the model's coefficients, times the column's sign;
+    the result's ``layout`` keeps that matrix, so ``layout.form`` gives the
+    model under other bounds with the same finite ones without re-reading
+    the rows.
 
     Any feasible point of the original maps to a feasible point of the
     standard form with equal objective value, and vice versa.
@@ -732,7 +718,10 @@ def import_text(text: str) -> Model:
             expr, _ = _parse_expr(sc, model, allow_cone=False)
             if not sc.at_end():
                 sc.error("trailing content after objective")
-            model.set_objective(sense, expr)
+            try:
+                model.set_objective(sense, expr)
+            except ModelError as exc:
+                raise ParseError(str(exc), line_no, 1)
             have_objective = True
         elif section == "#cons":
             sc = _LineScanner(raw, line_no)

@@ -61,8 +61,8 @@ def _prepare(model: Model, uncertain_set: UncertainSet, epsilon: float,
              delta: float, suffix: str):
     if model.has_cones():
         raise ModelError("input model must be cone-free")
-    if epsilon < 0 or delta < 0:
-        raise ModelError("epsilon and delta must be nonnegative")
+    if not (0 <= epsilon < math.inf and 0 <= delta < math.inf):
+        raise ModelError("epsilon and delta must be finite and nonnegative")
     uncertain_set.validate(model)
     grouped = uncertain_set.by_constraint()
     for con_id in grouped:

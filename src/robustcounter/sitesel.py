@@ -259,8 +259,8 @@ def build_rc(instance: SiteSelectionInstance, epsilon: float, delta: float,
     while this row aggregates each site's variable-cost block into one cone
     component and gives the block no linear protection.
     """
-    if epsilon < 0 or delta < 0:
-        raise InstanceError("epsilon and delta must be nonnegative")
+    if not (0 <= epsilon < math.inf and 0 <= delta < math.inf):
+        raise InstanceError("epsilon and delta must be finite and nonnegative")
     omega = omega_from_kappa(kappa)
     m, x_ids, y_ids, u = _base_model(instance, "sitesel_rc", exact_assignment)
     terms = [(y_ids[j], site.fixed_cost) for j, site in enumerate(instance.sites)]
@@ -418,9 +418,7 @@ def load_instance(path) -> SiteSelectionInstance:
 
     config_path = root / "config.txt"
     if not config_path.exists():
-        config_path = root / "config"
-    if not config_path.exists():
-        raise InstanceError(f"missing instance file {root / 'config.txt'}")
+        raise InstanceError(f"missing instance file {config_path}")
     settings = {}
     for line_no, raw in enumerate(config_path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

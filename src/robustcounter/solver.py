@@ -80,6 +80,9 @@ class SolverOptions:
         for name in ("feasibility_tol", "integrality_tol", "cone_cut_tol"):
             if getattr(self, name) <= 0:
                 raise SolverError(f"{name} must be positive")
+        for name in ("time_limit_seconds", "max_nodes", "max_cone_rounds"):
+            if not getattr(self, name) >= 0:
+                raise SolverError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
 @dataclass
@@ -88,7 +91,6 @@ class NodeRecord:
     model, and the optimal basis of the LP it was made from, if it has one."""
 
     bounds: dict[int, tuple[float, float]]
-    depth: int
     basis: tuple[int, ...] | None = None
 
 
@@ -506,7 +508,7 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
     separations = 0
     cut_off = 0.0
     layout = to_standard_form(work, bounds=root_bounds).layout
-    heap = [(-INF, counter, NodeRecord(root_bounds, 0))]
+    heap = [(-INF, counter, NodeRecord(root_bounds))]
     status = "optimal"
     bounded = False  # some node LP was optimal, so none can be unbounded
     bound_sequence: list[float] = []
@@ -578,9 +580,7 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
             clo, chi = child[var_id]
             if clo <= chi:
                 counter += 1
-                heapq.heappush(
-                    heap, (-cano, counter, NodeRecord(child, node.depth + 1, res.basis))
-                )
+                heapq.heappush(heap, (-cano, counter, NodeRecord(child, res.basis)))
 
     if status == "unbounded":
         best_values = None

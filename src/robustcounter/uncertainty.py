@@ -5,7 +5,8 @@ the right-hand side) of one constraint is tagged with a distribution.  This
 module holds those tags plus the scalar conversions used by the robust
 counterparts:
 
-* ``bounded_interval`` -- the realization interval of one uncertain entry
+* ``bounded_interval`` -- the realization interval of one tagged entry, at
+  the tag's own level or at the global level ``epsilon``
 * ``omega_from_kappa`` -- the reliability weight from ``kappa = exp(-omega^2/2)``
 * ``normal_lambda``    -- the standard-normal quantile at ``1 - kappa``,
   from the standard library's ``statistics.NormalDist`` (Wichura's AS241)
@@ -330,48 +331,48 @@ def discrete_deviation(distribution, kappa: float):
     )
 
 
-def bounded_interval(nominal: float, distribution_or_epsilon,
+def bounded_interval(nominal: float, distribution,
                      epsilon: float | None = None) -> tuple[float, float]:
     """Realization interval ``[low, high]`` of one uncertain value.
 
     An explicit BoundedRange is returned as given; ``Bounded(eps_j)`` maps
-    nominal a to [a - eps_j|a|, a + eps_j|a|]; a bare level eps, and every
-    other tag at the global level ``epsilon``, map a to [a - eps|a|,
-    a + eps|a|].  The interval counterpart and the corner check both read an
-    entry's interval here.
+    nominal a to [a - eps_j|a|, a + eps_j|a|]; every other tag, at the
+    global level ``epsilon``, maps a to [a - eps|a|, a + eps|a|].  The
+    interval counterpart and the corner check both read an entry's interval
+    here.
     """
     if not math.isfinite(nominal):
         raise ValueError("nominal value must be finite")
-    tag = distribution_or_epsilon
-    if isinstance(tag, BoundedRange):
-        return tag.low, tag.high
-    if isinstance(tag, Bounded) and tag.epsilon is not None:
-        eps = tag.epsilon
-    elif not isinstance(tag, Distribution):
-        eps = float(tag)
+    if isinstance(distribution, BoundedRange):
+        return distribution.low, distribution.high
+    if isinstance(distribution, Bounded) and distribution.epsilon is not None:
+        eps = distribution.epsilon
     elif epsilon is None:
-        raise ValueError(f"{tag!r} without epsilon needs the global level")
+        raise ValueError(f"{distribution!r} without epsilon needs the global level")
     else:
         eps = epsilon
-    if eps < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not 0 <= eps < math.inf:
+        raise ValueError(f"epsilon must be finite and nonnegative, got {eps}")
     spread = eps * abs(nominal)
     return nominal - spread, nominal + spread
 
 
 def deviation_radius(nominal: float, distribution, epsilon: float,
-                     kappa: float = 1.0) -> float:
+                     kappa: float | None = None) -> float:
     """Worst-case single-coefficient deviation radius used for conservatism
     comparisons across distribution families.
 
     Bounded/BoundedRange/Uniform: half the :func:`bounded_interval` width
     (epsilon * |nominal| at the global level).  Normal: epsilon *
     normal_lambda(kappa) * std * |nominal|.  Poisson/Binomial/Discrete:
-    epsilon * |nominal| * discrete_deviation.
+    epsilon * |nominal| * discrete_deviation.  Only the last two read
+    ``kappa``, and they need it.
     """
     if isinstance(distribution, (Bounded, BoundedRange, Uniform)):
         low, high = bounded_interval(nominal, distribution, epsilon)
         return (high - low) / 2.0
+    if kappa is None:
+        raise ValueError(f"the {type(distribution).__name__} deviation radius needs kappa")
     if isinstance(distribution, Normal):
         return epsilon * normal_lambda(kappa) * distribution.std * abs(nominal)
     return epsilon * abs(nominal) * discrete_deviation(distribution, kappa)

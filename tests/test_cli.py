@@ -157,6 +157,13 @@ def test_grid_spec_parsing():
         parse_grid_spec(["gamma=1"])
 
 
+
+@pytest.mark.parametrize("spec", ["eps=nan", "delta=0,inf", "eps=0:nan:1", "eps=nan:0.1:1"])
+def test_grid_spec_rejects_nonfinite(spec):
+    with pytest.raises(ValueError, match="values must be finite"):
+        parse_grid_spec([spec])
+
+
 def test_sweep_model_file(workdir, capsys):
     out = workdir / "sweep.csv"
     rc = main(["sweep", str(workdir / "one_row.txt"), "eps=0,0.05,0.1",
@@ -318,3 +325,52 @@ def test_sweep_cells_get_solver_options(workdir, jobs):
     assert rc == 0
     rows = list(csv.DictReader(out.open()))
     assert [r["status"] for r in rows] == ["limit_reached"] * 2
+
+
+# -- rejected input and unwritable output ----------------------------------------
+
+
+def _robustify(workdir, *extra, out=None):
+    return main(["robustify", str(workdir / "one_row.txt"), str(workdir / "one_row.unc"),
+                 "-o", str(out or workdir / "out.txt"), *extra])
+
+
+def _sweep(workdir, *extra, out=None):
+    return main(["sweep", str(workdir / "hk_demo"), "eps=0,0.05", "--mode", "irc",
+                 "-o", str(out or workdir / "sweep.csv"), *extra])
+
+
+@pytest.mark.parametrize("run", [_robustify, _sweep], ids=["robustify", "sweep"])
+def test_unwritable_output_exit_one(workdir, capsys, run):
+    assert run(workdir, out=workdir / "no_such_dir" / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no_such_dir" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sitesel", "{hk}", "--mode", "irc", "--eps", "nan"],
+    ["sitesel", "{hk}", "--mode", "rc", "--eps", "nan"],
+    ["sitesel", "{hk}", "--mode", "irc", "--delta", "nan"],
+    ["sitesel", "{hk}", "--mode", "rc", "--delta", "inf"],
+    ["validate", "{model}", "{unc}", "--eps", "nan"],
+    ["validate", "{model}", "{unc}", "--eps", "inf"],
+    ["robustify", "{model}", "{unc}", "--eps", "inf", "-o", "{out}"],
+    ["robustify", "{model}", "{unc}", "--mode", "rc", "--delta", "nan", "-o", "{out}"],
+    ["sweep", "{hk}", "eps=nan", "-o", "{out}"],
+    ["sweep", "{hk}", "eps=0", "delta=inf", "-o", "{out}"],
+    ["solve", "{lp}", "--time-limit", "nan"],
+    ["solve", "{lp}", "--time-limit", "-1"],
+    ["solve", "{lp}", "--max-nodes", "-1"],
+    ["sitesel", "{hk}", "--max-nodes", "-3"],
+    ["sweep", "{hk}", "eps=0", "--jobs", "0", "-o", "{out}"],
+], ids=["sitesel-irc-eps", "sitesel-rc-eps", "sitesel-irc-delta", "sitesel-rc-delta",
+        "validate-eps-nan", "validate-eps-inf", "robustify-eps", "robustify-delta",
+        "sweep-eps", "sweep-delta", "time-limit-nan", "time-limit-negative",
+        "max-nodes", "sitesel-max-nodes", "jobs"])
+def test_unusable_numbers_exit_one(workdir, capsys, argv):
+    paths = {"hk": workdir / "hk_demo", "model": workdir / "one_row.txt",
+             "unc": workdir / "one_row.unc", "lp": workdir / "demo_lp.txt",
+             "out": workdir / "out"}
+    assert main([a.format(**paths) for a in argv]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (workdir / "out").exists()

@@ -42,6 +42,41 @@ def test_add_variable_rejects_empty_name_and_duplicates():
         m.add_variable("x")
 
 
+
+@pytest.mark.parametrize("lower, upper", [
+    (math.nan, 10.0), (0.0, math.nan), (INF, INF), (-INF, -INF)])
+def test_add_variable_rejects_unusable_bounds(lower, upper):
+    with pytest.raises(ModelError, match="bounds of 'x'"):
+        Model().add_variable("x", "continuous", lower, upper)
+
+
+@pytest.mark.parametrize("terms, constant, rhs", [
+    ([(0, INF)], 0.0, 3.0), ([(0, math.nan)], 0.0, 3.0),
+    ([(0, 1.0)], -INF, 3.0), ([(0, 1.0)], 0.0, math.nan)])
+def test_add_constraint_rejects_nonfinite_data(terms, constant, rhs):
+    m = Model()
+    m.add_variable("x", upper=10.0)
+    with pytest.raises(ModelError, match="finite|right-hand side"):
+        m.add_constraint(LinExpr.from_terms(terms, constant), "<=", rhs)
+    m.add_constraint([(0, 1.0)], "<=", INF)  # a vacuous row stays allowed
+
+
+def test_set_objective_rejects_nonfinite_data():
+    m = Model()
+    m.add_variable("x", upper=10.0)
+    with pytest.raises(ModelError, match="finite"):
+        m.set_objective("max", [(0, INF)])
+    with pytest.raises(ModelError, match="finite"):
+        m.set_objective("max", LinExpr.from_terms([(0, 1.0)], math.nan))
+
+
+@pytest.mark.parametrize("scale, inside", [
+    (math.nan, 0.0), (INF, 0.0), (1.0, math.nan), (1.0, INF)])
+def test_cone_term_rejects_nonfinite_data(scale, inside):
+    with pytest.raises(ModelError, match="cone"):
+        ConeTerm.from_components(scale, [(0, 1.0)], inside)
+
+
 def test_term_merging():
     m = Model()
     x = m.add_variable("x")
@@ -209,6 +244,78 @@ def test_layout_extended_equals_rebuild():
             assert repr(got.c0) == repr(want.c0)
 
 
+
+def _term_by_term_standard_form(model, bounds):
+    """The standard form built one term at a time in Python floats: the
+    reference the dense layout must match bit for bit."""
+    cols, offset = [], []
+    for v in model.variables:
+        lo, hi = bounds.get(v.id, (v.lower, v.upper)) if bounds else (v.lower, v.upper)
+        if math.isfinite(lo):
+            cols.append((v.id, 1.0, hi - lo if math.isfinite(hi) else None))
+            offset.append(lo)
+        elif math.isfinite(hi):
+            cols.append((v.id, -1.0, None))
+            offset.append(hi)
+        else:
+            cols += [(v.id, 1.0, None), (v.id, -1.0, None)]
+            offset.append(0.0)
+
+    def row(expr, sign=1.0):
+        out = [0.0] * len(cols)
+        for var_id, coeff in expr.terms:
+            for k, (v, scale, _) in enumerate(cols):
+                if v == var_id:
+                    out[k] += coeff * scale
+        return [a * sign for a in out]
+
+    def shifted(expr):
+        total = expr.constant
+        for var_id, coeff in expr.terms:
+            total += coeff * offset[var_id]
+        return total
+
+    neg = model.objective_sense == "min"
+    c = row(model.objective, -1.0) if neg else row(model.objective)
+    c0 = -shifted(model.objective) if neg else shifted(model.objective)
+    a_ub = [[float(j == k) for j in range(len(cols))]
+            for k, (_, _, width) in enumerate(cols) if width is not None]
+    b_ub = [width for _, _, width in cols if width is not None]
+    a_eq, b_eq = [], []
+    for con in model.constraints:
+        sign = -1.0 if con.sense == ">=" else 1.0
+        a, b = (a_eq, b_eq) if con.sense == "=" else (a_ub, b_ub)
+        a.append(row(con.lhs, sign))
+        b.append((con.rhs - shifted(con.lhs)) * sign)
+    return {"c": c, "a_ub": a_ub, "b_ub": b_ub, "a_eq": a_eq, "b_eq": b_eq,
+            "var_offset": offset}, c0
+
+
+def test_standard_form_matches_term_by_term_reference():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        work = random_lp_model(rng).copy()
+        ids = [v.id for v in work.variables]
+        work.set_objective(work.objective_sense, LinExpr.from_terms(
+            work.objective.terms, float(rng.uniform(-2, 2))))
+        for _ in range(3):
+            picked = rng.choice(ids, size=int(rng.integers(1, len(ids) + 1)))
+            work.add_constraint(
+                LinExpr.from_terms([(int(v), float(rng.uniform(-4, 4))) for v in picked],
+                                   float(rng.uniform(-2, 2))),
+                ("<=", ">=", "=")[int(rng.integers(0, 3))], float(rng.uniform(-5, 15)))
+        moved = {v.id: (v.lower - 1.5, v.upper + 0.5) for v in work.variables}
+        for bounds in (None, moved):
+            sf = to_standard_form(work, bounds)
+            want, c0 = _term_by_term_standard_form(work, bounds)
+            for name, rows in want.items():
+                got = getattr(sf, name)
+                ref = np.array(rows, dtype=float).reshape(got.shape)
+                # a strided c rounds c @ x differently from a contiguous one
+                assert got.flags.c_contiguous and got.tobytes() == ref.tobytes(), name
+            assert repr(float(sf.c0)) == repr(c0)
+
+
 # -- text format ---------------------------------------------------------------
 
 
@@ -303,6 +410,29 @@ def test_import_error_carries_line_and_column():
 def test_import_rejects_unknown_variable():
     text = "#vars\nx continuous 0 inf\n#obj\nmax 1*q\n#cons\n"
     with pytest.raises(ParseError, match="unknown variable"):
+        import_text(text)
+
+
+
+@pytest.mark.parametrize("line, text", [
+    (2, "x continuous nan 10\n#obj\nmax 1*x\n#cons\n"),
+    (2, "x continuous inf inf\n#obj\nmax 1*x\n#cons\n"),
+    (2, "x integer 0 nan\n#obj\nmax 1*x\n#cons\n"),
+    (4, "x continuous 0 10\n#obj\nmax inf*x\n#cons\n"),
+    (6, "x continuous 0 10\n#obj\nmax 1*x\n#cons\nc: 1*x + inf <= 3\n"),
+], ids=["nan-lower", "inf-lower", "nan-upper", "inf-objective", "inf-constant"])
+def test_import_rejects_nonfinite_data(line, text):
+    with pytest.raises(ParseError) as err:
+        import_text("#vars\n" + text)
+    assert err.value.line == line
+
+
+def test_nonfinite_coefficient_does_not_solve():
+    """A row with an infinite coefficient used to solve to a point that
+    breaks it (x = y = 10 against 1*x + inf*y <= 3)."""
+    text = ("#vars\nx continuous 0 10\ny continuous 0 10\n#obj\nmax 1*x + 1*y\n"
+            "#cons\nc: 1*x + inf*y <= 3\n")
+    with pytest.raises(ParseError, match="finite"):
         import_text(text)
 
 

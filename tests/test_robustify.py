@@ -166,6 +166,22 @@ def test_irc_rejects_cone_models():
         interval_robust_counterpart(m, UncertainSet([(0, x, Bounded())]), 0.1, 0.0)
 
 
+@pytest.mark.parametrize("eps, delta", [
+    (math.nan, 0.0), (math.inf, 0.0), (0.1, math.nan), (0.1, math.inf)])
+@pytest.mark.parametrize("mode", ["irc", "rc"])
+def test_counterparts_reject_nonfinite_levels(eps, delta, mode):
+    m = Model()
+    x = m.add_variable("x")
+    m.set_objective("max", [(x, 1.0)])
+    m.add_constraint([(x, 1.0)], "<=", 5.0, label="c")
+    uset = UncertainSet([(0, x, Bounded())])
+    with pytest.raises(ModelError, match="finite and nonnegative"):
+        if mode == "irc":
+            interval_robust_counterpart(m.finalize(), uset, eps, delta)
+        else:
+            symmetric_robust_counterpart(m.finalize(), uset, eps, delta, 0.14)
+
+
 def test_irc_counterpart_points_feasible_for_nominal():
     """Any counterpart-feasible point restricted to nominal variables is
     nominal feasible (nominal retention)."""

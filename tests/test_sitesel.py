@@ -353,6 +353,13 @@ def test_sitesel_invariant_rejections():
         PopulationUnit("u", "U", -5)
 
 
+@pytest.mark.parametrize("eps, delta", [
+    (math.nan, 0.0), (math.inf, 0.0), (0.05, math.nan), (0.05, math.inf)])
+def test_rc_rejects_nonfinite_levels(eps, delta):
+    with pytest.raises(InstanceError, match="finite and nonnegative"):
+        build_rc(demo_instance(), eps, delta, 0.14)
+
+
 # -- instance files ---------------------------------------------------------------------
 
 
@@ -419,6 +426,13 @@ def test_load_instance_missing_file(tmp_path):
     write_instance(demo_instance(), tmp_path / "demo")
     (tmp_path / "demo" / "prob.csv").unlink()
     with pytest.raises(InstanceError, match="prob.csv"):
+        load_instance(tmp_path / "demo")
+
+
+def test_load_instance_reads_config_txt_only(tmp_path):
+    write_instance(demo_instance(), tmp_path / "demo")
+    (tmp_path / "demo" / "config.txt").rename(tmp_path / "demo" / "config")
+    with pytest.raises(InstanceError, match="config.txt"):
         load_instance(tmp_path / "demo")
 
 

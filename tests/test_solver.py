@@ -90,6 +90,14 @@ def test_lp_unbounded():
     assert solve_lp(to_standard_form(m.finalize())).status == "unbounded"
 
 
+@pytest.mark.parametrize("field, value", [
+    ("time_limit_seconds", math.nan), ("time_limit_seconds", -1.0),
+    ("max_nodes", -1), ("max_cone_rounds", -3)])
+def test_solver_options_reject_unusable_limits(field, value):
+    with pytest.raises(SolverError, match=field):
+        SolverOptions(**{field: value})
+
+
 def test_lp_dimension_mismatch_rejected():
     sf = to_standard_form(_lp()[0])
     sf.b_ub = sf.b_ub[:-1]

@@ -209,9 +209,9 @@ def test_binomial_matches_scipy_tails():
 
 
 def test_bounded_interval_relative():
-    assert bounded_interval(10.0, 0.05) == (9.5, 10.5)
-    assert bounded_interval(0.0, 0.3) == (0.0, 0.0)
-    low, high = bounded_interval(-10.0, 0.05)
+    assert bounded_interval(10.0, Bounded(0.05)) == (9.5, 10.5)
+    assert bounded_interval(0.0, Bounded(0.3)) == (0.0, 0.0)
+    low, high = bounded_interval(-10.0, Bounded(0.05))
     assert (low, high) == (-10.5, -9.5)
 
 
@@ -232,7 +232,15 @@ def test_bounded_interval_per_entry_level():
 
 def test_bounded_interval_rejects_nonfinite():
     with pytest.raises(ValueError):
-        bounded_interval(math.inf, 0.1)
+        bounded_interval(math.inf, Bounded(0.1))
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -0.1])
+def test_bounded_interval_rejects_unusable_levels(eps):
+    # a NaN level used to give a NaN interval, which corner checks read as 0
+    for tag in (Bounded(), Uniform()):
+        with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
+            bounded_interval(10.0, tag, eps)
 
 
 # -- conservatism ordering hook ----------------------------------------------------------
@@ -249,6 +257,16 @@ def test_normal_vs_bounded_radius_ordering():
             assert normal < bounded
         else:
             assert normal > bounded
+
+
+def test_deviation_radius_needs_kappa_only_where_read():
+    assert deviation_radius(7.0, Bounded(), 0.1) == pytest.approx(0.7)
+    assert deviation_radius(7.0, Uniform(), 0.1) == pytest.approx(0.7)
+    with pytest.raises(ValueError, match="Normal.*needs kappa"):
+        deviation_radius(7.0, Normal(0.0, 1.0), 0.1)
+    with pytest.raises(ValueError, match="Poisson.*needs kappa"):
+        deviation_radius(7.0, Poisson(5.0), 0.1)
+    assert deviation_radius(7.0, Normal(0.0, 1.0), 0.1, kappa=0.5) == pytest.approx(0.0)
 
 
 # -- UncertainSet ---------------------------------------------------------------------------
