@@ -56,7 +56,7 @@ print(f"cone: z + sqrt(z^2) <= 10 gives z = {sol.values[z]:.6f} "
       f"after {sol.stats.cone_cuts} cut(s)")
 
 # Models persist as a small line-oriented text document and come back
-# structurally identical (12 significant digits).
+# identical: every float is written as the shortest text that reads back to it.
 text = export_text(m)
 print("\nserialized model:")
 print(text)

@@ -65,7 +65,6 @@ from .sitesel import (
     write_instance,
 )
 from .solver import (
-    NodeRecord,
     SolverError,
     SolverOptions,
     solve,

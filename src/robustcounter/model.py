@@ -30,8 +30,6 @@ INTEGRALITY_TOL = 1e-6
 VARIABLE_KINDS = ("continuous", "binary", "integer")
 SENSES = ("<=", ">=", "=")
 
-_SIG_DIGITS = 12  # significant digits preserved by the text format
-
 
 class ModelError(ValueError):
     """Raised for malformed model construction or misuse of a model."""
@@ -387,20 +385,19 @@ class StandardFormLP:
         return canonical if self.sense == "max" else -canonical
 
 
-def _bound_arrays(model: Model, bounds) -> np.ndarray:
-    """Rows ``[lower, upper]`` of every variable, ``bounds`` overriding."""
-    bounds = bounds or {}
-    pairs = [bounds.get(v.id, (v.lower, v.upper)) for v in model.variables]
-    return np.array(pairs, dtype=float).reshape(-1, 2).T
+def _bound_arrays(model: Model) -> tuple[np.ndarray, np.ndarray]:
+    """The lower and the upper bound of every variable, in id order."""
+    return (np.array([v.lower for v in model.variables], dtype=float),
+            np.array([v.upper for v in model.variables], dtype=float))
 
 
 class _Layout:
     """Columns and rows of a model's standard form (see :func:`to_standard_form`),
-    fixed by which bounds are finite.  ``rows`` holds the objective and then
-    every constraint as ``[constant | coefficient of each variable]``; only
-    the variable offsets, the bound rows' right-hand sides and the row
-    constants the offsets shift depend on the bound values, so :meth:`form`
-    recomputes just those.
+    fixed by which entries of the bound arrays ``lo`` and ``hi`` (id order)
+    are finite.  ``rows`` holds the objective and then every constraint as
+    ``[constant | coefficient of each variable]``; only the variable offsets,
+    the bound rows' right-hand sides and the row constants the offsets shift
+    depend on the bound values, so :meth:`form` recomputes just those.
     """
 
     def __init__(self, model: Model, lo: np.ndarray, hi: np.ndarray):
@@ -464,18 +461,9 @@ class _Layout:
         new.a_ub.flags.writeable = new.a_eq.flags.writeable = False
         return new
 
-    def form(self, bounds) -> StandardFormLP:
-        """The model's standard form under ``bounds``, which must leave the
-        same bounds finite; the constraint matrices are shared, read-only."""
-        lo, hi = _bound_arrays(self.model, bounds)
-        inverted = np.flatnonzero(lo > hi)
-        if inverted.size:
-            v = inverted[0]
-            raise ModelError(f"inverted bounds for {self.model.variables[v].name!r}: "
-                             f"[{lo[v]}, {hi[v]}]")
-        if not (np.array_equal(np.isfinite(lo), self.lo_finite)
-                and np.array_equal(np.isfinite(hi), self.hi_finite)):
-            raise ModelError("bounds change which bounds are finite")
+    def form(self, lo: np.ndarray, hi: np.ndarray) -> StandardFormLP:
+        """The standard form under bound arrays finite where the layout's are,
+        none inverted; the constraint matrices are shared, read-only."""
         var_offset = np.where(self.lo_finite, lo, np.where(self.hi_finite, hi, 0.0))
         # row constants summed in variable order, the order the rows list
         # their terms; a sequential sum, so no BLAS reordering
@@ -497,25 +485,24 @@ class _Layout:
         )
 
 
-def to_standard_form(model: Model, bounds: dict[int, tuple[float, float]] | None = None
-                     ) -> StandardFormLP:
+def to_standard_form(model: Model) -> StandardFormLP:
     """Convert a cone-free model to :class:`StandardFormLP`.
 
     Finite lower bounds become affine shifts, upper-bounded-only variables are
     mirrored, and doubly-free variables are split into positive and negative
-    parts; finite upper bounds become extra ``<=`` rows.  ``bounds`` optionally
-    overrides per-variable bounds.  Each standard-form column is a column of
-    one dense matrix of the model's coefficients, times the column's sign;
-    the result's ``layout`` keeps that matrix, so ``layout.form`` gives the
-    model under other bounds with the same finite ones without re-reading
-    the rows.
+    parts; finite upper bounds become extra ``<=`` rows.  Each standard-form
+    column is a column of one dense matrix of the model's coefficients, times
+    the column's sign; the result's ``layout`` keeps that matrix, so
+    ``layout.form(lo, hi)`` gives the model under other bound arrays with the
+    same finite ones without re-reading the rows.
 
     Any feasible point of the original maps to a feasible point of the
     standard form with equal objective value, and vice versa.
     """
     if model.has_cones():
         raise ModelError("model has cone terms; standard form is cone-free")
-    return _Layout(model, *_bound_arrays(model, bounds)).form(bounds)
+    lo, hi = _bound_arrays(model)
+    return _Layout(model, lo, hi).form(lo, hi)
 
 
 # -- text format -------------------------------------------------------------
@@ -532,33 +519,32 @@ def to_standard_form(model: Model, bounds: dict[int, tuple[float, float]] | None
 # Numbers are decimal or scientific; infinities are spelled inf / -inf.
 
 
-def _fmt(x: float) -> str:
-    if x == INF:
-        return "inf"
-    if x == -INF:
-        return "-inf"
-    return f"{x:.{_SIG_DIGITS}g}"
+def _num(x: float) -> str:
+    """Shortest text that parses back to the same float (``inf``, ``-inf``
+    for the infinities): the one number format of model text, annotations
+    and instance files."""
+    return repr(float(x))
 
 
 def _fmt_expr(model: Model, expr: LinExpr) -> str:
-    parts = [f"{_fmt(c)}*{model.variables[v].name}" for v, c in expr.terms]
+    parts = [f"{_num(c)}*{model.variables[v].name}" for v, c in expr.terms]
     if expr.constant != 0.0 or not parts:
-        parts.append(_fmt(expr.constant))
+        parts.append(_num(expr.constant))
     return " + ".join(parts)
 
 
 def _fmt_cone(model: Model, cone: ConeTerm) -> str:
     comps = ", ".join(
-        f"{_fmt(c)}*{model.variables[v].name}" for v, c in cone.components
+        f"{_num(c)}*{model.variables[v].name}" for v, c in cone.components
     )
-    return f"CONE({_fmt(cone.scale)}; {comps}; {_fmt(cone.constant_inside)})"
+    return f"CONE({_num(cone.scale)}; {comps}; {_num(cone.constant_inside)})"
 
 
 def export_text(model: Model) -> str:
-    """Serialize a model; :func:`import_text` inverts this to 12 significant digits."""
+    """Serialize a model; :func:`import_text` inverts this exactly."""
     lines = ["#vars"]
     for v in model.variables:
-        lines.append(f"{v.name} {v.kind} {_fmt(v.lower)} {_fmt(v.upper)}")
+        lines.append(f"{v.name} {v.kind} {_num(v.lower)} {_num(v.upper)}")
     lines.append("#obj")
     lines.append(f"{model.objective_sense} {_fmt_expr(model, model.objective)}")
     lines.append("#cons")
@@ -566,7 +552,7 @@ def export_text(model: Model) -> str:
         body = _fmt_expr(model, con.lhs)
         if con.cone is not None:
             body += " + " + _fmt_cone(model, con.cone)
-        lines.append(f"{con.label}: {body} {con.sense} {_fmt(con.rhs)}")
+        lines.append(f"{con.label}: {body} {con.sense} {_num(con.rhs)}")
     return "\n".join(lines) + "\n"
 
 

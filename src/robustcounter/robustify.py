@@ -28,8 +28,10 @@ from .model import ConeTerm, LinExpr, Model, ModelError
 from .uncertainty import (
     UncertainSet,
     bounded_interval,
+    check_levels,
     normal_lambda,
     omega_from_kappa,
+    slack_allowance,
 )
 
 IRC_SUFFIX = "__irc"
@@ -53,16 +55,11 @@ class CounterpartArtifacts:
     provenance: dict[int, int] = field(default_factory=dict)
 
 
-def _slack_allowance(rhs: float, delta: float) -> float:
-    return delta * max(1.0, abs(rhs))
-
-
 def _prepare(model: Model, uncertain_set: UncertainSet, epsilon: float,
              delta: float, suffix: str):
     if model.has_cones():
         raise ModelError("input model must be cone-free")
-    if not (0 <= epsilon < math.inf and 0 <= delta < math.inf):
-        raise ModelError("epsilon and delta must be finite and nonnegative")
+    check_levels(epsilon, delta, ModelError)
     uncertain_set.validate(model)
     grouped = uncertain_set.by_constraint()
     for con_id in grouped:
@@ -126,7 +123,7 @@ def interval_robust_counterpart(model: Model, uncertain_set: UncertainSet,
                 art.provenance[link] = con_id
         robust = out.add_constraint(
             LinExpr.from_terms(coeffs.items(), con.lhs.constant), "<=",
-            rhs + _slack_allowance(con.rhs, delta),
+            rhs + slack_allowance(con.rhs, delta),
             label=f"{con.label}{IRC_SUFFIX}",
         )
         art.provenance[robust] = con_id
@@ -188,7 +185,7 @@ def symmetric_robust_counterpart(model: Model, uncertain_set: UncertainSet,
         )
         robust = out.add_constraint(
             LinExpr.from_terms(robust_terms, con.lhs.constant), "<=",
-            con.rhs + _slack_allowance(con.rhs, delta),
+            con.rhs + slack_allowance(con.rhs, delta),
             label=f"{con.label}{RC_SUFFIX}",
             cone=cone,
         )
@@ -279,8 +276,7 @@ def robust_timing_bounded(template: TimingConstraintTemplate, epsilon: float,
     is emitted as-is with a note on the rows: the identity is an identity,
     not an inequality.
     """
-    if epsilon < 0 or delta < 0:
-        raise ValueError("epsilon and delta must be nonnegative")
+    check_levels(epsilon, delta)
     if target not in ("alpha", "beta"):
         raise ValueError("target must be 'alpha' or 'beta'")
     alpha_eff = (1.0 - epsilon) * template.alpha
@@ -302,8 +298,7 @@ def robust_timing_bounded(template: TimingConstraintTemplate, epsilon: float,
 
 def robust_timing_normal(template: TimingConstraintTemplate, mu: float,
                          sigma: float, epsilon: float, delta: float,
-                         kappa: float, delta2_reading: str = "sigma"
-                         ) -> tuple[list[TimingRow], float]:
+                         kappa: float) -> tuple[list[TimingRow], float]:
     """Normal-uncertainty timing rows and the emitted slack split.
 
     Both coefficients are scaled by ``1 - eps * (lambda * sqrt(sigma) - mu)``
@@ -312,22 +307,15 @@ def robust_timing_normal(template: TimingConstraintTemplate, mu: float,
 
         delta + delta2 == 2 * eps * (lambda * sqrt(sigma) - mu)
 
-    ``delta2_reading`` selects which scalar sits under the square root in the
-    split: the default "sigma" keeps the split consistent with the
-    coefficient multipliers; "delta" reproduces the alternative published
-    reading ``2 * eps * (lambda * sqrt(delta) - mu)``.  The multipliers are
-    unaffected by the switch.
+    with ``sigma`` under the square root, as in the multipliers.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if epsilon < 0 or delta < 0:
-        raise ValueError("epsilon and delta must be nonnegative")
-    if delta2_reading not in ("sigma", "delta"):
-        raise ValueError("delta2_reading must be 'sigma' or 'delta'")
+    if not (0 < sigma < math.inf and math.isfinite(mu)):
+        raise ValueError(f"sigma must be positive and finite and mu finite, "
+                         f"got sigma {sigma}, mu {mu}")
+    check_levels(epsilon, delta)
     lam = normal_lambda(kappa)
     multiplier = 1.0 - epsilon * (lam * math.sqrt(sigma) - mu)
     alpha_eff = multiplier * template.alpha
     beta_eff = multiplier * template.beta
-    inner = sigma if delta2_reading == "sigma" else delta
-    delta2 = 2.0 * epsilon * (lam * math.sqrt(inner) - mu) - delta
+    delta2 = 2.0 * epsilon * (lam * math.sqrt(sigma) - mu) - delta
     return _timing_rows(template, alpha_eff, beta_eff, delta2, RC_SUFFIX), delta2

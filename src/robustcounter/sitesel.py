@@ -24,9 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ConeTerm, Model
+from .model import ConeTerm, Model, _num
 from .robustify import interval_robust_counterpart
-from .uncertainty import RHS, Bounded, UncertainSet, _num, omega_from_kappa
+from .uncertainty import RHS, Bounded, UncertainSet, check_levels, omega_from_kappa
 
 _ID_OK = str.isidentifier
 
@@ -42,8 +42,9 @@ class PopulationUnit:
     population: float
 
     def __post_init__(self):
-        if self.population < 0:
-            raise InstanceError(f"unit {self.id!r}: population must be nonnegative")
+        if not 0 <= self.population < math.inf:
+            raise InstanceError(f"unit {self.id!r}: population must be finite and "
+                                f"nonnegative, got {self.population}")
 
 
 @dataclass(frozen=True)
@@ -54,10 +55,10 @@ class SiteCandidate:
     variable_cost: float
 
     def __post_init__(self):
-        if self.fixed_cost < 0:
-            raise InstanceError(f"site {self.id!r}: fixed cost must be nonnegative")
-        if self.variable_cost < 0:
-            raise InstanceError(f"site {self.id!r}: variable cost must be nonnegative")
+        for name, cost in (("fixed", self.fixed_cost), ("variable", self.variable_cost)):
+            if not 0 <= cost < math.inf:
+                raise InstanceError(f"site {self.id!r}: {name} cost must be finite "
+                                    f"and nonnegative, got {cost}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,7 @@ def build_utilization(units, probabilities) -> UtilizationMatrix:
             f"probability matrix has {p.shape[0] if p.ndim == 2 else '?'} rows "
             f"for {n.shape[0]} units"
         )
-    bad = np.argwhere((p < 0) | (p > 1))
+    bad = np.argwhere(~((p >= 0) & (p <= 1)))  # NaN too
     if bad.size:
         i, j = bad[0]
         raise InstanceError(
@@ -113,7 +114,7 @@ class SiteSelectionInstance:
                 f"probability matrix shape {p.shape} does not match "
                 f"{m} units x {n} sites"
             )
-        bad = np.argwhere((p < 0) | (p > 1))
+        bad = np.argwhere(~((p >= 0) & (p <= 1)))  # NaN too
         if bad.size:
             i, j = bad[0]
             raise InstanceError(
@@ -130,12 +131,12 @@ class SiteSelectionInstance:
             )
         if self.max_sites < 1:
             raise InstanceError("max_sites must be at least 1")
-        if self.budget <= 1.0:
-            raise InstanceError(
-                "budget must exceed 1 (the slack allowance max{1, C} must equal C)"
-            )
-        if self.min_enrollment < 0:
-            raise InstanceError("min_enrollment must be nonnegative")
+        if not 1.0 < self.budget < math.inf:
+            raise InstanceError(f"budget must be finite and exceed 1 (the slack "
+                                f"allowance max{{1, C}} must equal C), got {self.budget}")
+        if not 0 <= self.min_enrollment < math.inf:
+            raise InstanceError(f"min_enrollment must be finite and nonnegative, "
+                                f"got {self.min_enrollment}")
         for idx in (*self.uncertain_fixed, *self.uncertain_variable):
             if not 0 <= idx < n:
                 raise InstanceError(f"uncertain site index {idx} out of range")
@@ -259,8 +260,7 @@ def build_rc(instance: SiteSelectionInstance, epsilon: float, delta: float,
     while this row aggregates each site's variable-cost block into one cone
     component and gives the block no linear protection.
     """
-    if not (0 <= epsilon < math.inf and 0 <= delta < math.inf):
-        raise InstanceError("epsilon and delta must be finite and nonnegative")
+    check_levels(epsilon, delta, InstanceError)
     omega = omega_from_kappa(kappa)
     m, x_ids, y_ids, u = _base_model(instance, "sitesel_rc", exact_assignment)
     terms = [(y_ids[j], site.fixed_cost) for j, site in enumerate(instance.sites)]

@@ -22,10 +22,11 @@ serves the whole solve and its time, node and cut-round limits bound the
 whole call.  Supporting hyperplanes never cut off exactly-feasible points,
 and incumbents are taken only where every cone row holds.
 
-Branching only tightens finite integer bounds, so every node LP is the
-current working model's standard-form layout with the node's bounds written
-in: the matrices are expanded once per call, cut rows are appended to them,
-and a child LP differs from its parent's only in the right-hand side.
+A node's bounds are two arrays; a child copies one and changes one finite
+integer bound, so every node LP is the current working model's standard-form
+layout with the node's arrays written in: the matrices are expanded once per
+call, cut rows are appended to them, and a child LP differs from its
+parent's only in the right-hand side.
 Duals of the final basis are computed only for ``solve_lp``; branch and
 bound never reads them.  One deadline, taken when the call starts, stops
 the tree and the simplex inside every node LP.
@@ -54,6 +55,8 @@ from .model import (
     Solution,
     SolverStats,
     StandardFormLP,
+    _bound_arrays,
+    _Layout,
     to_standard_form,
 )
 
@@ -87,10 +90,12 @@ class SolverOptions:
 
 @dataclass
 class NodeRecord:
-    """One branch-and-bound subproblem: bound tightenings relative to the
-    model, and the optimal basis of the LP it was made from, if it has one."""
+    """One branch-and-bound subproblem: every variable's bounds in id order
+    (read-only, shared with children), and the optimal basis of the LP it
+    was made from, if it has one."""
 
-    bounds: dict[int, tuple[float, float]]
+    lo: np.ndarray
+    hi: np.ndarray
     basis: tuple[int, ...] | None = None
 
 
@@ -427,30 +432,21 @@ def _solve_cold(sf: StandardFormLP, options: SolverOptions, deadline: float,
 # -- branch and bound --------------------------------------------------------
 
 
-def _root_bounds(model: Model) -> tuple[dict[int, tuple[float, float]], bool]:
-    """Model bounds with unbounded integer variables capped for branching."""
-    bounds = {}
-    capped = False
-    for v in model.variables:
-        lo, hi = v.lower, v.upper
-        if v.is_integer:
-            if lo == -INF:
-                lo, capped = -_BOUND_CAP, True
-            if hi == INF:
-                hi, capped = _BOUND_CAP, True
-        bounds[v.id] = (lo, hi)
-    return bounds, capped
+def _root_bounds(model: Model, is_int: np.ndarray):
+    """Model bounds with unbounded integer ones capped, and whether any was."""
+    lo, hi = _bound_arrays(model)
+    low, high = is_int & (lo == -INF), is_int & (hi == INF)
+    lo[low], hi[high] = -_BOUND_CAP, _BOUND_CAP
+    return lo, hi, bool(low.any() or high.any())
 
 
-def _fractional_vars(model: Model, values, tol: float):
-    out = []
-    for v in model.variables:
-        if v.is_integer:
-            val = values[v.id]
-            frac = abs(val - round(val))
-            if frac > tol:
-                out.append((v.id, val, frac))
-    return out
+def _branching_var(values, is_int: np.ndarray, tol: float) -> int | None:
+    """The integer variable whose distance to the nearest integer is closest
+    to 0.5, the lowest id among ties; None when all are within ``tol``."""
+    x = np.fromiter(values.values(), float, len(values))
+    frac = np.abs(x - np.round(x))
+    cand = np.flatnonzero(is_int & (frac > tol))
+    return int(cand[np.argmin(np.abs(frac[cand] - 0.5))]) if cand.size else None
 
 
 def _relax_cones(model: Model, cone_rows) -> Model:
@@ -474,8 +470,9 @@ def _cone_violations(cone_rows, values) -> list[tuple[Constraint, float]]:
 def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
     """Branch-and-bound over LP relaxations, with cone rows cut in the tree.
 
-    Branching variable: most fractional, ties broken by lowest id.  Node
-    order: best bound, ties FIFO.  Cone rows enter the node LPs at their
+    The root's bound arrays are the model's, unbounded integer bounds capped
+    at ``_BOUND_CAP``.  Branching variable: most fractional, ties broken by
+    lowest id.  Node order: best bound, ties FIFO.  Cone rows enter the node LPs at their
     radical floor; at a node whose LP point is integer-feasible every cone
     row is evaluated exactly, and rows violated by more than
     ``cone_cut_tol`` get a supporting-hyperplane cut.  The cuts join every
@@ -497,7 +494,8 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
     deadline = _deadline(options)
     cone_rows = [c for c in model.constraints if c.cone is not None]
     work = _relax_cones(model, cone_rows) if cone_rows else model
-    root_bounds, capped = _root_bounds(model)
+    is_int = np.array([v.is_integer for v in model.variables], dtype=bool)
+    lo, hi, capped = _root_bounds(model, is_int)
     stats = SolverStats()
     if capped:
         stats.extra["integer_bounds_capped"] = True
@@ -507,8 +505,8 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
     counter = 0
     separations = 0
     cut_off = 0.0
-    layout = to_standard_form(work, bounds=root_bounds).layout
-    heap = [(-INF, counter, NodeRecord(root_bounds))]
+    layout = _Layout(work, lo, hi)
+    heap = [(-INF, counter, NodeRecord(lo, hi))]
     status = "optimal"
     bounded = False  # some node LP was optimal, so none can be unbounded
     bound_sequence: list[float] = []
@@ -521,7 +519,7 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
         if stats.nodes >= options.max_nodes or time.monotonic() > deadline:
             status = "limit_reached"
             break
-        sf = layout.form(node.bounds)
+        sf = layout.form(node.lo, node.hi)
         res = _solve_standard(sf, options, deadline, basis=node.basis)
         stats.nodes += 1
         stats.iterations += res.iterations
@@ -540,8 +538,8 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
         if cano <= best_cano + _PRUNE_TOL and best_values is not None:
             continue
         values = sf.restore(res.x)
-        fractional = _fractional_vars(model, values, options.integrality_tol)
-        if not fractional:
+        var = _branching_var(values, is_int, options.integrality_tol)
+        if var is None:
             violated = [(con, viol) for con, viol in _cone_violations(cone_rows, values)
                         if viol > options.cone_cut_tol]
             if violated:
@@ -567,20 +565,12 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
                 best_cano = cano
                 best_values = values
             continue
-        # most fractional: distance to nearest integer closest to 0.5
-        var_id, val, _ = min(
-            fractional, key=lambda t: (abs(t[2] - 0.5), t[0])
-        )
-        lo, hi = node.bounds[var_id]
-        down = dict(node.bounds)
-        down[var_id] = (lo, math.floor(val))
-        up = dict(node.bounds)
-        up[var_id] = (math.ceil(val), hi)
-        for child in (down, up):
-            clo, chi = child[var_id]
-            if clo <= chi:
+        down, up = node.hi.copy(), node.lo.copy()
+        down[var], up[var] = math.floor(values[var]), math.ceil(values[var])
+        for lo, hi in ((node.lo, down), (up, node.hi)):
+            if lo[var] <= hi[var]:
                 counter += 1
-                heapq.heappush(heap, (-cano, counter, NodeRecord(child, res.basis)))
+                heapq.heappush(heap, (-cano, counter, NodeRecord(lo, hi, res.basis)))
 
     if status == "unbounded":
         best_values = None

@@ -7,6 +7,8 @@ counterparts:
 
 * ``bounded_interval`` -- the realization interval of one tagged entry, at
   the tag's own level or at the global level ``epsilon``
+* ``check_levels`` and ``slack_allowance`` -- the one check of a run's
+  ``epsilon`` and ``delta``, and the violation ``delta`` allows a row
 * ``omega_from_kappa`` -- the reliability weight from ``kappa = exp(-omega^2/2)``
 * ``normal_lambda``    -- the standard-normal quantile at ``1 - kappa``,
   from the standard library's ``statistics.NormalDist`` (Wichura's AS241)
@@ -24,7 +26,7 @@ import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
-from .model import Model, ModelError
+from .model import Model, ModelError, _num
 
 __all__ = [
     "RHS",
@@ -41,6 +43,8 @@ __all__ = [
     "normal_lambda",
     "discrete_deviation",
     "bounded_interval",
+    "check_levels",
+    "slack_allowance",
     "deviation_radius",
     "parse_annotations",
     "format_annotations",
@@ -357,6 +361,20 @@ def bounded_interval(nominal: float, distribution,
     return nominal - spread, nominal + spread
 
 
+def check_levels(epsilon: float, delta: float, error=ValueError) -> None:
+    """Raise ``error`` unless the level ``epsilon`` and the tolerance
+    ``delta`` are finite and nonnegative: an infinite delta allows any
+    violation, and a NaN one passes every comparison."""
+    for name, level in (("epsilon", epsilon), ("delta", delta)):
+        if not 0 <= level < math.inf:
+            raise error(f"{name} must be finite and nonnegative, got {level}")
+
+
+def slack_allowance(rhs: float, delta: float) -> float:
+    """The violation ``delta * max(1, |rhs|)`` a row may keep at tolerance ``delta``."""
+    return delta * max(1.0, abs(rhs))
+
+
 def deviation_radius(nominal: float, distribution, epsilon: float,
                      kappa: float | None = None) -> float:
     """Worst-case single-coefficient deviation radius used for conservatism
@@ -451,11 +469,6 @@ def parse_annotations(text: str, model: Model) -> UncertainSet:
         uset.add(con.id, target, dist)
     uset.validate(model)
     return uset
-
-
-def _num(x: float) -> str:
-    """Shortest text that parses back to the same float."""
-    return repr(float(x))
 
 
 def _format_distribution(dist) -> str:

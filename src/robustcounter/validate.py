@@ -42,6 +42,8 @@ from .uncertainty import (
     Uniform,
     UncertainSet,
     bounded_interval,
+    check_levels,
+    slack_allowance,
 )
 
 _CERT_TOL = 1e-9
@@ -109,11 +111,10 @@ def corner_check(model: Model, uncertain_set: UncertainSet, solution_values,
     uncertain entries are checked for plain feasibility.
 
     Only bounded interval distributions are supported; use
-    :func:`monte_carlo_check` for random ones.  Every value the rows read
-    must be finite.
+    :func:`monte_carlo_check` for random ones.  ``epsilon`` and ``delta``
+    must be finite and nonnegative, and every value the rows read finite.
     """
-    if not delta >= 0.0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
+    check_levels(epsilon, delta)
     uncertain_set.validate(model)
     _require_finite_values(model, solution_values, model.constraints)
     for entry in uncertain_set:
@@ -133,7 +134,7 @@ def corner_check(model: Model, uncertain_set: UncertainSet, solution_values,
             worst[con.id] = max(0.0, resid)
             allowance[con.id] = FEASIBILITY_TOL
             continue
-        allowance[con.id] = delta * max(1.0, abs(con.rhs))
+        allowance[con.id] = slack_allowance(con.rhs, delta)
         lhs = con.lhs.value(solution_values)
         if con.cone is not None:
             lhs += con.cone.value(solution_values)
@@ -235,10 +236,10 @@ def monte_carlo_check(model: Model, uncertain_set: UncertainSet, solution_values
     frequency, matching the per-row form of the reliability guarantee;
     per-row frequencies ride along.
 
-    ``epsilon`` must be finite (an infinite level turns realizations into
-    NaN) and ``epsilon`` and ``delta`` nonnegative, and so must every value
-    the uncertain rows read.  ``seed`` must lie in ``[0, 2**64)``; it is the
-    low word of every entry's Philox key.
+    ``epsilon`` and ``delta`` must be finite and nonnegative
+    (:func:`check_levels`; an infinite level turns realizations into NaN),
+    and every value the uncertain rows read finite.  ``seed`` must lie in
+    ``[0, 2**64)``; it is the low word of every entry's Philox key.
 
     A coefficient whose variable's value is +-0 is skipped: no stream is
     opened, nothing is drawn or added.  Streams are keyed by entry index and
@@ -254,10 +255,7 @@ def monte_carlo_check(model: Model, uncertain_set: UncertainSet, solution_values
     """
     if n_samples < 1000:
         raise ValueError("need at least 1000 samples for a meaningful estimate")
-    if not 0.0 <= epsilon < math.inf:
-        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
-    if not delta >= 0.0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
+    check_levels(epsilon, delta)
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     uncertain_set.validate(model)
@@ -297,7 +295,7 @@ def monte_carlo_check(model: Model, uncertain_set: UncertainSet, solution_values
     worst_count = 0
     for con_id in lhs:
         con = model.constraints[con_id]
-        allowance = delta * max(1.0, abs(con.rhs))
+        allowance = slack_allowance(con.rhs, delta)
         if con.sense == "<=":
             resid = lhs[con_id] - rhs[con_id]
         elif con.sense == ">=":

@@ -667,6 +667,20 @@ def brute_force_robust_binary_fast(model: Model, uset: UncertainSet,
 
 # -- scalar simplex kernel ------------------------------------------------------
 
+
+def reference_branching_var(is_int, values, tol: float):
+    """Most fractional integer variable by a scalar scan: the distance to the
+    nearest integer closest to 0.5, ties to the lowest id; None when every
+    integer variable is within ``tol`` of an integer."""
+    fractional = []
+    for var_id, integer in enumerate(is_int):
+        val = values[var_id]
+        frac = abs(val - round(val))
+        if integer and frac > tol:
+            fractional.append((abs(frac - 0.5), var_id))
+    return min(fractional)[1] if fractional else None
+
+
 _PIVOT_TOL = 1e-9
 
 

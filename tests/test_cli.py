@@ -136,6 +136,19 @@ def test_sitesel_missing_file_exit_one(workdir, capsys):
     assert "prob.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path, old, new, name", [
+    ("config.txt", "budget=150.0", "budget=inf", "budget"),
+    ("units.csv", "Harbour,120.0", "Harbour,nan", "'u1'"),
+])
+def test_sitesel_nonfinite_instance_data_exit_one(workdir, capsys, path, old, new, name):
+    """budget=inf used to solve to 378 with every site open (the optimum is 261)."""
+    target = workdir / "hk_demo" / path
+    target.write_text(target.read_text().replace(old, new, 1))
+    assert main(["sitesel", str(workdir / "hk_demo"), "--mode", "nominal"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+
+
 def test_sitesel_json(workdir, capsys):
     rc = main(["sitesel", str(workdir / "hk_demo"), "--mode", "irc",
                "--eps", "0.05", "--json"])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from robustcounter.fixtures import all_models
 from robustcounter.model import (
     INF,
     ConeTerm,
@@ -10,6 +11,7 @@ from robustcounter.model import (
     Model,
     ModelError,
     ParseError,
+    _bound_arrays,
     export_text,
     import_text,
     to_standard_form,
@@ -235,9 +237,9 @@ def test_layout_extended_equals_rebuild():
                                 ("<=", ">=", "=")[int(rng.integers(0, 3))],
                                 float(rng.uniform(-5, 15)))
         grown = layout.extended(work.constraints[n_rows:])
-        moved = {v.id: (v.lower - 1.5, v.upper + 0.5) for v in work.variables}
-        for bounds in (None, moved):
-            got, want = grown.form(bounds), to_standard_form(work, bounds)
+        lo, hi = _bound_arrays(work)
+        for bounds in ((lo, hi), (lo - 1.5, hi + 0.5)):
+            got, want = grown.form(*bounds), to_standard_form(work).layout.form(*bounds)
             for name in ("c", "a_ub", "b_ub", "a_eq", "b_eq", "var_offset"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
@@ -246,11 +248,11 @@ def test_layout_extended_equals_rebuild():
 
 
 def _term_by_term_standard_form(model, bounds):
-    """The standard form built one term at a time in Python floats: the
-    reference the dense layout must match bit for bit."""
+    """The standard form under the bound arrays ``bounds`` built one term at a
+    time in Python floats: the reference the dense layout must match bit for
+    bit."""
     cols, offset = [], []
-    for v in model.variables:
-        lo, hi = bounds.get(v.id, (v.lower, v.upper)) if bounds else (v.lower, v.upper)
+    for v, lo, hi in zip(model.variables, *(b.tolist() for b in bounds)):
         if math.isfinite(lo):
             cols.append((v.id, 1.0, hi - lo if math.isfinite(hi) else None))
             offset.append(lo)
@@ -304,9 +306,9 @@ def test_standard_form_matches_term_by_term_reference():
                 LinExpr.from_terms([(int(v), float(rng.uniform(-4, 4))) for v in picked],
                                    float(rng.uniform(-2, 2))),
                 ("<=", ">=", "=")[int(rng.integers(0, 3))], float(rng.uniform(-5, 15)))
-        moved = {v.id: (v.lower - 1.5, v.upper + 0.5) for v in work.variables}
-        for bounds in (None, moved):
-            sf = to_standard_form(work, bounds)
+        lo, hi = _bound_arrays(work)
+        for bounds in ((lo, hi), (lo - 1.5, hi + 0.5)):
+            sf = to_standard_form(work).layout.form(*bounds)
             want, c0 = _term_by_term_standard_form(work, bounds)
             for name, rows in want.items():
                 got = getattr(sf, name)
@@ -392,6 +394,24 @@ def test_text_round_trip_random_models():
     for _ in range(40):
         m = random_lp_model(rng)
         assert _structurally_equal(m, import_text(export_text(m)))
+
+
+def _text_fields(m: Model):
+    """Everything the text format carries, compared with ``==``: floats exactly."""
+    return m.variables, m.objective_sense, m.objective, m.constraints
+
+
+@pytest.mark.parametrize("name", sorted(all_models()))
+def test_text_round_trip_is_exact_for_fixtures(name):
+    m = all_models()[name]
+    assert _text_fields(import_text(export_text(m))) == _text_fields(m)
+
+
+def test_text_round_trip_is_exact_for_random_models():
+    rng = np.random.default_rng(99)
+    for _ in range(40):
+        m = random_lp_model(rng)
+        assert _text_fields(import_text(export_text(m))) == _text_fields(m)
 
 
 def test_import_truncated_document():

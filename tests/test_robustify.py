@@ -354,6 +354,25 @@ def _template(alpha=10.0, beta=0.5, horizon=12.0, tcl=1.5):
     return TimingConstraintTemplate(alpha, beta, horizon, tcl, ts, tf, (w1, w2), b), m
 
 
+@pytest.mark.parametrize("eps, delta", [
+    (math.nan, 0.25), (math.inf, 0.25), (0.05, math.nan), (0.05, math.inf)])
+def test_timing_rows_reject_unusable_levels(eps, delta):
+    """A NaN level used to give NaN rows, an infinite one infinite rows."""
+    tpl, _ = _template()
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        robust_timing_bounded(tpl, eps, delta)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        robust_timing_normal(tpl, 1.0, 0.5, eps, delta, 0.05)
+
+
+@pytest.mark.parametrize("mu, sigma", [
+    (math.nan, 0.5), (math.inf, 0.5), (1.0, math.nan), (1.0, math.inf)])
+def test_timing_normal_rejects_nonfinite_parameters(mu, sigma):
+    tpl, _ = _template()
+    with pytest.raises(ValueError, match="finite"):
+        robust_timing_normal(tpl, mu, sigma, 0.1, 0.0, 0.05)
+
+
 def test_timing_bounded_zero_epsilon():
     tpl, _ = _template()
     rows, delta2 = robust_timing_bounded(tpl, 0.0, 0.25)
@@ -440,14 +459,11 @@ def test_timing_normal_split_identity_randomized():
             2.0 * eps * (lam * math.sqrt(sigma) - mu), abs=1e-12)
 
 
-def test_timing_normal_alternative_reading_switch():
+def test_timing_normal_split_reads_sigma():
     tpl, _ = _template()
     _, d_sigma = robust_timing_normal(tpl, 1.0, 0.5, 0.1, 0.3, 0.05)
-    _, d_delta = robust_timing_normal(tpl, 1.0, 0.5, 0.1, 0.3, 0.05,
-                                      delta2_reading="delta")
     lam = normal_lambda(0.05)
     assert d_sigma == pytest.approx(2 * 0.1 * (lam * math.sqrt(0.5) - 1.0) - 0.3)
-    assert d_delta == pytest.approx(2 * 0.1 * (lam * math.sqrt(0.3) - 1.0) - 0.3)
 
 
 def test_timing_rows_attach_to_models():

@@ -353,6 +353,35 @@ def test_sitesel_invariant_rejections():
         PopulationUnit("u", "U", -5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_instance_data_rejects_nonfinite_values(bad):
+    """Each error names its unit, site or key.  A NaN population used to be
+    reported as mismatched column totals, and an infinite budget solved."""
+    unit, site = PopulationUnit("u", "U", 10.0), SiteCandidate("s", "S", 1.0, 0.0)
+    with pytest.raises(InstanceError, match="unit 'u'.*population"):
+        PopulationUnit("u", "U", bad)
+    with pytest.raises(InstanceError, match="site 's'.*fixed cost"):
+        SiteCandidate("s", "S", bad, 0.0)
+    with pytest.raises(InstanceError, match="site 's'.*variable cost"):
+        SiteCandidate("s", "S", 1.0, bad)
+    with pytest.raises(InstanceError, match="budget"):
+        SiteSelectionInstance.with_all_uncertain([unit], [site], [[0.5]], bad, 0.0, 1)
+    with pytest.raises(InstanceError, match="min_enrollment"):
+        SiteSelectionInstance.with_all_uncertain([unit], [site], [[0.5]], 10.0, bad, 1)
+    with pytest.raises(InstanceError, match=r"p\[u,s\]"):
+        SiteSelectionInstance.with_all_uncertain([unit], [site], [[bad]], 10.0, 0.0, 1)
+
+
+@pytest.mark.parametrize("key", ["budget", "min_enrollment"])
+def test_load_instance_rejects_infinite_config_value(tmp_path, key):
+    write_instance(demo_instance(), tmp_path / "demo")
+    config = tmp_path / "demo" / "config.txt"
+    config.write_text("\n".join(f"{key}=inf" if line.startswith(key + "=") else line
+                                for line in config.read_text().splitlines()) + "\n")
+    with pytest.raises(InstanceError, match=key):
+        load_instance(tmp_path / "demo")
+
+
 @pytest.mark.parametrize("eps, delta", [
     (math.nan, 0.0), (math.inf, 0.0), (0.05, math.nan), (0.05, math.inf)])
 def test_rc_rejects_nonfinite_levels(eps, delta):

@@ -38,6 +38,7 @@ from _oracles import (
     oa_highs_solve,
     random_binary_model,
     random_lp_model,
+    reference_branching_var,
     reference_pivot,
     reference_run_dual,
     reference_run_simplex,
@@ -649,18 +650,37 @@ def test_cone_violation_reported_on_optimal_exit():
 # -- pivot sequence ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("build, objective, nodes, iterations, cuts", [
-    (build_nominal, 261.0, 5, 40, 0),
-    (lambda inst: build_irc(inst, 0.05, 0.0), 177.0, 31, 162, 0),
-    (lambda inst: build_rc(inst, 0.05, 0.0, 0.14), 159.0, 32, 200, 7),
-], ids=["nominal", "irc", "rc"])
-def test_hk_demo_pivot_counts_exact(build, objective, nodes, iterations, cuts):
-    """Node and LP-iteration counts pin the whole pivot sequence."""
-    sol = solve(build(demo_instance()))
+@pytest.mark.parametrize("instance, build, objective, nodes, iterations, cuts", [
+    (demo_instance, build_nominal, 261.0, 5, 40, 0),
+    (demo_instance, lambda inst: build_irc(inst, 0.05, 0.0), 177.0, 31, 162, 0),
+    (demo_instance, lambda inst: build_rc(inst, 0.05, 0.0, 0.14), 159.0, 32, 200, 7),
+    (lambda: generated_instance(7, 5, 1), build_nominal, 386.94188275568615, 33, 248, 0),
+    (lambda: generated_instance(7, 5, 1), lambda inst: build_irc(inst, 0.05, 0.02),
+     323.85452413973695, 39, 450, 0),
+    (lambda: generated_instance(8, 5, 1), lambda inst: build_rc(inst, 0.05, 0.0, 0.14),
+     327.5182571681296, 40, 563, 14),
+], ids=["nominal", "irc", "rc", "gen7x5s1-nominal", "gen7x5s1-irc", "gen8x5s1-rc"])
+def test_hk_demo_pivot_counts_exact(instance, build, objective, nodes, iterations, cuts):
+    """Node and LP-iteration counts pin the whole pivot sequence, on hk_demo
+    and on generated instances with larger trees."""
+    sol = solve(build(instance()))
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(objective, abs=1e-6)
     assert (sol.stats.nodes, sol.stats.iterations, sol.stats.cone_cuts) == (
         nodes, iterations, cuts)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.booleans(), st.sampled_from(
+    [0.0, 0.5, 1.5, -2.5, 3.0000001, 0.4999999, -0.25, 0.75, 7.0 - 1e-7, 1e9 + 0.5])
+    | st.floats(-1e6, 1e6)), max_size=12))
+def test_branching_var_matches_scalar_scan(pairs):
+    """The vectorised pick equals the scalar scan, ties included."""
+    is_int = [integer for integer, _ in pairs]
+    values = {i: val for i, (_, val) in enumerate(pairs)}
+    tol = SolverOptions().integrality_tol
+    assert solver_mod._branching_var(values, np.array(is_int, dtype=bool), tol) == (
+        reference_branching_var(is_int, values, tol))
 
 
 @contextlib.contextmanager

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustcounter import validate
+from robustcounter.fixtures import one_row_uncertain
 from robustcounter.model import ConeTerm, Model
 from robustcounter.robustify import (
     interval_robust_counterpart,
@@ -171,6 +172,20 @@ def test_corner_rejects_negative_delta():
     uset = UncertainSet([(0, x, Bounded())])
     with pytest.raises(ValueError, match="delta"):
         corner_check(m, uset, {x: 1.0}, 0.1, -0.05)
+
+
+@pytest.mark.parametrize("epsilon, delta, name", [
+    (0.05, math.inf, "delta"), (0.05, math.nan, "delta"),
+    (math.inf, 0.0, "epsilon"), (math.nan, 0.0, "epsilon"),
+])
+def test_checks_reject_unusable_levels(epsilon, delta, name):
+    """An infinite delta used to certify x = 1e6 against x <= 10, and Monte
+    Carlo reported a violation frequency of 0 for it."""
+    m, uset = one_row_uncertain()
+    with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+        corner_check(m, uset, {0: 1e6}, epsilon, delta)
+    with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+        monte_carlo_check(m, uset, {0: 1e6}, epsilon, delta, 2000, seed=1)
 
 
 def test_corner_check_on_ge_rows():
