@@ -433,10 +433,12 @@ def _solve_cold(sf: StandardFormLP, options: SolverOptions, deadline: float,
 
 
 def _root_bounds(model: Model, is_int: np.ndarray):
-    """Model bounds with unbounded integer ones capped, and whether any was."""
+    """Model bounds with unbounded integer ones capped, never past the
+    other bound (``[2e9, inf)`` becomes ``[2e9, 2e9]``), and whether any was."""
     lo, hi = _bound_arrays(model)
     low, high = is_int & (lo == -INF), is_int & (hi == INF)
-    lo[low], hi[high] = -_BOUND_CAP, _BOUND_CAP
+    lo[low] = np.minimum(-_BOUND_CAP, hi[low])
+    hi[high] = np.maximum(_BOUND_CAP, lo[high])
     return lo, hi, bool(low.any() or high.any())
 
 

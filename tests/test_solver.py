@@ -249,6 +249,20 @@ def test_milp_unbounded_integer_capped():
     assert sol.stats.extra.get("integer_bounds_capped")
 
 
+@pytest.mark.parametrize("sense, lower, upper, expected", [
+    ("min", 2e9, INF, 2e9),
+    ("max", -INF, -2e9, -2e9),
+])
+def test_milp_cap_never_crosses_finite_bound(sense, lower, upper, expected):
+    m = Model()
+    x = m.add_variable("x", "integer", lower, upper)
+    m.set_objective(sense, [(x, 1.0)])
+    for sol in (solve_milp(m.finalize()), solve(m)):
+        assert sol.status == "optimal"
+        assert sol.objective == expected
+        assert sol.values[x] == expected
+
+
 def test_milp_min_sense():
     m = Model()
     a = m.add_variable("a", "binary")
