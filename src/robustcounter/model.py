@@ -6,17 +6,16 @@ linear constraints (optionally augmented with a square-root cone term on
 nominal problems and for their robust counterparts, so downstream code never
 has to distinguish the two.
 
-The module also provides evaluation of constraint residuals, conversion to a
-nonnegative standard form consumed by the simplex solver, and a line-oriented
+The module also provides evaluation of constraint residuals, conversion to
+the bounded standard form consumed by the simplex solver, and a line-oriented
 text format for persisting models.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -347,162 +346,85 @@ class Model:
 
 @dataclass
 class StandardFormLP:
-    """Canonical maximization over nonnegative variables.
+    """A cone-free model as a maximization with bounds on rows and columns.
 
         maximize  c @ x + c0
-        s.t.      a_ub @ x <= b_ub
-                  a_eq @ x == b_eq
-                  x >= 0
+        s.t.      row_lo <= a @ x <= row_hi
+                  col_lo <=   x   <= col_hi
 
-    ``sense`` records the source model's objective sense: for ``min`` models
-    the canonical optimum is the negated model optimum.  ``restore`` maps a
-    standard-form point back to model-variable values; ``layout`` gives the
-    same model's standard form under other bounds.
+    Column ``j`` is model variable ``j`` and row ``i`` is constraint ``i``
+    with its constant moved into its range: a ``<=`` row has
+    ``row_lo = -inf``, a ``>=`` row ``row_hi = inf`` and an equality row
+    ``row_lo == row_hi``.  ``sense`` records the model's objective sense: for
+    ``min`` models ``c`` and ``c0`` are negated, so the optimum here is the
+    negated model optimum.  A node of branch and bound is the same LP under
+    other column bounds (``dataclasses.replace``), and :meth:`extended`
+    appends rows.
     """
 
     c: np.ndarray
     c0: float
-    a_ub: np.ndarray
-    b_ub: np.ndarray
-    a_eq: np.ndarray
-    b_eq: np.ndarray
-    col_var: np.ndarray
-    col_scale: np.ndarray
-    var_offset: np.ndarray
+    a: np.ndarray
+    row_lo: np.ndarray
+    row_hi: np.ndarray
+    col_lo: np.ndarray
+    col_hi: np.ndarray
     sense: str
-    layout: "_Layout | None" = field(default=None, repr=False, compare=False)
 
     @property
     def n_cols(self) -> int:
         return self.c.shape[0]
 
-    def restore(self, x: np.ndarray) -> dict[int, float]:
-        values = self.var_offset.copy()
-        np.add.at(values, self.col_var, self.col_scale * x)  # in column order
-        return dict(enumerate(values.tolist()))
-
     def model_objective(self, canonical: float) -> float:
         return canonical if self.sense == "max" else -canonical
 
+    def extended(self, constraints) -> "StandardFormLP":
+        """This LP with ``constraints``, rows its model has gained since it
+        was built, appended in order: the LP a rebuild would give."""
+        a, const = _coefficients([c.lhs for c in constraints], self.n_cols)
+        lo, hi = _ranges(constraints, const)
+        return replace(self, a=np.vstack([self.a, a]),
+                       row_lo=np.concatenate([self.row_lo, lo]),
+                       row_hi=np.concatenate([self.row_hi, hi]))
 
-def _bound_arrays(model: Model) -> tuple[np.ndarray, np.ndarray]:
-    """The lower and the upper bound of every variable, in id order."""
-    return (np.array([v.lower for v in model.variables], dtype=float),
-            np.array([v.upper for v in model.variables], dtype=float))
+
+def _coefficients(exprs, n_vars: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficient matrix (one row per expression) and the constants of
+    nonempty ``exprs``."""
+    mat = np.zeros((len(exprs), n_vars))
+    mat[np.repeat(np.arange(len(exprs)), [len(e.terms) for e in exprs]),
+        [v for e in exprs for v, _ in e.terms]] = [a for e in exprs for _, a in e.terms]
+    return mat, np.array([e.constant for e in exprs], dtype=float)
 
 
-class _Layout:
-    """Columns and rows of a model's standard form (see :func:`to_standard_form`),
-    fixed by which entries of the bound arrays ``lo`` and ``hi`` (id order)
-    are finite.  ``rows`` holds the objective and then every constraint as
-    ``[constant | coefficient of each variable]``; only the variable offsets,
-    the bound rows' right-hand sides and the row constants the offsets shift
-    depend on the bound values, so :meth:`form` recomputes just those.
-    """
-
-    def __init__(self, model: Model, lo: np.ndarray, hi: np.ndarray):
-        self.model = model
-        self.lo_finite, self.hi_finite = np.isfinite(lo), np.isfinite(hi)
-        self.ub_vars = np.flatnonzero(self.lo_finite & self.hi_finite)
-        # one column per variable, two (x+ then x-) for a free one
-        free = ~(self.lo_finite | self.hi_finite)
-        self.col_var = np.repeat(np.arange(len(lo)), 1 + free)
-        negated = (np.diff(self.col_var, prepend=-1) == 0) | (
-            ~self.lo_finite & self.hi_finite)[self.col_var]
-        self.col_scale = np.where(negated, -1.0, 1.0)
-        self.rows = self._rows([model.objective] + [con.lhs for con in model.constraints])
-        cols = self._columns(self.rows)
-        self.c = cols[0] if model.objective_sense == "max" else -cols[0]
-        self.is_ub, self.sign, self.rhs = self._senses(model.constraints)
-        con_rows = cols[1:] * self.sign[:, None]
-        bound_rows = (self.col_var == self.ub_vars[:, None]).astype(float)
-        self.a_ub = np.vstack([bound_rows, con_rows[self.is_ub]])
-        self.a_eq = con_rows[~self.is_ub]
-        for arr in (self.a_ub, self.a_eq, self.c, self.col_var, self.col_scale):
-            arr.flags.writeable = False
-
-    def _rows(self, exprs) -> np.ndarray:
-        """``[constant | coefficient of each variable]`` of each expression."""
-        rows = np.zeros((len(exprs), 1 + len(self.model.variables)))
-        rows[:, 0] = [e.constant for e in exprs]
-        rows[np.repeat(np.arange(len(exprs)), [len(e.terms) for e in exprs]),
-             [1 + v for e in exprs for v, _ in e.terms]] = [
-                 a for e in exprs for _, a in e.terms]
-        return rows
-
-    def _columns(self, rows) -> np.ndarray:
-        # take keeps rows C-contiguous (c @ x rounds by layout); + 0.0 turns
-        # -0.0 into 0.0, as summing into a zeroed row did
-        return rows.take(1 + self.col_var, axis=1) * self.col_scale + 0.0
-
-    @staticmethod
-    def _senses(constraints):
-        is_ub = np.array([c.sense != "=" for c in constraints], dtype=bool)
-        sign = np.array([-1.0 if c.sense == ">=" else 1.0 for c in constraints])
-        rhs = np.array([c.rhs for c in constraints], dtype=float)
-        return is_ub, sign, rhs
-
-    def extended(self, constraints) -> "_Layout":
-        """This layout with ``constraints``, the rows the model has gained
-        since it was built, appended: the same columns, bound rows and
-        arrays as a rebuild, without re-reading the older rows.  New ``<=``
-        and ``>=`` rows follow the older inequality rows, new ``=`` rows the
-        older equality rows."""
-        new = copy.copy(self)
-        rows = self._rows([c.lhs for c in constraints])
-        new.rows = np.vstack([self.rows, rows])
-        is_ub, sign, rhs = self._senses(constraints)
-        new.is_ub = np.concatenate([self.is_ub, is_ub])
-        new.sign = np.concatenate([self.sign, sign])
-        new.rhs = np.concatenate([self.rhs, rhs])
-        cols = self._columns(rows) * sign[:, None]
-        new.a_ub = np.vstack([self.a_ub, cols[is_ub]])
-        new.a_eq = np.vstack([self.a_eq, cols[~is_ub]])
-        new.a_ub.flags.writeable = new.a_eq.flags.writeable = False
-        return new
-
-    def form(self, lo: np.ndarray, hi: np.ndarray) -> StandardFormLP:
-        """The standard form under bound arrays finite where the layout's are,
-        none inverted; the constraint matrices are shared, read-only."""
-        var_offset = np.where(self.lo_finite, lo, np.where(self.hi_finite, hi, 0.0))
-        # row constants summed in variable order, the order the rows list
-        # their terms; a sequential sum, so no BLAS reordering
-        const = np.add.accumulate(self.rows * np.append(1.0, var_offset), axis=1)[:, -1]
-        rhs = (self.rhs - const[1:]) * self.sign
-        obj_const = const[0] if self.model.objective_sense == "max" else -const[0]
-        return StandardFormLP(
-            c=self.c,
-            c0=obj_const,
-            a_ub=self.a_ub,
-            b_ub=np.concatenate([hi[self.ub_vars] - lo[self.ub_vars], rhs[self.is_ub]]),
-            a_eq=self.a_eq,
-            b_eq=rhs[~self.is_ub],
-            col_var=self.col_var,
-            col_scale=self.col_scale,
-            var_offset=var_offset,
-            sense=self.model.objective_sense,
-            layout=self,
-        )
+def _ranges(constraints, const: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The range ``[row_lo, row_hi]`` of each constraint's linear part, whose
+    constants are ``const``."""
+    rhs = np.array([c.rhs for c in constraints], dtype=float) - const
+    return (np.where([c.sense != "<=" for c in constraints], rhs, -INF),
+            np.where([c.sense != ">=" for c in constraints], rhs, INF))
 
 
 def to_standard_form(model: Model) -> StandardFormLP:
-    """Convert a cone-free model to :class:`StandardFormLP`.
-
-    Finite lower bounds become affine shifts, upper-bounded-only variables are
-    mirrored, and doubly-free variables are split into positive and negative
-    parts; finite upper bounds become extra ``<=`` rows.  Each standard-form
-    column is a column of one dense matrix of the model's coefficients, times
-    the column's sign; the result's ``layout`` keeps that matrix, so
-    ``layout.form(lo, hi)`` gives the model under other bound arrays with the
-    same finite ones without re-reading the rows.
-
-    Any feasible point of the original maps to a feasible point of the
-    standard form with equal objective value, and vice versa.
-    """
+    """Convert a cone-free model to :class:`StandardFormLP`: the variables,
+    their bounds and the constraint rows stay as they are, so the LP's
+    feasible points and objective values are the model's."""
     if model.has_cones():
         raise ModelError("model has cone terms; standard form is cone-free")
-    lo, hi = _bound_arrays(model)
-    return _Layout(model, lo, hi).form(lo, hi)
+    mat, const = _coefficients([model.objective] + [c.lhs for c in model.constraints],
+                               len(model.variables))
+    sign = 1.0 if model.objective_sense == "max" else -1.0
+    row_lo, row_hi = _ranges(model.constraints, const[1:])
+    return StandardFormLP(
+        c=sign * mat[0] + 0.0,
+        c0=sign * float(const[0]) + 0.0,
+        a=mat[1:],
+        row_lo=row_lo,
+        row_hi=row_hi,
+        col_lo=np.array([v.lower for v in model.variables], dtype=float),
+        col_hi=np.array([v.upper for v in model.variables], dtype=float),
+        sense=model.objective_sense,
+    )
 
 
 # -- text format -------------------------------------------------------------

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from .model import ConeTerm, LinExpr, Model, ModelError
 from .uncertainty import (
     UncertainSet,
+    _require_finite,
     bounded_interval,
     check_levels,
     normal_lambda,
@@ -218,6 +219,7 @@ class TimingConstraintTemplate:
     batch_var: int
 
     def __post_init__(self):
+        _require_finite(self.alpha, self.beta, self.horizon_H, self.changeover_tcl)
         for name in ("alpha", "beta", "horizon_H", "changeover_tcl"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
@@ -283,6 +285,7 @@ def robust_timing_bounded(template: TimingConstraintTemplate, epsilon: float,
     beta_eff = (1.0 - epsilon) * template.beta
     if alpha_range is not None:
         low, high = alpha_range
+        _require_finite(low, high)
         if low > high:
             raise ValueError(f"empty range [{low}, {high}]")
         width = high - low

@@ -1,32 +1,36 @@
-"""Embedded optimizer: simplex, and one branch-and-bound tree that also cuts
-square-root cone rows.
+"""Embedded optimizer: one bounded simplex, and one branch-and-bound tree
+that also cuts square-root cone rows.
 
 Everything here is deterministic: identical inputs and options produce
-identical Solutions, including node counts.  An LP without a basis to start
-from (``solve_lp``, the root of a tree) is solved by two-phase primal
-simplex with Bland's rule.  Every other node LP starts from the optimal
-basis of the LP it was made from (Koberstein 2005; Achterberg 2007): the
-basis is refactored from the original matrix, so no rounding drifts from
-node to node, and a dual simplex (Bland's leaving row, the largest pivot
-among near-tied ratios) restores feasibility.  A node whose basis is
-singular, or whose dual 'infeasible' no Farkas ray confirms, is solved cold.
-Branching picks the most fractional variable with lowest-index tie-breaks,
-and the node queue is ordered by best bound with FIFO tie-breaks.
+identical Solutions, including node counts.  Every LP (``solve_lp``, the
+root of a tree, every node) runs through one routine over ``[A | -I]``:
+model variables keep their bounds on their columns and each row gets a
+logical column bounded by the row's range (Dantzig's upper-bounding
+technique).  The routine refactors ``B^-1 [A | -I]`` from the original
+matrix at the optimal basis of the LP the node was made from, or at the
+slack basis, which is never singular (Koberstein 2005; Achterberg 2007), so
+no rounding drifts from node to node.  A bounded dual simplex (Bland's
+leaving row, the largest pivot among near-tied ratios) reaches a feasible
+basis with wrong-signed reduced costs shifted to zero, and a bounded primal
+simplex with Bland's rule finishes with the true costs.  'infeasible' and
+'unbounded' stand only when a ray recomputed from the original matrix
+proves them.  Branching picks the most fractional variable with
+lowest-index tie-breaks, and the node queue is ordered by best bound with
+FIFO tie-breaks.
 
 Square-root cone rows are handled by LP/NLP-based branch and bound (Quesada
 & Grossmann 1992): node LPs see each cone row at its radical floor, and at
-every integer-feasible node the exact rows are checked and violated ones get
-a supporting hyperplane of the convex radical.  The cuts go into the working
-model for the rest of the tree and the node is queued again, so one tree
-serves the whole solve and its time, node and cut-round limits bound the
-whole call.  Supporting hyperplanes never cut off exactly-feasible points,
-and incumbents are taken only where every cone row holds.
+every integer-feasible node the integer values are rounded, the rounded
+point is checked against every row, and violated cone rows get a supporting
+hyperplane of the convex radical.  The cuts go into the working model for
+the rest of the tree and the node is queued again, so one tree serves the
+whole solve and its time, node and cut-round limits bound the whole call.
+Supporting hyperplanes never cut off exactly-feasible points, and
+incumbents are rounded points where every row holds.
 
-A node's bounds are two arrays; a child copies one and changes one finite
-integer bound, so every node LP is the current working model's standard-form
-layout with the node's arrays written in: the matrices are expanded once per
-call, cut rows are appended to them, and a child LP differs from its
-parent's only in the right-hand side.
+A node's bounds are two arrays; a child copies one and changes one integer
+bound, so every node LP is the working model's standard form with the
+node's arrays as its column bounds, and cut rows are appended to it.
 Duals of the final basis are computed only for ``solve_lp``; branch and
 bound never reads them.  One deadline, taken when the call starts, stops
 the tree and the simplex inside every node LP.
@@ -55,14 +59,11 @@ from .model import (
     Solution,
     SolverStats,
     StandardFormLP,
-    _bound_arrays,
-    _Layout,
     to_standard_form,
 )
 
 _PIVOT_TOL = 1e-9
 _MAX_ITER = 1_000_000  # pivots per simplex loop before it reports "limit"
-_BOUND_CAP = 1e9  # branching cap for unbounded integer variables
 _PRUNE_TOL = 1e-9
 
 
@@ -103,18 +104,16 @@ class NodeRecord:
 
 
 class _SimplexResult:
-    __slots__ = ("status", "x", "objective", "iterations", "basis", "duals_ub",
-                 "duals_eq")
+    __slots__ = ("status", "x", "objective", "iterations", "basis", "duals")
 
     def __init__(self, status, x=None, objective=math.nan, iterations=0, basis=None,
-                 duals_ub=None, duals_eq=None):
+                 duals=None):
         self.status = status
         self.x = x
         self.objective = objective
         self.iterations = iterations
         self.basis = basis
-        self.duals_ub = duals_ub
-        self.duals_eq = duals_eq
+        self.duals = duals
 
 
 def _pivot(tab, basis, row, col):
@@ -128,72 +127,111 @@ def _pivot(tab, basis, row, col):
     basis[row] = col
 
 
-def _run_simplex(tab, basis, n_cols, deadline):
-    """Minimize over the tableau in place with Bland's rule.
+def _run_dual(tab, basis, x, lo, hi, deadline):
+    """Bounded dual simplex over the tableau in place, from dual-feasible
+    reduced costs (the last row of ``tab``) and values ``x`` of every column.
 
-    ``tab`` rows are [A | b] plus a final reduced-cost row [cbar | -obj].
-    Returns (status, iterations); status is 'optimal', 'unbounded' or
+    The leaving row is Bland's: the lowest basis index among rows whose value
+    is more than the tolerance outside its bounds; it leaves at the bound it
+    breaks.  The entering column is a nonbasic one that can move the leaving
+    value towards that bound from where it sits, with the smallest ratio
+    ``|d_j| / |a_rj|``; ratios within the tolerance of the smallest go to the
+    largest ``|a_rj|``, then to the lowest index.  Returns (status,
+    iterations); status is 'optimal' once every basic value is within its
+    bounds, 'infeasible' when a leaving row has no entering column, or
     'limit' after ``_MAX_ITER`` pivots or once ``deadline`` (a
     ``time.monotonic`` value) has passed with a pivot still to make.
     """
-    m = tab.shape[0] - 1
-    cbar = tab[-1, :n_cols]
+    m = len(basis)
+    d = tab[-1]
+    lob, hib = lo[basis] - _PIVOT_TOL, hi[basis] + _PIVOT_TOL
+    up, down = x < hi, x > lo  # which nonbasic columns can rise, fall
+    up[basis] = down[basis] = False
     for iters in range(_MAX_ITER):
-        improving = (cbar < -_PIVOT_TOL).nonzero()[0]
-        if not improving.size:
+        xb = x[basis]
+        below = xb < lob
+        bad = (below | (xb > hib)).nonzero()[0]
+        if not bad.size:
             return "optimal", iters
         if time.monotonic() >= deadline:
             return "limit", iters
-        enter = int(improving[0])
-        # ratio test in row order: a ratio more than the tolerance below the
-        # best wins, one within the tolerance wins on the lower basis index
-        col, rhs = tab[:m, enter].tolist(), tab[:m, -1].tolist()
-        leave = -1
-        best_ratio = INF
-        for r, a in enumerate(col):
-            if a > _PIVOT_TOL:
-                ratio = rhs[r] / a
-                if (ratio < best_ratio - _PIVOT_TOL
-                        or (abs(ratio - best_ratio) <= _PIVOT_TOL
-                            and (leave < 0 or basis[r] < basis[leave]))):
-                    best_ratio = ratio
-                    leave = r
-        if leave < 0:
-            return "unbounded", iters
-        _pivot(tab, basis, leave, enter)
-    return "limit", _MAX_ITER
-
-
-def _run_dual(tab, basis, n_cols, deadline):
-    """Dual simplex over the tableau in place, from nonnegative reduced costs.
-
-    The leaving row is Bland's: the lowest basis index among rows whose
-    value is below the tolerance's negative.  The entering column has the
-    smallest ratio ``cbar_j / |a_rj|`` among columns with ``a_rj`` below it;
-    ratios within the tolerance of the smallest go to the largest
-    ``|a_rj|``, then to the lowest index.  Returns (status, iterations);
-    status is 'optimal' once every row's value is feasible, 'infeasible'
-    when a leaving row has no entering column, or 'limit' as for
-    :func:`_run_simplex`.
-    """
-    m = tab.shape[0] - 1
-    cbar = tab[-1, :n_cols]
-    for iters in range(_MAX_ITER):
-        negative = (tab[:m, -1] < -_PIVOT_TOL).nonzero()[0]
-        if not negative.size:
-            return "optimal", iters
-        if time.monotonic() >= deadline:
-            return "limit", iters
-        leave = min(negative.tolist(), key=basis.__getitem__)
-        row = tab[leave, :n_cols]
-        cand = (row < -_PIVOT_TOL).nonzero()[0]
+        r = bad[basis[bad].argmin()]
+        # the basic value is -row @ x over the nonbasic columns
+        row = tab[r]
+        neg, pos = row < -_PIVOT_TOL, row > _PIVOT_TOL
+        cand = ((neg & up) | (pos & down) if below[r] else (pos & up) | (neg & down)).nonzero()[0]
         if not cand.size:
             return "infeasible", iters
-        size = -row[cand]
-        ratio = cbar[cand] / size
+        a = row[cand]
+        ratio = -d[cand] / a if below[r] else d[cand] / a
         near = ratio <= ratio.min() + _PIVOT_TOL
-        _pivot(tab, basis, leave, int(cand[near][np.argmax(size[near])]))
+        q = cand[near][np.abs(a[near]).argmax()]
+        p = basis[r]
+        target = lo[p] if below[r] else hi[p]
+        col = tab[:m, q]
+        step = (xb[r] - target) / col[r]
+        x[basis] = xb - step * col
+        x[q] += step
+        x[p] = target
+        lob[r], hib[r] = lo[q] - _PIVOT_TOL, hi[q] + _PIVOT_TOL
+        up[q] = down[q] = False
+        up[p], down[p] = target < hi[p], target > lo[p]
+        _pivot(tab, basis, r, q)
     return "limit", _MAX_ITER
+
+
+def _run_primal(tab, basis, x, lo, hi, deadline):
+    """Bounded primal simplex with Bland's rule over the tableau in place,
+    from values ``x`` within their bounds.
+
+    The entering column is the lowest-index nonbasic one whose reduced cost
+    improves in a direction its bounds leave open.  It moves until a basic
+    value reaches a bound, ratios within the tolerance of the smallest going
+    to the lowest basis index, or until its own other bound, whichever comes
+    first; then it flips to that bound with no pivot.  Returns (status,
+    iterations, entering column); status is 'optimal', 'unbounded' (nothing
+    stops the entering column) or 'limit' as for :func:`_run_dual`.
+    """
+    m = len(basis)
+    d = tab[-1]
+    lob, hib = lo[basis], hi[basis]
+    up, down = x < hi, x > lo
+    up[basis] = down[basis] = False
+    for iters in range(_MAX_ITER):
+        cand = (((d < -_PIVOT_TOL) & up) | ((d > _PIVOT_TOL) & down)).nonzero()[0]
+        if not cand.size:
+            return "optimal", iters, -1
+        if time.monotonic() >= deadline:
+            return "limit", iters, -1
+        q = cand[0]
+        sign = 1.0 if d[q] < 0 else -1.0
+        col = sign * tab[:m, q]  # basic values fall by col * step
+        xb = x[basis]
+        ratio = np.full(m, INF)
+        dec, inc = col > _PIVOT_TOL, col < -_PIVOT_TOL
+        ratio[dec] = (xb[dec] - lob[dec]) / col[dec]
+        ratio[inc] = (hib[inc] - xb[inc]) / -col[inc]
+        np.maximum(ratio, 0.0, out=ratio)
+        step = ratio.min(initial=INF)
+        span = hi[q] - lo[q]
+        if span <= step:
+            if span == INF:
+                return "unbounded", iters, q
+            x[basis] = xb - col * span
+            x[q] = hi[q] if sign > 0 else lo[q]
+            up[q], down[q] = sign < 0, sign > 0
+            continue
+        near = (ratio <= step + _PIVOT_TOL).nonzero()[0]
+        r = near[basis[near].argmin()]
+        p = basis[r]
+        x[basis] = xb - col * step
+        x[q] += sign * step
+        x[p] = lob[r] if col[r] > 0 else hib[r]
+        lob[r], hib[r] = lo[q], hi[q]
+        up[q] = down[q] = False
+        up[p], down[p] = x[p] < hi[p], x[p] > lo[p]
+        _pivot(tab, basis, r, q)
+    return "limit", _MAX_ITER, -1
 
 
 def _deadline(options: SolverOptions) -> float:
@@ -202,77 +240,30 @@ def _deadline(options: SolverOptions) -> float:
 
 
 def solve_lp(sf: StandardFormLP, options: SolverOptions | None = None) -> Solution:
-    """Solve a standard-form LP by two-phase primal simplex.
+    """Solve a standard-form LP by bounded dual, then primal, simplex.
 
-    Status ``optimal`` certifies primal feasibility within the feasibility
-    tolerance and no improving reduced cost; ``infeasible`` certifies a
-    positive phase-1 optimum; ``unbounded`` certifies an improving ray;
-    ``limit_reached`` means a phase hit the pivot cap or the time limit.
-    The returned values are restored to model-variable space and the duals of
-    the final basis are stashed in ``stats.extra['duals']``.
+    Status ``optimal`` certifies every row and column within its bounds up
+    to the pivot tolerance and no improving reduced cost; ``infeasible`` and
+    ``unbounded`` are each certified by a ray checked against the original
+    matrix; ``limit_reached`` means a loop hit the pivot cap or the time
+    limit, or a second verdict failed its check.  The values are the model's
+    variables, and ``stats.extra['duals']`` holds one multiplier per model
+    row: ``c - a.T @ duals`` are the columns' reduced costs, and a row's
+    multiplier is nonnegative at its upper bound, nonpositive at its lower.
     """
     options = options or SolverOptions()
     res = _solve_standard(sf, options, _deadline(options), duals=True)
     stats = SolverStats(iterations=res.iterations)
     if res.status == "optimal":
-        values = sf.restore(res.x)
-        stats.extra["duals"] = (res.duals_ub, res.duals_eq)
-        return Solution("optimal", values, sf.model_objective(res.objective), stats)
+        stats.extra["duals"] = res.duals
+        return Solution("optimal", dict(enumerate(res.x.tolist())),
+                        sf.model_objective(res.objective), stats)
     if res.status == "infeasible":
         return Solution("infeasible", {}, math.nan, stats)
     if res.status == "unbounded":
         obj = INF if sf.sense == "max" else -INF
         return Solution("unbounded", {}, obj, stats)
     return Solution("limit_reached", {}, math.nan, stats)
-
-
-def _solve_standard(sf: StandardFormLP, options: SolverOptions, deadline: float,
-                    duals: bool = False, basis=None) -> _SimplexResult:
-    """Simplex on the canonical maximization; internal min convention.
-
-    With ``basis``, an optimal basis of an LP with the same matrix (or the
-    same matrix before inequality rows were appended), the LP is first solved
-    warm (:func:`_solve_warm`); the cold two-phase path runs
-    without one, or when the warm path cannot give a sound verdict.  Every
-    simplex loop stops at ``deadline``.  The result carries the final basis
-    (``None`` when phase 1 dropped a redundant row); its duals are computed
-    only when ``duals`` is set."""
-    n = sf.n_cols
-    m_ub, m_eq = sf.a_ub.shape[0], sf.a_eq.shape[0]
-    if sf.a_ub.shape[1] != n or (m_eq and sf.a_eq.shape[1] != n):
-        raise SolverError("constraint matrix width does not match objective length")
-    if sf.b_ub.shape[0] != m_ub or sf.b_eq.shape[0] != m_eq:
-        raise SolverError("right-hand side length does not match matrix rows")
-    warm_iters = 0
-    if basis is not None:
-        res = _solve_warm(sf, options, deadline, basis)
-        if res.status != "retry":
-            return res
-        warm_iters = res.iterations
-    res = _solve_cold(sf, options, deadline, duals)
-    res.iterations += warm_iters
-    return res
-
-
-def _optimal(sf: StandardFormLP, tab, basis, iterations) -> _SimplexResult:
-    """The optimal result read off a final tableau and its basis."""
-    x = np.zeros(tab.shape[1] - 1)
-    x[basis] = tab[:-1, -1]
-    x = np.maximum(x[:sf.n_cols], 0.0)
-    return _SimplexResult("optimal", x, float(sf.c @ x + sf.c0), iterations,
-                          tuple(basis))
-
-
-def _standard_matrix(sf: StandardFormLP) -> np.ndarray:
-    """``[A_ub I | b_ub]`` over ``[A_eq 0 | b_eq]``: every row with the slack
-    columns after the structural ones."""
-    n, m_ub = sf.n_cols, sf.a_ub.shape[0]
-    mat = np.zeros((m_ub + sf.a_eq.shape[0], n + m_ub + 1))
-    mat[:m_ub, :n] = sf.a_ub
-    mat[np.arange(m_ub), n + np.arange(m_ub)] = 1.0
-    mat[m_ub:, :n] = sf.a_eq
-    mat[:, -1] = np.concatenate([sf.b_ub, sf.b_eq])
-    return mat
 
 
 def _refactor(mat, basis):
@@ -291,155 +282,130 @@ def _refactor(mat, basis):
     return tab
 
 
-def _solve_warm(sf: StandardFormLP, options: SolverOptions, deadline: float,
-                basis) -> _SimplexResult:
-    """Dual simplex from ``basis`` (Koberstein 2005), refactored from the
-    original matrix: the tableau is ``B^-1 [A | b]`` for the basis columns
-    ``B``, so no rounding carries over from the LP the basis came from.
-
-    A basis shorter than the rows is one from before inequality rows were
-    appended (:meth:`_Layout.extended`); their slacks join it.  Negative
-    reduced costs left by rounding are shifted to zero for the dual simplex
-    and restored for a primal phase 2 that finishes.  An 'infeasible' stands
-    only when a Farkas ray ``y = B^-T e_r`` checked against ``[A | b]``
-    proves it.  Status 'retry', with the pivots spent, asks for the cold
-    path: a singular basis, or an unproven 'infeasible'.
-    """
-    n, m_ub = sf.n_cols, sf.a_ub.shape[0]
-    mat = _standard_matrix(sf)
-    m, n_work = mat.shape[0], mat.shape[1] - 1
-    basis = list(basis) + list(range(n + m_ub - m + len(basis), n + m_ub))
-    rows = _refactor(mat, basis)
-    if rows is None:
-        return _SimplexResult("retry")
-    tab = np.vstack([rows, np.zeros(n_work + 1)])
-    cost = np.zeros(n_work + 1)
-    cost[:n] = -sf.c
-    tab[-1] = cost - cost[basis] @ tab[:m]
-    tab[-1, basis] = 0.0
-    shifted = tab[-1, :n_work] < 0.0
-    tab[-1, :n_work][shifted] = 0.0
-
-    status, iters = _run_dual(tab, basis, n_work, deadline)
-    if status == "infeasible":
-        rows = np.flatnonzero(tab[:m, -1] < -_PIVOT_TOL)
-        try:
-            y = np.linalg.solve(mat[:, basis].T, np.eye(m)[:, rows])
-        except np.linalg.LinAlgError:
-            return _SimplexResult("retry", iterations=iters)
-        ray = y.T @ mat
-        scale = np.maximum(1.0, np.abs(y).max(axis=0, initial=0.0))
-        if np.any((ray[:, :-1].min(axis=1, initial=0.0) >= -_PIVOT_TOL * scale)
-                  & (ray[:, -1] < -options.feasibility_tol * scale)):
-            return _SimplexResult("infeasible", iterations=iters)
-        return _SimplexResult("retry", iterations=iters)
-    if status == "limit":
-        return _SimplexResult("limit", iterations=iters)
-    if shifted.any():
-        tab[-1] = cost - cost[basis] @ tab[:m]
-    status, more = _run_simplex(tab, basis, n_work, deadline)
-    iters += more
-    if status != "optimal":
-        return _SimplexResult(status, iterations=iters)
-    return _optimal(sf, tab, basis, iters)
+def _start(mat, cost, lo, hi, basis):
+    """The tableau ``[B^-1 mat ; reduced costs]`` at ``basis`` (the slack
+    basis in place of a singular one), the value of every column, and which
+    reduced costs were shifted to zero.  A nonbasic column sits at the bound
+    its reduced cost favours, at its one finite bound, or at 0 when free;
+    reduced costs of the wrong sign for where a column sits are shifted."""
+    slack = np.arange(mat.shape[1] - mat.shape[0], mat.shape[1])
+    rows = None if np.array_equal(basis, slack) else _refactor(mat, basis)
+    if rows is None:  # B^-1 mat is -mat at the slack basis
+        basis[:] = slack
+        rows = -mat
+    d = cost - cost[basis] @ rows
+    d[basis] = 0.0
+    at_hi = np.isfinite(hi) & ((d < 0) | ~np.isfinite(lo))
+    x = np.where(at_hi, hi, np.where(np.isfinite(lo), lo, 0.0))
+    x[basis] = 0.0
+    x[basis] = -(rows @ x)
+    shifted = (lo < hi) & np.where(at_hi, d > 0, (d < 0) | ((d > 0) & ~np.isfinite(lo)))
+    shifted[basis] = False
+    d[shifted] = 0.0
+    return np.vstack([rows, d]), x, shifted
 
 
-def _solve_cold(sf: StandardFormLP, options: SolverOptions, deadline: float,
-                duals: bool) -> _SimplexResult:
-    """Two-phase primal simplex from the slack and artificial basis."""
-    n = sf.n_cols
-    m_ub, m_eq = sf.a_ub.shape[0], sf.a_eq.shape[0]
-    m = m_ub + m_eq
-    n_work = n + m_ub
+def _range_over_box(coef, lo, hi):
+    """The least and the greatest value of ``coef @ z`` over ``lo <= z <= hi``."""
+    nz = coef != 0.0
+    coef, lo, hi = coef[nz], lo[nz], hi[nz]
+    pos = coef > 0.0
+    return coef @ np.where(pos, lo, hi), coef @ np.where(pos, hi, lo)
 
-    # the standard rows with signs flipped to keep rhs >= 0, then one
-    # artificial column per row without a clean slack
-    mat = _standard_matrix(sf)
-    flip = mat[:, -1] < 0
-    mat[flip] *= -1.0
-    need_art = np.flatnonzero(flip | (np.arange(m) >= m_ub))
-    n_total = n_work + need_art.shape[0]
-    tab = np.zeros((m + 1, n_total + 1))
-    tab[:m, :n_work] = mat[:, :-1]
-    tab[:m, -1] = mat[:, -1]
-    signed = mat[:, :-1] if duals else None
-    basis = [n + r for r in range(m)]  # slack columns; artificials set below
-    tab[need_art, n_work + np.arange(need_art.shape[0])] = 1.0
-    for k, r in enumerate(need_art.tolist()):
-        basis[r] = n_work + k
 
-    total_iters = 0
-    keep_rows = list(range(m))
-    if need_art.size:
-        # phase 1: minimize the artificial sum
-        tab[-1, n_work:n_total] = 1.0
-        for r in need_art:
-            tab[-1] -= tab[r]
-        status, iters = _run_simplex(tab, basis, n_total, deadline)
-        total_iters += iters
-        if status == "limit":
-            return _SimplexResult("limit", iterations=total_iters)
-        phase1 = -tab[-1, -1]
-        if phase1 > options.feasibility_tol:
-            return _SimplexResult("infeasible", iterations=total_iters)
-        # drive leftover zero-level artificials out of the basis; a row with
-        # no usable entry is redundant and dropped
-        keep_rows = []
-        for r in range(m):
-            if basis[r] >= n_work:
-                usable = np.flatnonzero(np.abs(tab[r, :n_work]) > 1e-7)
-                if not usable.size:
-                    continue
-                _pivot(tab, basis, r, int(usable[0]))
-            keep_rows.append(r)
-        if len(keep_rows) < m:
-            tab = tab[keep_rows + [m]]
-            basis = [basis[r] for r in keep_rows]
-            m = len(keep_rows)
-        tab = np.delete(tab, np.s_[n_work:n_total], axis=1)
+def _proven(status, mat, cost, lo, hi, basis, x, enter, tol) -> bool:
+    """Whether a ray computed afresh from ``basis`` and the original matrix
+    proves an 'infeasible' or 'unbounded' verdict.
 
-    # phase 2: minimize -c over the feasible tableau
-    c_min = np.zeros(n_work)
-    c_min[:n] = -sf.c
-    tab[-1, :n_work] = c_min
-    tab[-1, -1] = 0.0
-    for r in range(m):
-        coeff = tab[-1, basis[r]]
-        if abs(coeff) > _PIVOT_TOL:
-            tab[-1] -= coeff * tab[r]
-    status, iters = _run_simplex(tab, basis, n_work, deadline)
-    total_iters += iters
-    if status != "optimal":
-        return _SimplexResult(status, iterations=total_iters)
-
-    res = _optimal(sf, tab, basis, total_iters)
-    if len(keep_rows) < m_ub + m_eq:
-        res.basis = None
-    if not duals:
-        return res
-
-    # simplex multipliers from the final basis, mapped to max-convention duals
+    Infeasible: for a row out of bounds, ``y = B^-T e_r`` gives ``y @ mat @ z
+    == 0`` for every solution ``z``, which no ``z`` within the bounds can
+    meet.  Unbounded: the direction that moves ``enter`` and keeps
+    ``mat @ z == 0`` improves the cost and meets no finite bound.  Entries
+    within the pivot tolerance (scaled by the ray) count as zero."""
+    b = mat[:, basis]
     try:
-        y_int = np.linalg.solve(signed[keep_rows][:, basis].T, c_min[basis])
+        if status == "infeasible":
+            xb = x[basis]
+            rows = np.flatnonzero((xb < lo[basis] - _PIVOT_TOL) | (xb > hi[basis] + _PIVOT_TOL))
+            ys = np.linalg.solve(b.T, np.eye(len(basis))[:, rows]).T
+        else:
+            col = np.linalg.solve(b, mat[:, enter])
     except np.linalg.LinAlgError:
-        y_int = np.zeros(m)
-    y_max = np.zeros(m_ub + m_eq)
-    y_max[keep_rows] = np.where(flip[keep_rows], 1.0, -1.0) * y_int
-    res.duals_ub, res.duals_eq = y_max[:m_ub], y_max[m_ub:]
-    return res
+        return False
+    if status == "infeasible":
+        for y in ys:
+            scale = max(1.0, np.abs(y).max())
+            ray = y @ mat
+            ray[np.abs(ray) <= _PIVOT_TOL * scale] = 0.0
+            least, greatest = _range_over_box(ray, lo, hi)
+            if least > tol * scale or greatest < -tol * scale:
+                return True
+        return False
+    ray = np.zeros(mat.shape[1])
+    ray[enter] = 1.0 if cost[enter] - cost[basis] @ col < 0 else -1.0
+    ray[basis] = -ray[enter] * col
+    scale = max(1.0, np.abs(ray).max())
+    if not (cost @ ray < -_PIVOT_TOL * scale
+            and np.abs(mat @ ray).max(initial=0.0) <= tol * scale):
+        return False
+    return bool(np.all(hi[ray > _PIVOT_TOL * scale] == INF)
+                and np.all(lo[ray < -_PIVOT_TOL * scale] == -INF))
+
+
+def _solve_standard(sf: StandardFormLP, options: SolverOptions, deadline: float,
+                    duals: bool = False, basis=None) -> _SimplexResult:
+    """The one LP routine: bounded dual simplex to a feasible basis, then
+    bounded primal simplex with the true costs, over ``[a | -I]`` whose last
+    columns are the rows' logical columns, bounded by the row ranges.
+
+    It starts from ``basis``, an optimal basis of an LP with the same matrix
+    or the same matrix before rows were appended (their logicals join it),
+    or from the slack basis, which also replaces a singular one.  Reduced
+    costs shifted at the start are restored for the primal finish.  An
+    'infeasible' or 'unbounded' verdict stands only when :func:`_proven`;
+    the first one that is not refactors at the current basis and goes on,
+    and a second ends the LP with 'limit'.  Every loop stops at
+    ``deadline``.  The result carries the final basis; its duals are
+    computed only when ``duals`` is set."""
+    n, m = sf.n_cols, sf.a.shape[0]
+    if sf.a.shape[1] != n or sf.col_lo.shape != (n,) or sf.col_hi.shape != (n,):
+        raise SolverError("constraint matrix or bound width does not match objective length")
+    if sf.row_lo.shape != (m,) or sf.row_hi.shape != (m,):
+        raise SolverError("row range length does not match matrix rows")
+    lo = np.concatenate([sf.col_lo, sf.row_lo])
+    hi = np.concatenate([sf.col_hi, sf.row_hi])
+    if np.any((lo > hi) | (lo == INF) | (hi == -INF)):
+        return _SimplexResult("infeasible")
+    mat = np.hstack([sf.a, -np.eye(m)])
+    cost = np.concatenate([-sf.c, np.zeros(m)])
+    basis = np.arange(n, n + m) if basis is None else (
+        np.concatenate([basis, np.arange(n + len(basis), n + m)]).astype(np.intp))
+    iters = 0
+    for _ in range(2):
+        tab, x, shifted = _start(mat, cost, lo, hi, basis)
+        status, more = _run_dual(tab, basis, x, lo, hi, deadline)
+        iters += more
+        enter = -1
+        if status == "optimal":
+            if shifted.any():
+                tab[-1] = cost - cost[basis] @ tab[:m]
+                tab[-1, basis] = 0.0
+            status, more, enter = _run_primal(tab, basis, x, lo, hi, deadline)
+            iters += more
+        if status == "optimal":
+            xs = np.clip(x[:n], sf.col_lo, sf.col_hi)
+            res = _SimplexResult("optimal", xs, float(sf.c @ xs + sf.c0), iters,
+                                 tuple(basis.tolist()))
+            if duals:
+                res.duals = -np.linalg.solve(mat[:, basis].T, cost[basis])
+            return res
+        if status == "limit" or _proven(status, mat, cost, lo, hi, basis, x, enter,
+                                        options.feasibility_tol):
+            return _SimplexResult(status, iterations=iters)
+    return _SimplexResult("limit", iterations=iters)
 
 
 # -- branch and bound --------------------------------------------------------
-
-
-def _root_bounds(model: Model, is_int: np.ndarray):
-    """Model bounds with unbounded integer ones capped, never past the
-    other bound (``[2e9, inf)`` becomes ``[2e9, 2e9]``), and whether any was."""
-    lo, hi = _bound_arrays(model)
-    low, high = is_int & (lo == -INF), is_int & (hi == INF)
-    lo[low] = np.minimum(-_BOUND_CAP, hi[low])
-    hi[high] = np.maximum(_BOUND_CAP, lo[high])
-    return lo, hi, bool(low.any() or high.any())
 
 
 def _branching_var(values, is_int: np.ndarray, tol: float) -> int | None:
@@ -472,43 +438,49 @@ def _cone_violations(cone_rows, values) -> list[tuple[Constraint, float]]:
 def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
     """Branch-and-bound over LP relaxations, with cone rows cut in the tree.
 
-    The root's bound arrays are the model's, unbounded integer bounds capped
-    at ``_BOUND_CAP``.  Branching variable: most fractional, ties broken by
-    lowest id.  Node order: best bound, ties FIFO.  Cone rows enter the node LPs at their
-    radical floor; at a node whose LP point is integer-feasible every cone
-    row is evaluated exactly, and rows violated by more than
-    ``cone_cut_tol`` get a supporting-hyperplane cut.  The cuts join every
-    later node LP, and the node goes back into the queue under its own LP
-    bound, which the cuts leave valid.  An incumbent is accepted only when
-    every cone row holds.
+    The root's bounds are the model's.  Branching variable: most
+    fractional, ties broken by lowest id.  Node order: best bound, ties
+    FIFO.  Cone rows enter the node LPs at their radical floor.  At a node
+    whose LP point is integer-feasible the integer values are rounded; if
+    the rounded point breaks a linear row or bound by more than
+    ``feasibility_tol``, the node branches on the integer variable farthest
+    from integral.  Otherwise every cone row is evaluated exactly there, and
+    rows violated by more than ``cone_cut_tol`` get a supporting-hyperplane
+    cut.  The cuts join every later node LP, and the node goes back into the
+    queue under its own LP bound, which the cuts leave valid.  A rounded
+    point that passes every check is an incumbent, its objective taken
+    there.
 
     An exhausted tree certifies the incumbent optimal (within the LP and cut
     tolerances); hitting ``max_nodes``, ``max_cone_rounds`` separations, the
     time limit or the simplex pivot cap yields ``limit_reached`` carrying the
-    incumbent if one exists.  Only the root LP can make the call
+    incumbent if one exists, as does a rounded point that fails its checks
+    with nothing left to round.  Only the root LP can make the call
     ``unbounded``: once a node LP is optimal, a later node LP that claims an
     unbounded ray does so from rounding, and the call stops with
-    ``limit_reached`` as well.  With cone rows, ``stats.extra["cone_violation"]``
-    is the worst cone-row residual at the returned values, or at the last
-    cut-off point when none are returned.
+    ``limit_reached`` as well.  With cone rows,
+    ``stats.extra["cone_violation"]`` is the worst cone-row residual at the
+    returned values, or at the last cut-off point when none are returned.
     """
     options = options or SolverOptions()
     deadline = _deadline(options)
     cone_rows = [c for c in model.constraints if c.cone is not None]
     work = _relax_cones(model, cone_rows) if cone_rows else model
     is_int = np.array([v.is_integer for v in model.variables], dtype=bool)
-    lo, hi, capped = _root_bounds(model, is_int)
+    lp = to_standard_form(work)
+    # the model's linear rows and bounds, which a rounded point must meet
+    linear = np.flatnonzero([c.cone is None for c in model.constraints])
+    lin_a = np.vstack([lp.a[linear], np.eye(len(is_int))])
+    lin_lo = np.concatenate([lp.row_lo[linear], lp.col_lo])
+    lin_hi = np.concatenate([lp.row_hi[linear], lp.col_hi])
     stats = SolverStats()
-    if capped:
-        stats.extra["integer_bounds_capped"] = True
 
     best_values = None
     best_cano = -INF
     counter = 0
     separations = 0
     cut_off = 0.0
-    layout = _Layout(work, lo, hi)
-    heap = [(-INF, counter, NodeRecord(lo, hi))]
+    heap = [(-INF, counter, NodeRecord(lp.col_lo, lp.col_hi))]
     status = "optimal"
     bounded = False  # some node LP was optimal, so none can be unbounded
     bound_sequence: list[float] = []
@@ -521,8 +493,8 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
         if stats.nodes >= options.max_nodes or time.monotonic() > deadline:
             status = "limit_reached"
             break
-        sf = layout.form(node.lo, node.hi)
-        res = _solve_standard(sf, options, deadline, basis=node.basis)
+        res = _solve_standard(replace(lp, col_lo=node.lo, col_hi=node.hi), options,
+                              deadline, basis=node.basis)
         stats.nodes += 1
         stats.iterations += res.iterations
         if res.status == "infeasible":
@@ -539,9 +511,19 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
         cano = res.objective  # canonical max value from _solve_standard
         if cano <= best_cano + _PRUNE_TOL and best_values is not None:
             continue
-        values = sf.restore(res.x)
-        var = _branching_var(values, is_int, options.integrality_tol)
+        var = _branching_var(dict(enumerate(res.x.tolist())), is_int,
+                             options.integrality_tol)
         if var is None:
+            point = np.where(is_int, np.round(res.x), res.x) + 0.0
+            act = lin_a @ point
+            if np.any((lin_lo - act > options.feasibility_tol)
+                      | (act - lin_hi > options.feasibility_tol)):
+                var = int(np.argmax(np.abs(res.x - point)))
+                if res.x[var] == point[var]:
+                    status = "limit_reached"  # the LP point itself breaks a row
+                    break
+        if var is None:
+            values = dict(enumerate(point.tolist()))
             violated = [(con, viol) for con, viol in _cone_violations(cone_rows, values)
                         if viol > options.cone_cut_tol]
             if violated:
@@ -559,16 +541,17 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
                                            con.lhs.constant + constant),
                         "<=", con.rhs, label=f"{con.label}__cut{stats.cone_cuts}",
                     )
-                layout = layout.extended(work.constraints[n_rows:])
+                lp = lp.extended(work.constraints[n_rows:])
                 counter += 1
                 heapq.heappush(heap, (-cano, counter, replace(node, basis=res.basis)))
                 continue
+            cano = float(lp.c @ point + lp.c0)
             if cano > best_cano:
                 best_cano = cano
                 best_values = values
             continue
         down, up = node.hi.copy(), node.lo.copy()
-        down[var], up[var] = math.floor(values[var]), math.ceil(values[var])
+        down[var], up[var] = math.floor(res.x[var]), math.ceil(res.x[var])
         for lo, hi in ((node.lo, down), (up, node.hi)):
             if lo[var] <= hi[var]:
                 counter += 1

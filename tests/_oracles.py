@@ -5,9 +5,9 @@ from bisection on an erf-based CDF, MILP optima from exhaustive enumeration,
 robust optima and worst violations from explicit corner realization, LP
 optima from vertex enumeration or scipy, cone optima from an outer
 approximation with HiGHS as the master.  The scalar simplex kernel is the
-row-by-row pivot, the element-by-element Bland scan and the element-by-element
-dual simplex scan the solver's vectorised kernel must reproduce pivot for
-pivot.  The reference Monte Carlo estimator keeps every entry's draws and
+row-by-row pivot and the element-by-element scans of the bounded primal
+(Bland) and bounded dual simplex that the solver's vectorised kernel must
+reproduce pivot for pivot.  The reference Monte Carlo estimator keeps every entry's draws and
 sums each row at the end, as the streaming, concurrent estimator must
 reproduce bit for bit.  The restart loop is the outer approximation for cone rows
 that solves a fresh branch and bound per round of cuts, against which the
@@ -695,74 +695,99 @@ def reference_pivot(tab, basis, row, col):
     basis[row] = col
 
 
-def reference_run_simplex(tab, basis, n_cols, deadline=math.inf, max_iter=1_000_000):
-    """Bland's rule with scalar scans: the first improving column enters; the
-    ratio test walks the rows in order, a ratio more than the tolerance below
-    the best wins and one within it wins on the lower basis index.  Stops
-    with 'limit' when a pivot is due at or after ``deadline``."""
-    m = tab.shape[0] - 1
+def reference_run_dual(tab, basis, x, lo, hi, deadline=math.inf, max_iter=1_000_000):
+    """Bounded dual simplex with scalar scans: the leaving row has the lowest
+    basis index among rows whose value is more than the tolerance outside
+    its bounds and leaves at the bound it breaks; the entering column can
+    move that value towards the bound from where it sits and has the
+    smallest ratio ``|d_j| / |a_rj|``, ratios within the tolerance of the
+    smallest going to the largest ``|a_rj|`` and then to the lowest index.
+    Stops with 'limit' when a pivot is due at or after ``deadline``."""
+    m = len(basis)
     iters = 0
     while iters < max_iter:
-        cbar = tab[-1, :n_cols]
+        leave, below = -1, False
+        for r in range(m):
+            p = basis[r]
+            low = x[p] < lo[p] - _PIVOT_TOL
+            if (low or x[p] > hi[p] + _PIVOT_TOL) and (leave < 0 or p < basis[leave]):
+                leave, below = r, low
+        if leave < 0:
+            return "optimal", iters
+        if time.monotonic() >= deadline:
+            return "limit", iters
+        eligible = []
+        for j in range(tab.shape[1]):
+            a = tab[leave, j] if below else -tab[leave, j]
+            if (a < -_PIVOT_TOL and x[j] < hi[j]) or (a > _PIVOT_TOL and x[j] > lo[j]):
+                eligible.append((-tab[-1, j] / a, abs(a), j))
+        if not eligible:
+            return "infeasible", iters
+        best = min(ratio for ratio, _, _ in eligible)
+        enter, size = -1, 0.0
+        for ratio, a, j in eligible:
+            if ratio <= best + _PIVOT_TOL and a > size:
+                enter, size = j, a
+        p = basis[leave]
+        target = lo[p] if below else hi[p]
+        step = (x[p] - target) / tab[leave, enter]
+        for r in range(m):
+            x[basis[r]] -= step * tab[r, enter]
+        x[enter] += step
+        x[p] = target
+        reference_pivot(tab, basis, leave, enter)
+        iters += 1
+    return "limit", iters
+
+
+def reference_run_primal(tab, basis, x, lo, hi, deadline=math.inf, max_iter=1_000_000):
+    """Bounded primal simplex with scalar scans: the first nonbasic column
+    whose reduced cost improves in a direction its bounds leave open enters;
+    it moves until a basic value meets a bound (ratios within the tolerance
+    of the smallest go to the lowest basis index) or, when that comes no
+    later, its own other bound, and then flips to it.  Returns (status,
+    iterations, entering column)."""
+    m = len(basis)
+    iters = 0
+    while iters < max_iter:
         enter = -1
-        for j in range(n_cols):
-            if cbar[j] < -_PIVOT_TOL:
+        for j in range(tab.shape[1]):
+            d = tab[-1, j]
+            if j not in basis and ((d < -_PIVOT_TOL and x[j] < hi[j])
+                                   or (d > _PIVOT_TOL and x[j] > lo[j])):
                 enter = j
                 break
         if enter < 0:
-            return "optimal", iters
+            return "optimal", iters, -1
         if time.monotonic() >= deadline:
-            return "limit", iters
-        leave = -1
-        best_ratio = math.inf
+            return "limit", iters, -1
+        sign = 1.0 if tab[-1, enter] < 0 else -1.0
+        ratios = []
         for r in range(m):
-            a = tab[r, enter]
+            a, p = sign * tab[r, enter], basis[r]
             if a > _PIVOT_TOL:
-                ratio = tab[r, -1] / a
-                if (ratio < best_ratio - _PIVOT_TOL
-                        or (abs(ratio - best_ratio) <= _PIVOT_TOL
-                            and (leave < 0 or basis[r] < basis[leave]))):
-                    best_ratio = ratio
-                    leave = r
-        if leave < 0:
-            return "unbounded", iters
-        reference_pivot(tab, basis, leave, enter)
+                ratios.append((max((x[p] - lo[p]) / a, 0.0), r))
+            elif a < -_PIVOT_TOL:
+                ratios.append((max((hi[p] - x[p]) / -a, 0.0), r))
+        step = min((ratio for ratio, _ in ratios), default=math.inf)
+        span = hi[enter] - lo[enter]
         iters += 1
-    return "limit", iters
-
-
-def reference_run_dual(tab, basis, n_cols, deadline=math.inf, max_iter=1_000_000):
-    """Dual simplex with scalar scans: the leaving row has the lowest basis
-    index among rows whose value is below the tolerance's negative; the
-    entering column has the smallest ratio ``cbar_j / |a_rj|`` among
-    columns with ``a_rj`` below it, ratios within the tolerance of the
-    smallest going to the largest ``|a_rj|`` and then to the lowest index.
-    Stops with 'limit' when a pivot is due at or after ``deadline``."""
-    m = tab.shape[0] - 1
-    iters = 0
-    while iters < max_iter:
-        leave = -1
+        if span <= step:
+            if span == math.inf:
+                return "unbounded", iters - 1, enter
+            for r in range(m):
+                x[basis[r]] -= sign * tab[r, enter] * span
+            x[enter] = hi[enter] if sign > 0 else lo[enter]
+            continue
+        leave = min((r for ratio, r in ratios if ratio <= step + _PIVOT_TOL),
+                    key=lambda r: basis[r])
         for r in range(m):
-            if tab[r, -1] < -_PIVOT_TOL and (leave < 0 or basis[r] < basis[leave]):
-                leave = r
-        if leave < 0:
-            return "optimal", iters
-        if time.monotonic() >= deadline:
-            return "limit", iters
-        best_ratio = math.inf
-        for j in range(n_cols):
-            if tab[leave, j] < -_PIVOT_TOL:
-                best_ratio = min(best_ratio, tab[-1, j] / -tab[leave, j])
-        if best_ratio == math.inf:
-            return "infeasible", iters
-        enter, size = -1, 0.0
-        for j in range(n_cols):
-            a = tab[leave, j]
-            if a < -_PIVOT_TOL and tab[-1, j] / -a <= best_ratio + _PIVOT_TOL and -a > size:
-                enter, size = j, -a
+            x[basis[r]] -= sign * tab[r, enter] * step
+        x[enter] += sign * step
+        p = basis[leave]
+        x[p] = lo[p] if sign * tab[leave, enter] > 0 else hi[p]
         reference_pivot(tab, basis, leave, enter)
-        iters += 1
-    return "limit", iters
+    return "limit", iters, -1
 
 
 # -- restart loop for cone rows ---------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from robustcounter.model import (
     Model,
     ModelError,
     ParseError,
-    _bound_arrays,
     export_text,
     import_text,
     to_standard_form,
@@ -169,31 +169,34 @@ def test_standard_form_trivial():
     m.set_objective("max", [(x, 1.0)])
     m.add_constraint([(x, 1.0)], "<=", 5.0)
     sf = to_standard_form(m.finalize())
-    assert sf.a_ub.shape == (1, 1)
+    assert sf.a.shape == (1, 1)
     assert np.allclose(sf.c, [1.0])
+    assert (sf.row_lo.tolist(), sf.row_hi.tolist()) == ([-INF], [5.0])
 
 
-def test_standard_form_negates_ge_rows():
+def test_standard_form_ge_row_is_a_lower_range():
     m = Model()
     x = m.add_variable("x")
     m.set_objective("max", [(x, 1.0)])
-    m.add_constraint([(x, 1.0)], ">=", 2.0)
+    m.add_constraint(LinExpr.from_terms([(x, 1.0)], 0.5), ">=", 2.0)
+    m.add_constraint([(x, 1.0)], "=", 3.0)
     sf = to_standard_form(m.finalize())
-    assert np.allclose(sf.a_ub, [[-1.0]])
-    assert np.allclose(sf.b_ub, [-2.0])
+    assert np.allclose(sf.a, [[1.0], [1.0]])
+    assert (sf.row_lo.tolist(), sf.row_hi.tolist()) == ([1.5, 3.0], [INF, 3.0])
 
 
-def test_standard_form_shifts_finite_lower_bound():
+def test_standard_form_keeps_bounds_on_columns():
     m = Model()
     x = m.add_variable("x", lower=1.0, upper=4.0)
-    m.set_objective("max", [(x, 1.0)])
-    m.add_constraint([(x, 1.0)], "<=", 10.0)
+    y = m.add_variable("y", lower=-INF, upper=2.0)
+    z = m.add_variable("z", lower=-INF, upper=INF)
+    m.set_objective("min", LinExpr.from_terms([(x, 1.0), (y, -2.0), (z, 1.0)], 7.0))
+    m.add_constraint([(x, 1.0), (z, 1.0)], "<=", 10.0)
     sf = to_standard_form(m.finalize())
-    # shifted variable starts at 0; the bound row is upper - lower
-    assert sf.var_offset[x] == 1.0
-    assert np.allclose(sf.b_ub, [3.0, 9.0])
-    values = sf.restore(np.array([2.0]))
-    assert values[x] == pytest.approx(3.0)
+    # one column per variable, bounds as given, the min objective negated
+    assert (sf.col_lo.tolist(), sf.col_hi.tolist()) == ([1.0, -INF, -INF], [4.0, 2.0, INF])
+    assert sf.c.tolist() == [-1.0, 2.0, -1.0] and sf.c0 == -7.0
+    assert sf.model_objective(3.0) == -3.0
 
 
 def test_standard_form_rejects_cones():
@@ -206,8 +209,8 @@ def test_standard_form_rejects_cones():
 
 
 def test_standard_form_equivalence_on_random_models():
-    """Restored optima are feasible in the original model with the reported
-    objective, across shifts, mirrored variables, and free splits."""
+    """LP optima are feasible in the original model with the reported
+    objective, across lower, upper-only and free bounds."""
     rng = np.random.default_rng(2024)
     solved = 0
     for _ in range(100):
@@ -222,12 +225,12 @@ def test_standard_form_equivalence_on_random_models():
 
 
 def test_layout_extended_equals_rebuild():
-    """Rows appended to a standard-form layout give, bit for bit, the arrays
-    a rebuild of the grown model gives, under other bounds too."""
+    """Rows appended to a standard form give, bit for bit, the arrays a
+    rebuild of the grown model gives, under other column bounds too."""
     rng = np.random.default_rng(7)
     for _ in range(40):
         work = random_lp_model(rng).copy()
-        layout = to_standard_form(work).layout
+        sf = to_standard_form(work)
         n_rows = len(work.constraints)
         ids = [v.id for v in work.variables]
         for _ in range(int(rng.integers(1, 4))):
@@ -236,61 +239,39 @@ def test_layout_extended_equals_rebuild():
             work.add_constraint(LinExpr.from_terms(terms, float(rng.uniform(-2, 2))),
                                 ("<=", ">=", "=")[int(rng.integers(0, 3))],
                                 float(rng.uniform(-5, 15)))
-        grown = layout.extended(work.constraints[n_rows:])
-        lo, hi = _bound_arrays(work)
-        for bounds in ((lo, hi), (lo - 1.5, hi + 0.5)):
-            got, want = grown.form(*bounds), to_standard_form(work).layout.form(*bounds)
-            for name in ("c", "a_ub", "b_ub", "a_eq", "b_eq", "var_offset"):
+        grown, rebuilt = sf.extended(work.constraints[n_rows:]), to_standard_form(work)
+        for bounds in ((), (rebuilt.col_lo - 1.5, rebuilt.col_hi + 0.5)):
+            got, want = grown, rebuilt
+            if bounds:
+                got, want = (replace(lp, col_lo=bounds[0], col_hi=bounds[1])
+                             for lp in (grown, rebuilt))
+            for name in ("c", "a", "row_lo", "row_hi", "col_lo", "col_hi"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
             assert repr(got.c0) == repr(want.c0)
 
 
-
-def _term_by_term_standard_form(model, bounds):
-    """The standard form under the bound arrays ``bounds`` built one term at a
-    time in Python floats: the reference the dense layout must match bit for
-    bit."""
-    cols, offset = [], []
-    for v, lo, hi in zip(model.variables, *(b.tolist() for b in bounds)):
-        if math.isfinite(lo):
-            cols.append((v.id, 1.0, hi - lo if math.isfinite(hi) else None))
-            offset.append(lo)
-        elif math.isfinite(hi):
-            cols.append((v.id, -1.0, None))
-            offset.append(hi)
-        else:
-            cols += [(v.id, 1.0, None), (v.id, -1.0, None)]
-            offset.append(0.0)
+def _term_by_term_standard_form(model):
+    """The standard form built one term at a time in Python floats: the
+    reference the dense build must match bit for bit."""
+    n = len(model.variables)
 
     def row(expr, sign=1.0):
-        out = [0.0] * len(cols)
+        out = [0.0] * n
         for var_id, coeff in expr.terms:
-            for k, (v, scale, _) in enumerate(cols):
-                if v == var_id:
-                    out[k] += coeff * scale
-        return [a * sign for a in out]
+            out[var_id] += coeff
+        return [a * sign + 0.0 for a in out]
 
-    def shifted(expr):
-        total = expr.constant
-        for var_id, coeff in expr.terms:
-            total += coeff * offset[var_id]
-        return total
-
-    neg = model.objective_sense == "min"
-    c = row(model.objective, -1.0) if neg else row(model.objective)
-    c0 = -shifted(model.objective) if neg else shifted(model.objective)
-    a_ub = [[float(j == k) for j in range(len(cols))]
-            for k, (_, _, width) in enumerate(cols) if width is not None]
-    b_ub = [width for _, _, width in cols if width is not None]
-    a_eq, b_eq = [], []
-    for con in model.constraints:
-        sign = -1.0 if con.sense == ">=" else 1.0
-        a, b = (a_eq, b_eq) if con.sense == "=" else (a_ub, b_ub)
-        a.append(row(con.lhs, sign))
-        b.append((con.rhs - shifted(con.lhs)) * sign)
-    return {"c": c, "a_ub": a_ub, "b_ub": b_ub, "a_eq": a_eq, "b_eq": b_eq,
-            "var_offset": offset}, c0
+    sign = -1.0 if model.objective_sense == "min" else 1.0
+    rows = model.constraints
+    return {
+        "c": row(model.objective, sign),
+        "a": [row(con.lhs) for con in rows],
+        "row_lo": [-INF if con.sense == "<=" else con.rhs - con.lhs.constant for con in rows],
+        "row_hi": [INF if con.sense == ">=" else con.rhs - con.lhs.constant for con in rows],
+        "col_lo": [v.lower for v in model.variables],
+        "col_hi": [v.upper for v in model.variables],
+    }, sign * model.objective.constant + 0.0
 
 
 def test_standard_form_matches_term_by_term_reference():
@@ -306,16 +287,14 @@ def test_standard_form_matches_term_by_term_reference():
                 LinExpr.from_terms([(int(v), float(rng.uniform(-4, 4))) for v in picked],
                                    float(rng.uniform(-2, 2))),
                 ("<=", ">=", "=")[int(rng.integers(0, 3))], float(rng.uniform(-5, 15)))
-        lo, hi = _bound_arrays(work)
-        for bounds in ((lo, hi), (lo - 1.5, hi + 0.5)):
-            sf = to_standard_form(work).layout.form(*bounds)
-            want, c0 = _term_by_term_standard_form(work, bounds)
-            for name, rows in want.items():
-                got = getattr(sf, name)
-                ref = np.array(rows, dtype=float).reshape(got.shape)
-                # a strided c rounds c @ x differently from a contiguous one
-                assert got.flags.c_contiguous and got.tobytes() == ref.tobytes(), name
-            assert repr(float(sf.c0)) == repr(c0)
+        sf = to_standard_form(work)
+        want, c0 = _term_by_term_standard_form(work)
+        for name, rows in want.items():
+            got = getattr(sf, name)
+            ref = np.array(rows, dtype=float).reshape(got.shape)
+            # a strided c rounds c @ x differently from a contiguous one
+            assert got.flags.c_contiguous and got.tobytes() == ref.tobytes(), name
+        assert repr(float(sf.c0)) == repr(c0)
 
 
 # -- text format ---------------------------------------------------------------

@@ -373,6 +373,24 @@ def test_timing_normal_rejects_nonfinite_parameters(mu, sigma):
         robust_timing_normal(tpl, mu, sigma, 0.1, 0.0, 0.05)
 
 
+@pytest.mark.parametrize("field", ["alpha", "beta", "horizon", "tcl"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_timing_template_rejects_nonfinite_data(field, value):
+    """A NaN or infinite coefficient, horizon or clean-up time used to pass
+    the nonnegativity check and give NaN or infinite rows."""
+    with pytest.raises(ValueError, match="finite"):
+        _template(**{field: value})
+
+
+@pytest.mark.parametrize("alpha_range", [
+    (math.nan, 10.0), (8.0, math.nan), (8.0, math.inf), (-math.inf, 10.0)])
+def test_timing_bounded_rejects_nonfinite_alpha_range(alpha_range):
+    """A non-finite range end used to give a NaN or infinite row."""
+    tpl, _ = _template()
+    with pytest.raises(ValueError, match="finite"):
+        robust_timing_bounded(tpl, 0.05, 0.1, alpha_range=alpha_range)
+
+
 def test_timing_bounded_zero_epsilon():
     tpl, _ = _template()
     rows, delta2 = robust_timing_bounded(tpl, 0.0, 0.25)
