@@ -1,8 +1,11 @@
 """Embedded optimizer: one bounded simplex, and one branch-and-bound tree
 that also cuts square-root cone rows.
 
-Everything here is deterministic: identical inputs and options produce
-identical Solutions, including node counts.  Every LP (``solve_lp``, the
+Everything here is deterministic for one numpy/BLAS build and thread count:
+identical inputs and options produce identical Solutions, including node
+counts.  Dense solves and products round differently per BLAS thread count
+(gen 12x8 rc takes 76,915 LP iterations with OpenBLAS's default threads and
+77,122 with one).  Every LP (``solve_lp``, the
 root of a tree, every node) runs through one routine over ``[A | -I]``:
 model variables keep their bounds on their columns and each row gets a
 logical column bounded by the row's range (Dantzig's upper-bounding

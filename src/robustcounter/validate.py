@@ -15,8 +15,11 @@ candidate solution:
 
 Sweep grid points are embarrassingly parallel.  The estimator draws its
 entries concurrently, each from its own counter-based stream, and adds them
-to their rows in entry order, so its bits do not depend on the thread count;
-coefficients of a variable at 0 are not drawn at all.
+to their rows in entry order, so its bits do not depend on the thread count.
+It draws nothing for a coefficient of a variable at 0, nor for a row whose
+worst realization in its tags' support, plus a stated rounding margin, stays
+within its allowance; the estimate stays the one with every entry drawn, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ class ViolationEstimate:
 
 
 def _require_finite_values(model: Model, solution_values, constraints) -> None:
-    """Reject a NaN or infinite value of any variable the rows read.
+    """Reject a missing, NaN or infinite value of any variable the rows read.
 
     A NaN row fails every comparison and so would pass as satisfied, and an
     infinite value turns a deviation into ``inf - inf``.
@@ -82,11 +85,13 @@ def _require_finite_values(model: Model, solution_values, constraints) -> None:
         if con.cone is not None:
             var_ids += [v for v, _ in con.cone.components]
         for var_id in var_ids:
-            value = solution_values.get(var_id, 0.0)
+            name = model.variables[var_id].name
+            if var_id not in solution_values:
+                raise ValueError(f"solution_values has no value for variable {name}")
+            value = solution_values[var_id]
             if not math.isfinite(value):
                 raise ValueError(
-                    f"solution value of {model.variables[var_id].name} is "
-                    f"{value}; values must be finite")
+                    f"solution value of {name} is {value}; values must be finite")
 
 
 def _nominal_coefficient(model: Model, entry) -> float:
@@ -96,23 +101,65 @@ def _nominal_coefficient(model: Model, entry) -> float:
     return dict(con.lhs.terms)[entry.target]
 
 
+def _nominal_lhs(con, solution_values) -> float:
+    """The row's left-hand side at the point, cone term included."""
+    lhs = con.lhs.value(solution_values)
+    if con.cone is not None:
+        lhs += con.cone.value(solution_values)
+    return lhs
+
+
+def _worst_residual(model: Model, con, entries, solution_values, epsilon: float,
+                    interval=bounded_interval) -> tuple[float, float] | None:
+    """Greatest residual of row ``con`` over its ``entries``, each anywhere
+    in its own ``interval(nominal, distribution, epsilon)`` independently of
+    the others, and the row's magnitude ``S = |lhs0| + |rhs| + sum_j m_j
+    |x_j|`` (``m_j = max(|a_j|, |lo_j|, |hi_j|)``, inf from 2**1000 on);
+    None when an interval is None.  The worst case is separable: ``lhs0 +
+    sum_j max((lo_j - a_j) x_j, (hi_j - a_j) x_j) - rhs_lo`` for a ``<=``
+    row, mirrored for ``>=`` and the larger side for ``=``.
+    """
+    lhs_low = lhs_high = lhs = _nominal_lhs(con, solution_values)
+    rhs_low = rhs_high = con.rhs
+    size = abs(lhs) + abs(con.rhs)
+    for entry in entries:
+        nominal = _nominal_coefficient(model, entry)
+        bounds = interval(nominal, entry.distribution, epsilon)
+        if bounds is None:
+            return None
+        low, high = bounds
+        scale = max(abs(nominal), abs(low), abs(high))
+        if scale >= 2.0 ** 1000:
+            size = math.inf
+        if entry.is_rhs:
+            rhs_low, rhs_high = low, high
+            size += scale
+            continue
+        x = solution_values[entry.target]
+        shifts = ((low - nominal) * x, (high - nominal) * x)
+        lhs_low += min(shifts)
+        lhs_high += max(shifts)
+        size += scale * abs(x)
+    over, under = lhs_high - rhs_low, rhs_high - lhs_low
+    return {"<=": over, ">=": under}.get(con.sense, max(over, under)), size
+
+
 def corner_check(model: Model, uncertain_set: UncertainSet, solution_values,
                  epsilon: float, delta: float) -> CornerReport:
     """Certify a solution against the worst corner of the uncertainty box.
 
     Each uncertain entry belongs to exactly one row and ranges over its own
     interval (:func:`bounded_interval`), independently of the others, so the
-    worst case of a row is separable: for a ``<=`` row it is
-    ``sum_j max(lo_j x_j, hi_j x_j) - rhs_lo``, ``>=`` rows mirror it and
-    ``=`` rows take the larger of the two sides.  That is the worst of all
-    ``2**len(uncertain_set)`` corners, which ``corners_checked`` reports,
-    without enumerating them.  Certification requires every violation to stay
-    within the ``delta * max(1, |rhs|)`` allowance.  Constraints without
-    uncertain entries are checked for plain feasibility.
+    worst case of a row is separable (:func:`_worst_residual`).  That is the
+    worst of all ``2**len(uncertain_set)`` corners, which ``corners_checked``
+    reports, without enumerating them.  Certification requires every
+    violation to stay within the ``delta * max(1, |rhs|)`` allowance.
+    Constraints without uncertain entries are checked for plain feasibility.
 
     Only bounded interval distributions are supported; use
     :func:`monte_carlo_check` for random ones.  ``epsilon`` and ``delta``
-    must be finite and nonnegative, and every value the rows read finite.
+    must be finite and nonnegative, and every value the rows read present
+    and finite.
     """
     check_levels(epsilon, delta)
     uncertain_set.validate(model)
@@ -129,29 +176,9 @@ def corner_check(model: Model, uncertain_set: UncertainSet, solution_values,
     allowance: dict[int, float] = {}
     for con in model.constraints:
         entries = grouped.get(con.id, [])
-        if not entries:
-            resid = model.evaluate_constraint(solution_values, con.id)
-            worst[con.id] = max(0.0, resid)
-            allowance[con.id] = FEASIBILITY_TOL
-            continue
-        allowance[con.id] = slack_allowance(con.rhs, delta)
-        lhs = con.lhs.value(solution_values)
-        if con.cone is not None:
-            lhs += con.cone.value(solution_values)
-        lhs_low = lhs_high = lhs
-        rhs_low = rhs_high = con.rhs
-        for entry in entries:
-            nominal = _nominal_coefficient(model, entry)
-            low, high = bounded_interval(nominal, entry.distribution, epsilon)
-            if entry.is_rhs:
-                rhs_low, rhs_high = low, high
-                continue
-            x = solution_values[entry.target]
-            shifts = ((low - nominal) * x, (high - nominal) * x)
-            lhs_low += min(shifts)
-            lhs_high += max(shifts)
-        over, under = lhs_high - rhs_low, rhs_high - lhs_low
-        viol = {"<=": over, ">=": under}.get(con.sense, max(over, under))
+        allowance[con.id] = (slack_allowance(con.rhs, delta) if entries
+                             else FEASIBILITY_TOL)
+        viol, _ = _worst_residual(model, con, entries, solution_values, epsilon)
         worst[con.id] = max(0.0, viol)
     certified = all(
         worst[cid] <= allowance[cid] + _CERT_TOL for cid in worst
@@ -181,6 +208,30 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _normal_clip(dist) -> tuple[float, float]:
+    """The six-sigma interval a normal xi is clipped to."""
+    return dist.mean - 6.0 * dist.std, dist.mean + 6.0 * dist.std
+
+
+def _support(nominal: float, dist, epsilon: float) -> tuple[float, float] | None:
+    """``[low, high]`` holding every realization :func:`_deviation` draws,
+    rounding aside; None for Poisson (unbounded).  The relative tags realize
+    ``nominal * (1 + eps * xi)``, so the ends of xi's support give the ends.
+    """
+    if isinstance(dist, (Bounded, BoundedRange, Uniform)):
+        return bounded_interval(nominal, dist, epsilon)
+    if isinstance(dist, Normal):
+        xi = _normal_clip(dist)
+    elif isinstance(dist, Binomial):
+        xi = (0.0, float(dist.n))
+    elif isinstance(dist, Discrete):
+        xi = (min(dist.values), max(dist.values))
+    else:
+        return None
+    ends = [nominal * (1.0 + epsilon * v) for v in xi]
+    return min(ends), max(ends)
+
+
 def _deviation(nominal: float, dist, epsilon: float, rng, n: int) -> np.ndarray:
     """N draws of ``realization - nominal`` for one uncertain value, finished
     in one buffer.
@@ -189,10 +240,10 @@ def _deviation(nominal: float, dist, epsilon: float, rng, n: int) -> np.ndarray:
     ``nominal * (1 + eps * xi)`` (per-entry half-widths override the global
     level); BoundedRange draws uniformly over its explicit interval; other
     tags draw xi from the tagged distribution and realize the same relative
-    form, normals truncated to six standard deviations.  The in-place steps
-    are the IEEE operations of ``nominal * (1 + eps * xi) - nominal`` in
-    that order, and ``u * 2 - 1`` is numpy's ``uniform(-1, 1)``, so the bits
-    are those of the out-of-place form.
+    form, normals clipped by :func:`_normal_clip`; :func:`_support` bounds
+    the draws.  The in-place steps are the IEEE operations of ``nominal *
+    (1 + eps * xi) - nominal`` in that order, and ``u * 2 - 1`` is numpy's
+    ``uniform(-1, 1)``, so the bits are those of the out-of-place form.
     """
     if isinstance(dist, BoundedRange):
         out = rng.uniform(dist.low, dist.high, size=n)
@@ -207,8 +258,7 @@ def _deviation(nominal: float, dist, epsilon: float, rng, n: int) -> np.ndarray:
         out -= 1.0
     elif isinstance(dist, Normal):
         out = rng.normal(dist.mean, dist.std, size=n)
-        np.clip(out, dist.mean - 6.0 * dist.std, dist.mean + 6.0 * dist.std,
-                out=out)
+        np.clip(out, *_normal_clip(dist), out=out)
     elif isinstance(dist, Poisson):
         out = rng.poisson(dist.mean, size=n).astype(np.float64)
     elif isinstance(dist, Binomial):
@@ -236,43 +286,61 @@ def monte_carlo_check(model: Model, uncertain_set: UncertainSet, solution_values
     frequency, matching the per-row form of the reliability guarantee;
     per-row frequencies ride along.
 
-    ``epsilon`` and ``delta`` must be finite and nonnegative
-    (:func:`check_levels`; an infinite level turns realizations into NaN),
-    and every value the uncertain rows read finite.  ``seed`` must lie in
-    ``[0, 2**64)``; it is the low word of every entry's Philox key.
+    ``n_samples`` must be an integer (not a bool) of at least 1000,
+    ``epsilon`` and ``delta`` finite and nonnegative (:func:`check_levels`),
+    every value the uncertain rows read present and finite, and ``seed`` in
+    ``[0, 2**64)``: it is the low word of every entry's Philox key.
 
-    A coefficient whose variable's value is +-0 is skipped: no stream is
-    opened, nothing is drawn or added.  Streams are keyed by entry index and
-    adding +-0 changes no count, so while every skipped term would be finite
-    the estimate is the one with every entry drawn.  (A deviation that
-    overflows to inf would give ``inf * 0 = NaN``, and a NaN row never
-    counts as violated; skipped, the row is counted from its other terms.)
-    The other entries are drawn on a thread pool with one worker per CPU
-    this process may run on (at most one per entry), opened and closed
-    within the call.  Each entry's term is added to its row in entry order,
-    so identical seeds give identical estimates bit for bit on any CPU
-    count.
+    A row that no realization in its tags' support (:func:`_support`) can
+    violate counts 0 without a draw or a sample buffer: its greatest
+    residual (:func:`_worst_residual`) plus the rounding margin
+    ``8 * (k + 4) * 2**-52 * S`` stays within the allowance, for its k
+    entries and ``S = |lhs0| + |rhs| + sum_j max(|a_j|, |lo_j|, |hi_j|) *
+    |x_j|``.  A draw rounds a few times per entry and a row sums k + 1
+    terms, so no residual the sampler computes exceeds the bound by more
+    than the margin: drawn, the row would count 0 too.  The bound needs every
+    magnitude below 2**1000; a Poisson entry (unbounded) is always drawn.
+    A coefficient whose variable is +-0 opens no stream either; adding +-0
+    changes no count while the skipped term would be finite (an overflowed
+    ``inf * 0`` is NaN, and a NaN row never counts).  The remaining entries
+    are drawn on a thread pool with one worker per CPU this process may run
+    on (at most one per entry), opened within the call when anything is
+    left to draw.  Streams are keyed by entry index and each term is added
+    to its row in entry order, so identical seeds give identical estimates
+    bit for bit on any CPU count.
     """
-    if n_samples < 1000:
-        raise ValueError("need at least 1000 samples for a meaningful estimate")
+    if (isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer))
+            or n_samples < 1000):
+        raise ValueError(
+            f"need at least 1000 samples for a meaningful estimate: n_samples "
+            f"must be an integer of at least 1000, got {n_samples!r}")
+    n_samples = int(n_samples)
     check_levels(epsilon, delta)
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     uncertain_set.validate(model)
     entries = list(uncertain_set)
-    _require_finite_values(
-        model, solution_values,
-        [model.constraints[cid] for cid in uncertain_set.by_constraint()])
+    rows: dict[int, list[int]] = {}
+    for idx, entry in enumerate(entries):
+        rows.setdefault(entry.constraint_id, []).append(idx)
+    _require_finite_values(model, solution_values,
+                           [model.constraints[cid] for cid in rows])
 
+    limit: dict[int, float] = {}
     lhs: dict[int, np.ndarray] = {}
     rhs: dict[int, np.ndarray] = {}
-    for entry in entries:
-        con = model.constraints[entry.constraint_id]
-        if con.id not in lhs:
-            lhs[con.id] = np.full(n_samples, con.lhs.value(solution_values))
-            if con.cone is not None:
-                lhs[con.id] += con.cone.value(solution_values)
-            rhs[con.id] = np.full(n_samples, con.rhs)
+    for con_id, idxs in rows.items():
+        con = model.constraints[con_id]
+        limit[con_id] = slack_allowance(con.rhs, delta) + _CERT_TOL
+        bound = _worst_residual(model, con, [entries[idx] for idx in idxs],
+                                solution_values, epsilon, _support)
+        if bound is not None:
+            worst, size = bound
+            margin = 8 * (len(idxs) + 4) * 2.0 ** -52 * size
+            if size < 2.0 ** 1000 and worst + margin <= limit[con_id]:
+                continue  # no draw can violate the row: it counts 0
+        lhs[con_id] = np.full(n_samples, _nominal_lhs(con, solution_values))
+        rhs[con_id] = np.full(n_samples, con.rhs)
 
     def term(idx: int) -> np.ndarray:
         entry = entries[idx]
@@ -283,26 +351,29 @@ def monte_carlo_check(model: Model, uncertain_set: UncertainSet, solution_values
         return out
 
     drawn = [idx for idx, entry in enumerate(entries)
-             if entry.is_rhs or solution_values[entry.target] != 0.0]
-    workers = max(1, min(_available_cpus(), len(drawn)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for idx, dev in zip(drawn, pool.map(term, drawn)):
-            entry = entries[idx]
-            side = rhs if entry.is_rhs else lhs
-            side[entry.constraint_id] += dev
+             if entry.constraint_id in lhs
+             and (entry.is_rhs or solution_values[entry.target] != 0.0)]
+    if drawn:
+        workers = min(_available_cpus(), len(drawn))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for idx, dev in zip(drawn, pool.map(term, drawn)):
+                entry = entries[idx]
+                side = rhs if entry.is_rhs else lhs
+                side[entry.constraint_id] += dev
 
     per_constraint: dict[int, float] = {}
     worst_count = 0
-    for con_id in lhs:
-        con = model.constraints[con_id]
-        allowance = slack_allowance(con.rhs, delta)
-        if con.sense == "<=":
-            resid = lhs[con_id] - rhs[con_id]
-        elif con.sense == ">=":
-            resid = rhs[con_id] - lhs[con_id]
-        else:
-            resid = np.abs(lhs[con_id] - rhs[con_id])
-        count = int(np.sum(resid > allowance + _CERT_TOL))
+    for con_id in rows:
+        count = 0
+        if con_id in lhs:
+            sense = model.constraints[con_id].sense
+            if sense == "<=":
+                resid = lhs[con_id] - rhs[con_id]
+            elif sense == ">=":
+                resid = rhs[con_id] - lhs[con_id]
+            else:
+                resid = np.abs(lhs[con_id] - rhs[con_id])
+            count = int(np.sum(resid > limit[con_id]))
         per_constraint[con_id] = count / n_samples
         worst_count = max(worst_count, count)
 

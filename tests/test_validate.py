@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from robustcounter import validate
@@ -377,6 +377,42 @@ def test_mc_requires_enough_samples():
         monte_carlo_check(m, uset, {x: 1.0}, 0.1, 0.0, 10, seed=1)
 
 
+@pytest.mark.parametrize("bad", [1e5, 2000.5, math.inf, math.nan, True, "2000",
+                                 999, np.float64(2000.0)])
+def test_mc_rejects_unusable_sample_counts(bad):
+    """Float, infinite and boolean counts used to fail deep inside numpy with
+    a TypeError.  They are refused up front, also where no row needs a draw
+    (x = 1 keeps ``x <= 10`` within any realisation at eps 0.1)."""
+    m, x = _one_row()
+    for point in ({x: 10.0}, {x: 1.0}):
+        uset = UncertainSet([(0, x, Uniform())])
+        with pytest.raises(ValueError, match="n_samples"):
+            monte_carlo_check(m, uset, point, 0.1, 0.0, bad, seed=1)
+
+
+def test_mc_accepts_numpy_integer_sample_counts():
+    m, x = _one_row()
+    uset = UncertainSet([(0, x, Uniform())])
+    want = monte_carlo_check(m, uset, {x: 10.0}, 0.1, 0.0, 2000, seed=1)
+    got = monte_carlo_check(m, uset, {x: 10.0}, 0.1, 0.0, np.int64(2000), seed=1)
+    assert got == want
+
+
+def test_checks_name_a_missing_value():
+    """A value missing for a variable an uncertain row reads used to raise a
+    bare ``KeyError: 1``: the finiteness check read it as 0."""
+    m = Model()
+    x, y = m.add_variable("x"), m.add_variable("y")
+    m.set_objective("max", [(x, 1.0)])
+    m.add_constraint([(x, 1.0), (y, 1.0)], "<=", 10.0, label="c")
+    m.finalize()
+    uset = UncertainSet([(0, x, Bounded())])
+    with pytest.raises(ValueError, match="variable y"):
+        corner_check(m, uset, {x: 1.0}, 0.1, 0.0)
+    with pytest.raises(ValueError, match="variable y"):
+        monte_carlo_check(m, uset, {x: 1.0}, 0.1, 0.0, 1000, seed=1)
+
+
 @pytest.mark.parametrize("epsilon, delta, name", [
     (-0.5, 0.0, "epsilon"), (0.1, -0.05, "delta"), (math.nan, 0.0, "epsilon"),
     (math.inf, 0.0, "epsilon"),
@@ -589,6 +625,158 @@ def test_mc_deviation_kernel_matches_reference_bits(data):
     assert got.tobytes() == (want * x).tobytes()
 
 
+def test_mc_draws_nothing_for_rows_certified_from_their_support():
+    """The IRC optimum is robust over the whole box, so its row opens no
+    stream and the call starts no thread.  A Poisson-tagged row beside it,
+    whose support is unbounded, is still drawn."""
+    m = Model()
+    x, y = m.add_variable("x"), m.add_variable("y")
+    m.set_objective("max", [(x, 1.0), (y, 1.0)])
+    m.add_constraint([(x, 1.0), (y, 2.0)], "<=", 10.0, label="irc")
+    m.add_constraint([(x, 1.0), (y, 1.0)], "<=", 12.0, label="poisson")
+    m.finalize()
+    irc_tags = [(0, x, Bounded()), (0, y, Bounded()), (0, RHS, Bounded())]
+    sol = solve(interval_robust_counterpart(m, UncertainSet(irc_tags), 0.1, 0.0).model)
+    point = {x: sol.values[x], y: sol.values[y]}
+    assert point[x] > 0
+    cases = [(irc_tags, []),
+             (irc_tags + [(1, y, Uniform()), (1, x, Poisson(1.0))], [4])]
+    for tags, drawn in cases:
+        opened = []
+
+        def stream(seed, idx, _open=validate._entry_stream):
+            opened.append(idx)
+            return _open(seed, idx)
+
+        args = (m, UncertainSet(tags), point, 0.1, 0.0, 4000, 3)
+        before = set(threading.enumerate())
+        with mock.patch.object(validate, "_entry_stream", stream), \
+                mock.patch.object(validate, "ThreadPoolExecutor",
+                                  wraps=validate.ThreadPoolExecutor) as pool:
+            got = monte_carlo_check(*args)
+        assert sorted(opened) == drawn
+        assert pool.call_count == (1 if drawn else 0)
+        assert set(threading.enumerate()) == before
+        want = reference_monte_carlo_check(*args)
+        assert got.per_constraint[0] == 0.0
+        assert list(got.per_constraint.items()) == list(want.per_constraint.items())
+        assert got.violations == want.violations
+    assert 0 < got.per_constraint[1] < 1
+
+
+def _realised_ends(nominal, tag, eps):
+    """Least and greatest value the sampler can realise for a tagged value,
+    None for a Poisson tag (unbounded)."""
+    if isinstance(tag, BoundedRange):
+        return tag.low, tag.high
+    if isinstance(tag, Poisson):
+        return None
+    if isinstance(tag, Normal):
+        xi = (tag.mean - 6 * tag.std, tag.mean + 6 * tag.std)
+    elif isinstance(tag, Binomial):
+        xi = (0, tag.n)
+    elif isinstance(tag, Discrete):
+        xi = (min(tag.values), max(tag.values))
+    else:
+        xi = (-1, 1)
+        if isinstance(tag, Bounded) and tag.epsilon is not None:
+            eps = tag.epsilon
+    ends = [nominal * (1 + eps * v) for v in xi]
+    return min(ends), max(ends)
+
+
+@st.composite
+def _inside_rows(draw):
+    """Uncertain ``<=`` and ``>=`` rows whose right-hand side clears the
+    worst realisation of their coefficients, tagged with any family, by a
+    drawn gap, at magnitude 1 or 1e16 (values and gaps scaled); the
+    right-hand side is untagged or carries an explicit range.  A row with a
+    Poisson coefficient clears only its nominal value.  Returns the check's
+    arguments and the entries that must be drawn: those of Poisson rows."""
+    mag = draw(st.sampled_from([1.0, 1e16]))
+    eps = draw(st.sampled_from([0.0, 0.05, 0.1, 0.3]))
+    n = draw(st.integers(1, 4))
+    m = Model()
+    ids = [m.add_variable(f"x{j}", "continuous", -math.inf) for j in range(n)]
+    m.set_objective("max", [(v, 1.0) for v in ids])
+    point = {v: mag * draw(st.sampled_from([0.0, -0.0]) if draw(st.integers(0, 3)) == 0
+                           else st.integers(-12, 12).map(lambda k: k / 4.0))
+             for v in ids}
+    entries, poisson_rows = [], set()
+    for cid in range(draw(st.integers(1, 3))):
+        cols = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=n, unique=True))
+        coeffs = {j: float(draw(st.integers(-4, 4).filter(bool))) for j in cols}
+        tags = {j: draw(_mc_tag(coeffs[j])) for j in cols if draw(st.booleans())}
+        lhs0 = sum(a * point[j] for j, a in coeffs.items())
+        up = down = 0.0
+        for j, tag in tags.items():
+            ends = _realised_ends(coeffs[j], tag, eps)
+            if ends is None:
+                poisson_rows.add(cid)
+                continue
+            shifts = [(end - coeffs[j]) * point[j] for end in ends]
+            up, down = up + max(shifts), down + min(shifts)
+        gap = mag * draw(st.sampled_from([1e-6, 0.5, 2.0]))
+        below, above = (mag * draw(st.integers(0, 3)) / 4.0 for _ in range(2))
+        sense = draw(st.sampled_from(["<=", ">="]))
+        rhs = (lhs0 + up + gap + below if sense == "<="
+               else lhs0 + down - gap - above)
+        m.add_constraint(list(coeffs.items()), sense, rhs)
+        if draw(st.booleans()) or not tags:
+            tags[RHS] = BoundedRange(rhs - below, rhs + above)
+        entries += [(cid, target, tag) for target, tag in tags.items()]
+    uset = UncertainSet(draw(st.permutations(entries)))
+    must_draw = [idx for idx, e in enumerate(uset) if e.constraint_id in poisson_rows
+                 and (e.is_rhs or point[e.target] != 0.0)]
+    return (m.finalize(), uset, point, eps, draw(st.sampled_from([0.0, 0.05]))), must_draw
+
+
+@st.composite
+def _irc_optima(draw):
+    """The IRC optimum of random bounded-tag rows of any sense (its rows
+    tight at the worst corner), checked against the rows it protects."""
+    spec = draw(_tagged_rows())
+    model, uset = _tagged_model(spec, spec["rows"])
+    le_model, le_uset = _tagged_model(spec, _as_le_rows(spec["rows"]))
+    irc = interval_robust_counterpart(le_model, le_uset, spec["eps"], spec["delta"])
+    sol = solve(irc.model)
+    assume(sol.status == "optimal")
+    point = {v.id: sol.values[v.id] for v in model.variables}
+    return (model, uset, point, spec["eps"], spec["delta"]), None
+
+
+@pytest.mark.parametrize("cpus", [1, None], ids=["one_cpu", "all_cpus"])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=st.one_of(_irc_optima(), _inside_rows()),
+       n_samples=st.sampled_from([1000, 1001, 4097]),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_mc_certified_rows_match_reference_bit_for_bit(cpus, case, n_samples, seed):
+    """Rows that no realisation can violate are counted without a draw, and
+    the estimate is still the keep-every-draw reference's, bit for bit, with
+    one worker and with every CPU.  Rows that clear their worst realisation
+    by a gap open no stream; rows with a Poisson entry are drawn."""
+    (model, uset, point, eps, delta), must_draw = case
+    args = (model, uset, point, eps, delta, n_samples, seed)
+    opened = []
+
+    def stream(seed, idx, _open=validate._entry_stream):
+        opened.append(idx)
+        return _open(seed, idx)
+
+    with mock.patch.object(validate, "_entry_stream", stream):
+        if cpus is None:
+            got = monte_carlo_check(*args)
+        else:
+            with mock.patch.object(validate, "_available_cpus", lambda: cpus):
+                got = monte_carlo_check(*args)
+    want = reference_monte_carlo_check(*args)
+    assert got.violations == want.violations
+    assert got.frequency == want.frequency
+    assert list(got.per_constraint.items()) == list(want.per_constraint.items())
+    if must_draw is not None:
+        assert sorted(opened) == must_draw
+
+
 def test_mc_adds_terms_in_entry_order():
     """Floating-point sums depend on their order.  Terms of 1e16, -1e16 and 1
     on a row whose nominal side is 1 sum to 1 in that order (1 + 1e16 rounds
@@ -607,7 +795,18 @@ def test_mc_adds_terms_in_entry_order():
 
     args = (point, 1.0, 0.0, 1000, 0)
     assert reference_monte_carlo_check(m, entries(ids), *args).violations == 0
-    assert monte_carlo_check(m, entries(ids), *args).violations == 0
+    # The support is one point, whose residual is 0.5 exactly but -0.5 when
+    # summed in entry order: the row lies within the rounding margin of its
+    # allowance, so it is drawn rather than certified.
+    opened = []
+
+    def stream(seed, idx, _open=validate._entry_stream):
+        opened.append(idx)
+        return _open(seed, idx)
+
+    with mock.patch.object(validate, "_entry_stream", stream):
+        assert monte_carlo_check(m, entries(ids), *args).violations == 0
+    assert sorted(opened) == [0, 1, 2]
     assert monte_carlo_check(m, entries(ids[::-1]), *args).violations == 1000
 
 
