@@ -14,9 +14,9 @@ instance = demo_instance()
 util = instance.utilization
 print("expected utilization matrix (districts x sites):")
 for i, unit in enumerate(instance.units):
-    row = "  ".join(f"{util.u[i, j]:6.1f}" for j in range(len(instance.sites)))
+    row = "  ".join(f"{util[i, j]:6.1f}" for j in range(len(instance.sites)))
     print(f"  {unit.name:>12}: {row}")
-print("  column totals:", "  ".join(f"{t:6.1f}" for t in util.column_totals))
+print("  column totals:", "  ".join(f"{t:6.1f}" for t in util.sum(axis=0)))
 
 
 def describe(tag, model):

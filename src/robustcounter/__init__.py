@@ -55,12 +55,10 @@ from .sitesel import (
     PopulationUnit,
     SiteCandidate,
     SiteSelectionInstance,
-    UtilizationMatrix,
     budget_uncertain_set,
     build_irc,
     build_nominal,
     build_rc,
-    build_utilization,
     load_instance,
     write_instance,
 )

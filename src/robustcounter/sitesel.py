@@ -11,22 +11,25 @@ population units) plus its two robust variants:
   uncertain fixed/variable cost blocks with the squared budget inside the
   radical and right-hand side ``(1 + delta) * C``.
 
-Expected utilizations come from populations and per-person site-choice
-probabilities.  All builders are pure functions over immutable instances.
+An instance checks its data once, on construction, and then carries the
+expected utilizations ``u[i, j] = population_i * p[i, j]`` as one array,
+``SiteSelectionInstance.utilization``, which every builder reads.  All
+builders are pure functions over immutable instances.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .model import ConeTerm, Model, _num
 from .robustify import interval_robust_counterpart
-from .uncertainty import RHS, Bounded, UncertainSet, check_levels, omega_from_kappa
+from .uncertainty import (RHS, Bounded, UncertainSet, _is_int, check_levels,
+                          omega_from_kappa)
 
 _ID_OK = str.isidentifier
 
@@ -62,39 +65,6 @@ class SiteCandidate:
 
 
 @dataclass(frozen=True)
-class UtilizationMatrix:
-    """Expected utilizations u[i, j] = population_i * probability_ij."""
-
-    u: np.ndarray
-    column_totals: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.u < 0):
-            raise InstanceError("utilization entries must be nonnegative")
-        if not np.allclose(self.column_totals, self.u.sum(axis=0), atol=1e-9):
-            raise InstanceError("column totals do not match the utilization matrix")
-
-
-def build_utilization(units, probabilities) -> UtilizationMatrix:
-    """Expected utilization matrix from populations and choice probabilities."""
-    p = np.asarray(probabilities, dtype=float)
-    n = np.asarray([u.population for u in units], dtype=float)
-    if p.ndim != 2 or p.shape[0] != n.shape[0]:
-        raise InstanceError(
-            f"probability matrix has {p.shape[0] if p.ndim == 2 else '?'} rows "
-            f"for {n.shape[0]} units"
-        )
-    bad = np.argwhere(~((p >= 0) & (p <= 1)))  # NaN too
-    if bad.size:
-        i, j = bad[0]
-        raise InstanceError(
-            f"probability p[{units[i].id},{j}] = {p[i, j]} outside [0, 1]"
-        )
-    u = n[:, None] * p
-    return UtilizationMatrix(u=u, column_totals=u.sum(axis=0))
-
-
-@dataclass(frozen=True)
 class SiteSelectionInstance:
     units: tuple[PopulationUnit, ...]
     sites: tuple[SiteCandidate, ...]
@@ -104,9 +74,11 @@ class SiteSelectionInstance:
     max_sites: int
     uncertain_fixed: tuple[int, ...] = ()     # site indices with uncertain f
     uncertain_variable: tuple[int, ...] = ()  # site indices with uncertain v
+    # expected utilizations u[i, j] = population_i * p[i, j], set from checked data
+    utilization: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float)
+        p = np.array(self.probabilities, dtype=float)
         object.__setattr__(self, "probabilities", p)
         m, n = len(self.units), len(self.sites)
         if p.shape != (m, n):
@@ -129,27 +101,31 @@ class SiteSelectionInstance:
                 f"unit {self.units[i].id!r}: site probabilities sum to "
                 f"{rowsum[i]:.6g} > 1 (a person picks at most one site)"
             )
-        if self.max_sites < 1:
-            raise InstanceError("max_sites must be at least 1")
+        if not (_is_int(self.max_sites) and self.max_sites >= 1):
+            raise InstanceError(f"max_sites must be an integer of at least 1, "
+                                f"got {self.max_sites!r}")
         if not 1.0 < self.budget < math.inf:
             raise InstanceError(f"budget must be finite and exceed 1 (the slack "
                                 f"allowance max{{1, C}} must equal C), got {self.budget}")
         if not 0 <= self.min_enrollment < math.inf:
             raise InstanceError(f"min_enrollment must be finite and nonnegative, "
                                 f"got {self.min_enrollment}")
-        for idx in (*self.uncertain_fixed, *self.uncertain_variable):
-            if not 0 <= idx < n:
-                raise InstanceError(f"uncertain site index {idx} out of range")
+        for key in ("uncertain_fixed", "uncertain_variable"):
+            indices = getattr(self, key)
+            if not all(_is_int(j) and 0 <= j < n for j in indices):
+                raise InstanceError(f"{key} must hold integer site indices in "
+                                    f"[0, {n}), got {indices}")
+            if len(set(indices)) != len(indices):
+                raise InstanceError(f"{key} repeats a site index: {indices}")
         for u in self.units:
             if not _ID_OK(u.id):
                 raise InstanceError(f"unit id {u.id!r} is not an identifier")
         for s in self.sites:
             if not _ID_OK(s.id):
                 raise InstanceError(f"site id {s.id!r} is not an identifier")
-
-    @property
-    def utilization(self) -> UtilizationMatrix:
-        return build_utilization(self.units, self.probabilities)
+        util = np.asarray([u.population for u in self.units], dtype=float)[:, None] * p
+        p.flags.writeable = util.flags.writeable = False  # stay as checked
+        object.__setattr__(self, "utilization", util)
 
     @staticmethod
     def with_all_uncertain(units, sites, probabilities, budget, min_enrollment,
@@ -167,8 +143,7 @@ class SiteSelectionInstance:
 
 def _base_model(instance: SiteSelectionInstance, name: str,
                 exact_assignment: bool):
-    util = instance.utilization
-    u = util.u
+    u = instance.utilization
     m = Model(name)
     x_ids = {}
     y_ids = {}
@@ -213,7 +188,7 @@ def _base_model(instance: SiteSelectionInstance, name: str,
                 [(x_ids[(i, j)], 1.0), (y_ids[j], -1.0)], "<=", 0.0,
                 label=f"link_{unit.id}_{site.id}",
             )
-    return m, x_ids, y_ids, u
+    return m, x_ids, y_ids
 
 
 def build_nominal(instance: SiteSelectionInstance,
@@ -223,7 +198,7 @@ def build_nominal(instance: SiteSelectionInstance,
     ``exact_assignment`` switches the per-unit cover rows from ``>= 1`` (as
     printed) to ``== 1`` (one and only one site per unit).
     """
-    m, _, _, _ = _base_model(instance, "sitesel_nominal", exact_assignment)
+    m, _, _ = _base_model(instance, "sitesel_nominal", exact_assignment)
     return m.finalize()
 
 
@@ -246,7 +221,8 @@ def build_rc(instance: SiteSelectionInstance, epsilon: float, delta: float,
              kappa: float, exact_assignment: bool = False) -> Model:
     """Nominal model plus the reliability-level robust budget row.
 
-    Uncertain fixed costs get the linear protection ``eps * f_j * l_j`` and a
+    The robust row is the nominal ``budget`` row's terms plus, per uncertain
+    fixed cost, the linear protection ``eps * |f_j| * l_j`` and a
     free cone auxiliary ``z_j`` linked by ``-l_j <= y_j - z_j <= l_j``;
     uncertain variable costs enter the radical through one per-site auxiliary
     pinned to the site's expected enrollment (scaled by the column total), as
@@ -262,13 +238,9 @@ def build_rc(instance: SiteSelectionInstance, epsilon: float, delta: float,
     """
     check_levels(epsilon, delta, InstanceError)
     omega = omega_from_kappa(kappa)
-    m, x_ids, y_ids, u = _base_model(instance, "sitesel_rc", exact_assignment)
-    terms = [(y_ids[j], site.fixed_cost) for j, site in enumerate(instance.sites)]
-    terms += [
-        (x_ids[(i, j)], site.variable_cost * u[i, j])
-        for i in range(len(instance.units))
-        for j, site in enumerate(instance.sites)
-    ]
+    m, x_ids, y_ids = _base_model(instance, "sitesel_rc", exact_assignment)
+    u = instance.utilization
+    terms = list(m.constraint_by_label("budget").lhs.terms)
     cone_components = []
     for j in instance.uncertain_fixed:
         site = instance.sites[j]
@@ -312,7 +284,7 @@ def budget_uncertain_set(instance: SiteSelectionInstance, model: Model
     for j in instance.uncertain_fixed:
         var = model.variable_by_name(f"y_{instance.sites[j].id}")
         uset.add(budget.id, var.id, Bounded())
-    u = instance.utilization.u
+    u = instance.utilization
     for j in instance.uncertain_variable:
         for i, unit in enumerate(instance.units):
             if u[i, j] == 0.0:
@@ -386,35 +358,23 @@ def load_instance(path) -> SiteSelectionInstance:
     site_index = {s.id: j for j, s in enumerate(sites)}
     unit_index = {u.id: i for i, u in enumerate(units)}
 
-    prob_path = root / "prob.csv"
-    if not prob_path.exists():
-        raise InstanceError(f"missing instance file {prob_path}")
-    with prob_path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader, [])]
-        if not header or header[0] != "id" or header[1:] != [s.id for s in sites]:
-            raise InstanceError(
-                "prob.csv: header must be 'id' followed by the site ids in order"
-            )
-        p = np.zeros((len(units), len(sites)))
-        seen = set()
-        for row in reader:
-            if not any(cell.strip() for cell in row):
-                continue
-            uid = row[0].strip()
-            if uid not in unit_index:
-                raise InstanceError(f"prob.csv: unknown unit id {uid!r}")
-            if uid in seen:
-                raise InstanceError(f"prob.csv: duplicate row for unit {uid!r}")
-            seen.add(uid)
-            if len(row) != len(sites) + 1:
-                raise InstanceError(f"prob.csv: row for {uid!r} has {len(row) - 1} "
-                                    f"probabilities for {len(sites)} sites")
-            for j, cell in enumerate(row[1:]):
-                p[unit_index[uid], j] = _float("prob.csv", uid, f"p[{uid},{sites[j].id}]", cell)
-        missing = [u.id for u in units if u.id not in seen]
-        if missing:
-            raise InstanceError(f"prob.csv: missing rows for units {missing}")
+    p = np.zeros((len(units), len(sites)))
+    seen = set()
+    for row in _read_csv(root / "prob.csv", ["id", *site_index]):
+        uid = row[0].strip()
+        if uid not in unit_index:
+            raise InstanceError(f"prob.csv: unknown unit id {uid!r}")
+        if uid in seen:
+            raise InstanceError(f"prob.csv: duplicate row for unit {uid!r}")
+        seen.add(uid)
+        if len(row) != len(sites) + 1:
+            raise InstanceError(f"prob.csv: row for {uid!r} has {len(row) - 1} "
+                                f"probabilities for {len(sites)} sites")
+        for j, cell in enumerate(row[1:]):
+            p[unit_index[uid], j] = _float("prob.csv", uid, f"p[{uid},{sites[j].id}]", cell)
+    missing = [u.id for u in units if u.id not in seen]
+    if missing:
+        raise InstanceError(f"prob.csv: missing rows for units {missing}")
 
     config_path = root / "config.txt"
     if not config_path.exists():

@@ -23,6 +23,7 @@ loads numpy and nothing else outside the standard library.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -69,6 +70,11 @@ RHS = _RhsMarker()
 
 
 # -- distribution tags --------------------------------------------------------
+
+
+def _is_int(x) -> bool:
+    """An int or numpy integer; a bool is not a count."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _require_finite(*params: float) -> None:
@@ -136,8 +142,8 @@ class Binomial:
     p: float
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("binomial n must be nonnegative")
+        if not (_is_int(self.n) and self.n >= 0):
+            raise ValueError(f"binomial n must be a nonnegative integer, got {self.n!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("binomial p must lie in [0, 1]")
 
@@ -269,15 +275,14 @@ def normal_lambda(kappa: float) -> float:
 
 
 def _poisson_tail_iter(mean: float):
-    """Yields (t, P(X > t)) for t = 0, 1, ... via the multiplicative recurrence."""
-    term = math.exp(-mean)
-    cdf = term
+    """Yields (t, P(X > t)) for t = 0, 1, ..., each pmf term taken in log space."""
+    log_mean = math.log(mean)
+    cdf = 0.0
     t = 0
     while True:
+        cdf += math.exp(t * log_mean - mean - math.lgamma(t + 1))
         yield t, 1.0 - cdf
         t += 1
-        term *= mean / t
-        cdf += term
 
 
 def _binomial_tail_iter(n: int, p: float):
@@ -289,13 +294,11 @@ def _binomial_tail_iter(n: int, p: float):
             yield t, 1.0
         yield n, 0.0
         return
-    q = 1.0 - p
-    term = q ** n
-    cdf = term
+    log_p, log_q, log_n = math.log(p), math.log1p(-p), math.lgamma(n + 1)
+    cdf = 0.0
     for t in range(n + 1):
-        if t > 0:
-            term *= (n - t + 1) / t * (p / q)
-            cdf += term
+        cdf += math.exp(log_n - math.lgamma(t + 1) - math.lgamma(n - t + 1)
+                        + t * log_p + (n - t) * log_q)
         yield t, 1.0 - cdf
 
 
@@ -305,8 +308,9 @@ def discrete_deviation(distribution, kappa: float):
     The tail convention is strict: the returned t satisfies P(X > t) <= kappa
     while P(X > t - 1) > kappa (t integer for Poisson/binomial; a support
     value for Discrete).  This is the convention that puts the deviation of a
-    mean-5 Poisson at 6 for a 24% reliability level.  Tail sums use a stable
-    multiplicative term recurrence rather than factorials.
+    mean-5 Poisson at 6 for a 24% reliability level.  Each pmf term is
+    computed in log space (``lgamma``), so a large mean or n does not
+    underflow the leading terms to zero.
     """
     if not 0.0 < kappa <= 1.0:
         raise ValueError(f"kappa must lie in (0, 1], got {kappa}")

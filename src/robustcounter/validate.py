@@ -44,6 +44,7 @@ from .uncertainty import (
     Poisson,
     Uniform,
     UncertainSet,
+    _is_int,
     bounded_interval,
     check_levels,
     slack_allowance,
@@ -309,8 +310,7 @@ def monte_carlo_check(model: Model, uncertain_set: UncertainSet, solution_values
     to its row in entry order, so identical seeds give identical estimates
     bit for bit on any CPU count.
     """
-    if (isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer))
-            or n_samples < 1000):
+    if not (_is_int(n_samples) and n_samples >= 1000):
         raise ValueError(
             f"need at least 1000 samples for a meaningful estimate: n_samples "
             f"must be an integer of at least 1000, got {n_samples!r}")

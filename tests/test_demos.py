@@ -1,0 +1,19 @@
+"""Every script in ``demos/`` runs to completion against this checkout."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                         env=env, cwd=ROOT, timeout=120)
+    assert out.returncode == 0, out.stderr

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tempfile
@@ -18,7 +19,6 @@ from robustcounter.sitesel import (
     build_irc,
     build_nominal,
     build_rc,
-    build_utilization,
     load_instance,
     write_instance,
 )
@@ -36,36 +36,57 @@ def _pair_instance(budget=80.0):
     )
 
 
+def _pair_with(**changes):
+    return dataclasses.replace(_pair_instance(), **changes)
+
+
 # -- utilization matrix --------------------------------------------------------
 
 
+def _utilization(populations, probabilities):
+    units = [PopulationUnit(f"u{i}", "U", n) for i, n in enumerate(populations)]
+    sites = [SiteCandidate(f"s{j}", "S", 1.0, 0.0) for j in range(len(probabilities[0]))]
+    return SiteSelectionInstance(units, sites, probabilities, 10.0, 0.0, 1).utilization
+
+
 def test_utilization_products():
-    um = build_utilization([PopulationUnit("u", "U", 100)], [[0.3, 0.7]])
-    assert np.allclose(um.u, [[30.0, 70.0]])
-    assert np.allclose(um.column_totals, [30.0, 70.0])
+    u = _utilization([100], [[0.3, 0.7]])
+    assert np.allclose(u, [[30.0, 70.0]])
+    assert np.allclose(u.sum(axis=0), [30.0, 70.0])
 
 
 def test_utilization_zero_probabilities():
-    um = build_utilization([PopulationUnit("u", "U", 50)], [[0.0, 0.0]])
-    assert np.allclose(um.u, 0.0)
-    assert np.allclose(um.column_totals, 0.0)
+    u = _utilization([50], [[0.0, 0.0]])
+    assert np.allclose(u, 0.0)
+    assert u.shape == (1, 2)
 
 
 def test_utilization_diagonal():
-    units = [PopulationUnit("a", "A", 50), PopulationUnit("b", "B", 50)]
-    um = build_utilization(units, [[0.5, 0.0], [0.0, 0.5]])
-    assert np.allclose(um.u, [[25.0, 0.0], [0.0, 25.0]])
-    assert np.allclose(um.column_totals, [25.0, 25.0])
+    u = _utilization([50, 50], [[0.5, 0.0], [0.0, 0.5]])
+    assert np.allclose(u, [[25.0, 0.0], [0.0, 25.0]])
+    assert np.allclose(u.sum(axis=0), [25.0, 25.0])
 
 
-def test_utilization_rejects_bad_probability():
-    with pytest.raises(InstanceError, match=r"p\[u,1\]"):
-        build_utilization([PopulationUnit("u", "U", 10)], [[0.5, 1.2]])
+def test_instance_data_stays_as_checked():
+    """The instance copies its probabilities; neither they nor the
+    utilizations every builder reads can change after the checks."""
+    probabilities = np.array([[0.3, 0.7]])
+    inst = SiteSelectionInstance([PopulationUnit("u", "U", 100)],
+                                 [SiteCandidate("s", "S", 1.0, 0.0),
+                                  SiteCandidate("t", "T", 1.0, 0.0)],
+                                 probabilities, 10.0, 0.0, 1)
+    probabilities[0, 0] = 5.0
+    assert inst.probabilities[0, 0] == 0.3
+    for array in (inst.probabilities, inst.utilization):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
 
 
 def test_utilization_rejects_dimension_mismatch():
-    with pytest.raises(InstanceError, match="rows"):
-        build_utilization([PopulationUnit("u", "U", 10)], [[0.5], [0.5]])
+    with pytest.raises(InstanceError, match=r"shape \(2, 1\) does not match 1 units x 1 sites"):
+        SiteSelectionInstance([PopulationUnit("u", "U", 10)],
+                              [SiteCandidate("s", "S", 1.0, 0.0)],
+                              [[0.5], [0.5]], 10.0, 0.0, 1)
 
 
 # -- nominal model -----------------------------------------------------------------
@@ -126,7 +147,7 @@ def test_objective_matches_recomputed_utilization():
     inst = _pair_instance()
     m = build_nominal(inst)
     sol = solve(m)
-    u = inst.utilization.u
+    u = inst.utilization
     total = sum(
         u[i, j] * sol.values[m.variable_by_name(f"x_{unit.id}_{site.id}").id]
         for i, unit in enumerate(inst.units)
@@ -140,7 +161,7 @@ def test_objective_matches_recomputed_utilization():
 
 def _enumerate_nominal(inst: SiteSelectionInstance, tol=1e-9):
     """Exhaustive (y, x) enumeration straight from the instance arithmetic."""
-    u = inst.utilization.u
+    u = inst.utilization
     m, n = u.shape
     best = None
     for y in itertools.product((0, 1), repeat=n):
@@ -168,7 +189,7 @@ def _enumerate_nominal(inst: SiteSelectionInstance, tol=1e-9):
 
 def _enumerate_irc(inst: SiteSelectionInstance, eps, delta, tol=1e-9):
     """Adds the worst-corner budget check on top of the nominal enumeration."""
-    u = inst.utilization.u
+    u = inst.utilization
     m, n = u.shape
     in_m, in_k = set(inst.uncertain_fixed), set(inst.uncertain_variable)
     best = None
@@ -296,6 +317,29 @@ def test_rc_nominal_reduction():
         assert irc.objective == pytest.approx(nominal.objective, abs=1e-7)
 
 
+@pytest.mark.parametrize("inst", [demo_instance(), _pair_with(uncertain_fixed=(1,)),
+                                  _pair_with(uncertain_fixed=())],
+                         ids=["demo", "pair-fixed-s2", "pair-no-fixed"])
+def test_rc_budget_row_extends_nominal_budget_row_bit_for_bit(inst):
+    """budget__rc is the nominal budget row's terms, bit for bit, plus one
+    eps*|f_j| term on l_j for each uncertain fixed site."""
+    def bits(terms):
+        return [(v, float(c).hex()) for v, c in terms]
+
+    eps = 0.07
+    budget = build_nominal(inst).constraint_by_label("budget")
+    rc = build_rc(inst, eps, 0.01, 0.14)
+    u = inst.utilization
+    expected = [(rc.variable_by_name(f"y_{s.id}").id, s.fixed_cost) for s in inst.sites]
+    expected += [(rc.variable_by_name(f"x_{unit.id}_{s.id}").id, s.variable_cost * u[i, j])
+                 for i, unit in enumerate(inst.units) for j, s in enumerate(inst.sites)]
+    assert bits(budget.lhs.terms) == bits(sorted(expected))
+    protection = [(rc.variable_by_name(f"l_{inst.sites[j].id}").id,
+                   eps * abs(inst.sites[j].fixed_cost)) for j in inst.uncertain_fixed]
+    row = rc.constraint_by_label("budget__rc")
+    assert bits(row.lhs.terms) == bits(budget.lhs.terms) + bits(protection)
+
+
 def test_rc_fixed_cost_only_example():
     inst = SiteSelectionInstance(
         (PopulationUnit("u1", "U", 100),),
@@ -372,6 +416,37 @@ def test_instance_data_rejects_nonfinite_values(bad):
         SiteSelectionInstance.with_all_uncertain([unit], [site], [[bad]], 10.0, 0.0, 1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_sites", 2.5), ("max_sites", 2.0), ("max_sites", math.inf),
+    ("max_sites", math.nan), ("max_sites", True), ("max_sites", 0),
+    ("uncertain_fixed", (0, 0)), ("uncertain_variable", (1, 0, 1)),
+    ("uncertain_fixed", (1.0,)), ("uncertain_variable", (True,)),
+    ("uncertain_fixed", (2,)), ("uncertain_variable", (-1,)),
+], ids=["max-2.5", "max-2.0", "max-inf", "max-nan", "max-true", "max-0",
+        "fixed-dup", "variable-dup", "fixed-float", "variable-bool", "fixed-high",
+        "variable-negative"])
+def test_instance_rejects_bad_counts_and_indices(field, value):
+    """Each was accepted and failed later: a non-integer max_sites wrote a
+    config.txt that load_instance refused (NaN failed at build time), and a
+    repeated or non-integer uncertain index broke build_irc and build_rc."""
+    with pytest.raises(InstanceError, match=field):
+        _pair_with(**{field: value})
+
+
+def test_instance_accepts_numpy_integers():
+    inst = _pair_with(max_sites=np.int64(1), uncertain_fixed=(np.int32(1),))
+    assert solve(build_rc(inst, 0.05, 0.0, 0.5)).status == "optimal"
+
+
+def test_load_instance_rejects_repeated_uncertain_site(tmp_path):
+    write_instance(demo_instance(), tmp_path / "demo")
+    config = tmp_path / "demo" / "config.txt"
+    config.write_text(config.read_text().replace(
+        "uncertain_fixed=all", "uncertain_fixed=s1,s1"))
+    with pytest.raises(InstanceError, match="uncertain_fixed"):
+        load_instance(tmp_path / "demo")
+
+
 @pytest.mark.parametrize("key", ["budget", "min_enrollment"])
 def test_load_instance_rejects_infinite_config_value(tmp_path, key):
     write_instance(demo_instance(), tmp_path / "demo")
@@ -418,7 +493,7 @@ def _instances(draw):
              for j in range(n)]
     weights = np.array([[draw(st.floats(0.0, 1.0)) for _ in range(n)] for _ in range(m)])
     probabilities = weights / np.maximum(weights.sum(axis=1, keepdims=True), 1.0)
-    subsets = st.lists(st.integers(0, n - 1), max_size=n).map(tuple)
+    subsets = st.lists(st.integers(0, n - 1), max_size=n, unique=True).map(tuple)
     return SiteSelectionInstance(
         tuple(units), tuple(sites), probabilities,
         budget=draw(st.floats(1.0, 1e12, exclude_min=True)),

@@ -205,6 +205,40 @@ def test_binomial_matches_scipy_tails():
                 assert scipy.stats.binom.sf(t - 1, n, p) > kappa
 
 
+_KAPPAS = (0.5, 0.3, 0.24, 0.1, 0.05, 0.01, 1e-3)
+
+
+def _scipy_deviation(tails, kappa):
+    """Smallest t with tails[t] <= kappa, or None when the tail at t or t - 1
+    lies within 1e-12 of kappa (such ties may round either way)."""
+    t = int(np.argmax(tails <= kappa))
+    near = tails[max(t - 1, 0):t + 1]
+    return None if np.any(np.abs(near - kappa) < 1e-12) else t
+
+
+@pytest.mark.parametrize("family", ["binomial", "poisson"])
+def test_discrete_deviation_matches_scipy_grid(family):
+    """Each pmf term is taken in log space.  The first terms used to
+    underflow: at kappa 0.1, Binomial(500, 0.9) and Binomial(2000, 0.5)
+    returned n instead of 459 and 1029, and Poisson(1000) raised instead of
+    giving 1041."""
+    if family == "binomial":
+        cases = [(Binomial(n, p), scipy.stats.binom.sf(np.arange(n + 1), n, p))
+                 for n in (0, 1, 2, 5, 10, 40, 100, 500, 1000, 2000)
+                 for p in (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95)]
+    else:
+        cases = [(Poisson(m), scipy.stats.poisson.sf(np.arange(int(m + 50 * m ** 0.5 + 50)), m))
+                 for m in (0.1, 0.5, 1.0, 5.0, 12.0, 50.0, 100.0, 500.0, 1000.0)]
+    checked = 0
+    for dist, tails in cases:
+        for kappa in _KAPPAS:
+            expected = _scipy_deviation(tails, kappa)
+            if expected is not None:
+                assert discrete_deviation(dist, kappa) == expected, (dist, kappa)
+                checked += 1
+    assert checked >= len(cases) * len(_KAPPAS) - 8
+
+
 # -- bounded_interval -----------------------------------------------------------------
 
 
@@ -279,6 +313,9 @@ def test_distribution_validation():
         Poisson(0.0)
     with pytest.raises(ValueError):
         Binomial(5, 1.5)
+    for n in (3.5, 3.0, True, -1):
+        with pytest.raises(ValueError, match="binomial n"):
+            Binomial(n, 0.5)
     with pytest.raises(ValueError):
         Discrete((1.0, 2.0), (0.6, 0.6))
     with pytest.raises(ValueError):
@@ -360,7 +397,8 @@ _distributions = st.one_of(
     st.builds(Normal, _reals, _positive),
     st.just(Uniform()),
     st.builds(Poisson, _positive),
-    st.builds(Binomial, st.integers(0, 10_000), st.floats(0.0, 1.0)),
+    st.builds(Binomial, st.integers(0, 10_000) | st.integers(0, 10_000).map(np.int64),
+              st.floats(0.0, 1.0)),
     _discrete(),
 )
 
