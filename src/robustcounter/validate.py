@@ -13,13 +13,15 @@ candidate solution:
 * :func:`sweep` -- solve a builder across an (epsilon, delta, kappa) grid and
   tabulate objectives against the nominal solve, serially or on an executor.
 
-Sweep grid points are embarrassingly parallel.  The estimator draws its
-entries concurrently, each from its own counter-based stream, and adds them
-to their rows in entry order, so its bits do not depend on the thread count.
-It draws nothing for a coefficient of a variable at 0, nor for a row whose
-worst realization in its tags' support, plus a stated rounding margin, stays
-within its allowance; the estimate stays the one with every entry drawn, bit
-for bit.
+Sweep grid points are embarrassingly parallel.  The estimator walks its
+samples in fixed blocks on the calling thread, each entry drawing from its
+own counter-based stream that continues from block to block, and adds the
+terms to their rows in entry order: it holds a few one-block buffers and
+one generator per drawn entry, whatever the sample count, and its bits do
+not depend on the block size.  It draws nothing for a coefficient of a
+variable at 0, nor for a row whose worst realization in its tags' support,
+plus a stated rounding margin, stays within its allowance; the estimate
+stays the one with every entry drawn, bit for bit.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +51,7 @@ from .uncertainty import (
 )
 
 _CERT_TOL = 1e-9
+_MC_BLOCK = 8192  # samples per Monte Carlo block: 64 KiB per float64 buffer
 
 
 @dataclass
@@ -202,13 +203,6 @@ def _entry_stream(seed: int, entry_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _available_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _normal_clip(dist) -> tuple[float, float]:
     """The six-sigma interval a normal xi is clipped to."""
     return dist.mean - 6.0 * dist.std, dist.mean + 6.0 * dist.std
@@ -289,8 +283,9 @@ def monte_carlo_check(model: Model, uncertain_set: UncertainSet, solution_values
 
     ``n_samples`` must be an integer (not a bool) of at least 1000,
     ``epsilon`` and ``delta`` finite and nonnegative (:func:`check_levels`),
-    every value the uncertain rows read present and finite, and ``seed`` in
-    ``[0, 2**64)``: it is the low word of every entry's Philox key.
+    every value the uncertain rows read present and finite, and ``seed`` an
+    integer (not a bool) in ``[0, 2**64)``: it is the low word of every
+    entry's Philox key.
 
     A row that no realization in its tags' support (:func:`_support`) can
     violate counts 0 without a draw or a sample buffer: its greatest
@@ -303,12 +298,16 @@ def monte_carlo_check(model: Model, uncertain_set: UncertainSet, solution_values
     magnitude below 2**1000; a Poisson entry (unbounded) is always drawn.
     A coefficient whose variable is +-0 opens no stream either; adding +-0
     changes no count while the skipped term would be finite (an overflowed
-    ``inf * 0`` is NaN, and a NaN row never counts).  The remaining entries
-    are drawn on a thread pool with one worker per CPU this process may run
-    on (at most one per entry), opened within the call when anything is
-    left to draw.  Streams are keyed by entry index and each term is added
-    to its row in entry order, so identical seeds give identical estimates
-    bit for bit on any CPU count.
+    ``inf * 0`` is NaN, and a NaN row never counts).
+
+    The remaining entries are drawn in blocks of ``_MC_BLOCK`` samples, on
+    the calling thread: each opens its stream once, and for each block each
+    drawn row starts from its nominal sides, adds its entries' terms in
+    entry order and counts its violations.  A stream continues from one
+    block to the next, so the draws are those of one call and the estimate
+    is the same bit for bit whatever the block size.  Only one row's
+    block is live at a time, so memory is a few one-block buffers plus one
+    generator per drawn entry, whatever ``n_samples``.
     """
     if not (_is_int(n_samples) and n_samples >= 1000):
         raise ValueError(
@@ -316,8 +315,9 @@ def monte_carlo_check(model: Model, uncertain_set: UncertainSet, solution_values
             f"must be an integer of at least 1000, got {n_samples!r}")
     n_samples = int(n_samples)
     check_levels(epsilon, delta)
-    if not 0 <= seed < 2 ** 64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    if not (_is_int(seed) and 0 <= int(seed) < 2 ** 64):
+        raise ValueError(f"seed must lie in [0, 2**64) as an integer, got {seed!r}")
+    seed = int(seed)
     uncertain_set.validate(model)
     entries = list(uncertain_set)
     rows: dict[int, list[int]] = {}
@@ -326,57 +326,47 @@ def monte_carlo_check(model: Model, uncertain_set: UncertainSet, solution_values
     _require_finite_values(model, solution_values,
                            [model.constraints[cid] for cid in rows])
 
-    limit: dict[int, float] = {}
-    lhs: dict[int, np.ndarray] = {}
-    rhs: dict[int, np.ndarray] = {}
+    drawn = []  # (row, its nominal lhs, its violation limit, its drawn terms)
     for con_id, idxs in rows.items():
         con = model.constraints[con_id]
-        limit[con_id] = slack_allowance(con.rhs, delta) + _CERT_TOL
+        limit = slack_allowance(con.rhs, delta) + _CERT_TOL
         bound = _worst_residual(model, con, [entries[idx] for idx in idxs],
                                 solution_values, epsilon, _support)
         if bound is not None:
             worst, size = bound
             margin = 8 * (len(idxs) + 4) * 2.0 ** -52 * size
-            if size < 2.0 ** 1000 and worst + margin <= limit[con_id]:
+            if size < 2.0 ** 1000 and worst + margin <= limit:
                 continue  # no draw can violate the row: it counts 0
-        lhs[con_id] = np.full(n_samples, _nominal_lhs(con, solution_values))
-        rhs[con_id] = np.full(n_samples, con.rhs)
+        terms = []
+        for idx in idxs:
+            entry = entries[idx]
+            x = None if entry.is_rhs else solution_values[entry.target]
+            if x != 0.0:
+                terms.append((entry.distribution, _nominal_coefficient(model, entry),
+                              x, _entry_stream(seed, idx)))
+        drawn.append((con, _nominal_lhs(con, solution_values), limit, terms))
 
-    def term(idx: int) -> np.ndarray:
-        entry = entries[idx]
-        out = _deviation(_nominal_coefficient(model, entry), entry.distribution,
-                         epsilon, _entry_stream(seed, idx), n_samples)
-        if not entry.is_rhs:
-            out *= solution_values[entry.target]
-        return out
-
-    drawn = [idx for idx, entry in enumerate(entries)
-             if entry.constraint_id in lhs
-             and (entry.is_rhs or solution_values[entry.target] != 0.0)]
-    if drawn:
-        workers = min(_available_cpus(), len(drawn))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for idx, dev in zip(drawn, pool.map(term, drawn)):
-                entry = entries[idx]
-                side = rhs if entry.is_rhs else lhs
-                side[entry.constraint_id] += dev
-
-    per_constraint: dict[int, float] = {}
-    worst_count = 0
-    for con_id in rows:
-        count = 0
-        if con_id in lhs:
-            sense = model.constraints[con_id].sense
-            if sense == "<=":
-                resid = lhs[con_id] - rhs[con_id]
-            elif sense == ">=":
-                resid = rhs[con_id] - lhs[con_id]
+    counts = dict.fromkeys(rows, 0)
+    for start in range(0, n_samples, _MC_BLOCK):
+        b = min(_MC_BLOCK, n_samples - start)
+        for con, lhs0, limit, terms in drawn:
+            lhs, rhs = np.full(b, lhs0), np.full(b, con.rhs)
+            for dist, nominal, x, rng in terms:
+                dev = _deviation(nominal, dist, epsilon, rng, b)
+                if x is None:
+                    rhs += dev
+                else:
+                    dev *= x
+                    lhs += dev
+            if con.sense == "<=":
+                resid = lhs - rhs
+            elif con.sense == ">=":
+                resid = rhs - lhs
             else:
-                resid = np.abs(lhs[con_id] - rhs[con_id])
-            count = int(np.sum(resid > limit[con_id]))
-        per_constraint[con_id] = count / n_samples
-        worst_count = max(worst_count, count)
+                resid = np.abs(lhs - rhs)
+            counts[con.id] += int(np.count_nonzero(resid > limit))
 
+    worst_count = max(counts.values(), default=0)
     frequency = worst_count / n_samples
     ci = 3.0 * math.sqrt(frequency * (1.0 - frequency) / n_samples)
     return ViolationEstimate(
@@ -385,7 +375,7 @@ def monte_carlo_check(model: Model, uncertain_set: UncertainSet, solution_values
         frequency=frequency,
         ci_half_width=ci,
         seed=seed,
-        per_constraint=per_constraint,
+        per_constraint={cid: count / n_samples for cid, count in counts.items()},
     )
 
 

@@ -1,5 +1,8 @@
 import math
+import os
 import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -426,20 +429,51 @@ def test_mc_rejects_negative_or_infinite_levels(epsilon, delta, name):
 
 def test_mc_seeds_must_fit_64_bits():
     """Seeds are Philox key words: outside [0, 2**64) they would alias a
-    seed inside it (2**64 + 1 repeats seed 1, -1 repeats 2**64 - 1)."""
+    seed inside it (2**64 + 1 repeats seed 1, -1 repeats 2**64 - 1).  A
+    float or bool seed used to alias one too (1.5 and True drew seed 1's
+    stream) and was reported as given."""
     m, x = _one_row()
     uset = UncertainSet([(0, x, Uniform())])
-    for seed in (0, 2 ** 64 - 1):
+    for seed in (0, 2 ** 64 - 1, np.uint64(3)):
         est = monte_carlo_check(m, uset, {x: 10.0}, 0.1, 0.0, 2000, seed=seed)
         assert est.seed == seed and 0 < est.violations < 2000
-    for seed in (-1, 2 ** 64, 2 ** 64 + 1):
-        with pytest.raises(ValueError, match="seed"):
-            monte_carlo_check(m, uset, {x: 10.0}, 0.1, 0.0, 2000, seed=seed)
+    assert monte_carlo_check(m, uset, {x: 10.0}, 0.1, 0.0, 2000,
+                             seed=np.uint64(3)) == monte_carlo_check(
+        m, uset, {x: 10.0}, 0.1, 0.0, 2000, seed=3)
+    for seed in (-1, 2 ** 64, 2 ** 64 + 1, 1.5, 1.0, True, "1"):
+        for point in ({x: 10.0}, {x: 1.0}):
+            with pytest.raises(ValueError, match="seed"):
+                monte_carlo_check(m, uset, point, 0.1, 0.0, 2000, seed=seed)
+
+
+def test_mc_memory_does_not_grow_with_samples():
+    """A check holds a few fixed-size blocks of samples, not every sample
+    of every entry: 2e5 samples of a row with 12 normal coefficients
+    and a uniform right-hand side peaked at about 10 MiB of traced
+    allocations when each entry was drawn in one buffer."""
+    m = Model()
+    ids = [m.add_variable(f"x{j}") for j in range(12)]
+    m.set_objective("max", [(v, 1.0) for v in ids])
+    m.add_constraint([(v, 1.0) for v in ids], "<=", 12.0)
+    m.finalize()
+    uset = UncertainSet([(0, v, Normal(0.0, 1.0)) for v in ids]
+                        + [(0, RHS, Uniform())])
+    args = (m, uset, dict.fromkeys(ids, 1.0), 0.1, 0.0, 200_000, 5)
+    tracemalloc.start()
+    try:
+        got = monte_carlo_check(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20
+    want = reference_monte_carlo_check(*args)
+    assert got == want
+    assert 0 < got.violations < 200_000
 
 
 def test_mc_leaves_no_thread_behind():
-    """The draw pool lives within the call, so a later fork (``sweep --jobs``)
-    starts from a single-threaded process."""
+    """The estimator draws on the calling thread, so a later fork
+    (``sweep --jobs``) starts from a single-threaded process."""
     m, x = _one_row()
     uset = UncertainSet([(0, x, Uniform()), (0, RHS, Normal(0.0, 1.0))])
     before = set(threading.enumerate())
@@ -510,6 +544,9 @@ def test_mc_poisson_tagged_entries():
 
 _MC_FAMILIES = ["bounded", "bounded eps_j", "range", "uniform", "normal",
                 "poisson", "binomial", "discrete"]
+# sample counts just below, at and past the ends of the estimator's blocks
+_BLOCK_EDGES = [validate._MC_BLOCK - 1, validate._MC_BLOCK, validate._MC_BLOCK + 1,
+                2 * validate._MC_BLOCK + 1]
 _DISCRETE = [Discrete((-1.0, 1.0), (0.5, 0.5)),
              Discrete((-2, 0, 3), (0.25, 0.5, 0.25)),
              Discrete((0.5,), (1.0,))]
@@ -580,25 +617,38 @@ def _mc_cases(draw):
         "point": point,
         "eps": draw(st.sampled_from([0.0, 0.05, 0.1, 0.3])),
         "delta": draw(st.sampled_from([0.0, 0.05, 0.3])),
-        "n_samples": draw(st.sampled_from([1000, 1001, 4097, 20000])),
+        "n_samples": draw(st.sampled_from([1000, 1001, 4097, 20000] + _BLOCK_EDGES)),
         "seed": draw(st.integers(0, 2 ** 64 - 1)),
     }
+
+
+# concurrent checks for the all_cpus cases: one per CPU, at least two, at most four
+_CONCURRENT = min(max(os.cpu_count() or 1, 2), 4)
+
+
+def _mc_on_cpus(cpus, args):
+    """Run one check alone (``cpus`` 1), or as ``_CONCURRENT`` concurrent
+    calls (``cpus`` None).  Calls share no block buffers or streams, so
+    every concurrent call returns the same estimate."""
+    if cpus == 1:
+        return monte_carlo_check(*args)
+    with ThreadPoolExecutor(_CONCURRENT) as pool:
+        got = list(pool.map(lambda _: monte_carlo_check(*args), range(_CONCURRENT)))
+    assert all(g == got[0] for g in got)
+    return got[0]
 
 
 @pytest.mark.parametrize("cpus", [1, None], ids=["one_cpu", "all_cpus"])
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(case=_mc_cases())
 def test_mc_matches_reference_bit_for_bit(cpus, case):
-    """Streaming, concurrently drawn estimates equal the keep-every-draw
-    reference exactly, with one worker and with every CPU."""
+    """Estimates drawn block by block equal the keep-every-draw reference
+    exactly, also for sample counts at and across block edges, whether the
+    check runs alone or beside concurrent checks on every CPU."""
     args = (case["model"], case["uset"], case["point"], case["eps"],
             case["delta"], case["n_samples"], case["seed"])
     want = reference_monte_carlo_check(*args)
-    if cpus is None:
-        got = monte_carlo_check(*args)
-    else:
-        with mock.patch.object(validate, "_available_cpus", lambda: cpus):
-            got = monte_carlo_check(*args)
+    got = _mc_on_cpus(cpus, args)
     assert got.violations == want.violations
     assert got.frequency == want.frequency
     assert got.per_constraint == want.per_constraint
@@ -627,8 +677,8 @@ def test_mc_deviation_kernel_matches_reference_bits(data):
 
 def test_mc_draws_nothing_for_rows_certified_from_their_support():
     """The IRC optimum is robust over the whole box, so its row opens no
-    stream and the call starts no thread.  A Poisson-tagged row beside it,
-    whose support is unbounded, is still drawn."""
+    stream.  A Poisson-tagged row beside it, whose support is unbounded, is
+    still drawn."""
     m = Model()
     x, y = m.add_variable("x"), m.add_variable("y")
     m.set_objective("max", [(x, 1.0), (y, 1.0)])
@@ -650,12 +700,9 @@ def test_mc_draws_nothing_for_rows_certified_from_their_support():
 
         args = (m, UncertainSet(tags), point, 0.1, 0.0, 4000, 3)
         before = set(threading.enumerate())
-        with mock.patch.object(validate, "_entry_stream", stream), \
-                mock.patch.object(validate, "ThreadPoolExecutor",
-                                  wraps=validate.ThreadPoolExecutor) as pool:
+        with mock.patch.object(validate, "_entry_stream", stream):
             got = monte_carlo_check(*args)
         assert sorted(opened) == drawn
-        assert pool.call_count == (1 if drawn else 0)
         assert set(threading.enumerate()) == before
         want = reference_monte_carlo_check(*args)
         assert got.per_constraint[0] == 0.0
@@ -748,13 +795,14 @@ def _irc_optima(draw):
 @pytest.mark.parametrize("cpus", [1, None], ids=["one_cpu", "all_cpus"])
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(case=st.one_of(_irc_optima(), _inside_rows()),
-       n_samples=st.sampled_from([1000, 1001, 4097]),
+       n_samples=st.sampled_from([1000, 1001, 4097] + _BLOCK_EDGES),
        seed=st.integers(0, 2 ** 64 - 1))
 def test_mc_certified_rows_match_reference_bit_for_bit(cpus, case, n_samples, seed):
     """Rows that no realisation can violate are counted without a draw, and
-    the estimate is still the keep-every-draw reference's, bit for bit, with
-    one worker and with every CPU.  Rows that clear their worst realisation
-    by a gap open no stream; rows with a Poisson entry are drawn."""
+    the estimate is still the keep-every-draw reference's, bit for bit, also
+    across block edges and beside concurrent checks on every CPU.  Rows that
+    clear their worst realisation by a gap open no stream; rows with a
+    Poisson entry are drawn."""
     (model, uset, point, eps, delta), must_draw = case
     args = (model, uset, point, eps, delta, n_samples, seed)
     opened = []
@@ -764,17 +812,14 @@ def test_mc_certified_rows_match_reference_bit_for_bit(cpus, case, n_samples, se
         return _open(seed, idx)
 
     with mock.patch.object(validate, "_entry_stream", stream):
-        if cpus is None:
-            got = monte_carlo_check(*args)
-        else:
-            with mock.patch.object(validate, "_available_cpus", lambda: cpus):
-                got = monte_carlo_check(*args)
+        got = _mc_on_cpus(cpus, args)
     want = reference_monte_carlo_check(*args)
     assert got.violations == want.violations
     assert got.frequency == want.frequency
     assert list(got.per_constraint.items()) == list(want.per_constraint.items())
     if must_draw is not None:
-        assert sorted(opened) == must_draw
+        calls = 1 if cpus == 1 else _CONCURRENT
+        assert sorted(opened) == sorted(must_draw * calls)
 
 
 def test_mc_adds_terms_in_entry_order():
