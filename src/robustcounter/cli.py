@@ -199,7 +199,8 @@ def _parse_axis(spec: str, key: str) -> list[float]:
 
 
 def parse_grid_spec(tokens) -> list[tuple[float, float, float]]:
-    """Grid spec like ``eps=0:0.05:0.2 delta=0,0.1 kappa=1,0.14``."""
+    """Grid spec like ``eps=0:0.05:0.2 delta=0,0.1 kappa=1,0.14``: eps and
+    delta finite and nonnegative, kappa in (0, 1]."""
     axes = {"eps": [0.0], "delta": [0.0], "kappa": [1.0]}
     if not tokens:
         raise ValueError("empty grid specification")
@@ -213,6 +214,11 @@ def parse_grid_spec(tokens) -> list[tuple[float, float, float]]:
         if key not in axes:
             raise ValueError(f"unknown grid axis {key!r} (use eps/delta/kappa)")
         axes[key] = _parse_axis(spec, key)
+    for key in ("eps", "delta"):
+        if any(v < 0 for v in axes[key]):
+            raise ValueError(f"{key}: values must be nonnegative, got {axes[key]}")
+    if not all(0 < k <= 1 for k in axes["kappa"]):
+        raise ValueError(f"kappa: values must lie in (0, 1], got {axes['kappa']}")
     grid = [(e, d, k)
             for e in axes["eps"] for d in axes["delta"] for k in axes["kappa"]]
     if not grid:
@@ -276,15 +282,25 @@ def _load_solution_values(path: str, model: Model) -> dict[int, float]:
     """Read a solution file (the --json output of solve) keyed by name.
 
     Names missing from the model (counterpart auxiliaries) are ignored; every
-    model variable must be covered.
+    model variable must be covered by a JSON number.
     """
     payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise ValueError("solution file must hold a JSON object")
     by_name = payload["values"] if "values" in payload else payload
+    if not isinstance(by_name, dict):
+        raise ValueError("solution values must be a JSON object")
     values = {}
     for v in model.variables:
         if v.name not in by_name:
             raise ValueError(f"solution file lacks a value for {v.name!r}")
-        values[v.id] = float(by_name[v.name])
+        value = by_name[v.name]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"solution value of {v.name} must be a number, got {value!r}")
+        try:
+            values[v.id] = float(value)
+        except OverflowError:  # an integer past the float range
+            raise ValueError(f"solution value of {v.name} is too large") from None
     return values
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -127,12 +127,14 @@ class Constraint:
 
 @dataclass
 class SolverStats:
-    """Work counters attached to a Solution."""
+    """Work counters attached to a Solution, the row duals of ``solve_lp``
+    and the worst cone-row residual of a cone solve (None elsewhere)."""
 
     iterations: int = 0
     nodes: int = 0
     cone_cuts: int = 0
-    extra: dict = field(default_factory=dict)
+    duals: np.ndarray | None = None
+    cone_violation: float | None = None
 
 
 @dataclass
@@ -357,9 +359,9 @@ class StandardFormLP:
     ``row_lo = -inf``, a ``>=`` row ``row_hi = inf`` and an equality row
     ``row_lo == row_hi``.  ``sense`` records the model's objective sense: for
     ``min`` models ``c`` and ``c0`` are negated, so the optimum here is the
-    negated model optimum.  A node of branch and bound is the same LP under
-    other column bounds (``dataclasses.replace``), and :meth:`extended`
-    appends rows.
+    negated model optimum.  Branch and bound keeps one such LP as its
+    working copy: a node is the same LP under other column bounds, and a cut
+    is a row appended to it (both by ``dataclasses.replace``).
     """
 
     c: np.ndarray
@@ -378,32 +380,6 @@ class StandardFormLP:
     def model_objective(self, canonical: float) -> float:
         return canonical if self.sense == "max" else -canonical
 
-    def extended(self, constraints) -> "StandardFormLP":
-        """This LP with ``constraints``, rows its model has gained since it
-        was built, appended in order: the LP a rebuild would give."""
-        a, const = _coefficients([c.lhs for c in constraints], self.n_cols)
-        lo, hi = _ranges(constraints, const)
-        return replace(self, a=np.vstack([self.a, a]),
-                       row_lo=np.concatenate([self.row_lo, lo]),
-                       row_hi=np.concatenate([self.row_hi, hi]))
-
-
-def _coefficients(exprs, n_vars: int) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficient matrix (one row per expression) and the constants of
-    nonempty ``exprs``."""
-    mat = np.zeros((len(exprs), n_vars))
-    mat[np.repeat(np.arange(len(exprs)), [len(e.terms) for e in exprs]),
-        [v for e in exprs for v, _ in e.terms]] = [a for e in exprs for _, a in e.terms]
-    return mat, np.array([e.constant for e in exprs], dtype=float)
-
-
-def _ranges(constraints, const: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The range ``[row_lo, row_hi]`` of each constraint's linear part, whose
-    constants are ``const``."""
-    rhs = np.array([c.rhs for c in constraints], dtype=float) - const
-    return (np.where([c.sense != "<=" for c in constraints], rhs, -INF),
-            np.where([c.sense != ">=" for c in constraints], rhs, INF))
-
 
 def to_standard_form(model: Model) -> StandardFormLP:
     """Convert a cone-free model to :class:`StandardFormLP`: the variables,
@@ -411,16 +387,20 @@ def to_standard_form(model: Model) -> StandardFormLP:
     feasible points and objective values are the model's."""
     if model.has_cones():
         raise ModelError("model has cone terms; standard form is cone-free")
-    mat, const = _coefficients([model.objective] + [c.lhs for c in model.constraints],
-                               len(model.variables))
+    cons = model.constraints
+    exprs = [model.objective] + [c.lhs for c in cons]
+    mat = np.zeros((len(exprs), len(model.variables)))
+    mat[np.repeat(np.arange(len(exprs)), [len(e.terms) for e in exprs]),
+        [v for e in exprs for v, _ in e.terms]] = [a for e in exprs for _, a in e.terms]
+    const = np.array([e.constant for e in exprs], dtype=float)
     sign = 1.0 if model.objective_sense == "max" else -1.0
-    row_lo, row_hi = _ranges(model.constraints, const[1:])
+    rhs = np.array([c.rhs for c in cons], dtype=float) - const[1:]
     return StandardFormLP(
         c=sign * mat[0] + 0.0,
         c0=sign * float(const[0]) + 0.0,
         a=mat[1:],
-        row_lo=row_lo,
-        row_hi=row_hi,
+        row_lo=np.where([c.sense != "<=" for c in cons], rhs, -INF),
+        row_hi=np.where([c.sense != ">=" for c in cons], rhs, INF),
         col_lo=np.array([v.lower for v in model.variables], dtype=float),
         col_hi=np.array([v.upper for v in model.variables], dtype=float),
         sense=model.objective_sense,

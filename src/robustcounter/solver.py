@@ -15,25 +15,26 @@ slack basis, which is never singular (Koberstein 2005; Achterberg 2007), so
 no rounding drifts from node to node.  A bounded dual simplex (Bland's
 leaving row, the largest pivot among near-tied ratios) reaches a feasible
 basis with wrong-signed reduced costs shifted to zero, and a bounded primal
-simplex with Bland's rule finishes with the true costs.  'infeasible' and
-'unbounded' stand only when a ray recomputed from the original matrix
-proves them.  Branching picks the most fractional variable with
-lowest-index tie-breaks, and the node queue is ordered by best bound with
-FIFO tie-breaks.
+simplex with Bland's rule finishes with the true costs.  A row that no
+column can move is accepted within the feasibility tolerance.
+'infeasible' and 'unbounded' stand only when a ray recomputed from the
+original matrix proves them.  Branching picks the most fractional variable
+with lowest-index tie-breaks, and the node queue is ordered by best bound
+with FIFO tie-breaks.
 
 Square-root cone rows are handled by LP/NLP-based branch and bound (Quesada
 & Grossmann 1992): node LPs see each cone row at its radical floor, and at
 every integer-feasible node the integer values are rounded, the rounded
 point is checked against every row, and violated cone rows get a supporting
-hyperplane of the convex radical.  The cuts go into the working model for
-the rest of the tree and the node is queued again, so one tree serves the
+hyperplane of the convex radical.  Each cut is appended as a row to the
+tree's one working LP and the node is queued again, so one tree serves the
 whole solve and its time, node and cut-round limits bound the whole call.
 Supporting hyperplanes never cut off exactly-feasible points, and
 incumbents are rounded points where every row holds.
 
 A node's bounds are two arrays; a child copies one and changes one integer
-bound, so every node LP is the working model's standard form with the
-node's arrays as its column bounds, and cut rows are appended to it.
+bound, so every node LP is the working LP with the node's arrays as its
+column bounds.
 Duals of the final basis are computed only for ``solve_lp``; branch and
 bound never reads them.  One deadline, taken when the call starts, stops
 the tree and the simplex inside every node LP.
@@ -56,7 +57,6 @@ from .model import (
     INF,
     INTEGRALITY_TOL,
     ConeTerm,
-    Constraint,
     LinExpr,
     Model,
     Solution,
@@ -130,18 +130,20 @@ def _pivot(tab, basis, row, col):
     basis[row] = col
 
 
-def _run_dual(tab, basis, x, lo, hi, deadline):
+def _run_dual(tab, basis, x, lo, hi, tol, deadline):
     """Bounded dual simplex over the tableau in place, from dual-feasible
     reduced costs (the last row of ``tab``) and values ``x`` of every column.
 
     The leaving row is Bland's: the lowest basis index among rows whose value
-    is more than the tolerance outside its bounds; it leaves at the bound it
-    breaks.  The entering column is a nonbasic one that can move the leaving
-    value towards that bound from where it sits, with the smallest ratio
-    ``|d_j| / |a_rj|``; ratios within the tolerance of the smallest go to the
-    largest ``|a_rj|``, then to the lowest index.  Returns (status,
-    iterations); status is 'optimal' once every basic value is within its
-    bounds, 'infeasible' when a leaving row has no entering column, or
+    is more than the pivot tolerance outside its bounds; it leaves at the
+    bound it breaks.  The entering column is a nonbasic one that can move the
+    leaving value towards that bound from where it sits, with the smallest
+    ratio ``|d_j| / |a_rj|``; ratios within the pivot tolerance of the
+    smallest go to the largest ``|a_rj|``, then to the lowest index.  A
+    leaving row with no entering column is passed over until the next pivot
+    if it is within ``tol`` of its bounds.  Returns (status, iterations);
+    status is 'optimal' once every basic value not passed over is within its
+    bounds, 'infeasible' when one beyond ``tol`` has no entering column, or
     'limit' after ``_MAX_ITER`` pivots or once ``deadline`` (a
     ``time.monotonic`` value) has passed with a pivot still to make.
     """
@@ -150,10 +152,13 @@ def _run_dual(tab, basis, x, lo, hi, deadline):
     lob, hib = lo[basis] - _PIVOT_TOL, hi[basis] + _PIVOT_TOL
     up, down = x < hi, x > lo  # which nonbasic columns can rise, fall
     up[basis] = down[basis] = False
-    for iters in range(_MAX_ITER):
+    passed = []  # rows no column can move, within tol, since the last pivot
+    iters = 0
+    while iters < _MAX_ITER:
         xb = x[basis]
         below = xb < lob
         bad = (below | (xb > hib)).nonzero()[0]
+        bad = bad[~np.isin(bad, passed)] if passed else bad
         if not bad.size:
             return "optimal", iters
         if time.monotonic() >= deadline:
@@ -164,7 +169,10 @@ def _run_dual(tab, basis, x, lo, hi, deadline):
         neg, pos = row < -_PIVOT_TOL, row > _PIVOT_TOL
         cand = ((neg & up) | (pos & down) if below[r] else (pos & up) | (neg & down)).nonzero()[0]
         if not cand.size:
-            return "infeasible", iters
+            if not lo[basis[r]] - tol <= xb[r] <= hi[basis[r]] + tol:
+                return "infeasible", iters
+            passed.append(r)
+            continue
         a = row[cand]
         ratio = -d[cand] / a if below[r] else d[cand] / a
         near = ratio <= ratio.min() + _PIVOT_TOL
@@ -180,6 +188,8 @@ def _run_dual(tab, basis, x, lo, hi, deadline):
         up[q] = down[q] = False
         up[p], down[p] = target < hi[p], target > lo[p]
         _pivot(tab, basis, r, q)
+        passed = []
+        iters += 1
     return "limit", _MAX_ITER
 
 
@@ -249,16 +259,18 @@ def solve_lp(sf: StandardFormLP, options: SolverOptions | None = None) -> Soluti
     to the pivot tolerance and no improving reduced cost; ``infeasible`` and
     ``unbounded`` are each certified by a ray checked against the original
     matrix; ``limit_reached`` means a loop hit the pivot cap or the time
-    limit, or a second verdict failed its check.  The values are the model's
-    variables, and ``stats.extra['duals']`` holds one multiplier per model
-    row: ``c - a.T @ duals`` are the columns' reduced costs, and a row's
-    multiplier is nonnegative at its upper bound, nonpositive at its lower.
+    limit, or a verdict failed its check.  A row that no column can move is
+    accepted within ``feasibility_tol``.  The values are the model's
+    variables, and ``stats.duals`` holds one multiplier per row, appended
+    cut rows included: ``c - a.T @ duals`` are the columns' reduced costs,
+    and a row's multiplier is nonnegative at its upper bound, nonpositive at
+    its lower.
     """
     options = options or SolverOptions()
     res = _solve_standard(sf, options, _deadline(options), duals=True)
     stats = SolverStats(iterations=res.iterations)
     if res.status == "optimal":
-        stats.extra["duals"] = res.duals
+        stats.duals = res.duals
         return Solution("optimal", dict(enumerate(res.x.tolist())),
                         sf.model_objective(res.objective), stats)
     if res.status == "infeasible":
@@ -364,12 +376,13 @@ def _solve_standard(sf: StandardFormLP, options: SolverOptions, deadline: float,
     It starts from ``basis``, an optimal basis of an LP with the same matrix
     or the same matrix before rows were appended (their logicals join it),
     or from the slack basis, which also replaces a singular one.  Reduced
-    costs shifted at the start are restored for the primal finish.  An
+    costs shifted at the start are restored for the primal finish.  A row
+    that no column can move is accepted within ``feasibility_tol``.  An
     'infeasible' or 'unbounded' verdict stands only when :func:`_proven`;
-    the first one that is not refactors at the current basis and goes on,
-    and a second ends the LP with 'limit'.  Every loop stops at
-    ``deadline``.  The result carries the final basis; its duals are
-    computed only when ``duals`` is set."""
+    the first one that is not refactors at the current basis and goes on if
+    the first try took a step, and otherwise, or at a second, the LP ends
+    with 'limit'.  Every loop stops at ``deadline``.  The result carries the
+    final basis; its duals are computed only when ``duals`` is set."""
     n, m = sf.n_cols, sf.a.shape[0]
     if sf.a.shape[1] != n or sf.col_lo.shape != (n,) or sf.col_hi.shape != (n,):
         raise SolverError("constraint matrix or bound width does not match objective length")
@@ -386,7 +399,7 @@ def _solve_standard(sf: StandardFormLP, options: SolverOptions, deadline: float,
     iters = 0
     for _ in range(2):
         tab, x, shifted = _start(mat, cost, lo, hi, basis)
-        status, more = _run_dual(tab, basis, x, lo, hi, deadline)
+        status, more = _run_dual(tab, basis, x, lo, hi, options.feasibility_tol, deadline)
         iters += more
         enter = -1
         if status == "optimal":
@@ -405,37 +418,32 @@ def _solve_standard(sf: StandardFormLP, options: SolverOptions, deadline: float,
         if status == "limit" or _proven(status, mat, cost, lo, hi, basis, x, enter,
                                         options.feasibility_tol):
             return _SimplexResult(status, iterations=iters)
+        if not iters:
+            break  # a retry from the same basis would repeat this verdict
     return _SimplexResult("limit", iterations=iters)
 
 
 # -- branch and bound --------------------------------------------------------
 
 
-def _branching_var(values, is_int: np.ndarray, tol: float) -> int | None:
+def _branching_var(x: np.ndarray, is_int: np.ndarray, tol: float) -> int | None:
     """The integer variable whose distance to the nearest integer is closest
     to 0.5, the lowest id among ties; None when all are within ``tol``."""
-    x = np.fromiter(values.values(), float, len(values))
     frac = np.abs(x - np.round(x))
     cand = np.flatnonzero(is_int & (frac > tol))
     return int(cand[np.argmin(np.abs(frac[cand] - 0.5))]) if cand.size else None
 
 
 def _relax_cones(model: Model, cone_rows) -> Model:
-    """Unfrozen copy of ``model`` with each cone row replaced by its value at
-    the radical floor, a valid relaxation: the radical never falls below
+    """Copy of ``model`` with each cone row replaced by its value at the
+    radical floor, a valid relaxation: the radical never falls below
     ``sqrt(constant_inside)``."""
-    work = model.copy(name=f"{model.name}__oa")
+    relaxed = model.copy(name=f"{model.name}__oa")
     for con in cone_rows:
         floor_const = con.cone.scale * math.sqrt(con.cone.constant_inside)
-        relaxed = LinExpr.from_terms(con.lhs.terms, con.lhs.constant + floor_const)
-        work.constraints[con.id] = replace(con, lhs=relaxed, cone=None)
-    return work
-
-
-def _cone_violations(cone_rows, values) -> list[tuple[Constraint, float]]:
-    """Each cone row with its exact residual ``lhs + cone - rhs`` at ``values``."""
-    return [(con, con.lhs.value(values) + con.cone.value(values) - con.rhs)
-            for con in cone_rows]
+        lhs = LinExpr.from_terms(con.lhs.terms, con.lhs.constant + floor_const)
+        relaxed.constraints[con.id] = replace(con, lhs=lhs, cone=None)
+    return relaxed
 
 
 def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
@@ -449,10 +457,10 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
     ``feasibility_tol``, the node branches on the integer variable farthest
     from integral.  Otherwise every cone row is evaluated exactly there, and
     rows violated by more than ``cone_cut_tol`` get a supporting-hyperplane
-    cut.  The cuts join every later node LP, and the node goes back into the
-    queue under its own LP bound, which the cuts leave valid.  A rounded
-    point that passes every check is an incumbent, its objective taken
-    there.
+    cut, appended as a row to the working LP that every later node LP
+    shares, and the node goes back into the queue under its own LP bound,
+    which the cuts leave valid.  A rounded point that passes every check is
+    an incumbent, its objective taken there.
 
     An exhausted tree certifies the incumbent optimal (within the LP and cut
     tolerances); hitting ``max_nodes``, ``max_cone_rounds`` separations, the
@@ -461,21 +469,19 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
     with nothing left to round.  Only the root LP can make the call
     ``unbounded``: once a node LP is optimal, a later node LP that claims an
     unbounded ray does so from rounding, and the call stops with
-    ``limit_reached`` as well.  With cone rows,
-    ``stats.extra["cone_violation"]`` is the worst cone-row residual at the
-    returned values, or at the last cut-off point when none are returned.
+    ``limit_reached`` as well.  With cone rows, ``stats.cone_violation`` is
+    the worst cone-row residual at the returned values, or at the last
+    cut-off point when none are returned.
     """
     options = options or SolverOptions()
     deadline = _deadline(options)
     cone_rows = [c for c in model.constraints if c.cone is not None]
-    work = _relax_cones(model, cone_rows) if cone_rows else model
     is_int = np.array([v.is_integer for v in model.variables], dtype=bool)
-    lp = to_standard_form(work)
+    lp = to_standard_form(_relax_cones(model, cone_rows) if cone_rows else model)
     # the model's linear rows and bounds, which a rounded point must meet
     linear = np.flatnonzero([c.cone is None for c in model.constraints])
-    lin_a = np.vstack([lp.a[linear], np.eye(len(is_int))])
-    lin_lo = np.concatenate([lp.row_lo[linear], lp.col_lo])
-    lin_hi = np.concatenate([lp.row_hi[linear], lp.col_hi])
+    lin_a, lin_lo, lin_hi = lp.a[linear], lp.row_lo[linear], lp.row_hi[linear]
+    tol = options.feasibility_tol
     stats = SolverStats()
 
     best_values = None
@@ -486,11 +492,8 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
     heap = [(-INF, counter, NodeRecord(lp.col_lo, lp.col_hi))]
     status = "optimal"
     bounded = False  # some node LP was optimal, so none can be unbounded
-    bound_sequence: list[float] = []
-    stats.extra["bound_sequence"] = bound_sequence
     while heap:
         neg_bound, _, node = heapq.heappop(heap)
-        bound_sequence.append(-neg_bound)
         if -neg_bound <= best_cano + _PRUNE_TOL and best_values is not None:
             break  # best-bound order: nothing left can improve
         if stats.nodes >= options.max_nodes or time.monotonic() > deadline:
@@ -514,37 +517,37 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
         cano = res.objective  # canonical max value from _solve_standard
         if cano <= best_cano + _PRUNE_TOL and best_values is not None:
             continue
-        var = _branching_var(dict(enumerate(res.x.tolist())), is_int,
-                             options.integrality_tol)
+        var = _branching_var(res.x, is_int, options.integrality_tol)
         if var is None:
             point = np.where(is_int, np.round(res.x), res.x) + 0.0
             act = lin_a @ point
-            if np.any((lin_lo - act > options.feasibility_tol)
-                      | (act - lin_hi > options.feasibility_tol)):
+            if (np.any((lin_lo - act > tol) | (act - lin_hi > tol))
+                    or np.any((lp.col_lo - point > tol) | (point - lp.col_hi > tol))):
                 var = int(np.argmax(np.abs(res.x - point)))
                 if res.x[var] == point[var]:
                     status = "limit_reached"  # the LP point itself breaks a row
                     break
         if var is None:
             values = dict(enumerate(point.tolist()))
-            violated = [(con, viol) for con, viol in _cone_violations(cone_rows, values)
-                        if viol > options.cone_cut_tol]
+            viol = [model.evaluate_constraint(values, con.id) for con in cone_rows]
+            violated = [con for con, v in zip(cone_rows, viol) if v > options.cone_cut_tol]
             if violated:
-                cut_off = max(viol for _, viol in violated)
+                cut_off = max(viol)
                 if separations >= options.max_cone_rounds:
                     status = "limit_reached"
                     break
                 separations += 1
-                n_rows = len(work.constraints)
-                for con, _ in violated:
+                # each row's linear terms plus its radical's tangent, without the floor
+                rows, row_hi = lp.a[[con.id for con in violated]], []
+                for row, con in zip(rows, violated):
                     terms, constant = _cone_support_cut(con.cone, values)
-                    stats.cone_cuts += 1
-                    work.add_constraint(
-                        LinExpr.from_terms(con.lhs.terms + tuple(terms),
-                                           con.lhs.constant + constant),
-                        "<=", con.rhs, label=f"{con.label}__cut{stats.cone_cuts}",
-                    )
-                lp = lp.extended(work.constraints[n_rows:])
+                    for var_id, coeff in terms:
+                        row[var_id] += coeff
+                    row_hi.append(con.rhs - (con.lhs.constant + constant))
+                stats.cone_cuts += len(rows)
+                lp = replace(lp, a=np.vstack([lp.a, rows]),
+                             row_lo=np.concatenate([lp.row_lo, np.full(len(rows), -INF)]),
+                             row_hi=np.concatenate([lp.row_hi, row_hi]))
                 counter += 1
                 heapq.heappush(heap, (-cano, counter, replace(node, basis=res.basis)))
                 continue
@@ -563,8 +566,8 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
     if status == "unbounded":
         best_values = None
     if cone_rows:
-        stats.extra["cone_violation"] = cut_off if best_values is None else max(
-            [0.0] + [viol for _, viol in _cone_violations(cone_rows, best_values)])
+        stats.cone_violation = cut_off if best_values is None else max(
+            [0.0] + [model.evaluate_constraint(best_values, con.id) for con in cone_rows])
     if status == "unbounded":
         obj = INF if model.objective_sense == "max" else -INF
         return Solution("unbounded", {}, obj, stats)

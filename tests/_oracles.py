@@ -695,22 +695,27 @@ def reference_pivot(tab, basis, row, col):
     basis[row] = col
 
 
-def reference_run_dual(tab, basis, x, lo, hi, deadline=math.inf, max_iter=1_000_000):
+def reference_run_dual(tab, basis, x, lo, hi, tol, deadline=math.inf, max_iter=1_000_000):
     """Bounded dual simplex with scalar scans: the leaving row has the lowest
-    basis index among rows whose value is more than the tolerance outside
-    its bounds and leaves at the bound it breaks; the entering column can
-    move that value towards the bound from where it sits and has the
-    smallest ratio ``|d_j| / |a_rj|``, ratios within the tolerance of the
-    smallest going to the largest ``|a_rj|`` and then to the lowest index.
-    Stops with 'limit' when a pivot is due at or after ``deadline``."""
+    basis index among rows whose value is more than the pivot tolerance
+    outside its bounds and leaves at the bound it breaks; the entering column
+    can move that value towards the bound from where it sits and has the
+    smallest ratio ``|d_j| / |a_rj|``, ratios within the pivot tolerance of
+    the smallest going to the largest ``|a_rj|`` and then to the lowest
+    index.  A leaving row with no entering column is skipped until the next
+    pivot when its value is within ``tol`` of its bounds, and ends the run
+    'infeasible' otherwise.  Stops with 'limit' when a pivot is due at or
+    after ``deadline``."""
     m = len(basis)
     iters = 0
+    skipped = set()
     while iters < max_iter:
         leave, below = -1, False
         for r in range(m):
             p = basis[r]
             low = x[p] < lo[p] - _PIVOT_TOL
-            if (low or x[p] > hi[p] + _PIVOT_TOL) and (leave < 0 or p < basis[leave]):
+            if (r not in skipped and (low or x[p] > hi[p] + _PIVOT_TOL)
+                    and (leave < 0 or p < basis[leave])):
                 leave, below = r, low
         if leave < 0:
             return "optimal", iters
@@ -722,6 +727,10 @@ def reference_run_dual(tab, basis, x, lo, hi, deadline=math.inf, max_iter=1_000_
             if (a < -_PIVOT_TOL and x[j] < hi[j]) or (a > _PIVOT_TOL and x[j] > lo[j]):
                 eligible.append((-tab[-1, j] / a, abs(a), j))
         if not eligible:
+            p = basis[leave]
+            if lo[p] - tol <= x[p] <= hi[p] + tol:
+                skipped.add(leave)
+                continue
             return "infeasible", iters
         best = min(ratio for ratio, _, _ in eligible)
         enter, size = -1, 0.0
@@ -736,6 +745,7 @@ def reference_run_dual(tab, basis, x, lo, hi, deadline=math.inf, max_iter=1_000_
         x[enter] += step
         x[p] = target
         reference_pivot(tab, basis, leave, enter)
+        skipped.clear()
         iters += 1
     return "limit", iters
 

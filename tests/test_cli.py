@@ -202,9 +202,23 @@ def test_sweep_infeasible_cell_flagged_not_fatal(workdir):
     assert statuses[0.0] == "optimal"
 
 
-def test_sweep_bad_grid_exit_one(workdir):
-    assert main(["sweep", str(workdir / "hk_demo"), "eps=oops",
-                 "-o", str(workdir / "s.csv")]) == 1
+def test_sweep_bad_grid_exit_one(workdir, capsys):
+    out = workdir / "s.csv"
+    for grid, message in [
+        (["eps=oops"], "could not convert"),
+        (["eps=-0.1,0.05", "kappa=0,0.14"], "eps: values must be nonnegative"),
+        (["eps=-0.1:0.05:0.1"], "eps: values must be nonnegative"),
+        (["delta=0,-0.01"], "delta: values must be nonnegative"),
+        (["delta=nan"], "delta: values must be finite"),
+        (["eps=inf"], "eps: values must be finite"),
+        (["kappa=0,0.14"], "kappa: values must lie in (0, 1]"),
+        (["kappa=0.5,1.5"], "kappa: values must lie in (0, 1]"),
+        (["kappa=-0.5"], "kappa: values must lie in (0, 1]"),
+    ]:
+        assert main(["sweep", str(workdir / "hk_demo"), *grid, "-o", str(out)]) == 1, grid
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, (grid, err)
+        assert not out.exists(), grid
 
 
 def test_validate_corner_certified(workdir, tmp_path, capsys):
@@ -251,13 +265,29 @@ def test_validate_mc_json_reports_rows_by_label(workdir, capsys):
     assert payload["per_constraint"]["cap"] == payload["frequency"] > 0.0
 
 
-@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("text, message", [
+    pytest.param(f'{{"values": {{"x": {bad}}}}}', "solution value of x is", id=bad)
+    for bad in ("NaN", "Infinity", "-Infinity")
+] + [
+    pytest.param("3", "solution file must hold a JSON object", id="number"),
+    pytest.param("[]", "solution file must hold a JSON object", id="list"),
+    pytest.param('{"values": 3}', "solution values must be a JSON object", id="values-number"),
+    pytest.param('{"values": {"x": null}}', "solution value of x must be a number",
+                 id="null"),
+    pytest.param('{"values": {"x": true}}', "solution value of x must be a number",
+                 id="bool"),
+    pytest.param('{"values": {"x": "1.5"}}', "solution value of x must be a number",
+                 id="string"),
+    pytest.param('{"x": [1.5]}', "solution value of x must be a number", id="bare-list"),
+    pytest.param('{"x": 1%s}' % ("0" * 400), "solution value of x is too large",
+                 id="huge-int"),
+])
 @pytest.mark.parametrize("mc", [[], ["--mc", "2000"]], ids=["corner", "mc"])
-def test_validate_nonfinite_solution_exit_one(workdir, capsys, bad, mc):
+def test_validate_nonfinite_solution_exit_one(workdir, capsys, text, message, mc):
     sol_path = workdir / "sol.json"
-    sol_path.write_text(f'{{"values": {{"x": {bad}}}}}')
+    sol_path.write_text(text)
     assert _validate_mc(workdir, "--solution", str(sol_path), *mc) == 1
-    assert capsys.readouterr().err.startswith("error: solution value of x is")
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_seed_env_default(workdir, monkeypatch, capsys):

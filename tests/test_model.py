@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -222,33 +221,6 @@ def test_standard_form_equivalence_on_random_models():
         assert m.max_violation(sol.values) <= 1e-7
         assert m.objective_value(sol.values) == pytest.approx(sol.objective, abs=1e-7)
     assert solved >= 30  # random mixed-sense rows leave plenty feasible
-
-
-def test_layout_extended_equals_rebuild():
-    """Rows appended to a standard form give, bit for bit, the arrays a
-    rebuild of the grown model gives, under other column bounds too."""
-    rng = np.random.default_rng(7)
-    for _ in range(40):
-        work = random_lp_model(rng).copy()
-        sf = to_standard_form(work)
-        n_rows = len(work.constraints)
-        ids = [v.id for v in work.variables]
-        for _ in range(int(rng.integers(1, 4))):
-            picked = rng.choice(ids, size=int(rng.integers(1, len(ids) + 1)))
-            terms = [(int(v), float(c)) for v, c in zip(picked, rng.uniform(-4, 4, len(picked)))]
-            work.add_constraint(LinExpr.from_terms(terms, float(rng.uniform(-2, 2))),
-                                ("<=", ">=", "=")[int(rng.integers(0, 3))],
-                                float(rng.uniform(-5, 15)))
-        grown, rebuilt = sf.extended(work.constraints[n_rows:]), to_standard_form(work)
-        for bounds in ((), (rebuilt.col_lo - 1.5, rebuilt.col_hi + 0.5)):
-            got, want = grown, rebuilt
-            if bounds:
-                got, want = (replace(lp, col_lo=bounds[0], col_hi=bounds[1])
-                             for lp in (grown, rebuilt))
-            for name in ("c", "a", "row_lo", "row_hi", "col_lo", "col_hi"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
-            assert repr(got.c0) == repr(want.c0)
 
 
 def _term_by_term_standard_form(model):

@@ -1,4 +1,5 @@
 import contextlib
+import heapq
 import math
 import time
 from dataclasses import replace
@@ -86,6 +87,92 @@ def test_lp_infeasible():
     assert solve_lp(to_standard_form(m.finalize())).status == "infeasible"
 
 
+def _tiny_row_model(integer, cap):
+    """max y s.t. 1e-12 x - 1e-12 y >= 0: at the slack basis the row's
+    logical sits at -1.13e-9, just past the pivot tolerance, and no column
+    can move it.  With a ``cap`` on x + y a later row breaks its bound too."""
+    m = Model()
+    x = m.add_variable("x", upper=2000.0)
+    y = m.add_variable("y", "integer" if integer else "continuous", upper=1130.0)
+    m.set_objective("max", [(y, 1.0)])
+    m.add_constraint([(x, 1e-12), (y, -1e-12)], ">=", 0.0)
+    if cap is not None:
+        m.add_constraint([(x, 1.0), (y, 1.0)], "<=", cap)
+    return m.finalize()
+
+
+@pytest.mark.parametrize("integer, cap, objective", [
+    (False, None, 1130.0), (True, None, 1130.0), (False, 1000.0, 1000.0),
+], ids=["lp", "milp", "second-row"])
+def test_row_no_column_can_move_is_accepted_within_feasibility_tol(integer, cap, objective):
+    """The dual simplex passes over such a row instead of ending the LP, and
+    the scalar reference kernel takes the same steps."""
+    model = _tiny_row_model(integer, cap)
+    sol = solve(model)
+    assert sol.status == "optimal"
+    assert sol.objective == objective
+    assert model.max_violation(sol.values) <= SolverOptions().feasibility_tol
+    with _scalar_kernel():
+        ref = solve(model)
+    assert (ref.status, ref.objective, ref.stats.iterations) == (
+        sol.status, sol.objective, sol.stats.iterations)
+
+
+def test_passed_over_row_is_picked_again_after_a_pivot():
+    """The first row is passed over at the slack basis; the pivot that lets
+    w meet the second row gives it an entering column, v, and it leaves
+    then instead of staying out of bounds by 1.1e-8."""
+    m = Model()
+    x = m.add_variable("x", upper=2000.0)
+    y = m.add_variable("y", upper=1130.0)
+    w = m.add_variable("w", upper=1.0)
+    v = m.add_variable("v", upper=1.0)
+    m.set_objective("max", [(y, 1.0), (v, -1.0)])
+    m.add_constraint([(x, 1e-12), (y, -1e-12), (w, -1.0)], ">=", 0.0)
+    m.add_constraint([(w, 1.0), (v, 1.0)], ">=", 1e-8)
+    m.finalize()
+    sol = solve(m)
+    assert sol.status == "optimal" and sol.stats.iterations == 2
+    assert sol.values[w] == 0.0 and sol.values[v] > 1e-8
+    assert m.max_violation(sol.values) <= 2e-9
+    with _scalar_kernel():
+        ref = solve(m)
+    assert (ref.status, ref.objective, ref.stats.iterations) == (
+        sol.status, sol.objective, sol.stats.iterations)
+
+
+def test_row_no_column_can_move_beyond_feasibility_tol_is_infeasible():
+    m = Model()
+    x = m.add_variable("x", upper=2000.0)
+    m.set_objective("max", [(x, 1.0)])
+    m.add_constraint([(x, 1e-12)], ">=", 1e-6)
+    assert solve(m.finalize()).status == "infeasible"
+
+
+def test_unproven_verdict_is_retried_only_after_a_step(monkeypatch):
+    """A retry from the basis the first try started at would repeat its
+    verdict bit for bit, so only a try that took a step is retried."""
+    starts = []
+    start = solver_mod._start
+    monkeypatch.setattr(solver_mod, "_start", lambda *args: starts.append(1) or start(*args))
+    monkeypatch.setattr(solver_mod, "_proven", lambda *args: False)
+    m = Model()
+    x = m.add_variable("x", upper=2000.0)
+    m.set_objective("max", [(x, 1.0)])
+    m.add_constraint([(x, 1e-12)], ">=", 1e-6)  # infeasible at the slack basis
+    sol = solve(m.finalize())
+    assert (sol.status, sol.stats.iterations, len(starts)) == ("limit_reached", 0, 1)
+    m = Model()
+    x, y = m.add_variable("x", upper=10.0), m.add_variable("y", upper=10.0)
+    m.set_objective("max", [(x, 1.0)])
+    m.add_constraint([(x, 1.0), (y, 1.0)], "<=", 3.0)
+    m.add_constraint([(x, 1.0), (y, 1.0)], ">=", 5.0)
+    starts.clear()
+    sol = solve(m.finalize())
+    assert sol.status == "limit_reached" and sol.stats.iterations > 0
+    assert len(starts) == 2
+
+
 def test_lp_unbounded():
     m = Model()
     x = m.add_variable("x")
@@ -132,7 +219,7 @@ def test_lp_weak_duality_certificate():
         if sol.status != "optimal":
             continue
         checked += 1
-        y = sol.stats.extra["duals"]
+        y = sol.stats.duals
         assert y.shape == (len(m.constraints),)
         cano = sol.objective if sf.sense == "max" else -sol.objective
         assert _dual_bound(y, sf) == pytest.approx(cano, abs=1e-6)
@@ -229,13 +316,29 @@ def test_milp_determinism_including_node_counts():
     assert a.stats.iterations == b.stats.iterations
 
 
-def test_milp_bound_sequence_monotone():
+def _popped_bounds(monkeypatch) -> list[float]:
+    """The bound of every node the tree pops from its queue, in pop order."""
+    popped = []
+    pop = heapq.heappop
+
+    def spy(heap):
+        item = pop(heap)
+        popped.append(-item[0])
+        return item
+
+    monkeypatch.setattr(heapq, "heappop", spy)
+    return popped
+
+
+def test_milp_popped_bounds_monotone(monkeypatch):
     rng = np.random.default_rng(31)
+    popped = _popped_bounds(monkeypatch)
     for _ in range(10):
         m = random_binary_model(rng, 8, 4)
-        sol = solve_milp(m)
-        seq = sol.stats.extra["bound_sequence"]
-        assert all(a >= b - 1e-9 for a, b in zip(seq, seq[1:]))
+        popped.clear()
+        solve_milp(m)
+        assert popped
+        assert all(a >= b - 1e-9 for a, b in zip(popped, popped[1:]))
 
 
 def test_milp_node_limit_reports_limit():
@@ -287,8 +390,8 @@ def test_near_integer_lp_point_is_not_an_incumbent():
 
 
 def test_gen12x8_rc_node_lp_matches_highs():
-    """Node 3,588 of gen 12x8 rc: the tree's working model with its cuts and
-    the node's bounds as variable bounds.  The two-phase tableau this solver
+    """Node 3,588 of gen 12x8 rc: the tree's working LP with its cut rows and
+    the node's bounds as variable bounds, written as a model.  The two-phase tableau this solver
     once used called its root LP 'unbounded' after 234 pivots."""
     model = import_text((Path(__file__).parent / "data" / "gen12x8_rc_node3588.txt").read_text())
     assert (len(model.variables), len(model.constraints)) == (128, 146)
@@ -380,8 +483,7 @@ def test_cone_cuts_never_cut_feasible_points():
     sol = solve_cone(m)
     assert sol.status == "optimal"
 
-    # regenerate the cuts the solver would produce at its incumbents by
-    # re-running and harvesting the working model rows
+    # the cuts the solver would make at its incumbent and at two other anchors
     from robustcounter.solver import _cone_support_cut
 
     exact = m.constraint_by_label("soc")
@@ -676,11 +778,14 @@ def test_cone_round_limit_bounds_the_whole_call():
     assert sol.stats.cone_cuts == 3
 
 
-def test_cone_bound_sequence_spans_every_round():
+def test_cone_pops_span_every_round(monkeypatch):
+    popped = _popped_bounds(monkeypatch)
     sol = solve(build_rc(demo_instance(), 0.05, 0.0, 0.14))
     assert sol.stats.cone_cuts > 0
-    # every solved node's bound is popped once, re-queued nodes included
-    assert len(sol.stats.extra["bound_sequence"]) >= sol.stats.nodes
+    # every solved node is popped once, re-queued nodes included, and the
+    # bounds never rise
+    assert len(popped) >= sol.stats.nodes
+    assert all(a >= b - 1e-9 for a, b in zip(popped, popped[1:]))
 
 
 @pytest.mark.parametrize("model, options", [
@@ -700,7 +805,7 @@ def test_limit_stopped_cone_solve_returns_cone_feasible_values_or_none(model, op
     values, and reports the worst cone violation either way."""
     sol = solve(model, options)
     assert sol.status == "limit_reached"
-    violation = sol.stats.extra["cone_violation"]
+    violation = sol.stats.cone_violation
     if sol.values:
         assert model.max_violation(sol.values) <= options.cone_cut_tol
         assert 0.0 <= violation <= options.cone_cut_tol
@@ -713,8 +818,11 @@ def test_limit_stopped_cone_solve_returns_cone_feasible_values_or_none(model, op
 def test_cone_violation_reported_on_optimal_exit():
     model = build_rc(demo_instance(), 0.05, 0.0, 0.14)
     sol = solve(model)
-    assert 0.0 <= sol.stats.extra["cone_violation"] <= SolverOptions().cone_cut_tol
+    assert 0.0 <= sol.stats.cone_violation <= SolverOptions().cone_cut_tol
     assert model.max_violation(sol.values) <= SolverOptions().cone_cut_tol
+    # models without cone rows report none, and only solve_lp reports duals
+    stats = solve(build_irc(demo_instance(), 0.05, 0.0)).stats
+    assert stats.cone_violation is None and stats.duals is None
 
 
 # -- pivot sequence ----------------------------------------------------------------
@@ -747,10 +855,10 @@ def test_hk_demo_pivot_counts_exact(instance, build, objective, nodes, iteration
 def test_branching_var_matches_scalar_scan(pairs):
     """The vectorised pick equals the scalar scan, ties included."""
     is_int = [integer for integer, _ in pairs]
-    values = {i: val for i, (_, val) in enumerate(pairs)}
+    x = np.array([val for _, val in pairs], dtype=float)
     tol = SolverOptions().integrality_tol
-    assert solver_mod._branching_var(values, np.array(is_int, dtype=bool), tol) == (
-        reference_branching_var(is_int, values, tol))
+    assert solver_mod._branching_var(x, np.array(is_int, dtype=bool), tol) == (
+        reference_branching_var(is_int, dict(enumerate(x.tolist())), tol))
 
 
 @contextlib.contextmanager
