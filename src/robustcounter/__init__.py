@@ -24,6 +24,7 @@ by an exact worst-corner check or Monte Carlo estimation::
 """
 
 from .model import (
+    CONE_CUT_TOL,
     FEASIBILITY_TOL,
     INF,
     INTEGRALITY_TOL,

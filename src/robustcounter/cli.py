@@ -35,6 +35,7 @@ from .uncertainty import parse_annotations
 from .validate import corner_check, monte_carlo_check, sweep, write_sweep_csv
 
 _STATUS_EXIT = {"optimal": 0, "infeasible": 2, "unbounded": 3, "limit_reached": 4}
+_MAX_GRID = 10_000  # values on one sweep axis, and cells in one sweep grid
 
 
 def _default_seed() -> int:
@@ -60,7 +61,7 @@ def _solver_options(args) -> SolverOptions:
     return SolverOptions(**{k: v for k, v in limits.items() if v is not None})
 
 
-def _print_solution(model: Model, sol, as_json: bool, extra=None):
+def _print_solution(model: Model, sol, as_json: bool):
     if as_json:
         payload = {
             "status": sol.status,
@@ -72,8 +73,6 @@ def _print_solution(model: Model, sol, as_json: bool, extra=None):
                 "cone_cuts": sol.stats.cone_cuts,
             },
         }
-        if extra:
-            payload.update(extra)
         print(json.dumps(payload, indent=2, sort_keys=True))
         return
     print(f"status: {sol.status}")
@@ -189,12 +188,10 @@ def _parse_axis(spec: str, key: str) -> list[float]:
         start, step, stop = _finite(key, [float(p) for p in parts])
         if step <= 0:
             raise ValueError(f"{key}: range step must be positive")
-        out = []
-        v = start
-        while v <= stop + 1e-12:
-            out.append(round(v, 12))
-            v += step
-        return out
+        span = (stop - start + 1e-12) / step  # the last index, before flooring
+        if span >= _MAX_GRID:
+            raise ValueError(f"{key}: range {spec!r} has more than {_MAX_GRID} values")
+        return [round(start + i * step, 12) for i in range(math.floor(span) + 1)]
     return _finite(key, [float(tok) for tok in spec.split(",") if tok.strip()])
 
 
@@ -219,6 +216,8 @@ def parse_grid_spec(tokens) -> list[tuple[float, float, float]]:
             raise ValueError(f"{key}: values must be nonnegative, got {axes[key]}")
     if not all(0 < k <= 1 for k in axes["kappa"]):
         raise ValueError(f"kappa: values must lie in (0, 1], got {axes['kappa']}")
+    if math.prod(map(len, axes.values())) > _MAX_GRID:
+        raise ValueError(f"grid has more than {_MAX_GRID} cells")
     grid = [(e, d, k)
             for e in axes["eps"] for d in axes["delta"] for k in axes["kappa"]]
     if not grid:
@@ -358,13 +357,13 @@ def cmd_validate(args) -> int:
 # -- entry point --------------------------------------------------------------------
 
 
-def _add_robust_params(p, kappa_default=0.14):
+def _add_robust_params(p):
     p.add_argument("--eps", type=float, default=0.05,
                    help="uncertainty level (default 0.05)")
     p.add_argument("--delta", type=float, default=0.0,
                    help="infeasibility tolerance (default 0)")
-    p.add_argument("--kappa", type=float, default=kappa_default,
-                   help=f"reliability level (default {kappa_default})")
+    p.add_argument("--kappa", type=float, default=0.14,
+                   help="reliability level (default 0.14)")
 
 
 def _add_solver_params(p):

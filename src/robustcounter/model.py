@@ -25,13 +25,23 @@ INF = math.inf
 FEASIBILITY_TOL = 1e-7
 #: Distance to the nearest integer below which an integer variable is integral.
 INTEGRALITY_TOL = 1e-6
+#: Cone-row residual above which branch and bound adds a supporting-hyperplane cut.
+CONE_CUT_TOL = 1e-6
 
 VARIABLE_KINDS = ("continuous", "binary", "integer")
 SENSES = ("<=", ">=", "=")
+#: Variable names and constraint labels: what the text format reads back.
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class ModelError(ValueError):
     """Raised for malformed model construction or misuse of a model."""
+
+
+def _check_name(what: str, name) -> None:
+    if not (isinstance(name, str) and _NAME_RE.fullmatch(name)):
+        raise ModelError(f"{what} {name!r} must be letters, digits and underscores, "
+                         f"not starting with a digit")
 
 
 class ParseError(ValueError):
@@ -146,10 +156,6 @@ class Solution:
     objective: float
     stats: SolverStats = field(default_factory=SolverStats)
 
-    @property
-    def is_optimal(self) -> bool:
-        return self.status == "optimal"
-
 
 class Model:
     """Mutable builder that freezes into a shareable read-only carrier.
@@ -178,13 +184,14 @@ class Model:
                      lower: float = 0.0, upper: float = INF) -> int:
         """Append a variable and return its id (stable for the model's life).
 
-        Binary variables have their bounds forced to [0, 1] regardless of the
-        arguments.  NaN bounds, a lower bound of +inf, an upper bound of -inf
-        and bound inversion (lower > upper) are rejected.
+        The name must be letters, digits and underscores, not starting with
+        a digit, so that the text format reads it back.  Binary variables
+        have their bounds forced to [0, 1] regardless of the arguments.  NaN
+        bounds, a lower bound of +inf, an upper bound of -inf and bound
+        inversion (lower > upper) are rejected.
         """
         self._check_mutable()
-        if not name:
-            raise ModelError("variable name must be nonempty")
+        _check_name("variable name", name)
         if name in self._by_name:
             raise ModelError(f"duplicate variable name {name!r}")
         if kind not in VARIABLE_KINDS:
@@ -218,10 +225,11 @@ class Model:
                        cone: ConeTerm | None = None) -> int:
         """Append a constraint; duplicate terms in ``lhs`` are merged.
 
-        ``lhs`` may be a LinExpr or an iterable of (var_id, coeff) pairs.
-        Coefficients and constants must be finite and ``rhs`` not NaN (an
-        infinite ``rhs`` makes a vacuous or an infeasible row).  A cone term
-        is only permitted on ``<=`` rows.
+        ``lhs`` may be a LinExpr or an iterable of (var_id, coeff) pairs.  A
+        label follows the rule for variable names; an empty one becomes
+        ``c<id>``.  Coefficients and constants must be finite and ``rhs`` not
+        NaN (an infinite ``rhs`` makes a vacuous or an infeasible row).  A
+        cone term is only permitted on ``<=`` rows.
         """
         self._check_mutable()
         if not isinstance(lhs, LinExpr):
@@ -244,6 +252,7 @@ class Model:
         cid = len(self.constraints)
         if not label:
             label = f"c{cid}"
+        _check_name("constraint label", label)
         if label in self._labels:
             raise ModelError(f"duplicate constraint label {label!r}")
         self.constraints.append(Constraint(cid, lhs, sense, float(rhs), label, cone))
@@ -279,17 +288,11 @@ class Model:
 
     # -- lookups ----------------------------------------------------------
 
-    def variable(self, var_id: int) -> Variable:
-        return self.variables[var_id]
-
     def variable_by_name(self, name: str) -> Variable:
         try:
             return self.variables[self._by_name[name]]
         except KeyError:
             raise ModelError(f"no variable named {name!r}") from None
-
-    def constraint(self, con_id: int) -> Constraint:
-        return self.constraints[con_id]
 
     def constraint_by_label(self, label: str) -> Constraint:
         try:
@@ -461,7 +464,6 @@ def export_text(model: Model) -> str:
 _NUMBER_RE = re.compile(
     r"[+-]?(?:inf\b|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
 )
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class _LineScanner:

@@ -233,10 +233,8 @@ class TimingRow:
     rhs: float
     note: str = ""
 
-    def add_to(self, model: Model, prefix: str = "") -> int:
-        return model.add_constraint(
-            list(self.terms), self.sense, self.rhs, label=prefix + self.label
-        )
+    def add_to(self, model: Model) -> int:
+        return model.add_constraint(list(self.terms), self.sense, self.rhs, label=self.label)
 
 
 def _timing_rows(template: TimingConstraintTemplate, alpha_eff: float,

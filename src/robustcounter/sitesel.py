@@ -26,12 +26,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ConeTerm, Model, _num
+from .model import _NAME_RE, ConeTerm, Model, _num
 from .robustify import interval_robust_counterpart
 from .uncertainty import (RHS, Bounded, UncertainSet, _is_int, check_levels,
                           omega_from_kappa)
 
-_ID_OK = str.isidentifier
+_ID_OK = _NAME_RE.fullmatch  # ids become parts of variable names and labels
 
 
 class InstanceError(ValueError):
@@ -119,10 +119,10 @@ class SiteSelectionInstance:
                 raise InstanceError(f"{key} repeats a site index: {indices}")
         for u in self.units:
             if not _ID_OK(u.id):
-                raise InstanceError(f"unit id {u.id!r} is not an identifier")
+                raise InstanceError(f"unit id {u.id!r} is not an ASCII identifier")
         for s in self.sites:
             if not _ID_OK(s.id):
-                raise InstanceError(f"site id {s.id!r} is not an identifier")
+                raise InstanceError(f"site id {s.id!r} is not an ASCII identifier")
         util = np.asarray([u.population for u in self.units], dtype=float)[:, None] * p
         p.flags.writeable = util.flags.writeable = False  # stay as checked
         object.__setattr__(self, "utilization", util)

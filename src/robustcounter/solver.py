@@ -53,6 +53,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import (
+    CONE_CUT_TOL,
     FEASIBILITY_TOL,
     INF,
     INTEGRALITY_TOL,
@@ -76,17 +77,15 @@ class SolverError(ValueError):
 
 @dataclass
 class SolverOptions:
-    feasibility_tol: float = FEASIBILITY_TOL
-    integrality_tol: float = INTEGRALITY_TOL
-    cone_cut_tol: float = 1e-6
+    """The limits of one call; each bounds the whole call.  Tolerances are
+    the constants ``FEASIBILITY_TOL``, ``INTEGRALITY_TOL`` and
+    ``CONE_CUT_TOL`` of :mod:`robustcounter.model`."""
+
     max_nodes: int = 200_000
     max_cone_rounds: int = 200  # integer-feasible nodes at which cuts are added
     time_limit_seconds: float = INF
 
     def __post_init__(self):
-        for name in ("feasibility_tol", "integrality_tol", "cone_cut_tol"):
-            if getattr(self, name) <= 0:
-                raise SolverError(f"{name} must be positive")
         for name in ("time_limit_seconds", "max_nodes", "max_cone_rounds"):
             if not getattr(self, name) >= 0:
                 raise SolverError(f"{name} must be nonnegative, got {getattr(self, name)}")
@@ -130,7 +129,7 @@ def _pivot(tab, basis, row, col):
     basis[row] = col
 
 
-def _run_dual(tab, basis, x, lo, hi, tol, deadline):
+def _run_dual(tab, basis, x, lo, hi, deadline):
     """Bounded dual simplex over the tableau in place, from dual-feasible
     reduced costs (the last row of ``tab``) and values ``x`` of every column.
 
@@ -141,18 +140,19 @@ def _run_dual(tab, basis, x, lo, hi, tol, deadline):
     ratio ``|d_j| / |a_rj|``; ratios within the pivot tolerance of the
     smallest go to the largest ``|a_rj|``, then to the lowest index.  A
     leaving row with no entering column is passed over until the next pivot
-    if it is within ``tol`` of its bounds.  Returns (status, iterations);
-    status is 'optimal' once every basic value not passed over is within its
-    bounds, 'infeasible' when one beyond ``tol`` has no entering column, or
-    'limit' after ``_MAX_ITER`` pivots or once ``deadline`` (a
-    ``time.monotonic`` value) has passed with a pivot still to make.
+    if it is within ``FEASIBILITY_TOL`` of its bounds.  Returns (status,
+    iterations); status is 'optimal' once every basic value not passed over
+    is within its bounds, 'infeasible' when one beyond ``FEASIBILITY_TOL``
+    has no entering column, or 'limit' after ``_MAX_ITER`` pivots or once
+    ``deadline`` (a ``time.monotonic`` value) has passed with a pivot still
+    to make.
     """
     m = len(basis)
     d = tab[-1]
     lob, hib = lo[basis] - _PIVOT_TOL, hi[basis] + _PIVOT_TOL
     up, down = x < hi, x > lo  # which nonbasic columns can rise, fall
     up[basis] = down[basis] = False
-    passed = []  # rows no column can move, within tol, since the last pivot
+    passed = []  # rows no column can move, within tolerance, since the last pivot
     iters = 0
     while iters < _MAX_ITER:
         xb = x[basis]
@@ -169,7 +169,7 @@ def _run_dual(tab, basis, x, lo, hi, tol, deadline):
         neg, pos = row < -_PIVOT_TOL, row > _PIVOT_TOL
         cand = ((neg & up) | (pos & down) if below[r] else (pos & up) | (neg & down)).nonzero()[0]
         if not cand.size:
-            if not lo[basis[r]] - tol <= xb[r] <= hi[basis[r]] + tol:
+            if not lo[basis[r]] - FEASIBILITY_TOL <= xb[r] <= hi[basis[r]] + FEASIBILITY_TOL:
                 return "infeasible", iters
             passed.append(r)
             continue
@@ -247,11 +247,6 @@ def _run_primal(tab, basis, x, lo, hi, deadline):
     return "limit", _MAX_ITER, -1
 
 
-def _deadline(options: SolverOptions) -> float:
-    """The ``time.monotonic`` value at which the call's time limit runs out."""
-    return time.monotonic() + options.time_limit_seconds
-
-
 def solve_lp(sf: StandardFormLP, options: SolverOptions | None = None) -> Solution:
     """Solve a standard-form LP by bounded dual, then primal, simplex.
 
@@ -260,14 +255,14 @@ def solve_lp(sf: StandardFormLP, options: SolverOptions | None = None) -> Soluti
     ``unbounded`` are each certified by a ray checked against the original
     matrix; ``limit_reached`` means a loop hit the pivot cap or the time
     limit, or a verdict failed its check.  A row that no column can move is
-    accepted within ``feasibility_tol``.  The values are the model's
+    accepted within ``FEASIBILITY_TOL``.  The values are the model's
     variables, and ``stats.duals`` holds one multiplier per row, appended
     cut rows included: ``c - a.T @ duals`` are the columns' reduced costs,
     and a row's multiplier is nonnegative at its upper bound, nonpositive at
     its lower.
     """
     options = options or SolverOptions()
-    res = _solve_standard(sf, options, _deadline(options), duals=True)
+    res = _solve_standard(sf, time.monotonic() + options.time_limit_seconds, duals=True)
     stats = SolverStats(iterations=res.iterations)
     if res.status == "optimal":
         stats.duals = res.duals
@@ -328,7 +323,7 @@ def _range_over_box(coef, lo, hi):
     return coef @ np.where(pos, lo, hi), coef @ np.where(pos, hi, lo)
 
 
-def _proven(status, mat, cost, lo, hi, basis, x, enter, tol) -> bool:
+def _proven(status, mat, cost, lo, hi, basis, x, enter) -> bool:
     """Whether a ray computed afresh from ``basis`` and the original matrix
     proves an 'infeasible' or 'unbounded' verdict.
 
@@ -336,7 +331,8 @@ def _proven(status, mat, cost, lo, hi, basis, x, enter, tol) -> bool:
     == 0`` for every solution ``z``, which no ``z`` within the bounds can
     meet.  Unbounded: the direction that moves ``enter`` and keeps
     ``mat @ z == 0`` improves the cost and meets no finite bound.  Entries
-    within the pivot tolerance (scaled by the ray) count as zero."""
+    within the pivot tolerance (scaled by the ray) count as zero, and the
+    ray's reach is compared with ``FEASIBILITY_TOL`` (scaled alike)."""
     b = mat[:, basis]
     try:
         if status == "infeasible":
@@ -353,7 +349,7 @@ def _proven(status, mat, cost, lo, hi, basis, x, enter, tol) -> bool:
             ray = y @ mat
             ray[np.abs(ray) <= _PIVOT_TOL * scale] = 0.0
             least, greatest = _range_over_box(ray, lo, hi)
-            if least > tol * scale or greatest < -tol * scale:
+            if least > FEASIBILITY_TOL * scale or greatest < -FEASIBILITY_TOL * scale:
                 return True
         return False
     ray = np.zeros(mat.shape[1])
@@ -361,14 +357,14 @@ def _proven(status, mat, cost, lo, hi, basis, x, enter, tol) -> bool:
     ray[basis] = -ray[enter] * col
     scale = max(1.0, np.abs(ray).max())
     if not (cost @ ray < -_PIVOT_TOL * scale
-            and np.abs(mat @ ray).max(initial=0.0) <= tol * scale):
+            and np.abs(mat @ ray).max(initial=0.0) <= FEASIBILITY_TOL * scale):
         return False
     return bool(np.all(hi[ray > _PIVOT_TOL * scale] == INF)
                 and np.all(lo[ray < -_PIVOT_TOL * scale] == -INF))
 
 
-def _solve_standard(sf: StandardFormLP, options: SolverOptions, deadline: float,
-                    duals: bool = False, basis=None) -> _SimplexResult:
+def _solve_standard(sf: StandardFormLP, deadline: float, duals: bool = False,
+                    basis=None) -> _SimplexResult:
     """The one LP routine: bounded dual simplex to a feasible basis, then
     bounded primal simplex with the true costs, over ``[a | -I]`` whose last
     columns are the rows' logical columns, bounded by the row ranges.
@@ -377,7 +373,7 @@ def _solve_standard(sf: StandardFormLP, options: SolverOptions, deadline: float,
     or the same matrix before rows were appended (their logicals join it),
     or from the slack basis, which also replaces a singular one.  Reduced
     costs shifted at the start are restored for the primal finish.  A row
-    that no column can move is accepted within ``feasibility_tol``.  An
+    that no column can move is accepted within ``FEASIBILITY_TOL``.  An
     'infeasible' or 'unbounded' verdict stands only when :func:`_proven`;
     the first one that is not refactors at the current basis and goes on if
     the first try took a step, and otherwise, or at a second, the LP ends
@@ -399,7 +395,7 @@ def _solve_standard(sf: StandardFormLP, options: SolverOptions, deadline: float,
     iters = 0
     for _ in range(2):
         tab, x, shifted = _start(mat, cost, lo, hi, basis)
-        status, more = _run_dual(tab, basis, x, lo, hi, options.feasibility_tol, deadline)
+        status, more = _run_dual(tab, basis, x, lo, hi, deadline)
         iters += more
         enter = -1
         if status == "optimal":
@@ -415,8 +411,7 @@ def _solve_standard(sf: StandardFormLP, options: SolverOptions, deadline: float,
             if duals:
                 res.duals = -np.linalg.solve(mat[:, basis].T, cost[basis])
             return res
-        if status == "limit" or _proven(status, mat, cost, lo, hi, basis, x, enter,
-                                        options.feasibility_tol):
+        if status == "limit" or _proven(status, mat, cost, lo, hi, basis, x, enter):
             return _SimplexResult(status, iterations=iters)
         if not iters:
             break  # a retry from the same basis would repeat this verdict
@@ -426,11 +421,12 @@ def _solve_standard(sf: StandardFormLP, options: SolverOptions, deadline: float,
 # -- branch and bound --------------------------------------------------------
 
 
-def _branching_var(x: np.ndarray, is_int: np.ndarray, tol: float) -> int | None:
+def _branching_var(x: np.ndarray, is_int: np.ndarray) -> int | None:
     """The integer variable whose distance to the nearest integer is closest
-    to 0.5, the lowest id among ties; None when all are within ``tol``."""
+    to 0.5, the lowest id among ties; None when all are within
+    ``INTEGRALITY_TOL``."""
     frac = np.abs(x - np.round(x))
-    cand = np.flatnonzero(is_int & (frac > tol))
+    cand = np.flatnonzero(is_int & (frac > INTEGRALITY_TOL))
     return int(cand[np.argmin(np.abs(frac[cand] - 0.5))]) if cand.size else None
 
 
@@ -454,9 +450,9 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
     FIFO.  Cone rows enter the node LPs at their radical floor.  At a node
     whose LP point is integer-feasible the integer values are rounded; if
     the rounded point breaks a linear row or bound by more than
-    ``feasibility_tol``, the node branches on the integer variable farthest
+    ``FEASIBILITY_TOL``, the node branches on the integer variable farthest
     from integral.  Otherwise every cone row is evaluated exactly there, and
-    rows violated by more than ``cone_cut_tol`` get a supporting-hyperplane
+    rows violated by more than ``CONE_CUT_TOL`` get a supporting-hyperplane
     cut, appended as a row to the working LP that every later node LP
     shares, and the node goes back into the queue under its own LP bound,
     which the cuts leave valid.  A rounded point that passes every check is
@@ -474,14 +470,13 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
     cut-off point when none are returned.
     """
     options = options or SolverOptions()
-    deadline = _deadline(options)
+    deadline = time.monotonic() + options.time_limit_seconds
     cone_rows = [c for c in model.constraints if c.cone is not None]
     is_int = np.array([v.is_integer for v in model.variables], dtype=bool)
     lp = to_standard_form(_relax_cones(model, cone_rows) if cone_rows else model)
     # the model's linear rows and bounds, which a rounded point must meet
     linear = np.flatnonzero([c.cone is None for c in model.constraints])
     lin_a, lin_lo, lin_hi = lp.a[linear], lp.row_lo[linear], lp.row_hi[linear]
-    tol = options.feasibility_tol
     stats = SolverStats()
 
     best_values = None
@@ -499,8 +494,8 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
         if stats.nodes >= options.max_nodes or time.monotonic() > deadline:
             status = "limit_reached"
             break
-        res = _solve_standard(replace(lp, col_lo=node.lo, col_hi=node.hi), options,
-                              deadline, basis=node.basis)
+        res = _solve_standard(replace(lp, col_lo=node.lo, col_hi=node.hi), deadline,
+                              basis=node.basis)
         stats.nodes += 1
         stats.iterations += res.iterations
         if res.status == "infeasible":
@@ -517,12 +512,13 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
         cano = res.objective  # canonical max value from _solve_standard
         if cano <= best_cano + _PRUNE_TOL and best_values is not None:
             continue
-        var = _branching_var(res.x, is_int, options.integrality_tol)
+        var = _branching_var(res.x, is_int)
         if var is None:
             point = np.where(is_int, np.round(res.x), res.x) + 0.0
             act = lin_a @ point
-            if (np.any((lin_lo - act > tol) | (act - lin_hi > tol))
-                    or np.any((lp.col_lo - point > tol) | (point - lp.col_hi > tol))):
+            if (np.any((lin_lo - act > FEASIBILITY_TOL) | (act - lin_hi > FEASIBILITY_TOL))
+                    or np.any((lp.col_lo - point > FEASIBILITY_TOL)
+                              | (point - lp.col_hi > FEASIBILITY_TOL))):
                 var = int(np.argmax(np.abs(res.x - point)))
                 if res.x[var] == point[var]:
                     status = "limit_reached"  # the LP point itself breaks a row
@@ -530,7 +526,7 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
         if var is None:
             values = dict(enumerate(point.tolist()))
             viol = [model.evaluate_constraint(values, con.id) for con in cone_rows]
-            violated = [con for con, v in zip(cone_rows, viol) if v > options.cone_cut_tol]
+            violated = [con for con, v in zip(cone_rows, viol) if v > CONE_CUT_TOL]
             if violated:
                 cut_off = max(viol)
                 if separations >= options.max_cone_rounds:
@@ -619,7 +615,6 @@ def solve_cone(model: Model, options: SolverOptions | None = None) -> Solution:
 
 def solve(model: Model, options: SolverOptions | None = None) -> Solution:
     """Dispatch on model features: cone rows, integrality, or plain LP."""
-    options = options or SolverOptions()
     if model.has_cones():
         return solve_cone(model, options)
     if model.has_integers():

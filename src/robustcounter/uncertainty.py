@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from statistics import NormalDist
 
 from .model import Model, ModelError, _num
@@ -142,8 +142,8 @@ class Binomial:
     p: float
 
     def __post_init__(self):
-        if not (_is_int(self.n) and self.n >= 0):
-            raise ValueError(f"binomial n must be a nonnegative integer, got {self.n!r}")
+        if not (_is_int(self.n) and 0 <= self.n < 2**63):  # numpy draws int64 counts
+            raise ValueError(f"binomial n must be an integer in [0, 2**63), got {self.n!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("binomial p must lie in [0, 1]")
 
@@ -165,7 +165,12 @@ class Discrete:
             raise ValueError("discrete probabilities must sum to 1")
 
 
-Distribution = (Bounded, BoundedRange, Normal, Uniform, Poisson, Binomial, Discrete)
+# the annotation tag of each distribution; a tag takes one argument per field
+# of its class (an integer for an `int` field), except that `bounded` may take
+# none (the global level) and `discrete` takes value/probability pairs
+_TAGS = {Bounded: "bounded", BoundedRange: "range", Normal: "normal", Uniform: "uniform",
+         Poisson: "poisson", Binomial: "binomial", Discrete: "discrete"}
+_TAG_CLASSES = {tag: cls for cls, tag in _TAGS.items()}
 
 
 @dataclass(frozen=True)
@@ -207,7 +212,7 @@ class UncertainSet:
         self.entries.append(entry)
 
     def add(self, constraint_id: int, target, distribution) -> "UncertainSet":
-        if not isinstance(distribution, Distribution):
+        if type(distribution) not in _TAGS:
             raise ValueError(f"unsupported distribution {distribution!r}")
         self._append(UncertainEntry(constraint_id, target, distribution))
         return self
@@ -410,26 +415,24 @@ def deviation_radius(nominal: float, distribution, epsilon: float,
 
 
 def _parse_distribution(tag: str, args: list[str]):
+    cls = _TAG_CLASSES.get(tag)
+    if cls is None:
+        raise ValueError(f"unknown distribution tag {tag!r}")
+    count = len(fields(cls))
+    if cls is Discrete:
+        if not args or len(args) % 2:
+            raise ValueError(f"discrete takes value/probability pairs, got {len(args)} arguments")
+    elif len(args) != count and not (cls is Bounded and not args):
+        expected = "0 or 1 arguments" if cls is Bounded else (
+            f"{count} argument" + ("s" if count != 1 else ""))
+        raise ValueError(f"{tag} takes {expected}, got {len(args)}")
     try:
-        if tag == "bounded":
-            return Bounded(float(args[0])) if args else Bounded()
-        if tag == "range":
-            return BoundedRange(float(args[0]), float(args[1]))
-        if tag == "normal":
-            return Normal(float(args[0]), float(args[1]))
-        if tag == "uniform":
-            return Uniform()
-        if tag == "poisson":
-            return Poisson(float(args[0]))
-        if tag == "binomial":
-            return Binomial(int(args[0]), float(args[1]))
-        if tag == "discrete":
-            vals = tuple(float(a) for a in args[0::2])
-            probs = tuple(float(a) for a in args[1::2])
-            return Discrete(vals, probs)
-    except (IndexError, ValueError) as exc:
+        if cls is Discrete:
+            return Discrete(tuple(map(float, args[0::2])), tuple(map(float, args[1::2])))
+        return cls(*(int(a) if f.type == "int" else float(a)
+                     for f, a in zip(fields(cls), args)))
+    except ValueError as exc:
         raise ValueError(f"malformed {tag} arguments {args}: {exc}") from None
-    raise ValueError(f"unknown distribution tag {tag!r}")
 
 
 def parse_annotations(text: str, model: Model) -> UncertainSet:
@@ -454,7 +457,10 @@ def parse_annotations(text: str, model: Model) -> UncertainSet:
         parts = payload.split()
         if not parts:
             raise ValueError(f"annotation line {line_no}: empty distribution")
-        dist = _parse_distribution(parts[0], parts[1:])
+        try:
+            dist = _parse_distribution(parts[0], parts[1:])
+        except ValueError as exc:
+            raise ValueError(f"annotation line {line_no}: {exc}") from None
         try:
             con = model.constraint_by_label(label)
         except ModelError:
@@ -476,22 +482,12 @@ def parse_annotations(text: str, model: Model) -> UncertainSet:
 
 
 def _format_distribution(dist) -> str:
-    if isinstance(dist, Bounded):
-        return "bounded" if dist.epsilon is None else f"bounded {_num(dist.epsilon)}"
-    if isinstance(dist, BoundedRange):
-        return f"range {_num(dist.low)} {_num(dist.high)}"
-    if isinstance(dist, Normal):
-        return f"normal {_num(dist.mean)} {_num(dist.std)}"
-    if isinstance(dist, Uniform):
-        return "uniform"
-    if isinstance(dist, Poisson):
-        return f"poisson {_num(dist.mean)}"
-    if isinstance(dist, Binomial):
-        return f"binomial {dist.n} {_num(dist.p)}"
     if isinstance(dist, Discrete):
-        pairs = " ".join(f"{_num(v)} {_num(p)}" for v, p in zip(dist.values, dist.probs))
-        return f"discrete {pairs}"
-    raise ValueError(f"unsupported distribution {dist!r}")
+        args = [_num(a) for pair in zip(dist.values, dist.probs) for a in pair]
+    else:
+        args = [str(v) if f.type == "int" else _num(v) for f in fields(dist)
+                if (v := getattr(dist, f.name)) is not None]
+    return " ".join([_TAGS[type(dist)], *args])
 
 
 def format_annotations(uset: UncertainSet, model: Model) -> str:

@@ -106,79 +106,6 @@ def brute_force_binary(model: Model, tol: float = 1e-9):
     return "optimal", best, best_point
 
 
-def corner_realizations(model: Model, uset: UncertainSet, epsilon: float):
-    """All corner realizations as (per-constraint coeff dicts, rhs) lists.
-
-    Each element of the returned list is one corner: a dict mapping
-    constraint id to (coeff overrides dict, realized rhs).
-    """
-    entries = list(uset)
-    intervals = []
-    for entry in entries:
-        con = model.constraints[entry.constraint_id]
-        nominal = con.rhs if entry.is_rhs else dict(con.lhs.terms)[entry.target]
-        spread = epsilon * abs(nominal)
-        intervals.append((nominal - spread, nominal + spread))
-    corners = []
-    for bits in itertools.product((0, 1), repeat=len(entries)):
-        corner: dict[int, tuple[dict, float]] = {}
-        for con in model.constraints:
-            corner[con.id] = ({}, con.rhs)
-        for bit, entry, (low, high) in zip(bits, entries, intervals):
-            value = high if bit else low
-            coeffs, rhs = corner[entry.constraint_id]
-            if entry.is_rhs:
-                corner[entry.constraint_id] = (coeffs, value)
-            else:
-                coeffs[entry.target] = value
-        corners.append(corner)
-    return corners
-
-
-def brute_force_robust_binary(model: Model, uset: UncertainSet, epsilon: float,
-                              delta: float, tol: float = 1e-9):
-    """Robust optimum by enumerating all integer points x all corners.
-
-    A 0/1 point is robust-feasible when it satisfies every nominal row and,
-    at every corner realization, every uncertain row within the
-    delta * max(1, |rhs|) allowance.
-    """
-    binaries = [v.id for v in model.variables if v.kind == "binary"]
-    corners = corner_realizations(model, uset, epsilon)
-    uncertain_ids = {e.constraint_id for e in uset}
-    best = None
-    best_point = None
-    for bits in itertools.product((0.0, 1.0), repeat=len(binaries)):
-        values = dict(zip(binaries, bits))
-        ok = all(
-            model.evaluate_constraint(values, con.id) <= tol
-            for con in model.constraints
-        )
-        if ok:
-            for corner in corners:
-                for cid in uncertain_ids:
-                    con = model.constraints[cid]
-                    coeffs, rhs = corner[cid]
-                    lhs = con.lhs.constant
-                    for var_id, coeff in con.lhs.terms:
-                        lhs += coeffs.get(var_id, coeff) * values[var_id]
-                    allowance = delta * max(1.0, abs(con.rhs))
-                    if lhs > rhs + allowance + tol:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if not ok:
-            continue
-        obj = model.objective_value(values)
-        if best is None or obj > best:
-            best = obj
-            best_point = values
-    if best is None:
-        return "infeasible", math.nan, None
-    return "optimal", best, best_point
-
-
 def entry_interval(nominal: float, distribution, epsilon: float):
     """An entry's interval: an explicit range as given, ``Bounded(eps_j)`` at
     its own level, every other tag at the global level."""

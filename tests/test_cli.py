@@ -214,6 +214,9 @@ def test_sweep_bad_grid_exit_one(workdir, capsys):
         (["kappa=0,0.14"], "kappa: values must lie in (0, 1]"),
         (["kappa=0.5,1.5"], "kappa: values must lie in (0, 1]"),
         (["kappa=-0.5"], "kappa: values must lie in (0, 1]"),
+        (["eps=0:1e-5:1"], "eps: range '0:1e-5:1' has more than 10000 values"),
+        (["eps=0:1e-12:1"], "eps: range '0:1e-12:1' has more than 10000 values"),
+        (["eps=0:0.01:1", "delta=0:0.01:1"], "grid has more than 10000 cells"),
     ]:
         assert main(["sweep", str(workdir / "hk_demo"), *grid, "-o", str(out)]) == 1, grid
         err = capsys.readouterr().err
@@ -303,6 +306,28 @@ def test_seed_env_default(workdir, monkeypatch, capsys):
 def _validate_mc(workdir, *extra):
     return main(["validate", str(workdir / "one_row.txt"),
                  str(workdir / "one_row.unc"), "--eps", "0.1", *extra])
+
+
+@pytest.mark.parametrize("annotation, message", [
+    ("cap x(normal 1 2 3)", "annotation line 1: normal takes 2 arguments, got 3"),
+    ("cap x(bounded 0.1 junk)", "annotation line 1: bounded takes 0 or 1 arguments"),
+    ("cap RHS(binomial 100000000000000000000000 0.5)",
+     "annotation line 1: malformed binomial arguments"),
+])
+def test_validate_mc_bad_annotation_exit_one(workdir, capsys, annotation, message):
+    (workdir / "one_row.unc").write_text(annotation + "\n")
+    assert _validate_mc(workdir, "--mc", "2000") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+
+def test_sitesel_non_ascii_unit_id_exit_one(workdir, capsys):
+    for name in ("units.csv", "prob.csv"):
+        path = workdir / "hk_demo" / name
+        path.write_text(path.read_text().replace("u1,", "\u00fc1,"))
+    assert main(["sitesel", str(workdir / "hk_demo")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: unit id '\u00fc1' is not an ASCII identifier\n", err
 
 
 def test_validate_mc_too_few_samples_exit_one(workdir, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,9 +24,9 @@ from _oracles import random_lp_model
 def test_add_variable_basics():
     m = Model()
     x = m.add_variable("x", "continuous", 0.0, INF)
-    assert m.variable(x).lower == 0.0 and m.variable(x).upper == INF
+    assert m.variables[x].lower == 0.0 and m.variables[x].upper == INF
     y = m.add_variable("y", "binary", -3.0, 7.0)
-    assert (m.variable(y).lower, m.variable(y).upper) == (0.0, 1.0)
+    assert (m.variables[y].lower, m.variables[y].upper) == (0.0, 1.0)
 
 
 def test_add_variable_rejects_bound_inversion():
@@ -42,6 +43,29 @@ def test_add_variable_rejects_empty_name_and_duplicates():
     with pytest.raises(ModelError, match="duplicate"):
         m.add_variable("x")
 
+
+@pytest.mark.parametrize("name", ["x-1", "cap one", "1x", "x.y", "\u00fc1", "x\n"])
+def test_names_and_labels_the_text_format_cannot_read_are_rejected(name):
+    m = Model()
+    with pytest.raises(ModelError, match=f"variable name {re.escape(repr(name))}"):
+        m.add_variable(name)
+    x = m.add_variable("x")
+    with pytest.raises(ModelError, match=f"constraint label {re.escape(repr(name))}"):
+        m.add_constraint([(x, 1.0)], "<=", 1.0, label=name)
+    assert len(m.variables) == 1 and not m.constraints
+
+
+def test_accepted_names_and_labels_round_trip_through_text():
+    m = Model()
+    ids = [m.add_variable(name) for name in ("x_1", "_y", "Inf", "CONE", "max")]
+    m.set_objective("max", [(v, 1.0) for v in ids])
+    for label in ("cap_one", "_c", "c0x", "inf"):
+        m.add_constraint([(v, 1.0) for v in ids], "<=", 1.0, label=label)
+    m.add_constraint([(ids[0], 1.0)], "<=", 2.0)
+    text = export_text(m.finalize())
+    again = import_text(text)
+    assert export_text(again) == text
+    assert [c.label for c in again.constraints] == ["cap_one", "_c", "c0x", "inf", "c4"]
 
 
 @pytest.mark.parametrize("lower, upper", [
@@ -83,7 +107,7 @@ def test_term_merging():
     x = m.add_variable("x")
     m.set_objective("max", [(x, 1.0)])
     cid = m.add_constraint([(x, 2.0), (x, 3.0)], "<=", 10.0)
-    assert m.constraint(cid).lhs.terms == ((x, 5.0),)
+    assert m.constraints[cid].lhs.terms == ((x, 5.0),)
 
 
 def test_term_merging_order_independent():

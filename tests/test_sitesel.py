@@ -447,6 +447,18 @@ def test_load_instance_rejects_repeated_uncertain_site(tmp_path):
         load_instance(tmp_path / "demo")
 
 
+@pytest.mark.parametrize("kind", ["unit", "site"])
+@pytest.mark.parametrize("bad", ["\u00fc1", "u-1", "1u"])
+def test_instance_ids_must_be_ascii_identifiers(kind, bad):
+    unit, site = PopulationUnit("u", "U", 10), SiteCandidate("s", "S", 1.0, 0.0)
+    if kind == "unit":
+        unit = dataclasses.replace(unit, id=bad)
+    else:
+        site = dataclasses.replace(site, id=bad)
+    with pytest.raises(InstanceError, match=f"{kind} id {bad!r}"):
+        SiteSelectionInstance.with_all_uncertain([unit], [site], [[0.5]], 10.0, 0.0, 1)
+
+
 @pytest.mark.parametrize("key", ["budget", "min_enrollment"])
 def test_load_instance_rejects_infinite_config_value(tmp_path, key):
     write_instance(demo_instance(), tmp_path / "demo")

@@ -15,7 +15,10 @@ from robustcounter import solver as solver_mod
 from robustcounter.fixtures import demo_instance
 
 from robustcounter.model import (
+    CONE_CUT_TOL,
+    FEASIBILITY_TOL,
     INF,
+    INTEGRALITY_TOL,
     ConeTerm,
     Model,
     import_text,
@@ -111,7 +114,7 @@ def test_row_no_column_can_move_is_accepted_within_feasibility_tol(integer, cap,
     sol = solve(model)
     assert sol.status == "optimal"
     assert sol.objective == objective
-    assert model.max_violation(sol.values) <= SolverOptions().feasibility_tol
+    assert model.max_violation(sol.values) <= FEASIBILITY_TOL
     with _scalar_kernel():
         ref = solve(model)
     assert (ref.status, ref.objective, ref.stats.iterations) == (
@@ -419,7 +422,7 @@ def test_generated_instances_match_highs(units, sites, seed, mode):
     assert sol.status == status
     if status == "optimal":
         assert sol.objective == pytest.approx(objective, abs=1e-6 * max(1.0, abs(objective)))
-        assert model.max_violation(sol.values) <= SolverOptions().cone_cut_tol
+        assert model.max_violation(sol.values) <= CONE_CUT_TOL
 
 
 def test_milp_min_sense():
@@ -558,7 +561,7 @@ def test_generated_rc_matches_outer_approximation(rhs_shift):
     sol = solve(model)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(objective, abs=1e-6)
-    assert model.max_violation(sol.values) <= SolverOptions().cone_cut_tol
+    assert model.max_violation(sol.values) <= CONE_CUT_TOL
 
 
 def test_generated_irc_reaches_the_highs_optimum():
@@ -615,10 +618,9 @@ def test_single_tree_matches_restart_loop(seed, n_vars, n_cons, entries, rhs_unc
     model = _rc_of_random_model(seed, n_vars, n_cons, entries, rhs_uncertain, kappa)
     sol = solve(model)
     ref = reference_solve_cone(model)
-    tol = SolverOptions().cone_cut_tol
     for out in (sol, ref):
         if out.values:
-            assert model.max_violation(out.values) <= tol
+            assert model.max_violation(out.values) <= CONE_CUT_TOL
     if sol.status == "optimal" and ref.status == "optimal":
         assert abs(sol.objective - ref.objective) <= 1e-6
 
@@ -807,8 +809,8 @@ def test_limit_stopped_cone_solve_returns_cone_feasible_values_or_none(model, op
     assert sol.status == "limit_reached"
     violation = sol.stats.cone_violation
     if sol.values:
-        assert model.max_violation(sol.values) <= options.cone_cut_tol
-        assert 0.0 <= violation <= options.cone_cut_tol
+        assert model.max_violation(sol.values) <= CONE_CUT_TOL
+        assert 0.0 <= violation <= CONE_CUT_TOL
         assert sol.objective == pytest.approx(model.objective_value(sol.values), abs=1e-9)
     else:
         assert math.isnan(sol.objective)
@@ -818,8 +820,8 @@ def test_limit_stopped_cone_solve_returns_cone_feasible_values_or_none(model, op
 def test_cone_violation_reported_on_optimal_exit():
     model = build_rc(demo_instance(), 0.05, 0.0, 0.14)
     sol = solve(model)
-    assert 0.0 <= sol.stats.cone_violation <= SolverOptions().cone_cut_tol
-    assert model.max_violation(sol.values) <= SolverOptions().cone_cut_tol
+    assert 0.0 <= sol.stats.cone_violation <= CONE_CUT_TOL
+    assert model.max_violation(sol.values) <= CONE_CUT_TOL
     # models without cone rows report none, and only solve_lp reports duals
     stats = solve(build_irc(demo_instance(), 0.05, 0.0)).stats
     assert stats.cone_violation is None and stats.duals is None
@@ -856,16 +858,19 @@ def test_branching_var_matches_scalar_scan(pairs):
     """The vectorised pick equals the scalar scan, ties included."""
     is_int = [integer for integer, _ in pairs]
     x = np.array([val for _, val in pairs], dtype=float)
-    tol = SolverOptions().integrality_tol
-    assert solver_mod._branching_var(x, np.array(is_int, dtype=bool), tol) == (
-        reference_branching_var(is_int, dict(enumerate(x.tolist())), tol))
+    assert solver_mod._branching_var(x, np.array(is_int, dtype=bool)) == (
+        reference_branching_var(is_int, dict(enumerate(x.tolist())), INTEGRALITY_TOL))
 
 
 @contextlib.contextmanager
 def _scalar_kernel():
     names = ("_pivot", "_run_primal", "_run_dual")
     saved = [getattr(solver_mod, name) for name in names]
-    for name, ref in zip(names, (reference_pivot, reference_run_primal, reference_run_dual)):
+
+    def run_dual(tab, basis, x, lo, hi, deadline):
+        return reference_run_dual(tab, basis, x, lo, hi, FEASIBILITY_TOL, deadline)
+
+    for name, ref in zip(names, (reference_pivot, reference_run_primal, run_dual)):
         setattr(solver_mod, name, ref)
     try:
         yield

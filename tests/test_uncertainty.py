@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -313,9 +314,10 @@ def test_distribution_validation():
         Poisson(0.0)
     with pytest.raises(ValueError):
         Binomial(5, 1.5)
-    for n in (3.5, 3.0, True, -1):
+    for n in (3.5, 3.0, True, -1, 2**63, 10**23):
         with pytest.raises(ValueError, match="binomial n"):
             Binomial(n, 0.5)
+    assert Binomial(2**63 - 1, 0.5).n == 2**63 - 1
     with pytest.raises(ValueError):
         Discrete((1.0, 2.0), (0.6, 0.6))
     with pytest.raises(ValueError):
@@ -416,6 +418,24 @@ def test_annotation_normal_keeps_every_digit():
     m, x, _ = _small_model()
     uset = UncertainSet([(0, x, Normal(100.123456789, 5.0))])
     assert "normal 100.123456789 5.0" in format_annotations(uset, m)
+
+
+@pytest.mark.parametrize("payload, message", [
+    ("normal 1 2 3", "normal takes 2 arguments, got 3"),
+    ("uniform 5", "uniform takes 0 arguments, got 1"),
+    ("poisson 1 2", "poisson takes 1 argument, got 2"),
+    ("range 1 2 3", "range takes 2 arguments, got 3"),
+    ("bounded 0.1 junk", "bounded takes 0 or 1 arguments, got 2"),
+    ("binomial 10", "binomial takes 2 arguments, got 1"),
+    ("discrete 1 0.5 2", "discrete takes value/probability pairs, got 3 arguments"),
+    ("discrete", "discrete takes value/probability pairs, got 0 arguments"),
+    ("normal 1 oops", "malformed normal arguments"),
+    ("gamma 1 2", "unknown distribution tag 'gamma'"),
+])
+def test_annotation_tags_count_their_arguments(payload, message):
+    m, _, _ = _small_model()
+    with pytest.raises(ValueError, match=re.escape(f"annotation line 2: {message}")):
+        parse_annotations(f"cap RHS(bounded)\ncap x({payload})\n", m)
 
 
 def test_annotation_unknown_label_named():
