@@ -7,7 +7,7 @@ file (reported once, by :func:`main`, as ``error: ...``), 2 infeasible (or
 certification failure), 3 unbounded, 4 limit reached.  All floating-point
 output is printed with 6 decimals; CSV files carry full precision.  The
 ``--json`` flag mirrors every report as a machine-readable object.  The
-environment variable ``ROBUSTCOUNTER_SEED`` supplies the default seed.
+Monte Carlo seed is ``--seed``, 0 unless given.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -36,15 +35,6 @@ from .validate import corner_check, monte_carlo_check, sweep, write_sweep_csv
 
 _STATUS_EXIT = {"optimal": 0, "infeasible": 2, "unbounded": 3, "limit_reached": 4}
 _MAX_GRID = 10_000  # values on one sweep axis, and cells in one sweep grid
-
-
-def _default_seed() -> int:
-    text = os.environ.get("ROBUSTCOUNTER_SEED", "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(
-            f"ROBUSTCOUNTER_SEED must be an integer, got {text!r}") from None
 
 
 def _fail(message: str) -> int:
@@ -99,22 +89,19 @@ def cmd_solve(args) -> int:
 def cmd_robustify(args) -> int:
     model = _read_model(args.model)
     uset = parse_annotations(Path(args.annotations).read_text(), model)
-    if args.mode == "irc":
-        art = interval_robust_counterpart(model, uset, args.eps, args.delta)
-    else:
-        art = symmetric_robust_counterpart(model, uset, args.eps, args.delta, args.kappa)
-    text = export_text(art.model)
-    Path(args.output).write_text(text)
+    robust = _counterpart((model, uset), args.mode, exact=False, eps=args.eps,
+                          delta=args.delta, kappa=args.kappa)
+    Path(args.output).write_text(export_text(robust))
     if args.json:
         print(json.dumps({
             "output": args.output,
             "mode": args.mode,
-            "constraints": len(art.model.constraints),
-            "aux_variables": len(art.aux_u) + len(art.aux_v),
+            "constraints": len(robust.constraints),
+            "aux_variables": len(robust.variables) - len(model.variables),
         }, indent=2, sort_keys=True))
     else:
         print(f"wrote {args.mode} counterpart to {args.output} "
-              f"({len(art.model.constraints)} constraints)")
+              f"({len(robust.constraints)} constraints)")
     return 0
 
 
@@ -225,11 +212,12 @@ def parse_grid_spec(tokens) -> list[tuple[float, float, float]]:
     return grid
 
 
-def _sweep_model(source, mode: str, exact: bool, eps: float, delta: float,
+def _counterpart(source, mode: str, exact: bool, eps: float, delta: float,
                  kappa: float) -> Model:
-    """One sweep cell's model: a site-selection instance or a (model,
-    uncertain set) pair robustified at the point.  Module level so that
-    parallel sweeps can pickle it."""
+    """The ``mode`` model of a site-selection instance or of a (model,
+    uncertain set) pair at one (eps, delta, kappa) point: a robustify run's
+    output and a sweep cell's model.  Module level so that parallel sweeps
+    can pickle it."""
     if isinstance(source, SiteSelectionInstance):
         return _build_sitesel(source, mode, eps, delta, kappa, exact)
     model, uset = source
@@ -251,7 +239,7 @@ def cmd_sweep(args) -> int:
             raise ValueError("model-file sweeps need --annotations")
         uset = parse_annotations(Path(args.annotations).read_text(), model)
         source = (model, uset)
-    build = functools.partial(_sweep_model, source, args.mode,
+    build = functools.partial(_counterpart, source, args.mode,
                               args.exact_assignment)
     options = _solver_options(args)
     if args.jobs > 1:
@@ -315,8 +303,8 @@ def cmd_validate(args) -> int:
         values = sol.values
 
     if args.mc:
-        seed = _default_seed() if args.seed is None else args.seed
-        est = monte_carlo_check(model, uset, values, args.eps, args.delta, args.mc, seed)
+        est = monte_carlo_check(model, uset, values, args.eps, args.delta, args.mc,
+                                args.seed)
         if args.json:
             print(json.dumps({
                 "method": "monte_carlo",
@@ -432,9 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "corner check")
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=None,
-                   help="Monte Carlo seed in [0, 2**64) (default "
-                   "$ROBUSTCOUNTER_SEED, else 0)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="Monte Carlo seed in [0, 2**64) (default 0)")
     _add_solver_params(p)
     p.set_defaults(func=cmd_validate)
 

@@ -113,10 +113,8 @@ class ConeTerm:
 
     @staticmethod
     def from_components(scale, components, constant_inside=0.0) -> "ConeTerm":
-        merged: dict[int, float] = {}
-        for var_id, coeff in components:
-            merged[var_id] = merged.get(var_id, 0.0) + float(coeff)
-        return ConeTerm(float(scale), tuple(sorted(merged.items())), float(constant_inside))
+        return ConeTerm(float(scale), LinExpr.from_terms(components).terms,
+                        float(constant_inside))
 
     def value(self, values) -> float:
         s = self.constant_inside + sum((c * values[v]) ** 2 for v, c in self.components)

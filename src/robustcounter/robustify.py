@@ -22,7 +22,7 @@ constraints, where the slack budget is split between the main constraints
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import ConeTerm, LinExpr, Model, ModelError
 from .uncertainty import (
@@ -41,19 +41,18 @@ RC_SUFFIX = "__rc"
 
 @dataclass
 class CounterpartArtifacts:
-    """A robust counterpart model plus the bookkeeping produced with it.
+    """A robust counterpart model.
 
-    ``aux_u`` maps (constraint id, variable id) to the absolute-value
-    auxiliary (interval counterparts add one only for a mixed-sign
-    variable); ``aux_v`` (symmetric counterparts only) maps the same key to
-    the cone-splitting auxiliary.  ``provenance`` maps every added constraint
-    back to the nominal row it protects.
+    Its labels and names tie every addition to the nominal row and variable
+    it protects: a tagged row ``<row>`` gains the row ``<row>__irc`` or
+    ``<row>__rc`` and the links ``<row>__irc_lnk_<var>_up|lo`` or
+    ``<row>__rc_lnk_<var>_up|lo`` between ``<var>`` and its auxiliaries
+    ``u_<row>_<var>`` (absolute value; an interval counterpart adds one only
+    for a mixed-sign variable) and ``v_<row>_<var>`` (cone split; symmetric
+    counterparts only).
     """
 
     model: Model
-    aux_u: dict[tuple[int, int], int] = field(default_factory=dict)
-    aux_v: dict[tuple[int, int], int] = field(default_factory=dict)
-    provenance: dict[int, int] = field(default_factory=dict)
 
 
 def _prepare(model: Model, uncertain_set: UncertainSet, epsilon: float,
@@ -95,7 +94,6 @@ def interval_robust_counterpart(model: Model, uncertain_set: UncertainSet,
     kept, so any feasible point of the counterpart is nominal feasible.
     """
     out, grouped = _prepare(model, uncertain_set, epsilon, delta, IRC_SUFFIX)
-    art = CounterpartArtifacts(model=out)
     for con_id in sorted(grouped):
         con = model.constraints[con_id]
         coeffs = dict(con.lhs.terms)
@@ -114,22 +112,18 @@ def interval_robust_counterpart(model: Model, uncertain_set: UncertainSet,
                 continue
             coeffs[var.id] = 0.5 * (lo + hi)
             u = out.add_variable(f"u_{con.label}_{var.name}", "continuous", 0.0)
-            art.aux_u[(con_id, var.id)] = u
             coeffs[u] = 0.5 * (hi - lo)
             for sign, side in ((1.0, "up"), (-1.0, "lo")):
-                link = out.add_constraint(
+                out.add_constraint(
                     [(var.id, sign), (u, -1.0)], "<=", 0.0,
                     label=f"{con.label}{IRC_SUFFIX}_lnk_{var.name}_{side}",
                 )
-                art.provenance[link] = con_id
-        robust = out.add_constraint(
+        out.add_constraint(
             LinExpr.from_terms(coeffs.items(), con.lhs.constant), "<=",
             rhs + slack_allowance(con.rhs, delta),
             label=f"{con.label}{IRC_SUFFIX}",
         )
-        art.provenance[robust] = con_id
-    art.model = out.finalize()
-    return art
+    return CounterpartArtifacts(out.finalize())
 
 
 def symmetric_robust_counterpart(model: Model, uncertain_set: UncertainSet,
@@ -150,7 +144,6 @@ def symmetric_robust_counterpart(model: Model, uncertain_set: UncertainSet,
     """
     omega = omega_from_kappa(kappa)
     out, grouped = _prepare(model, uncertain_set, epsilon, delta, RC_SUFFIX)
-    art = CounterpartArtifacts(model=out)
     for con_id in sorted(grouped):
         con = model.constraints[con_id]
         coeffs = dict(con.lhs.terms)
@@ -165,34 +158,28 @@ def symmetric_robust_counterpart(model: Model, uncertain_set: UncertainSet,
             v = out.add_variable(
                 f"v_{con.label}_{var.name}", "continuous", -math.inf, math.inf
             )
-            art.aux_u[(con_id, var.id)] = u
-            art.aux_v[(con_id, var.id)] = v
             robust_terms.append((u, epsilon * abs(coeffs[var.id])))
             cone_components.append((v, coeffs[var.id]))
-            up = out.add_constraint(
+            out.add_constraint(
                 [(var.id, 1.0), (v, -1.0), (u, -1.0)], "<=", 0.0,
                 label=f"{con.label}{RC_SUFFIX}_lnk_{var.name}_up",
             )
-            lo = out.add_constraint(
+            out.add_constraint(
                 [(var.id, -1.0), (v, 1.0), (u, -1.0)], "<=", 0.0,
                 label=f"{con.label}{RC_SUFFIX}_lnk_{var.name}_lo",
             )
-            art.provenance[up] = con_id
-            art.provenance[lo] = con_id
         cone = ConeTerm.from_components(
             epsilon * omega,
             cone_components,
             con.rhs ** 2 if rhs_uncertain else 0.0,
         )
-        robust = out.add_constraint(
+        out.add_constraint(
             LinExpr.from_terms(robust_terms, con.lhs.constant), "<=",
             con.rhs + slack_allowance(con.rhs, delta),
             label=f"{con.label}{RC_SUFFIX}",
             cone=cone,
         )
-        art.provenance[robust] = con_id
-    art.model = out.finalize()
-    return art
+    return CounterpartArtifacts(out.finalize())
 
 
 # -- robust timing rows --------------------------------------------------------
@@ -232,9 +219,6 @@ class TimingRow:
     sense: str
     rhs: float
     note: str = ""
-
-    def add_to(self, model: Model) -> int:
-        return model.add_constraint(list(self.terms), self.sense, self.rhs, label=self.label)
 
 
 def _timing_rows(template: TimingConstraintTemplate, alpha_eff: float,

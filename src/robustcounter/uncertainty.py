@@ -126,14 +126,19 @@ class Uniform:
     """Symmetric perturbation uniform on [-1, 1], scaled by the global level."""
 
 
+# the largest mean numpy's Generator.poisson draws
+_POISSON_MAX = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
+
+
 @dataclass(frozen=True)
 class Poisson:
     mean: float
 
     def __post_init__(self):
         _require_finite(self.mean)
-        if self.mean <= 0:
-            raise ValueError("poisson mean must be positive")
+        if not 0 < self.mean <= _POISSON_MAX:
+            raise ValueError(
+                f"poisson mean must lie in (0, {_POISSON_MAX!r}], got {self.mean!r}")
 
 
 @dataclass(frozen=True)
@@ -187,8 +192,9 @@ class UncertainEntry:
 class UncertainSet:
     """Per-constraint index sets of uncertain coefficients plus uncertain RHS.
 
-    Entries are (constraint id, variable id or RHS, distribution) triples;
-    duplicates are rejected.  ``validate`` checks every reference against a
+    Entries are (constraint id, variable id or RHS, distribution) triples,
+    each passed to :meth:`add`, which rejects a non-integer id, an unknown
+    tag and a duplicate.  ``validate`` checks every reference against a
     companion model.
     """
 
@@ -196,25 +202,21 @@ class UncertainSet:
         self.entries: list[UncertainEntry] = []
         self._seen: set[tuple[int, object]] = set()
         for entry in entries:
-            if isinstance(entry, UncertainEntry):
-                self._append(entry)
-            else:
-                self.add(*entry)
-
-    def _append(self, entry: UncertainEntry):
-        key = (entry.constraint_id, entry.target)
-        if key in self._seen:
-            raise ValueError(
-                f"duplicate uncertain entry for constraint {entry.constraint_id}, "
-                f"target {entry.target!r}"
-            )
-        self._seen.add(key)
-        self.entries.append(entry)
+            self.add(*entry)
 
     def add(self, constraint_id: int, target, distribution) -> "UncertainSet":
+        if not (_is_int(constraint_id) and (target is RHS or _is_int(target))):
+            raise ValueError(
+                f"uncertain entry ids must be integers (or RHS as the target), "
+                f"got constraint {constraint_id!r}, target {target!r}")
         if type(distribution) not in _TAGS:
             raise ValueError(f"unsupported distribution {distribution!r}")
-        self._append(UncertainEntry(constraint_id, target, distribution))
+        if (constraint_id, target) in self._seen:
+            raise ValueError(
+                f"duplicate uncertain entry for constraint {constraint_id}, "
+                f"target {target!r}")
+        self._seen.add((constraint_id, target))
+        self.entries.append(UncertainEntry(constraint_id, target, distribution))
         return self
 
     def __len__(self):
@@ -279,32 +281,25 @@ def normal_lambda(kappa: float) -> float:
     return _STANDARD_NORMAL.inv_cdf(p)
 
 
-def _poisson_tail_iter(mean: float):
-    """Yields (t, P(X > t)) for t = 0, 1, ..., each pmf term taken in log space."""
-    log_mean = math.log(mean)
+def _count_deviation(log_pmf, mode: int, kappa: float, last: float) -> int | None:
+    """Smallest integer t with P(X > t) <= kappa < 1 under the unimodal pmf
+    ``exp(log_pmf(t))`` with mode ``mode``; None once t passes ``last``.
+
+    The sum starts at the first term that is not exactly 0.0, found by
+    walking left from the mode: every term left of it is 0.0 as well, so the
+    cdf stays 0.0 and P(X > t) = 1 > kappa there.
+    """
+    t = mode
+    while t > 0 and math.exp(log_pmf(t - 1)) != 0.0:
+        t -= 1
     cdf = 0.0
-    t = 0
     while True:
-        cdf += math.exp(t * log_mean - mean - math.lgamma(t + 1))
-        yield t, 1.0 - cdf
+        cdf += math.exp(log_pmf(t))
+        if 1.0 - cdf <= kappa:
+            return t
+        if t > last:
+            return None
         t += 1
-
-
-def _binomial_tail_iter(n: int, p: float):
-    if p == 0.0:
-        yield 0, 0.0
-        return
-    if p == 1.0:
-        for t in range(n):
-            yield t, 1.0
-        yield n, 0.0
-        return
-    log_p, log_q, log_n = math.log(p), math.log1p(-p), math.lgamma(n + 1)
-    cdf = 0.0
-    for t in range(n + 1):
-        cdf += math.exp(log_n - math.lgamma(t + 1) - math.lgamma(n - t + 1)
-                        + t * log_p + (n - t) * log_q)
-        yield t, 1.0 - cdf
 
 
 def discrete_deviation(distribution, kappa: float):
@@ -315,21 +310,31 @@ def discrete_deviation(distribution, kappa: float):
     value for Discrete).  This is the convention that puts the deviation of a
     mean-5 Poisson at 6 for a 24% reliability level.  Each pmf term is
     computed in log space (``lgamma``), so a large mean or n does not
-    underflow the leading terms to zero.
+    underflow the leading terms to zero, and the terms that do underflow to
+    exactly 0.0 are never summed.
     """
     if not 0.0 < kappa <= 1.0:
         raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
+    if isinstance(distribution, (Poisson, Binomial)) and kappa == 1.0:
+        return 0
     if isinstance(distribution, Poisson):
-        for t, tail in _poisson_tail_iter(distribution.mean):
-            if tail <= kappa:
-                return t
-            if t > distribution.mean + 50 * math.sqrt(distribution.mean) + 50:
-                raise ValueError("poisson tail search failed to converge")
+        mean = distribution.mean
+        log_mean = math.log(mean)
+        t = _count_deviation(lambda t: t * log_mean - mean - math.lgamma(t + 1),
+                             math.floor(mean), kappa, mean + 50 * math.sqrt(mean) + 50)
+        if t is None:
+            raise ValueError("poisson tail search failed to converge")
+        return t
     if isinstance(distribution, Binomial):
-        for t, tail in _binomial_tail_iter(distribution.n, distribution.p):
-            if tail <= kappa:
-                return t
-        return distribution.n
+        n, p = distribution.n, distribution.p
+        if p in (0.0, 1.0):  # all the mass sits at 0 or at n
+            return n if p == 1.0 else 0
+        log_p, log_q, log_n = math.log(p), math.log1p(-p), math.lgamma(n + 1)
+        t = _count_deviation(
+            lambda t: (log_n - math.lgamma(t + 1) - math.lgamma(n - t + 1)
+                       + t * log_p + (n - t) * log_q),
+            min(n, math.floor((n + 1) * p)), kappa, n - 1)
+        return n if t is None else t
     if isinstance(distribution, Discrete):
         order = sorted(range(len(distribution.values)),
                        key=lambda i: distribution.values[i])

@@ -61,7 +61,6 @@ class CornerReport:
     corners_checked: int
     worst_violation: dict[int, float]
     certified: bool
-    allowance: dict[int, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -175,18 +174,14 @@ def corner_check(model: Model, uncertain_set: UncertainSet, solution_values,
 
     grouped = uncertain_set.by_constraint()
     worst: dict[int, float] = {}
-    allowance: dict[int, float] = {}
+    certified = True
     for con in model.constraints:
         entries = grouped.get(con.id, [])
-        allowance[con.id] = (slack_allowance(con.rhs, delta) if entries
-                             else FEASIBILITY_TOL)
+        allowance = slack_allowance(con.rhs, delta) if entries else FEASIBILITY_TOL
         viol, _ = _worst_residual(model, con, entries, solution_values, epsilon)
         worst[con.id] = max(0.0, viol)
-    certified = all(
-        worst[cid] <= allowance[cid] + _CERT_TOL for cid in worst
-    )
-    corners = 2 ** len(uncertain_set)
-    return CornerReport(corners, worst, certified, allowance)
+        certified = certified and worst[con.id] <= allowance + _CERT_TOL
+    return CornerReport(2 ** len(uncertain_set), worst, certified)
 
 
 # -- Monte Carlo ----------------------------------------------------------------

@@ -75,6 +75,35 @@ def binomial_tail_gt(n: int, p: float, t: int) -> float:
     return total
 
 
+def reference_discrete_deviation(distribution, kappa: float) -> int:
+    """Smallest t with P(X > t) <= kappa for a Poisson or binomial tag,
+    summing every pmf term (in log space) from t = 0 upward."""
+    if isinstance(distribution, Poisson):
+        mean = distribution.mean
+        log_mean = math.log(mean)
+        cdf = 0.0
+        t = 0
+        while True:
+            cdf += math.exp(t * log_mean - mean - math.lgamma(t + 1))
+            if 1.0 - cdf <= kappa:
+                return t
+            if t > mean + 50 * math.sqrt(mean) + 50:
+                raise ValueError("poisson tail search failed to converge")
+            t += 1
+    n, p = distribution.n, distribution.p
+    if p == 0.0:
+        return 0
+    if p == 1.0:
+        return 0 if kappa >= 1.0 else n
+    log_p, log_q, log_n = math.log(p), math.log1p(-p), math.lgamma(n + 1)
+    cdf = 0.0
+    for t in range(n + 1):
+        cdf += math.exp(log_n - math.lgamma(t + 1) - math.lgamma(n - t + 1)
+                        + t * log_p + (n - t) * log_q)
+        if 1.0 - cdf <= kappa:
+            return t
+    return n
+
 # -- exhaustive MILP oracle -------------------------------------------------------
 
 

@@ -91,6 +91,22 @@ def test_robustify_rc_cone_scale(workdir):
     assert cone.scale == pytest.approx(0.1 * 2.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("mode, constraints, aux", [("irc", 4, 1), ("rc", 6, 4)])
+def test_robustify_json_counts(workdir, capsys, mode, constraints, aux):
+    """A mixed-sign x gets an absolute-value auxiliary and two links in
+    either counterpart; a nonnegative y gets them only in the rc one, which
+    also splits each tagged variable with a free auxiliary."""
+    (workdir / "two.txt").write_text(
+        "#vars\nx continuous -inf inf\ny continuous 0 inf\n#obj\nmax 1*x + 1*y\n"
+        "#cons\ncap: 1*x + 2*y <= 10\n")
+    (workdir / "two.unc").write_text(
+        "cap x(bounded 0.1)\ncap y(bounded)\ncap RHS(bounded)\n")
+    assert main(["robustify", str(workdir / "two.txt"), str(workdir / "two.unc"),
+                 "--mode", mode, "--json", "-o", str(workdir / "out.txt")]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["constraints"], payload["aux_variables"]) == (constraints, aux)
+
+
 def test_robustify_unknown_label_exit_one(workdir, capsys):
     (workdir / "bad.unc").write_text("nosuch x(bounded)\n")
     rc = main(["robustify", str(workdir / "one_row.txt"),
@@ -293,14 +309,13 @@ def test_validate_nonfinite_solution_exit_one(workdir, capsys, text, message, mc
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
-def test_seed_env_default(workdir, monkeypatch, capsys):
-    monkeypatch.setenv("ROBUSTCOUNTER_SEED", "777")
+def test_validate_mc_seed_defaults_to_zero(workdir, capsys):
     rc = main(["validate", str(workdir / "one_row.txt"),
                str(workdir / "one_row.unc"), "--eps", "0.1", "--mc", "2000",
                "--json"])
     payload = json.loads(capsys.readouterr().out)
     assert rc == 0
-    assert payload["seed"] == 777
+    assert payload["seed"] == 0
 
 
 def _validate_mc(workdir, *extra):
@@ -313,6 +328,7 @@ def _validate_mc(workdir, *extra):
     ("cap x(bounded 0.1 junk)", "annotation line 1: bounded takes 0 or 1 arguments"),
     ("cap RHS(binomial 100000000000000000000000 0.5)",
      "annotation line 1: malformed binomial arguments"),
+    ("cap x(poisson 1e19)", "annotation line 1: malformed poisson arguments"),
 ])
 def test_validate_mc_bad_annotation_exit_one(workdir, capsys, annotation, message):
     (workdir / "one_row.unc").write_text(annotation + "\n")
@@ -333,12 +349,6 @@ def test_sitesel_non_ascii_unit_id_exit_one(workdir, capsys):
 def test_validate_mc_too_few_samples_exit_one(workdir, capsys):
     assert _validate_mc(workdir, "--mc", "10") == 1
     assert "error: need at least 1000 samples" in capsys.readouterr().err
-
-
-def test_validate_bad_seed_env_exit_one(workdir, monkeypatch, capsys):
-    monkeypatch.setenv("ROBUSTCOUNTER_SEED", "abc")
-    assert _validate_mc(workdir, "--mc", "2000") == 1
-    assert "error: ROBUSTCOUNTER_SEED must be an integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64), str(2 ** 64 + 1)])

@@ -71,21 +71,20 @@ def test_irc_structure():
     # nominal rows retained verbatim, one aux per mixed-sign coefficient entry
     assert art.model.constraints[0].lhs == m.constraints[0].lhs
     assert art.model.constraints[0].rhs == m.constraints[0].rhs
-    assert set(art.aux_u) == {(0, x)}
-    assert art.aux_v == {}
+    assert [v.name for v in art.model.variables] == ["x", "u_c_x"]
+    u = art.model.variable_by_name("u_c_x").id
     robust = art.model.constraint_by_label("c__irc")
-    assert art.provenance[robust.id] == 0
+    assert dict(robust.lhs.terms) == {x: pytest.approx(1.0), u: pytest.approx(0.1)}
     assert robust.rhs == pytest.approx(9.0)
-    labels = {c.label for c in art.model.constraints}
-    assert {"c__irc_lnk_x_up", "c__irc_lnk_x_lo"} <= labels
+    labels = [c.label for c in art.model.constraints]
+    assert labels == ["c", "c__irc_lnk_x_up", "c__irc_lnk_x_lo", "c__irc"]
 
 
 def test_irc_sign_known_variable_gets_no_auxiliary():
     # x >= 0: the worst case of the coefficient is its high end, 1.1
     m, x = _one_row()
     art = interval_robust_counterpart(m, _both_uncertain(x), 0.1, 0.0)
-    assert art.aux_u == {}
-    assert len(art.model.variables) == 1
+    assert [v.name for v in art.model.variables] == ["x"]
     assert [c.label for c in art.model.constraints] == ["c", "c__irc"]
     robust = art.model.constraint_by_label("c__irc")
     assert dict(robust.lhs.terms) == {x: pytest.approx(1.1)}
@@ -297,9 +296,13 @@ def test_rc_structure_and_omega():
     art = symmetric_robust_counterpart(m, uset, 0.1, 0.0, 0.14)
     robust = art.model.constraint_by_label("c__rc")
     assert robust.cone.scale == pytest.approx(0.1 * omega_from_kappa(0.14))
-    assert set(art.aux_u) == {(0, x)}
-    assert set(art.aux_v) == {(0, x)}
-    assert art.provenance[robust.id] == 0
+    assert [v.name for v in art.model.variables] == ["x", "u_c_x", "v_c_x"]
+    u = art.model.variable_by_name("u_c_x").id
+    v = art.model.variable_by_name("v_c_x").id
+    assert dict(robust.lhs.terms) == {x: pytest.approx(1.0), u: pytest.approx(0.1)}
+    assert robust.cone.components == ((v, 1.0),)
+    labels = [c.label for c in art.model.constraints]
+    assert labels == ["c", "c__rc_lnk_x_up", "c__rc_lnk_x_lo", "c__rc"]
 
 
 def test_rc_omega_zero_structural_reduction():
@@ -310,8 +313,8 @@ def test_rc_omega_zero_structural_reduction():
     delta = 0.07
     art = symmetric_robust_counterpart(m, uset, 0.25, delta, 1.0)
     robust = art.model.constraint_by_label("c__rc")
-    u = art.aux_u[(0, x)]
-    v = art.aux_v[(0, x)]
+    u = art.model.variable_by_name("u_c_x").id
+    v = art.model.variable_by_name("v_c_x").id
     for x_val in (0.0, 3.0, 10.0):
         values = {x: x_val, u: 0.0, v: x_val}
         lhs = robust.lhs.value(values) + robust.cone.value(values)
@@ -489,7 +492,7 @@ def test_timing_rows_attach_to_models():
     rows, _ = robust_timing_bounded(tpl, 0.05, 0.1)
     m.set_objective("max", [(tpl.start_var, 1.0)])
     for row in rows:
-        row.add_to(m)
+        m.add_constraint(list(row.terms), row.sense, row.rhs, label=row.label)
     m.finalize()
     assert m.constraint_by_label("timing_seq__irc") is not None
 

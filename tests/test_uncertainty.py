@@ -3,13 +3,14 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
 from scipy.special import ndtri
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import robustcounter
@@ -22,6 +23,7 @@ from robustcounter.uncertainty import (
     Discrete,
     Normal,
     Poisson,
+    UncertainEntry,
     UncertainSet,
     Uniform,
     bounded_interval,
@@ -33,7 +35,12 @@ from robustcounter.uncertainty import (
     parse_annotations,
 )
 
-from _oracles import binomial_tail_gt, erf_cdf_quantile, poisson_tail_gt
+from _oracles import (
+    binomial_tail_gt,
+    erf_cdf_quantile,
+    poisson_tail_gt,
+    reference_discrete_deviation,
+)
 
 
 # -- omega_from_kappa ------------------------------------------------------------
@@ -240,6 +247,36 @@ def test_discrete_deviation_matches_scipy_grid(family):
     assert checked >= len(cases) * len(_KAPPAS) - 8
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.one_of(
+    st.builds(Poisson, st.floats(1e-3, 1e5)),
+    st.builds(Binomial, st.integers(0, 20_000),
+              st.floats(0.0, 1.0) | st.sampled_from([1e-9, 1.0 - 1e-9])),
+), st.floats(1e-6, 1.0))
+@example(Poisson(1e5), 0.1)
+@example(Poisson(1e5), 1.0)
+@example(Poisson(800.0), 1e-6)
+@example(Binomial(20_000, 0.5), 1.0)
+@example(Binomial(20_000, 1e-9), 0.5)
+@example(Binomial(20_000, 1.0 - 1e-9), 0.5)
+@example(Binomial(20_000, 0.0), 0.5)
+@example(Binomial(20_000, 1.0), 0.5)
+@example(Binomial(20_000, 1.0), 1.0)
+def test_discrete_deviation_matches_full_walk(dist, kappa):
+    """Skipping the pmf terms that are exactly 0.0 changes no result: the
+    walk that sums every term from t = 0 is the reference."""
+    assert discrete_deviation(dist, kappa) == reference_discrete_deviation(dist, kappa)
+
+
+def test_poisson_deviation_large_mean_is_fast():
+    """The walk starts near the mode, not at 0: summing every term from 0
+    took about 50 s at this mean."""
+    start = time.perf_counter()
+    t = discrete_deviation(Poisson(1e8), 0.1)
+    assert time.perf_counter() - start < 5.0
+    assert scipy.stats.poisson.sf(t, 1e8) <= 0.1 < scipy.stats.poisson.sf(t - 1, 1e8)
+
+
 # -- bounded_interval -----------------------------------------------------------------
 
 
@@ -318,6 +355,16 @@ def test_distribution_validation():
         with pytest.raises(ValueError, match="binomial n"):
             Binomial(n, 0.5)
     assert Binomial(2**63 - 1, 0.5).n == 2**63 - 1
+    # numpy's Generator.poisson draws a mean up to this value, inclusive
+    limit = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
+    rng = np.random.default_rng(0)
+    rng.poisson(limit)
+    with pytest.raises(ValueError, match="lam value too large"):
+        rng.poisson(math.nextafter(limit, math.inf))
+    assert Poisson(limit).mean == limit
+    for mean in (math.nextafter(limit, math.inf), 1e19):
+        with pytest.raises(ValueError, match="poisson mean"):
+            Poisson(mean)
     with pytest.raises(ValueError):
         Discrete((1.0, 2.0), (0.6, 0.6))
     with pytest.raises(ValueError):
@@ -363,6 +410,33 @@ def test_uncertain_set_validates_references():
     UncertainSet([(0, x, Bounded()), (0, RHS, Bounded())]).validate(m)
     with pytest.raises(ValueError, match="unknown constraint"):
         UncertainSet([(5, x, Bounded())]).validate(m)
+
+
+@pytest.mark.parametrize("constraint_id, target", [
+    (0, "x"), (0, None), (0, True), (0, 1.0), (0.0, 0), ("0", 0), (None, 0), (True, 0),
+])
+def test_uncertain_set_add_rejects_non_integer_ids(constraint_id, target):
+    with pytest.raises(ValueError, match=re.escape(
+            f"constraint {constraint_id!r}, target {target!r}")):
+        UncertainSet().add(constraint_id, target, Bounded())
+
+
+def test_uncertain_set_add_takes_numpy_integer_ids():
+    m, x, y = _small_model()
+    uset = UncertainSet().add(np.int64(0), np.int32(y), Bounded())
+    uset.add(np.int64(0), RHS, Bounded())
+    uset.validate(m)
+    assert [e.target for e in uset] == [y, RHS]
+
+
+def test_uncertain_set_entries_enter_through_add():
+    """Every entry passes the tag check: a triple with an unknown tag is
+    rejected, and an ``UncertainEntry`` is not a triple."""
+    m, x, _ = _small_model()
+    with pytest.raises(ValueError, match="unsupported distribution 'junk'"):
+        UncertainSet([(0, x, "junk")])
+    with pytest.raises(TypeError):
+        UncertainSet([UncertainEntry(0, x, "junk")])
 
 
 def test_annotation_round_trip():
