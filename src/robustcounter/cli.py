@@ -73,6 +73,24 @@ def _print_solution(model: Model, sol, as_json: bool):
             print(f"  {model.variables[v].name} = {val:.6f}")
 
 
+def _counterpart(source, mode: str, exact: bool, eps: float, delta: float,
+                 kappa: float) -> Model:
+    """The ``mode`` model of a site-selection instance (``exact``: each
+    unit assigned to exactly one site) or of a (model, uncertain set) pair
+    at one (eps, delta, kappa) point: a sitesel or robustify run's model and
+    a sweep cell's.  Module level so that parallel sweeps can pickle it."""
+    if isinstance(source, SiteSelectionInstance):
+        if mode == "nominal":
+            return build_nominal(source, exact_assignment=exact)
+        if mode == "irc":
+            return build_irc(source, eps, delta, exact_assignment=exact)
+        return build_rc(source, eps, delta, kappa, exact_assignment=exact)
+    model, uset = source
+    if mode == "irc":
+        return interval_robust_counterpart(model, uset, eps, delta).model
+    return symmetric_robust_counterpart(model, uset, eps, delta, kappa).model
+
+
 # -- solve -------------------------------------------------------------------
 
 
@@ -108,19 +126,10 @@ def cmd_robustify(args) -> int:
 # -- sitesel -------------------------------------------------------------------
 
 
-def _build_sitesel(instance, mode: str, eps: float, delta: float, kappa: float,
-                   exact: bool) -> Model:
-    if mode == "nominal":
-        return build_nominal(instance, exact_assignment=exact)
-    if mode == "irc":
-        return build_irc(instance, eps, delta, exact_assignment=exact)
-    return build_rc(instance, eps, delta, kappa, exact_assignment=exact)
-
-
 def cmd_sitesel(args) -> int:
     instance = load_instance(args.instance)
-    model = _build_sitesel(instance, args.mode, args.eps, args.delta,
-                           args.kappa, args.exact_assignment)
+    model = _counterpart(instance, args.mode, args.exact_assignment, args.eps,
+                         args.delta, args.kappa)
     sol = solve(model, _solver_options(args))
     if sol.status != "optimal":
         _print_solution(model, sol, args.json)
@@ -210,20 +219,6 @@ def parse_grid_spec(tokens) -> list[tuple[float, float, float]]:
     if not grid:
         raise ValueError("empty grid specification")
     return grid
-
-
-def _counterpart(source, mode: str, exact: bool, eps: float, delta: float,
-                 kappa: float) -> Model:
-    """The ``mode`` model of a site-selection instance or of a (model,
-    uncertain set) pair at one (eps, delta, kappa) point: a robustify run's
-    output and a sweep cell's model.  Module level so that parallel sweeps
-    can pickle it."""
-    if isinstance(source, SiteSelectionInstance):
-        return _build_sitesel(source, mode, eps, delta, kappa, exact)
-    model, uset = source
-    if mode == "irc":
-        return interval_robust_counterpart(model, uset, eps, delta).model
-    return symmetric_robust_counterpart(model, uset, eps, delta, kappa).model
 
 
 def cmd_sweep(args) -> int:

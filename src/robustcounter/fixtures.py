@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 from .model import Model
 from .robustify import interval_robust_counterpart, symmetric_robust_counterpart
-from .sitesel import PopulationUnit, SiteCandidate, SiteSelectionInstance
+from .sitesel import (PopulationUnit, SiteCandidate, SiteSelectionInstance, build_irc,
+                      build_nominal, build_rc)
 from .uncertainty import RHS, Bounded, BoundedRange, Normal, UncertainSet
 
 
@@ -33,14 +34,6 @@ def demo_milp() -> Model:
     b = m.add_variable("b", "binary")
     m.set_objective("max", [(a, 5.0), (b, 4.0)])
     m.add_constraint([(a, 3.0), (b, 2.0)], "<=", 4.0, label="cap")
-    return m.finalize()
-
-
-def demo_infeasible() -> Model:
-    m = Model("demo_infeasible")
-    x = m.add_variable("x")
-    m.set_objective("max", [(x, 1.0)])
-    m.add_constraint([(x, 1.0)], "<=", -1.0, label="impossible")
     return m.finalize()
 
 
@@ -123,8 +116,6 @@ TIMING_UNCERTAINTY: tuple[TimingUncertaintyRecord, ...] = (
 def all_models() -> dict[str, Model]:
     """Registry of every bundled model, nominal and robust, for round-trip
     and pipeline-consistency checks."""
-    from .sitesel import build_irc, build_nominal, build_rc
-
     one_row, uset = one_row_uncertain()
     inst = demo_instance()
     return {

@@ -209,8 +209,12 @@ class Model:
         self._by_name[name] = vid
         return vid
 
-    def _check_expr(self, expr: LinExpr):
-        for var_id, coeff in expr.terms:
+    def _checked(self, expr, cone: ConeTerm | None = None) -> LinExpr:
+        """``expr`` (a LinExpr or (var_id, coeff) pairs) merged, once it and
+        the ``cone`` components pass the checks :meth:`add_constraint` names."""
+        expr = (LinExpr.from_terms(expr.terms, expr.constant) if isinstance(expr, LinExpr)
+                else LinExpr.from_terms(expr))
+        for var_id, coeff in expr.terms + (cone.components if cone else ()):
             if not (0 <= var_id < len(self.variables)):
                 raise ModelError(f"unknown variable id {var_id}")
             if not math.isfinite(coeff):
@@ -218,6 +222,7 @@ class Model:
                                  f"must be finite, got {coeff}")
         if not math.isfinite(expr.constant):
             raise ModelError(f"constant must be finite, got {expr.constant}")
+        return expr
 
     def add_constraint(self, lhs, sense: str, rhs: float, label: str = "",
                        cone: ConeTerm | None = None) -> int:
@@ -225,28 +230,20 @@ class Model:
 
         ``lhs`` may be a LinExpr or an iterable of (var_id, coeff) pairs.  A
         label follows the rule for variable names; an empty one becomes
-        ``c<id>``.  Coefficients and constants must be finite and ``rhs`` not
-        NaN (an infinite ``rhs`` makes a vacuous or an infeasible row).  A
-        cone term is only permitted on ``<=`` rows.
+        ``c<id>``.  The terms of ``lhs`` and the components of ``cone`` (and
+        of an objective) must name variables of this model with finite
+        coefficients, the constant must be finite and ``rhs`` not NaN (an
+        infinite ``rhs`` makes a vacuous or an infeasible row).  A cone term
+        is only permitted on ``<=`` rows.
         """
         self._check_mutable()
-        if not isinstance(lhs, LinExpr):
-            lhs = LinExpr.from_terms(lhs)
-        else:
-            lhs = LinExpr.from_terms(lhs.terms, lhs.constant)
-        self._check_expr(lhs)
+        lhs = self._checked(lhs, cone)
         if sense not in SENSES:
             raise ModelError(f"unknown sense {sense!r}")
         if math.isnan(rhs):
             raise ModelError("right-hand side must not be NaN")
-        if cone is not None:
-            if sense != "<=":
-                raise ModelError("cone terms are only permitted on <= constraints")
-            for var_id, coeff in cone.components:
-                if not (0 <= var_id < len(self.variables)):
-                    raise ModelError(f"unknown variable id {var_id} in cone term")
-                if not math.isfinite(coeff):
-                    raise ModelError(f"cone coefficient must be finite, got {coeff}")
+        if cone is not None and sense != "<=":
+            raise ModelError("cone terms are only permitted on <= constraints")
         cid = len(self.constraints)
         if not label:
             label = f"c{cid}"
@@ -261,13 +258,8 @@ class Model:
         self._check_mutable()
         if sense not in ("max", "min"):
             raise ModelError(f"objective sense must be max or min, got {sense!r}")
-        if not isinstance(expr, LinExpr):
-            expr = LinExpr.from_terms(expr)
-        else:
-            expr = LinExpr.from_terms(expr.terms, expr.constant)
-        self._check_expr(expr)
+        self.objective = self._checked(expr)
         self.objective_sense = sense
-        self.objective = expr
 
     def finalize(self) -> "Model":
         self._frozen = True
@@ -314,18 +306,13 @@ class Model:
         term.  Nonpositive means satisfied for inequalities.
         """
         con = self.constraints[con_id]
-        for var_id, _ in con.lhs.terms:
+        for var_id, _ in con.lhs.terms + (con.cone.components if con.cone else ()):
             if var_id not in values:
                 raise ModelError(
                     f"missing value for variable {self.variables[var_id].name!r}"
                 )
         lhs = con.lhs.value(values)
         if con.cone is not None:
-            for var_id, _ in con.cone.components:
-                if var_id not in values:
-                    raise ModelError(
-                        f"missing value for variable {self.variables[var_id].name!r}"
-                    )
             lhs += con.cone.value(values)
         if con.sense == "<=":
             return lhs - con.rhs
@@ -359,10 +346,11 @@ class StandardFormLP:
     with its constant moved into its range: a ``<=`` row has
     ``row_lo = -inf``, a ``>=`` row ``row_hi = inf`` and an equality row
     ``row_lo == row_hi``.  ``sense`` records the model's objective sense: for
-    ``min`` models ``c`` and ``c0`` are negated, so the optimum here is the
-    negated model optimum.  Branch and bound keeps one such LP as its
-    working copy: a node is the same LP under other column bounds, and a cut
-    is a row appended to it (both by ``dataclasses.replace``).
+    ``min`` models ``c`` and ``c0`` are negated, and :meth:`model_objective`
+    maps any value here, ``inf`` included, back to the model's sense.
+    Branch and bound keeps one such LP as its working copy: a node is the
+    same LP under other column bounds, and a cut is a row appended to it
+    (both by ``dataclasses.replace``).
     """
 
     c: np.ndarray
@@ -373,10 +361,6 @@ class StandardFormLP:
     col_lo: np.ndarray
     col_hi: np.ndarray
     sense: str
-
-    @property
-    def n_cols(self) -> int:
-        return self.c.shape[0]
 
     def model_objective(self, canonical: float) -> float:
         return canonical if self.sense == "max" else -canonical
@@ -419,7 +403,7 @@ def to_standard_form(model: Model) -> StandardFormLP:
 #   #cons
 #   label: coeff*name [+ ...] [+ CONE(scale; coeff*name,...; const)] <=|>=|= rhs
 #
-# Numbers are decimal or scientific; infinities are spelled inf / -inf.
+# Numbers are ASCII decimal or scientific; infinities are spelled inf / -inf.
 
 
 def _num(x: float) -> str:
@@ -459,9 +443,17 @@ def export_text(model: Model) -> str:
     return "\n".join(lines) + "\n"
 
 
-_NUMBER_RE = re.compile(
-    r"[+-]?(?:inf\b|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-)
+_NUMBER_RE = re.compile(r"[+-]?(?:inf\b|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)", re.ASCII)
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def _read_number(text: str, kind=float):
+    """``text`` as a ``kind`` in the one number grammar of model text,
+    annotations and instance files: a signed ASCII decimal, scientific or
+    ``inf`` float, or signed ASCII digits for an int; ValueError otherwise."""
+    if not (_INTEGER_RE if kind is int else _NUMBER_RE).fullmatch(text):
+        raise ValueError(f"malformed number {text!r}")
+    return kind(text)
 
 
 class _LineScanner:
@@ -587,7 +579,7 @@ def import_text(text: str) -> Model:
                 raise ParseError("expected 'name kind lower upper'", line_no, 1)
             name, kind, lo_s, hi_s = parts
             try:
-                lo, hi = float(lo_s), float(hi_s)
+                lo, hi = _read_number(lo_s), _read_number(hi_s)
             except ValueError:
                 raise ParseError("malformed bound", line_no, len(name) + len(kind) + 3)
             try:

@@ -160,14 +160,11 @@ def symmetric_robust_counterpart(model: Model, uncertain_set: UncertainSet,
             )
             robust_terms.append((u, epsilon * abs(coeffs[var.id])))
             cone_components.append((v, coeffs[var.id]))
-            out.add_constraint(
-                [(var.id, 1.0), (v, -1.0), (u, -1.0)], "<=", 0.0,
-                label=f"{con.label}{RC_SUFFIX}_lnk_{var.name}_up",
-            )
-            out.add_constraint(
-                [(var.id, -1.0), (v, 1.0), (u, -1.0)], "<=", 0.0,
-                label=f"{con.label}{RC_SUFFIX}_lnk_{var.name}_lo",
-            )
+            for sign, side in ((1.0, "up"), (-1.0, "lo")):
+                out.add_constraint(
+                    [(var.id, sign), (v, -sign), (u, -1.0)], "<=", 0.0,
+                    label=f"{con.label}{RC_SUFFIX}_lnk_{var.name}_{side}",
+                )
         cone = ConeTerm.from_components(
             epsilon * omega,
             cone_components,

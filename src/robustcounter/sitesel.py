@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import _NAME_RE, ConeTerm, Model, _num
+from .model import _NAME_RE, ConeTerm, Model, _num, _read_number
 from .robustify import interval_robust_counterpart
 from .uncertainty import (RHS, Bounded, UncertainSet, _is_int, check_levels,
                           omega_from_kappa)
@@ -248,10 +248,9 @@ def build_rc(instance: SiteSelectionInstance, epsilon: float, delta: float,
         z = m.add_variable(f"z_{site.id}", "continuous", -math.inf, math.inf)
         terms.append((l, epsilon * abs(site.fixed_cost)))
         cone_components.append((z, site.fixed_cost))
-        m.add_constraint([(y_ids[j], 1.0), (z, -1.0), (l, -1.0)], "<=", 0.0,
-                         label=f"budget__rc_lnk_{site.id}_up")
-        m.add_constraint([(y_ids[j], -1.0), (z, 1.0), (l, -1.0)], "<=", 0.0,
-                         label=f"budget__rc_lnk_{site.id}_lo")
+        for sign, side in ((1.0, "up"), (-1.0, "lo")):
+            m.add_constraint([(y_ids[j], sign), (z, -sign), (l, -1.0)], "<=", 0.0,
+                             label=f"budget__rc_lnk_{site.id}_{side}")
     col_totals = u.sum(axis=0)
     for j in instance.uncertain_variable:
         site = instance.sites[j]
@@ -325,7 +324,7 @@ def _read_csv(path: Path, expected: list[str]):
 
 def _float(path_name: str, row_id: str, field_name: str, raw: str) -> float:
     try:
-        return float(raw)
+        return _read_number(raw.strip())
     except ValueError:
         raise InstanceError(
             f"{path_name}: {field_name} for {row_id!r} is not a number: {raw!r}"
@@ -389,11 +388,11 @@ def load_instance(path) -> SiteSelectionInstance:
         key, value = (part.strip() for part in line.split("=", 1))
         settings[key] = value
 
-    def scalar(key, convert):
+    def scalar(key, kind=float):
         if key not in settings:
             raise InstanceError(f"{config_path.name}: missing {key}=")
         try:
-            return convert(settings[key])
+            return _read_number(settings[key], kind)
         except ValueError:
             raise InstanceError(
                 f"{config_path.name}: {key}={settings[key]!r} is not a number"
@@ -419,8 +418,8 @@ def load_instance(path) -> SiteSelectionInstance:
         units=tuple(units),
         sites=tuple(sites),
         probabilities=p,
-        budget=scalar("budget", float),
-        min_enrollment=scalar("min_enrollment", float),
+        budget=scalar("budget"),
+        min_enrollment=scalar("min_enrollment"),
         max_sites=scalar("max_sites", int),
         uncertain_fixed=site_list("uncertain_fixed"),
         uncertain_variable=site_list("uncertain_variable"),

@@ -271,8 +271,7 @@ def solve_lp(sf: StandardFormLP, options: SolverOptions | None = None) -> Soluti
     if res.status == "infeasible":
         return Solution("infeasible", {}, math.nan, stats)
     if res.status == "unbounded":
-        obj = INF if sf.sense == "max" else -INF
-        return Solution("unbounded", {}, obj, stats)
+        return Solution("unbounded", {}, sf.model_objective(INF), stats)
     return Solution("limit_reached", {}, math.nan, stats)
 
 
@@ -379,7 +378,7 @@ def _solve_standard(sf: StandardFormLP, deadline: float, duals: bool = False,
     the first try took a step, and otherwise, or at a second, the LP ends
     with 'limit'.  Every loop stops at ``deadline``.  The result carries the
     final basis; its duals are computed only when ``duals`` is set."""
-    n, m = sf.n_cols, sf.a.shape[0]
+    n, m = len(sf.c), sf.a.shape[0]
     if sf.a.shape[1] != n or sf.col_lo.shape != (n,) or sf.col_hi.shape != (n,):
         raise SolverError("constraint matrix or bound width does not match objective length")
     if sf.row_lo.shape != (m,) or sf.row_hi.shape != (m,):
@@ -489,7 +488,7 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
     bounded = False  # some node LP was optimal, so none can be unbounded
     while heap:
         neg_bound, _, node = heapq.heappop(heap)
-        if -neg_bound <= best_cano + _PRUNE_TOL and best_values is not None:
+        if -neg_bound <= best_cano + _PRUNE_TOL:
             break  # best-bound order: nothing left can improve
         if stats.nodes >= options.max_nodes or time.monotonic() > deadline:
             status = "limit_reached"
@@ -510,7 +509,7 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
             break
         bounded = True
         cano = res.objective  # canonical max value from _solve_standard
-        if cano <= best_cano + _PRUNE_TOL and best_values is not None:
+        if cano <= best_cano + _PRUNE_TOL:
             continue
         var = _branching_var(res.x, is_int)
         if var is None:
@@ -559,20 +558,16 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
                 counter += 1
                 heapq.heappush(heap, (-cano, counter, NodeRecord(lo, hi, res.basis)))
 
-    if status == "unbounded":
-        best_values = None
     if cone_rows:
         stats.cone_violation = cut_off if best_values is None else max(
             [0.0] + [model.evaluate_constraint(best_values, con.id) for con in cone_rows])
     if status == "unbounded":
-        obj = INF if model.objective_sense == "max" else -INF
-        return Solution("unbounded", {}, obj, stats)
+        return Solution("unbounded", {}, lp.model_objective(INF), stats)
     if best_values is None:
         if status == "limit_reached":
             return Solution("limit_reached", {}, math.nan, stats)
         return Solution("infeasible", {}, math.nan, stats)
-    objective = best_cano if model.objective_sense == "max" else -best_cano
-    return Solution(status, best_values, objective, stats)
+    return Solution(status, best_values, lp.model_objective(best_cano), stats)
 
 
 # -- cone cuts ----------------------------------------------------------------

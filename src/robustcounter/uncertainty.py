@@ -27,29 +27,7 @@ import numbers
 from dataclasses import dataclass, fields
 from statistics import NormalDist
 
-from .model import Model, ModelError, _num
-
-__all__ = [
-    "RHS",
-    "Bounded",
-    "BoundedRange",
-    "Normal",
-    "Uniform",
-    "Poisson",
-    "Binomial",
-    "Discrete",
-    "UncertainEntry",
-    "UncertainSet",
-    "omega_from_kappa",
-    "normal_lambda",
-    "discrete_deviation",
-    "bounded_interval",
-    "check_levels",
-    "slack_allowance",
-    "deviation_radius",
-    "parse_annotations",
-    "format_annotations",
-]
+from .model import Model, ModelError, _num, _read_number
 
 
 class _RhsMarker:
@@ -433,8 +411,9 @@ def _parse_distribution(tag: str, args: list[str]):
         raise ValueError(f"{tag} takes {expected}, got {len(args)}")
     try:
         if cls is Discrete:
-            return Discrete(tuple(map(float, args[0::2])), tuple(map(float, args[1::2])))
-        return cls(*(int(a) if f.type == "int" else float(a)
+            return Discrete(tuple(map(_read_number, args[0::2])),
+                            tuple(map(_read_number, args[1::2])))
+        return cls(*(_read_number(a, int if f.type == "int" else float)
                      for f, a in zip(fields(cls), args)))
     except ValueError as exc:
         raise ValueError(f"malformed {tag} arguments {args}: {exc}") from None

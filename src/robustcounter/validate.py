@@ -157,18 +157,19 @@ def corner_check(model: Model, uncertain_set: UncertainSet, solution_values,
     violation to stay within the ``delta * max(1, |rhs|)`` allowance.
     Constraints without uncertain entries are checked for plain feasibility.
 
-    Only bounded interval distributions are supported; use
-    :func:`monte_carlo_check` for random ones.  ``epsilon`` and ``delta``
-    must be finite and nonnegative, and every value the rows read present
-    and finite.
+    Only the tags with a bounded support are supported, ``Bounded``,
+    ``BoundedRange`` and ``Uniform`` (whose interval is the support Monte
+    Carlo draws from); use :func:`monte_carlo_check` for the others.
+    ``epsilon`` and ``delta`` must be finite and nonnegative, and every
+    value the rows read present and finite.
     """
     check_levels(epsilon, delta)
     uncertain_set.validate(model)
     _require_finite_values(model, solution_values, model.constraints)
     for entry in uncertain_set:
-        if not isinstance(entry.distribution, (Bounded, BoundedRange)):
+        if not isinstance(entry.distribution, (Bounded, BoundedRange, Uniform)):
             raise ValueError(
-                f"corner_check supports bounded distributions only, got "
+                f"corner_check supports bounded, range and uniform tags only, got "
                 f"{type(entry.distribution).__name__}; use monte_carlo_check"
             )
 

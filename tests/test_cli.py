@@ -173,6 +173,14 @@ def test_sitesel_json(workdir, capsys):
     assert set(payload) >= {"status", "objective", "open_sites", "budget_used"}
 
 
+def test_sitesel_rc_json(workdir, capsys):
+    rc = main(["sitesel", str(workdir / "hk_demo"), "--mode", "rc", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert payload["objective"] == pytest.approx(159.0, rel=1e-9)
+    assert payload["open_sites"] == ["s1", "s3"]
+
+
 def test_grid_spec_parsing():
     grid = parse_grid_spec(["eps=0:0.05:0.1", "delta=0,0.1", "kappa=1"])
     eps_values = sorted({p[0] for p in grid})

@@ -128,6 +128,19 @@ def test_add_constraint_rejects_foreign_variable():
         m.add_constraint([(42, 1.0)], "<=", 1.0)
 
 
+@pytest.mark.parametrize("component, message", [
+    ((42, 1.0), "unknown variable id 42"),
+    ((0, math.nan), "coefficient of 'x' must be finite, got nan"),
+    ((0, INF), "coefficient of 'x' must be finite, got inf"),
+], ids=["foreign-id", "nan", "inf"])
+def test_add_constraint_checks_cone_components_like_terms(component, message):
+    m = Model()
+    m.add_variable("x")
+    with pytest.raises(ModelError, match=re.escape(message)):
+        m.add_constraint([(0, 1.0)], "<=", 1.0, cone=ConeTerm(1.0, (component,)))
+    assert not m.constraints
+
+
 def test_cone_only_on_le():
     m = Model()
     x = m.add_variable("x")
@@ -420,6 +433,24 @@ def test_import_rejects_nonfinite_data(line, text):
     with pytest.raises(ParseError) as err:
         import_text("#vars\n" + text)
     assert err.value.line == line
+
+
+@pytest.mark.parametrize("line, text", [
+    (2, "x continuous 0 1_0\n#obj\nmax 1*x\n#cons\n"),
+    (2, "x continuous \u0660 10\n#obj\nmax 1*x\n#cons\n"),
+    (4, "x continuous 0 10\n#obj\nmax \u0661*x\n#cons\n"),
+    (6, "x continuous 0 10\n#obj\nmax 1*x\n#cons\nc: 1*x <= \u0661\u0660\n"),
+], ids=["underscore-bound", "arabic-indic-bound", "arabic-indic-objective",
+        "arabic-indic-rhs"])
+def test_import_reads_ascii_numbers_only(line, text):
+    """Every number of model text is ASCII decimal, scientific or inf;
+    ``float`` once read these spellings in bounds and ``\\d`` in rows."""
+    with pytest.raises(ParseError) as err:
+        import_text("#vars\n" + text)
+    assert err.value.line == line
+    m = import_text("#vars\nx continuous -inf inf\n#obj\nmin 1*x\n#cons\nc: 1*x >= -inf\n")
+    assert (m.variables[0].lower, m.variables[0].upper, m.constraints[0].rhs) == (
+        -INF, INF, -INF)
 
 
 def test_nonfinite_coefficient_does_not_solve():

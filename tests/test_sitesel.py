@@ -538,6 +538,31 @@ def test_load_instance_names_bad_probability_cell(tmp_path):
         load_instance(tmp_path / "demo")
 
 
+@pytest.mark.parametrize("path, old, new, message", [
+    ("units.csv", "u1,Harbour,120.0", "u1,Harbour,1_20", "population for 'u1'"),
+    ("units.csv", "u1,Harbour,120.0", "u1,Harbour,inf", "population must be finite"),
+    ("sites.csv", "s1,North campus,55.0", "s1,North campus,\u0665\u0665",
+     "fixed_cost for 's1'"),
+    ("prob.csv", "u1,0.5", "u1,\u0660.5", r"p\[u1,s1\]"),
+    ("config.txt", "budget=150.0", "budget=1_50", "budget="),
+    ("config.txt", "max_sites=3", "max_sites=\u0663", "max_sites="),
+    ("config.txt", "max_sites=3", "max_sites=3.0", "max_sites="),
+], ids=["underscore-population", "inf-population", "arabic-indic-cost",
+        "arabic-indic-probability", "underscore-budget", "arabic-indic-max-sites",
+        "decimal-max-sites"])
+def test_load_instance_reads_ascii_numbers_only(tmp_path, path, old, new, message):
+    """Instance numbers follow the model text's grammar (integers for
+    max_sites); ``float`` and ``int`` once read these spellings.  ``inf``
+    still reads, and the data checks reject it."""
+    write_instance(demo_instance(), tmp_path / "demo")
+    target = tmp_path / "demo" / path
+    text = target.read_text()
+    assert old in text
+    target.write_text(text.replace(old, new, 1))
+    with pytest.raises(InstanceError, match=message):
+        load_instance(tmp_path / "demo")
+
+
 def test_load_instance_missing_file(tmp_path):
     write_instance(demo_instance(), tmp_path / "demo")
     (tmp_path / "demo" / "prob.csv").unlink()

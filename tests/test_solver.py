@@ -177,10 +177,16 @@ def test_unproven_verdict_is_retried_only_after_a_step(monkeypatch):
 
 
 def test_lp_unbounded():
-    m = Model()
-    x = m.add_variable("x")
-    m.set_objective("max", [(x, 1.0)])
-    assert solve_lp(to_standard_form(m.finalize())).status == "unbounded"
+    """An unbounded solve reports the model's infinity, +inf for max and
+    -inf for min, from the LP and from branch and bound alike."""
+    for sense, objective in (("max", INF), ("min", -INF)):
+        for kind in ("continuous", "integer"):
+            m = Model()
+            x = m.add_variable("x", kind, -INF, INF)
+            m.set_objective(sense, [(x, 1.0)])
+            m.finalize()
+            for sol in (solve_lp(to_standard_form(m)), solve_milp(m)):
+                assert (sol.status, sol.objective) == ("unbounded", objective)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -504,6 +504,11 @@ def test_annotation_normal_keeps_every_digit():
     ("discrete 1 0.5 2", "discrete takes value/probability pairs, got 3 arguments"),
     ("discrete", "discrete takes value/probability pairs, got 0 arguments"),
     ("normal 1 oops", "malformed normal arguments"),
+    ("normal 1_0 2", "malformed normal arguments"),
+    ("binomial \u0661\u0660 0.5", "malformed binomial arguments"),
+    ("binomial +1_0 0.5", "malformed binomial arguments"),
+    ("discrete \u0661 1", "malformed discrete arguments"),
+    ("bounded inf", "malformed bounded arguments ['inf']: bounded half-width must be finite"),
     ("gamma 1 2", "unknown distribution tag 'gamma'"),
 ])
 def test_annotation_tags_count_their_arguments(payload, message):

@@ -123,6 +123,20 @@ def test_corner_rejects_random_distributions():
         corner_check(m, uset, {x: 1.0}, 0.1, 0.0)
 
 
+def test_corner_certifies_uniform_tags():
+    """A uniform entry realizes ``a (1 + eps xi)``, ``|xi| <= 1``: the
+    interval the interval counterpart protects, which corner_check used to
+    refuse."""
+    m, x = _one_row()
+    uset = UncertainSet([(0, x, Uniform()), (0, RHS, Uniform())])
+    sol = solve(interval_robust_counterpart(m, uset, 0.1, 0.0).model)
+    assert sol.objective == pytest.approx(9.0 / 1.1)
+    point = {x: sol.values[x]}
+    assert corner_check(m, uset, point, 0.1, 0.0).certified
+    assert monte_carlo_check(m, uset, point, 0.1, 0.0, 1000, 0).violations == 0
+    assert not corner_check(m, uset, {x: 8.2}, 0.1, 0.0).certified
+
+
 def _generated_instance(units, sites, gen_seed):
     """Seeded m x n site-selection instance with every cost and the budget
     uncertain: populations 40-200, fixed costs 40-90, variable costs
