@@ -20,7 +20,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .model import Model, export_text, import_text
+from .model import Model, _read_number, export_text, import_text
 from .robustify import interval_robust_counterpart, symmetric_robust_counterpart
 from .sitesel import (
     SiteSelectionInstance,
@@ -35,11 +35,21 @@ from .validate import corner_check, monte_carlo_check, sweep, write_sweep_csv
 
 _STATUS_EXIT = {"optimal": 0, "infeasible": 2, "unbounded": 3, "limit_reached": 4}
 _MAX_GRID = 10_000  # values on one sweep axis, and cells in one sweep grid
+# numeric options, read in `main` as model text reads numbers: a bad one is one error line
+_NUMBER_OPTIONS = {"eps": float, "delta": float, "kappa": float, "time_limit": float,
+                   "max_nodes": int, "jobs": int, "mc": int, "seed": int}
 
 
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 1
+
+
+def _number(key: str, text: str, kind=float):
+    try:
+        return _read_number(text.strip(), kind)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def _read_model(path: str) -> Model:
@@ -181,14 +191,14 @@ def _parse_axis(spec: str, key: str) -> list[float]:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError(f"{key}: range must be start:step:stop, got {spec!r}")
-        start, step, stop = _finite(key, [float(p) for p in parts])
+        start, step, stop = _finite(key, [_number(key, p) for p in parts])
         if step <= 0:
             raise ValueError(f"{key}: range step must be positive")
         span = (stop - start + 1e-12) / step  # the last index, before flooring
         if span >= _MAX_GRID:
             raise ValueError(f"{key}: range {spec!r} has more than {_MAX_GRID} values")
         return [round(start + i * step, 12) for i in range(math.floor(span) + 1)]
-    return _finite(key, [float(tok) for tok in spec.split(",") if tok.strip()])
+    return _finite(key, [_number(key, tok) for tok in spec.split(",") if tok.strip()])
 
 
 def parse_grid_spec(tokens) -> list[tuple[float, float, float]]:
@@ -341,18 +351,18 @@ def cmd_validate(args) -> int:
 
 
 def _add_robust_params(p):
-    p.add_argument("--eps", type=float, default=0.05,
+    p.add_argument("--eps", default=0.05,
                    help="uncertainty level (default 0.05)")
-    p.add_argument("--delta", type=float, default=0.0,
+    p.add_argument("--delta", default=0.0,
                    help="infeasibility tolerance (default 0)")
-    p.add_argument("--kappa", type=float, default=0.14,
+    p.add_argument("--kappa", default=0.14,
                    help="reliability level (default 0.14)")
 
 
 def _add_solver_params(p):
-    p.add_argument("--max-nodes", type=int, default=None,
+    p.add_argument("--max-nodes", default=None,
                    help="branch-and-bound node limit")
-    p.add_argument("--time-limit", type=float, default=None,
+    p.add_argument("--time-limit", default=None,
                    help="wall-clock limit in seconds")
 
 
@@ -398,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--annotations", help="required for model-file sweeps")
     p.add_argument("--mode", choices=("irc", "rc"), default="rc")
     p.add_argument("--exact-assignment", action="store_true")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", default=1,
                    help="parallel workers for sweep cells")
     _add_solver_params(p)
     p.add_argument("-o", "--output", required=True, help="output CSV path")
@@ -410,12 +420,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("annotations")
     p.add_argument("--solution", help="solution JSON (from solve --json); "
                    "defaults to solving the model itself")
-    p.add_argument("--mc", type=int, metavar="N", default=0,
+    p.add_argument("--mc", metavar="N", default=0,
                    help="Monte Carlo estimation with N samples instead of the "
                    "corner check")
-    p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--eps", default=0.05)
+    p.add_argument("--delta", default=0.0)
+    p.add_argument("--seed", default=0,
                    help="Monte Carlo seed in [0, 2**64) (default 0)")
     _add_solver_params(p)
     p.set_defaults(func=cmd_validate)
@@ -430,6 +440,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
+        for name, kind in _NUMBER_OPTIONS.items():
+            if isinstance(text := getattr(args, name, None), str):
+                setattr(args, name, _number("--" + name.replace("_", "-"), text, kind))
         return args.func(args)
     except (OSError, ValueError) as exc:  # every library input error is a ValueError
         return _fail(str(exc))

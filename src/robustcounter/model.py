@@ -30,6 +30,18 @@ CONE_CUT_TOL = 1e-6
 
 VARIABLE_KINDS = ("continuous", "binary", "integer")
 SENSES = ("<=", ">=", "=")
+
+
+def residual(sense: str, lhs, rhs):
+    """``lhs - rhs`` for ``<=``, ``rhs - lhs`` for ``>=``, ``|lhs - rhs|`` for
+    ``=``, of floats or arrays; nonpositive means satisfied."""
+    if sense == "<=":
+        return lhs - rhs
+    if sense == ">=":
+        return rhs - lhs
+    return abs(lhs - rhs)
+
+
 #: Variable names and constraint labels: what the text format reads back.
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -299,12 +311,8 @@ class Model:
     # -- evaluation -------------------------------------------------------
 
     def evaluate_constraint(self, values, con_id: int) -> float:
-        """Signed residual of one constraint at a point.
-
-        Returns ``lhs - rhs`` for ``<=`` rows, ``rhs - lhs`` for ``>=`` rows
-        and ``|lhs - rhs|`` for equalities, where ``lhs`` includes the cone
-        term.  Nonpositive means satisfied for inequalities.
-        """
+        """Signed :func:`residual` of one constraint at a point, where
+        ``lhs`` includes the cone term."""
         con = self.constraints[con_id]
         for var_id, _ in con.lhs.terms + (con.cone.components if con.cone else ()):
             if var_id not in values:
@@ -314,11 +322,7 @@ class Model:
         lhs = con.lhs.value(values)
         if con.cone is not None:
             lhs += con.cone.value(values)
-        if con.sense == "<=":
-            return lhs - con.rhs
-        if con.sense == ">=":
-            return con.rhs - lhs
-        return abs(lhs - con.rhs)
+        return residual(con.sense, lhs, con.rhs)
 
     def max_violation(self, values) -> float:
         """Largest residual over all constraints (0 when fully feasible)."""
@@ -577,11 +581,13 @@ def import_text(text: str) -> Model:
             parts = line.split()
             if len(parts) != 4:
                 raise ParseError("expected 'name kind lower upper'", line_no, 1)
-            name, kind, lo_s, hi_s = parts
+            name, kind, lo, hi = parts
             try:
-                lo, hi = _read_number(lo_s), _read_number(hi_s)
-            except ValueError:
-                raise ParseError("malformed bound", line_no, len(name) + len(kind) + 3)
+                lo = _read_number(lo)
+                hi = _read_number(hi)
+            except ValueError:  # at the bad bound's own column in the raw line
+                bad = list(re.finditer(r"\S+", raw))[2 if isinstance(lo, str) else 3]
+                raise ParseError("malformed bound", line_no, bad.start() + 1)
             try:
                 model.add_variable(name, kind, lo, hi)
             except ModelError as exc:

@@ -2,11 +2,14 @@
 
 Uncertain data enters a model as per-constraint entries: a coefficient (or
 the right-hand side) of one constraint is tagged with a distribution.  This
-module holds those tags plus the scalar conversions used by the robust
-counterparts:
+module holds those tags, each with the support ``xi`` of its perturbation
+and a ``draw`` of it, plus the scalar conversions used by the robust
+counterparts and the checks:
 
 * ``bounded_interval`` -- the realization interval of one tagged entry, at
   the tag's own level or at the global level ``epsilon``
+* ``support`` and ``draw_deviations`` -- the interval holding every draw
+  of an entry's realization, and a block of those draws, minus the nominal
 * ``check_levels`` and ``slack_allowance`` -- the one check of a run's
   ``epsilon`` and ``delta``, and the violation ``delta`` allows a row
 * ``omega_from_kappa`` -- the reliability weight from ``kappa = exp(-omega^2/2)``
@@ -61,8 +64,22 @@ def _require_finite(*params: float) -> None:
         raise ValueError(f"distribution parameters must be finite, got {params}")
 
 
+class _UnitXi:
+    """xi uniform on ``[-1, 1]``, drawn in place: ``low + (high - low) * u``
+    is numpy's ``uniform(low, high)`` bit for bit, without its slower path."""
+
+    xi = (-1.0, 1.0)
+
+    def draw(self, rng, size: int):
+        low, high = self.xi
+        out = rng.random(size)
+        out *= high - low
+        out += low
+        return out
+
+
 @dataclass(frozen=True)
-class Bounded:
+class Bounded(_UnitXi):
     """Interval of relative half-width epsilon around the nominal value.
 
     ``epsilon=None`` defers to the global uncertainty level of the run.
@@ -87,6 +104,9 @@ class BoundedRange:
         if self.low > self.high:
             raise ValueError(f"empty range [{self.low}, {self.high}]")
 
+    def draw(self, rng, size: int):  # realized; + 0.0: numpy refuses [0.0, -0.0]
+        return rng.uniform(self.low, self.high + 0.0, size=size)
+
 
 @dataclass(frozen=True)
 class Normal:
@@ -98,9 +118,18 @@ class Normal:
         if self.std <= 0:
             raise ValueError("normal std must be positive")
 
+    @property
+    def xi(self) -> tuple[float, float]:  # a draw is clipped to six sigma
+        return self.mean - 6.0 * self.std, self.mean + 6.0 * self.std
+
+    def draw(self, rng, size: int):
+        out = rng.normal(self.mean, self.std, size=size)
+        out.clip(*self.xi, out=out)
+        return out
+
 
 @dataclass(frozen=True)
-class Uniform:
+class Uniform(_UnitXi):
     """Symmetric perturbation uniform on [-1, 1], scaled by the global level."""
 
 
@@ -112,11 +141,16 @@ _POISSON_MAX = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
 class Poisson:
     mean: float
 
+    xi = None  # unbounded
+
     def __post_init__(self):
         _require_finite(self.mean)
         if not 0 < self.mean <= _POISSON_MAX:
             raise ValueError(
                 f"poisson mean must lie in (0, {_POISSON_MAX!r}], got {self.mean!r}")
+
+    def draw(self, rng, size: int):
+        return rng.poisson(self.mean, size=size).astype(float)
 
 
 @dataclass(frozen=True)
@@ -129,6 +163,13 @@ class Binomial:
             raise ValueError(f"binomial n must be an integer in [0, 2**63), got {self.n!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("binomial p must lie in [0, 1]")
+
+    @property
+    def xi(self) -> tuple[float, float]:
+        return 0.0, float(self.n)
+
+    def draw(self, rng, size: int):
+        return rng.binomial(self.n, self.p, size=size).astype(float)
 
 
 @dataclass(frozen=True)
@@ -147,6 +188,13 @@ class Discrete:
         if abs(sum(self.probs) - 1.0) > 1e-9:
             raise ValueError("discrete probabilities must sum to 1")
 
+    @property
+    def xi(self) -> tuple[float, float]:
+        return min(self.values), max(self.values)
+
+    def draw(self, rng, size: int):
+        return rng.choice(self.values, size=size, p=self.probs).astype(float)
+
 
 # the annotation tag of each distribution; a tag takes one argument per field
 # of its class (an integer for an `int` field), except that `bounded` may take
@@ -154,6 +202,9 @@ class Discrete:
 _TAGS = {Bounded: "bounded", BoundedRange: "range", Normal: "normal", Uniform: "uniform",
          Poisson: "poisson", Binomial: "binomial", Discrete: "discrete"}
 _TAG_CLASSES = {tag: cls for cls, tag in _TAGS.items()}
+
+# the tags whose support is their bounded_interval: the corner check's tags
+INTERVAL_TAGS = (Bounded, BoundedRange, Uniform)
 
 
 @dataclass(frozen=True)
@@ -327,30 +378,61 @@ def discrete_deviation(distribution, kappa: float):
     )
 
 
+def _level(distribution, epsilon: float | None) -> float | None:
+    """A ``Bounded`` tag's own half-width, else the global level ``epsilon``."""
+    if isinstance(distribution, Bounded) and distribution.epsilon is not None:
+        return distribution.epsilon
+    return epsilon
+
+
 def bounded_interval(nominal: float, distribution,
                      epsilon: float | None = None) -> tuple[float, float]:
     """Realization interval ``[low, high]`` of one uncertain value.
 
-    An explicit BoundedRange is returned as given; ``Bounded(eps_j)`` maps
-    nominal a to [a - eps_j|a|, a + eps_j|a|]; every other tag, at the
-    global level ``epsilon``, maps a to [a - eps|a|, a + eps|a|].  The
-    interval counterpart and the corner check both read an entry's interval
-    here.
+    An explicit BoundedRange is returned as given; every other tag maps
+    nominal a to [a - eps|a|, a + eps|a|] at its level (:func:`_level`).
+    The interval counterpart and the corner check both read an entry's
+    interval here.
     """
     if not math.isfinite(nominal):
         raise ValueError("nominal value must be finite")
     if isinstance(distribution, BoundedRange):
         return distribution.low, distribution.high
-    if isinstance(distribution, Bounded) and distribution.epsilon is not None:
-        eps = distribution.epsilon
-    elif epsilon is None:
+    eps = _level(distribution, epsilon)
+    if eps is None:
         raise ValueError(f"{distribution!r} without epsilon needs the global level")
-    else:
-        eps = epsilon
     if not 0 <= eps < math.inf:
         raise ValueError(f"epsilon must be finite and nonnegative, got {eps}")
     spread = eps * abs(nominal)
     return nominal - spread, nominal + spread
+
+
+def support(nominal: float, distribution, epsilon: float) -> tuple[float, float] | None:
+    """``[low, high]`` holding every realization :func:`draw_deviations`
+    draws, rounding aside, None for Poisson: :func:`bounded_interval` for the
+    ``INTERVAL_TAGS``, else the realizations ``nominal * (1 + eps * xi)`` at
+    the ends of ``xi``."""
+    if isinstance(distribution, INTERVAL_TAGS):
+        return bounded_interval(nominal, distribution, epsilon)
+    if distribution.xi is None:
+        return None
+    ends = [nominal * (1.0 + epsilon * v) for v in distribution.xi]
+    return min(ends), max(ends)
+
+
+def draw_deviations(nominal: float, distribution, epsilon: float, rng, size: int):
+    """``size`` draws of ``realization - nominal`` for one uncertain value,
+    in the buffer of the tag's ``draw``: a BoundedRange draws its realized
+    value, every other tag xi, realizing ``nominal * (1 + eps * xi)`` at its
+    :func:`_level`.  The in-place steps are the IEEE operations of the
+    out-of-place form, in its order, so the bits are the same."""
+    out = distribution.draw(rng, size)
+    if not isinstance(distribution, BoundedRange):
+        out *= _level(distribution, epsilon)
+        out += 1.0
+        out *= nominal
+    out -= nominal
+    return out
 
 
 def check_levels(epsilon: float, delta: float, error=ValueError) -> None:
@@ -372,13 +454,12 @@ def deviation_radius(nominal: float, distribution, epsilon: float,
     """Worst-case single-coefficient deviation radius used for conservatism
     comparisons across distribution families.
 
-    Bounded/BoundedRange/Uniform: half the :func:`bounded_interval` width
-    (epsilon * |nominal| at the global level).  Normal: epsilon *
-    normal_lambda(kappa) * std * |nominal|.  Poisson/Binomial/Discrete:
-    epsilon * |nominal| * discrete_deviation.  Only the last two read
-    ``kappa``, and they need it.
+    ``INTERVAL_TAGS``: half the :func:`bounded_interval` width (epsilon *
+    |nominal| at the global level).  Normal: epsilon * normal_lambda(kappa)
+    * std * |nominal|.  Poisson/Binomial/Discrete: epsilon * |nominal| *
+    discrete_deviation.  Only the last two read ``kappa``, and they need it.
     """
-    if isinstance(distribution, (Bounded, BoundedRange, Uniform)):
+    if isinstance(distribution, INTERVAL_TAGS):
         low, high = bounded_interval(nominal, distribution, epsilon)
         return (high - low) / 2.0
     if kappa is None:

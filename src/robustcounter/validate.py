@@ -14,14 +14,14 @@ candidate solution:
   tabulate objectives against the nominal solve, serially or on an executor.
 
 Sweep grid points are embarrassingly parallel.  The estimator walks its
-samples in fixed blocks on the calling thread, each entry drawing from its
-own counter-based stream that continues from block to block, and adds the
-terms to their rows in entry order: it holds a few one-block buffers and
-one generator per drawn entry, whatever the sample count, and its bits do
-not depend on the block size.  It draws nothing for a coefficient of a
-variable at 0, nor for a row whose worst realization in its tags' support,
-plus a stated rounding margin, stays within its allowance; the estimate
-stays the one with every entry drawn, bit for bit.
+samples in fixed blocks on the calling thread, each entry drawing
+(``uncertainty.draw_deviations``) from its own counter-based stream that
+continues from block to block, and adds the terms to their rows in entry
+order: it holds a few one-block buffers and one generator per drawn entry,
+whatever the sample count, and its bits do not depend on the block size.
+It draws nothing for a variable at 0, nor for a row whose worst realization
+in its tags' ``uncertainty.support``, plus a rounding margin, stays within
+its allowance; the estimate stays the one with every entry drawn, bitwise.
 """
 
 from __future__ import annotations
@@ -33,21 +33,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import FEASIBILITY_TOL, Model
+from .model import FEASIBILITY_TOL, Model, residual
 from .solver import SolverOptions, solve
 from .uncertainty import (
-    Bounded,
-    BoundedRange,
-    Binomial,
-    Discrete,
-    Normal,
-    Poisson,
-    Uniform,
+    INTERVAL_TAGS,
     UncertainSet,
     _is_int,
-    bounded_interval,
     check_levels,
+    draw_deviations,
     slack_allowance,
+    support,
 )
 
 _CERT_TOL = 1e-9
@@ -82,10 +77,7 @@ def _require_finite_values(model: Model, solution_values, constraints) -> None:
     infinite value turns a deviation into ``inf - inf``.
     """
     for con in constraints:
-        var_ids = [v for v, _ in con.lhs.terms]
-        if con.cone is not None:
-            var_ids += [v for v, _ in con.cone.components]
-        for var_id in var_ids:
+        for var_id, _ in con.lhs.terms + (con.cone.components if con.cone else ()):
             name = model.variables[var_id].name
             if var_id not in solution_values:
                 raise ValueError(f"solution_values has no value for variable {name}")
@@ -97,9 +89,7 @@ def _require_finite_values(model: Model, solution_values, constraints) -> None:
 
 def _nominal_coefficient(model: Model, entry) -> float:
     con = model.constraints[entry.constraint_id]
-    if entry.is_rhs:
-        return con.rhs
-    return dict(con.lhs.terms)[entry.target]
+    return con.rhs if entry.is_rhs else dict(con.lhs.terms)[entry.target]
 
 
 def _nominal_lhs(con, solution_values) -> float:
@@ -110,22 +100,21 @@ def _nominal_lhs(con, solution_values) -> float:
     return lhs
 
 
-def _worst_residual(model: Model, con, entries, solution_values, epsilon: float,
-                    interval=bounded_interval) -> tuple[float, float] | None:
+def _worst_residual(model: Model, con, entries, solution_values, epsilon: float
+                    ) -> tuple[float, float] | None:
     """Greatest residual of row ``con`` over its ``entries``, each anywhere
-    in its own ``interval(nominal, distribution, epsilon)`` independently of
-    the others, and the row's magnitude ``S = |lhs0| + |rhs| + sum_j m_j
-    |x_j|`` (``m_j = max(|a_j|, |lo_j|, |hi_j|)``, inf from 2**1000 on);
-    None when an interval is None.  The worst case is separable: ``lhs0 +
-    sum_j max((lo_j - a_j) x_j, (hi_j - a_j) x_j) - rhs_lo`` for a ``<=``
-    row, mirrored for ``>=`` and the larger side for ``=``.
+    in its own :func:`support` independently of the others, and the row's
+    magnitude ``S = |lhs0| + |rhs| + sum_j m_j |x_j|`` (``m_j = max(|a_j|,
+    |lo_j|, |hi_j|)``, inf from 2**1000 on); None when a support is None.
+    The worst case is separable: each side's interval is summed entry by
+    entry, and the residual is the larger at its two opposite ends.
     """
     lhs_low = lhs_high = lhs = _nominal_lhs(con, solution_values)
     rhs_low = rhs_high = con.rhs
     size = abs(lhs) + abs(con.rhs)
     for entry in entries:
         nominal = _nominal_coefficient(model, entry)
-        bounds = interval(nominal, entry.distribution, epsilon)
+        bounds = support(nominal, entry.distribution, epsilon)
         if bounds is None:
             return None
         low, high = bounds
@@ -141,8 +130,8 @@ def _worst_residual(model: Model, con, entries, solution_values, epsilon: float,
         lhs_low += min(shifts)
         lhs_high += max(shifts)
         size += scale * abs(x)
-    over, under = lhs_high - rhs_low, rhs_high - lhs_low
-    return {"<=": over, ">=": under}.get(con.sense, max(over, under)), size
+    return max(residual(con.sense, lhs_high, rhs_low),
+               residual(con.sense, lhs_low, rhs_high)), size
 
 
 def corner_check(model: Model, uncertain_set: UncertainSet, solution_values,
@@ -150,16 +139,16 @@ def corner_check(model: Model, uncertain_set: UncertainSet, solution_values,
     """Certify a solution against the worst corner of the uncertainty box.
 
     Each uncertain entry belongs to exactly one row and ranges over its own
-    interval (:func:`bounded_interval`), independently of the others, so the
+    interval (:func:`support`), independently of the others, so the
     worst case of a row is separable (:func:`_worst_residual`).  That is the
     worst of all ``2**len(uncertain_set)`` corners, which ``corners_checked``
     reports, without enumerating them.  Certification requires every
     violation to stay within the ``delta * max(1, |rhs|)`` allowance.
     Constraints without uncertain entries are checked for plain feasibility.
 
-    Only the tags with a bounded support are supported, ``Bounded``,
-    ``BoundedRange`` and ``Uniform`` (whose interval is the support Monte
-    Carlo draws from); use :func:`monte_carlo_check` for the others.
+    Only the ``INTERVAL_TAGS`` are supported, ``Bounded``, ``BoundedRange``
+    and ``Uniform``, whose support is their :func:`bounded_interval`; use
+    :func:`monte_carlo_check` for the others.
     ``epsilon`` and ``delta`` must be finite and nonnegative, and every
     value the rows read present and finite.
     """
@@ -167,11 +156,10 @@ def corner_check(model: Model, uncertain_set: UncertainSet, solution_values,
     uncertain_set.validate(model)
     _require_finite_values(model, solution_values, model.constraints)
     for entry in uncertain_set:
-        if not isinstance(entry.distribution, (Bounded, BoundedRange, Uniform)):
+        if not isinstance(entry.distribution, INTERVAL_TAGS):
             raise ValueError(
                 f"corner_check supports bounded, range and uniform tags only, got "
-                f"{type(entry.distribution).__name__}; use monte_carlo_check"
-            )
+                f"{type(entry.distribution).__name__}; use monte_carlo_check")
 
     grouped = uncertain_set.by_constraint()
     worst: dict[int, float] = {}
@@ -199,73 +187,6 @@ def _entry_stream(seed: int, entry_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _normal_clip(dist) -> tuple[float, float]:
-    """The six-sigma interval a normal xi is clipped to."""
-    return dist.mean - 6.0 * dist.std, dist.mean + 6.0 * dist.std
-
-
-def _support(nominal: float, dist, epsilon: float) -> tuple[float, float] | None:
-    """``[low, high]`` holding every realization :func:`_deviation` draws,
-    rounding aside; None for Poisson (unbounded).  The relative tags realize
-    ``nominal * (1 + eps * xi)``, so the ends of xi's support give the ends.
-    """
-    if isinstance(dist, (Bounded, BoundedRange, Uniform)):
-        return bounded_interval(nominal, dist, epsilon)
-    if isinstance(dist, Normal):
-        xi = _normal_clip(dist)
-    elif isinstance(dist, Binomial):
-        xi = (0.0, float(dist.n))
-    elif isinstance(dist, Discrete):
-        xi = (min(dist.values), max(dist.values))
-    else:
-        return None
-    ends = [nominal * (1.0 + epsilon * v) for v in xi]
-    return min(ends), max(ends)
-
-
-def _deviation(nominal: float, dist, epsilon: float, rng, n: int) -> np.ndarray:
-    """N draws of ``realization - nominal`` for one uncertain value, finished
-    in one buffer.
-
-    Bounded/Uniform draw a symmetric perturbation xi ~ U[-1, 1] and realize
-    ``nominal * (1 + eps * xi)`` (per-entry half-widths override the global
-    level); BoundedRange draws uniformly over its explicit interval; other
-    tags draw xi from the tagged distribution and realize the same relative
-    form, normals clipped by :func:`_normal_clip`; :func:`_support` bounds
-    the draws.  The in-place steps are the IEEE operations of ``nominal *
-    (1 + eps * xi) - nominal`` in that order, and ``u * 2 - 1`` is numpy's
-    ``uniform(-1, 1)``, so the bits are those of the out-of-place form.
-    """
-    if isinstance(dist, BoundedRange):
-        out = rng.uniform(dist.low, dist.high, size=n)
-        out -= nominal
-        return out
-    eps = epsilon
-    if isinstance(dist, (Bounded, Uniform)):
-        if isinstance(dist, Bounded) and dist.epsilon is not None:
-            eps = dist.epsilon
-        out = rng.random(n)
-        out *= 2.0
-        out -= 1.0
-    elif isinstance(dist, Normal):
-        out = rng.normal(dist.mean, dist.std, size=n)
-        np.clip(out, *_normal_clip(dist), out=out)
-    elif isinstance(dist, Poisson):
-        out = rng.poisson(dist.mean, size=n).astype(np.float64)
-    elif isinstance(dist, Binomial):
-        out = rng.binomial(dist.n, dist.p, size=n).astype(np.float64)
-    elif isinstance(dist, Discrete):
-        out = rng.choice(np.asarray(dist.values), size=n,
-                         p=np.asarray(dist.probs)).astype(np.float64)
-    else:
-        raise ValueError(f"unsupported distribution {dist!r}")
-    out *= eps
-    out += 1.0
-    out *= nominal
-    out -= nominal
-    return out
-
-
 def monte_carlo_check(model: Model, uncertain_set: UncertainSet, solution_values,
                       epsilon: float, delta: float, n_samples: int, seed: int
                       ) -> ViolationEstimate:
@@ -283,7 +204,7 @@ def monte_carlo_check(model: Model, uncertain_set: UncertainSet, solution_values
     integer (not a bool) in ``[0, 2**64)``: it is the low word of every
     entry's Philox key.
 
-    A row that no realization in its tags' support (:func:`_support`) can
+    A row that no realization in its tags' :func:`support` can
     violate counts 0 without a draw or a sample buffer: its greatest
     residual (:func:`_worst_residual`) plus the rounding margin
     ``8 * (k + 4) * 2**-52 * S`` stays within the allowance, for its k
@@ -296,14 +217,14 @@ def monte_carlo_check(model: Model, uncertain_set: UncertainSet, solution_values
     changes no count while the skipped term would be finite (an overflowed
     ``inf * 0`` is NaN, and a NaN row never counts).
 
-    The remaining entries are drawn in blocks of ``_MC_BLOCK`` samples, on
+    The remaining entries are drawn in blocks of ``_MC_BLOCK`` samples on
     the calling thread: each opens its stream once, and for each block each
-    drawn row starts from its nominal sides, adds its entries' terms in
-    entry order and counts its violations.  A stream continues from one
-    block to the next, so the draws are those of one call and the estimate
-    is the same bit for bit whatever the block size.  Only one row's
-    block is live at a time, so memory is a few one-block buffers plus one
-    generator per drawn entry, whatever ``n_samples``.
+    drawn row starts from its nominal sides, adds its entries' terms
+    (:func:`draw_deviations`) in entry order and counts its violations.  A
+    stream continues from block to block, so the draws and the estimate
+    are those of one call, bit for bit.  Only one row's block is live at a
+    time: memory is a few one-block buffers and one generator per drawn
+    entry, whatever ``n_samples``.
     """
     if not (_is_int(n_samples) and n_samples >= 1000):
         raise ValueError(
@@ -327,7 +248,7 @@ def monte_carlo_check(model: Model, uncertain_set: UncertainSet, solution_values
         con = model.constraints[con_id]
         limit = slack_allowance(con.rhs, delta) + _CERT_TOL
         bound = _worst_residual(model, con, [entries[idx] for idx in idxs],
-                                solution_values, epsilon, _support)
+                                solution_values, epsilon)
         if bound is not None:
             worst, size = bound
             margin = 8 * (len(idxs) + 4) * 2.0 ** -52 * size
@@ -348,19 +269,13 @@ def monte_carlo_check(model: Model, uncertain_set: UncertainSet, solution_values
         for con, lhs0, limit, terms in drawn:
             lhs, rhs = np.full(b, lhs0), np.full(b, con.rhs)
             for dist, nominal, x, rng in terms:
-                dev = _deviation(nominal, dist, epsilon, rng, b)
+                dev = draw_deviations(nominal, dist, epsilon, rng, b)
                 if x is None:
                     rhs += dev
                 else:
                     dev *= x
                     lhs += dev
-            if con.sense == "<=":
-                resid = lhs - rhs
-            elif con.sense == ">=":
-                resid = rhs - lhs
-            else:
-                resid = np.abs(lhs - rhs)
-            counts[con.id] += int(np.count_nonzero(resid > limit))
+            counts[con.id] += int(np.count_nonzero(residual(con.sense, lhs, rhs) > limit))
 
     worst_count = max(counts.values(), default=0)
     frequency = worst_count / n_samples

@@ -197,8 +197,21 @@ def test_grid_spec_parsing():
 
 @pytest.mark.parametrize("spec", ["eps=nan", "delta=0,inf", "eps=0:nan:1", "eps=nan:0.1:1"])
 def test_grid_spec_rejects_nonfinite(spec):
-    with pytest.raises(ValueError, match="values must be finite"):
+    """``inf`` reads and fails the finiteness check; ``nan`` is no number of
+    the grammar every file reader shares."""
+    message = "eps: malformed number 'nan'" if "nan" in spec else "values must be finite"
+    with pytest.raises(ValueError, match=message):
         parse_grid_spec([spec])
+
+
+@pytest.mark.parametrize("spec", ["eps=0_1", "eps=\u0661", "eps=Infinity", "delta=0,1_0",
+                                  "kappa=1:0_1:1", "eps=0:0.1:\u0661"])
+def test_grid_spec_reads_ascii_numbers_only(spec):
+    """Grid values are read like every number of model text; ``float`` read
+    ``eps=0_1`` as 1.0 and ``eps=\u0661`` as 1.0."""
+    with pytest.raises(ValueError, match=r"^(eps|delta|kappa): malformed number"):
+        parse_grid_spec([spec])
+    assert parse_grid_spec(["eps= 0.1 , 2e-1 "]) == [(0.1, 0.0, 1.0), (0.2, 0.0, 1.0)]
 
 
 def test_sweep_model_file(workdir, capsys):
@@ -229,11 +242,11 @@ def test_sweep_infeasible_cell_flagged_not_fatal(workdir):
 def test_sweep_bad_grid_exit_one(workdir, capsys):
     out = workdir / "s.csv"
     for grid, message in [
-        (["eps=oops"], "could not convert"),
+        (["eps=oops"], "eps: malformed number 'oops'"),
         (["eps=-0.1,0.05", "kappa=0,0.14"], "eps: values must be nonnegative"),
         (["eps=-0.1:0.05:0.1"], "eps: values must be nonnegative"),
         (["delta=0,-0.01"], "delta: values must be nonnegative"),
-        (["delta=nan"], "delta: values must be finite"),
+        (["delta=nan"], "delta: malformed number 'nan'"),
         (["eps=inf"], "eps: values must be finite"),
         (["kappa=0,0.14"], "kappa: values must lie in (0, 1]"),
         (["kappa=0.5,1.5"], "kappa: values must lie in (0, 1]"),
@@ -459,4 +472,30 @@ def test_unusable_numbers_exit_one(workdir, capsys, argv):
              "out": workdir / "out"}
     assert main([a.format(**paths) for a in argv]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("option, argv", [
+    ("--eps", ["sitesel", "{hk}", "--mode", "irc", "--eps", "0_05"]),
+    ("--kappa", ["sitesel", "{hk}", "--mode", "rc", "--kappa", "0_14"]),
+    ("--delta", ["robustify", "{model}", "{unc}", "--delta", "\u0660", "-o", "{out}"]),
+    ("--time-limit", ["solve", "{lp}", "--time-limit", "1_0"]),
+    ("--max-nodes", ["solve", "{lp}", "--max-nodes", "1.0"]),
+    ("--jobs", ["sweep", "{hk}", "eps=0", "--jobs", "\u0662", "-o", "{out}"]),
+    ("--mc", ["validate", "{model}", "{unc}", "--mc", "2_000"]),
+    ("--seed", ["validate", "{model}", "{unc}", "--mc", "2000", "--seed", "1_0"]),
+    ("--eps", ["validate", "{model}", "{unc}", "--eps", "\u0661"]),
+], ids=["eps", "kappa", "delta", "time-limit", "max-nodes", "jobs", "mc", "seed",
+        "validate-eps"])
+def test_numbers_outside_the_file_grammar_exit_one(workdir, capsys, option, argv):
+    """Every number on the command line is read like the numbers of model
+    text, counts as integers, and a rejection is one ``error:`` line naming
+    the option.  ``float`` and ``int`` read ``0_05`` as 5.0, ``1_0`` as 10
+    and Arabic-Indic digits as their values."""
+    paths = {"hk": workdir / "hk_demo", "model": workdir / "one_row.txt",
+             "unc": workdir / "one_row.unc", "lp": workdir / "demo_lp.txt",
+             "out": workdir / "out"}
+    assert main([a.format(**paths) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option}: malformed number ") and err.count("\n") == 1
     assert not (workdir / "out").exists()

@@ -453,6 +453,22 @@ def test_import_reads_ascii_numbers_only(line, text):
         -INF, INF, -INF)
 
 
+@pytest.mark.parametrize("raw, col", [
+    ("x continuous 0 1_0", 16),
+    ("x   continuous   0_1   1", 18),
+    ("  x continuous \u0660 10", 16),
+    ("x continuous 0\t1e", 16),
+], ids=["upper", "spaced-lower", "indented-lower", "tab-upper"])
+def test_import_points_a_malformed_bound_at_its_column(raw, col):
+    """A malformed ``#vars`` bound is reported at its own column in the raw
+    line, however the fields are spaced (it was always the column just
+    past ``name kind`` with single spaces)."""
+    with pytest.raises(ParseError) as err:
+        import_text(f"#vars\n{raw}\n#obj\nmax 1*x\n#cons\n")
+    assert (err.value.line, err.value.col) == (2, col)
+    assert raw[col - 1:].split()[0] in ("1_0", "0_1", "\u0660", "1e")
+
+
 def test_nonfinite_coefficient_does_not_solve():
     """A row with an infinite coefficient used to solve to a point that
     breaks it (x = y = 10 against 1*x + inf*y <= 3)."""

@@ -315,6 +315,54 @@ def test_bounded_interval_rejects_unusable_levels(eps):
             bounded_interval(10.0, tag, eps)
 
 
+# -- support and draw_deviations -------------------------------------------------------
+
+
+_LEVEL = st.floats(0.0, 2.0) | st.sampled_from([0.0, 0.05, 0.3])
+_VALUE = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1.0, -3.5, 1e16])
+
+
+@st.composite
+def _discrete(draw):
+    values = draw(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=5))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(values),
+                            max_size=len(values)))
+    return Discrete(tuple(values), tuple(w / sum(weights) for w in weights))
+
+
+_ANY_TAG = st.one_of(
+    st.builds(Bounded, st.none() | _LEVEL),
+    st.tuples(_VALUE, _VALUE).map(lambda ends: BoundedRange(*sorted(ends))),
+    st.builds(Normal, st.floats(-5.0, 5.0), st.floats(1e-3, 5.0)),
+    st.just(Uniform()),
+    st.builds(Poisson, st.floats(0.1, 50.0)),
+    st.builds(Binomial, st.integers(0, 60), st.floats(0.0, 1.0)),
+    _discrete(),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(nominal=_VALUE, tag=_ANY_TAG, eps=_LEVEL, seed=st.integers(0, 2 ** 64 - 1))
+@example(nominal=0.0, tag=BoundedRange(0.0, -0.0), eps=0.0, seed=0)
+def test_every_draw_lies_in_its_support(nominal, tag, eps, seed):
+    """``nominal + draw_deviations(...)`` lies within ``support(...)`` up to
+    a few ulps of the largest magnitude involved, for every tag family: the
+    Monte Carlo check skips a row on that bound alone.  A Poisson tag has
+    no support.  The range [0.0, -0.0] is drawn too (numpy's ``uniform``
+    refused it)."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    realized = nominal + robustcounter.uncertainty.draw_deviations(
+        nominal, tag, eps, rng, 513)
+    bounds = robustcounter.uncertainty.support(nominal, tag, eps)
+    if isinstance(tag, Poisson):
+        assert bounds is None
+        return
+    low, high = bounds
+    slack = 4 * 2.0 ** -52 * max(abs(nominal), abs(low), abs(high))
+    assert low <= high
+    assert realized.min() >= low - slack and realized.max() <= high + slack
+
+
 # -- conservatism ordering hook ----------------------------------------------------------
 
 
