@@ -153,6 +153,7 @@ class SolverStats:
     iterations: int = 0
     nodes: int = 0
     cone_cuts: int = 0
+    refactors: int = 0  # dense solves of B^-1 [A | -I]
     duals: np.ndarray | None = None
     cone_violation: float | None = None
 

@@ -4,23 +4,29 @@ that also cuts square-root cone rows.
 Everything here is deterministic for one numpy/BLAS build and thread count:
 identical inputs and options produce identical Solutions, including node
 counts.  Dense solves and products round differently per BLAS thread count
-(gen 12x8 rc takes 76,915 LP iterations with OpenBLAS's default threads and
-77,122 with one).  Every LP (``solve_lp``, the
-root of a tree, every node) runs through one routine over ``[A | -I]``:
-model variables keep their bounds on their columns and each row gets a
-logical column bounded by the row's range (Dantzig's upper-bounding
-technique).  The routine refactors ``B^-1 [A | -I]`` from the original
-matrix at the optimal basis of the LP the node was made from, or at the
-slack basis, which is never singular (Koberstein 2005; Achterberg 2007), so
-no rounding drifts from node to node.  A bounded dual simplex (Bland's
-leaving row, the largest pivot among near-tied ratios) reaches a feasible
-basis with wrong-signed reduced costs shifted to zero, and a bounded primal
-simplex with Bland's rule finishes with the true costs.  A row that no
-column can move is accepted within the feasibility tolerance.
-'infeasible' and 'unbounded' stand only when a ray recomputed from the
-original matrix proves them.  Branching picks the most fractional variable
-with lowest-index tie-breaks, and the node queue is ordered by best bound
-with FIFO tie-breaks.
+(gen 12x8 rc takes 78,004 LP iterations with OpenBLAS's two threads on a
+2-core host and 78,729 with one).  Every LP (``solve_lp``, the root of a
+tree, every node) runs through one routine over ``[A | -I]``: model
+variables keep their bounds on their columns and each row gets a logical
+column bounded by the row's range (Dantzig's upper-bounding technique).  ``solve_lp`` and the root of a tree start at the slack
+basis, where the tableau is ``-[A | -I]``.  A node LP starts from the final
+tableau ``B^-1 [A | -I]`` of the LP it was made from, its parent's or,
+after a cut, its own; rows appended since join it with their logicals
+basic (the dual-simplex warm start of Koberstein 2005; Achterberg 2007).
+The tableau is solved for afresh from the original matrix at that LP's
+basis only when the tree no longer holds it (it holds those of the last
+``_HELD_TABLEAUX`` LPs that made nodes), once it has carried
+``_REFACTOR_EVERY`` LP iterations since its last dense solve, so rounding
+drifts only that far, and on the retry after an unproven verdict.  The
+slack basis, which is never singular, replaces a singular one.  A bounded
+dual simplex (Bland's leaving row, the largest pivot among near-tied
+ratios) reaches a feasible basis with wrong-signed reduced costs shifted to
+zero, and a bounded primal simplex with Bland's rule finishes with the true
+costs.  A row that no column can move is accepted within the feasibility
+tolerance.  'infeasible' and 'unbounded' stand only when a ray recomputed
+from the original matrix proves them.  Branching picks the most fractional
+variable with lowest-index tie-breaks, and the node queue is ordered by
+best bound with FIFO tie-breaks.
 
 Square-root cone rows are handled by LP/NLP-based branch and bound (Quesada
 & Grossmann 1992): node LPs see each cone row at its radical floor, and at
@@ -48,6 +54,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -69,6 +76,8 @@ from .model import (
 _PIVOT_TOL = 1e-9
 _MAX_ITER = 1_000_000  # pivots per simplex loop before it reports "limit"
 _PRUNE_TOL = 1e-9
+_HELD_TABLEAUX = 16  # LP results whose final tableaux a tree holds for its nodes
+_REFACTOR_EVERY = 50  # LP iterations a tableau carries before a node refactors
 
 
 class SolverError(ValueError):
@@ -94,28 +103,34 @@ class SolverOptions:
 @dataclass
 class NodeRecord:
     """One branch-and-bound subproblem: every variable's bounds in id order
-    (read-only, shared with children), and the optimal basis of the LP it
-    was made from, if it has one."""
+    (read-only, shared with children), and the optimal result of the LP it
+    was made from, if it has one (shared by both children): the node starts
+    from that result's final tableau while the tree holds it, and otherwise
+    refactors at that result's basis."""
 
     lo: np.ndarray
     hi: np.ndarray
-    basis: tuple[int, ...] | None = None
+    origin: _SimplexResult | None = None
 
 
 # -- simplex ----------------------------------------------------------------
 
 
 class _SimplexResult:
-    __slots__ = ("status", "x", "objective", "iterations", "basis", "duals")
+    __slots__ = ("status", "x", "objective", "iterations", "basis", "duals", "tab", "age",
+                 "refactors")
 
     def __init__(self, status, x=None, objective=math.nan, iterations=0, basis=None,
-                 duals=None):
+                 duals=None, tab=None, age=0, refactors=0):
         self.status = status
         self.x = x
         self.objective = objective
         self.iterations = iterations
         self.basis = basis
         self.duals = duals
+        self.tab = tab  # the final tableau at ``basis``
+        self.age = age  # LP iterations ``tab`` carries since its last dense solve
+        self.refactors = refactors  # dense solves of B^-1 [A | -I]
 
 
 def _pivot(tab, basis, row, col):
@@ -263,7 +278,7 @@ def solve_lp(sf: StandardFormLP, options: SolverOptions | None = None) -> Soluti
     """
     options = options or SolverOptions()
     res = _solve_standard(sf, time.monotonic() + options.time_limit_seconds, duals=True)
-    stats = SolverStats(iterations=res.iterations)
+    stats = SolverStats(iterations=res.iterations, refactors=res.refactors)
     if res.status == "optimal":
         stats.duals = res.duals
         return Solution("optimal", dict(enumerate(res.x.tolist())),
@@ -291,19 +306,46 @@ def _refactor(mat, basis):
     return tab
 
 
-def _start(mat, cost, lo, hi, basis):
-    """The tableau ``[B^-1 mat ; reduced costs]`` at ``basis`` (the slack
-    basis in place of a singular one), the value of every column, and which
-    reduced costs were shifted to zero.  A nonbasic column sits at the bound
-    its reduced cost favours, at its one finite bound, or at 0 when free;
-    reduced costs of the wrong sign for where a column sits are shifted."""
-    slack = np.arange(mat.shape[1] - mat.shape[0], mat.shape[1])
-    rows = None if np.array_equal(basis, slack) else _refactor(mat, basis)
-    if rows is None:  # B^-1 mat is -mat at the slack basis
-        basis[:] = slack
-        rows = -mat
-    d = cost - cost[basis] @ rows
-    d[basis] = 0.0
+def _carry(tab, mat, basis):
+    """The tableau ``[B^-1 mat ; reduced costs]`` at ``basis`` from ``tab``,
+    the final tableau of an LP whose matrix was ``mat`` before rows were
+    appended, at the basis ``B = basis[:len(tab) - 1]``.  The rest of
+    ``basis`` is the appended rows' logicals, each basic in its own row, so
+    those rows are ``mat[new, B] @ T - mat[new]`` over the old rows ``T``:
+    one product, not a solve.  Every reduced cost keeps its value, 0 on the
+    new logical columns."""
+    m0, width = tab.shape[0] - 1, tab.shape[1]
+    m = mat.shape[0]
+    out = np.zeros((m + 1, mat.shape[1]))
+    out[:m0, :width] = tab[:m0]
+    out[m0:m] = mat[m0:, basis[:m0]] @ out[:m0] - mat[m0:]
+    out[m, :width] = tab[m0]
+    return out
+
+
+def _start(mat, cost, lo, hi, basis, tab=None):
+    """The tableau ``[B^-1 mat ; reduced costs]`` at ``basis``, the value of
+    every column, which reduced costs were shifted to zero, and whether
+    ``B^-1 mat`` was solved for afresh.  The tableau is carried from ``tab``
+    (:func:`_carry`) when given, and otherwise refactored from ``mat``, with
+    the slack basis in place of a singular one.  A nonbasic column sits at
+    the bound its reduced cost favours, at its one finite bound, or at 0
+    when free; reduced costs of the wrong sign for where a column sits are
+    shifted."""
+    refactored = False
+    if tab is None:
+        slack = np.arange(mat.shape[1] - mat.shape[0], mat.shape[1])
+        refactored = not np.array_equal(basis, slack)
+        rows = _refactor(mat, basis) if refactored else None
+        if rows is None:  # B^-1 mat is -mat at the slack basis
+            basis[:] = slack
+            rows = -mat
+        d = cost - cost[basis] @ rows
+        d[basis] = 0.0
+        tab = np.vstack([rows, d])
+    else:
+        tab = _carry(tab, mat, basis)
+    rows, d = tab[:-1], tab[-1]
     at_hi = np.isfinite(hi) & ((d < 0) | ~np.isfinite(lo))
     x = np.where(at_hi, hi, np.where(np.isfinite(lo), lo, 0.0))
     x[basis] = 0.0
@@ -311,7 +353,7 @@ def _start(mat, cost, lo, hi, basis):
     shifted = (lo < hi) & np.where(at_hi, d > 0, (d < 0) | ((d > 0) & ~np.isfinite(lo)))
     shifted[basis] = False
     d[shifted] = 0.0
-    return np.vstack([rows, d]), x, shifted
+    return tab, x, shifted, refactored
 
 
 def _range_over_box(coef, lo, hi):
@@ -363,21 +405,25 @@ def _proven(status, mat, cost, lo, hi, basis, x, enter) -> bool:
 
 
 def _solve_standard(sf: StandardFormLP, deadline: float, duals: bool = False,
-                    basis=None) -> _SimplexResult:
+                    origin: _SimplexResult | None = None) -> _SimplexResult:
     """The one LP routine: bounded dual simplex to a feasible basis, then
     bounded primal simplex with the true costs, over ``[a | -I]`` whose last
     columns are the rows' logical columns, bounded by the row ranges.
 
-    It starts from ``basis``, an optimal basis of an LP with the same matrix
-    or the same matrix before rows were appended (their logicals join it),
-    or from the slack basis, which also replaces a singular one.  Reduced
-    costs shifted at the start are restored for the primal finish.  A row
-    that no column can move is accepted within ``FEASIBILITY_TOL``.  An
-    'infeasible' or 'unbounded' verdict stands only when :func:`_proven`;
+    It starts from ``origin``, the optimal result of an LP with the same
+    matrix or the same matrix before rows were appended (their logicals join
+    its basis), or from the slack basis.  It carries the origin's final
+    tableau while that is held and has taken fewer than ``_REFACTOR_EVERY``
+    LP iterations since its last dense solve; otherwise it refactors at the
+    origin's basis, or takes the slack basis in place of a singular one.
+    Reduced costs shifted at the start are restored for the primal finish.
+    A row that no column can move is accepted within ``FEASIBILITY_TOL``.
+    An 'infeasible' or 'unbounded' verdict stands only when :func:`_proven`;
     the first one that is not refactors at the current basis and goes on if
-    the first try took a step, and otherwise, or at a second, the LP ends
-    with 'limit'.  Every loop stops at ``deadline``.  The result carries the
-    final basis; its duals are computed only when ``duals`` is set."""
+    the first try took a step or carried its tableau, and otherwise, or at a
+    second, the LP ends with 'limit'.  Every loop stops at ``deadline``.
+    The result carries the final basis and tableau; its duals are computed
+    only when ``duals`` is set."""
     n, m = len(sf.c), sf.a.shape[0]
     if sf.a.shape[1] != n or sf.col_lo.shape != (n,) or sf.col_hi.shape != (n,):
         raise SolverError("constraint matrix or bound width does not match objective length")
@@ -389,13 +435,17 @@ def _solve_standard(sf: StandardFormLP, deadline: float, duals: bool = False,
         return _SimplexResult("infeasible")
     mat = np.hstack([sf.a, -np.eye(m)])
     cost = np.concatenate([-sf.c, np.zeros(m)])
-    basis = np.arange(n, n + m) if basis is None else (
-        np.concatenate([basis, np.arange(n + len(basis), n + m)]).astype(np.intp))
-    iters = 0
+    basis = np.arange(n, n + m) if origin is None else np.concatenate(
+        [origin.basis, np.arange(n + len(origin.basis), n + m)]).astype(np.intp)
+    carried = origin is not None and origin.tab is not None and origin.age < _REFACTOR_EVERY
+    tab, age = (origin.tab, origin.age) if carried else (None, 0)
+    iters = refactors = 0
     for _ in range(2):
-        tab, x, shifted = _start(mat, cost, lo, hi, basis)
+        tab, x, shifted, refactored = _start(mat, cost, lo, hi, basis, tab)
+        refactors += refactored
         status, more = _run_dual(tab, basis, x, lo, hi, deadline)
         iters += more
+        age += more
         enter = -1
         if status == "optimal":
             if shifted.any():
@@ -403,18 +453,20 @@ def _solve_standard(sf: StandardFormLP, deadline: float, duals: bool = False,
                 tab[-1, basis] = 0.0
             status, more, enter = _run_primal(tab, basis, x, lo, hi, deadline)
             iters += more
+            age += more
         if status == "optimal":
             xs = np.clip(x[:n], sf.col_lo, sf.col_hi)
             res = _SimplexResult("optimal", xs, float(sf.c @ xs + sf.c0), iters,
-                                 tuple(basis.tolist()))
+                                 tuple(basis.tolist()), tab=tab, age=age, refactors=refactors)
             if duals:
                 res.duals = -np.linalg.solve(mat[:, basis].T, cost[basis])
             return res
         if status == "limit" or _proven(status, mat, cost, lo, hi, basis, x, enter):
-            return _SimplexResult(status, iterations=iters)
-        if not iters:
-            break  # a retry from the same basis would repeat this verdict
-    return _SimplexResult("limit", iterations=iters)
+            return _SimplexResult(status, iterations=iters, refactors=refactors)
+        if not (iters or carried):
+            break  # a retry from the same tableau would repeat this verdict
+        tab, age, carried = None, 0, False
+    return _SimplexResult("limit", iterations=iters, refactors=refactors)
 
 
 # -- branch and bound --------------------------------------------------------
@@ -484,6 +536,14 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
     separations = 0
     cut_off = 0.0
     heap = [(-INF, counter, NodeRecord(lp.col_lo, lp.col_hi))]
+    held = deque()  # results whose tableaux nodes may start from, oldest first
+
+    def hold(res):
+        held.append(res)
+        if len(held) > _HELD_TABLEAUX:
+            held.popleft().tab = None
+        return res
+
     status = "optimal"
     bounded = False  # some node LP was optimal, so none can be unbounded
     while heap:
@@ -494,9 +554,10 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
             status = "limit_reached"
             break
         res = _solve_standard(replace(lp, col_lo=node.lo, col_hi=node.hi), deadline,
-                              basis=node.basis)
+                              origin=node.origin)
         stats.nodes += 1
         stats.iterations += res.iterations
+        stats.refactors += res.refactors
         if res.status == "infeasible":
             continue
         if res.status == "limit":
@@ -544,7 +605,7 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
                              row_lo=np.concatenate([lp.row_lo, np.full(len(rows), -INF)]),
                              row_hi=np.concatenate([lp.row_hi, row_hi]))
                 counter += 1
-                heapq.heappush(heap, (-cano, counter, replace(node, basis=res.basis)))
+                heapq.heappush(heap, (-cano, counter, replace(node, origin=hold(res))))
                 continue
             cano = float(lp.c @ point + lp.c0)
             if cano > best_cano:
@@ -553,10 +614,11 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
             continue
         down, up = node.hi.copy(), node.lo.copy()
         down[var], up[var] = math.floor(res.x[var]), math.ceil(res.x[var])
+        origin = hold(res)
         for lo, hi in ((node.lo, down), (up, node.hi)):
             if lo[var] <= hi[var]:
                 counter += 1
-                heapq.heappush(heap, (-cano, counter, NodeRecord(lo, hi, res.basis)))
+                heapq.heappush(heap, (-cano, counter, NodeRecord(lo, hi, origin)))
 
     if cone_rows:
         stats.cone_violation = cut_off if best_values is None else max(

@@ -103,6 +103,8 @@ class BoundedRange:
         _require_finite(self.low, self.high)
         if self.low > self.high:
             raise ValueError(f"empty range [{self.low}, {self.high}]")
+        if not math.isfinite(self.high - self.low):  # a draw scales by the width
+            raise ValueError(f"range [{self.low}, {self.high}] is wider than a float")
 
     def draw(self, rng, size: int):  # realized; + 0.0: numpy refuses [0.0, -0.0]
         return rng.uniform(self.low, self.high + 0.0, size=size)

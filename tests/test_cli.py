@@ -350,6 +350,7 @@ def _validate_mc(workdir, *extra):
     ("cap RHS(binomial 100000000000000000000000 0.5)",
      "annotation line 1: malformed binomial arguments"),
     ("cap x(poisson 1e19)", "annotation line 1: malformed poisson arguments"),
+    ("cap x(range -1e308 1e308)", "annotation line 1: malformed range arguments"),
 ])
 def test_validate_mc_bad_annotation_exit_one(workdir, capsys, annotation, message):
     (workdir / "one_row.unc").write_text(annotation + "\n")

@@ -836,24 +836,124 @@ def test_cone_violation_reported_on_optimal_exit():
 # -- pivot sequence ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("instance, build, objective, nodes, iterations, cuts", [
-    (demo_instance, build_nominal, 261.0, 3, 16, 0),
-    (demo_instance, lambda inst: build_irc(inst, 0.05, 0.0), 177.0, 29, 117, 0),
-    (demo_instance, lambda inst: build_rc(inst, 0.05, 0.0, 0.14), 159.0, 32, 152, 7),
-    (lambda: generated_instance(7, 5, 1), build_nominal, 386.94188275568615, 27, 118, 0),
+@pytest.mark.parametrize("instance, build, objective, refactored, carried", [
+    (demo_instance, build_nominal, 261.0, (3, 16, 0, 2), (3, 16, 0, 0)),
+    (demo_instance, lambda inst: build_irc(inst, 0.05, 0.0), 177.0,
+     (29, 117, 0, 28), (29, 119, 0, 0)),
+    (demo_instance, lambda inst: build_rc(inst, 0.05, 0.0, 0.14), 159.0,
+     (32, 152, 7, 31), (30, 153, 7, 2)),
+    (lambda: generated_instance(7, 5, 1), build_nominal, 386.94188275568615,
+     (27, 118, 0, 26), (33, 161, 0, 4)),
     (lambda: generated_instance(7, 5, 1), lambda inst: build_irc(inst, 0.05, 0.02),
-     323.85452413973695, 29, 228, 0),
+     323.85452413973695, (29, 228, 0, 28), (33, 335, 0, 6)),
     (lambda: generated_instance(8, 5, 1), lambda inst: build_rc(inst, 0.05, 0.0, 0.14),
-     327.5182571681296, 43, 474, 15),
+     327.5182571681296, (43, 474, 15, 42), (41, 433, 14, 5)),
 ], ids=["nominal", "irc", "rc", "gen7x5s1-nominal", "gen7x5s1-irc", "gen8x5s1-rc"])
-def test_hk_demo_pivot_counts_exact(instance, build, objective, nodes, iterations, cuts):
-    """Node and LP-iteration counts pin the whole pivot sequence, on hk_demo
-    and on generated instances with larger trees."""
-    sol = solve(build(instance()))
-    assert sol.status == "optimal"
-    assert sol.objective == pytest.approx(objective, abs=1e-6)
-    assert (sol.stats.nodes, sol.stats.iterations, sol.stats.cone_cuts) == (
-        nodes, iterations, cuts)
+def test_hk_demo_pivot_counts_exact(monkeypatch, instance, build, objective, refactored,
+                                    carried):
+    """Node, LP-iteration, cut and dense-refactor counts pin the whole pivot
+    sequence, on hk_demo and on generated instances with larger trees: once
+    with no tableau held, so that every node LP refactors, and once with the
+    default, where node LPs carry their parents' tableaux.  A carried
+    tableau differs from a refactored one in the last bits, so near-tied
+    ratio tests may go the other way and the trees differ; the optimum does
+    not."""
+    model = build(instance())
+    for held, counts in ((0, refactored), (solver_mod._HELD_TABLEAUX, carried)):
+        monkeypatch.setattr(solver_mod, "_HELD_TABLEAUX", held)
+        sol = solve(model)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(objective, abs=1e-6)
+        stats = sol.stats
+        assert (stats.nodes, stats.iterations, stats.cone_cuts, stats.refactors) == counts
+
+
+def _carried_node_lps(monkeypatch, model):
+    """Every node LP of ``model``'s tree that starts from a held tableau:
+    its working LP, and its origin's basis, tableau and age."""
+    solve_standard, lps = solver_mod._solve_standard, []
+
+    def node_lp(sf, deadline, duals=False, origin=None):
+        if origin is not None and origin.tab is not None and (
+                origin.age < solver_mod._REFACTOR_EVERY):
+            lps.append((sf, origin.basis, origin.tab, origin.age))
+        return solve_standard(sf, deadline, duals, origin)
+
+    monkeypatch.setattr(solver_mod, "_solve_standard", node_lp)
+    assert solve(model).status == "optimal"
+    monkeypatch.undo()
+    return lps
+
+
+_CUT_TREES = {
+    "hk_demo-rc": lambda: build_rc(demo_instance(), 0.05, 0.0, 0.14),
+    "gen8x5-rc": lambda: build_rc(generated_instance(8, 5, 0), 0.05, 0.0, 0.14),
+}
+
+
+@pytest.mark.parametrize("build", _CUT_TREES.values(), ids=_CUT_TREES.keys())
+def test_node_lp_from_carried_tableau_matches_refactored(monkeypatch, build):
+    """Each node LP that started from a held tableau, some after cut rows
+    were appended, is solved again from that tableau and from a dense
+    refactor at the same basis: the statuses match and the objectives agree
+    to 1e-9 relative."""
+    lps = _carried_node_lps(monkeypatch, build())
+    assert any(len(basis) < sf.a.shape[0] for sf, basis, _, _ in lps)
+    for sf, basis, tab, age in lps:
+        carried = solver_mod._solve_standard(
+            sf, INF, origin=solver_mod._SimplexResult("optimal", basis=basis, tab=tab, age=age))
+        fresh = solver_mod._solve_standard(
+            sf, INF, origin=solver_mod._SimplexResult("optimal", basis=basis))
+        assert (carried.refactors, fresh.refactors) == (0, 1)
+        assert carried.status == fresh.status
+        if fresh.status == "optimal":
+            assert carried.objective == pytest.approx(fresh.objective, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("build", _CUT_TREES.values(), ids=_CUT_TREES.keys())
+def test_cut_rows_extend_a_tableau_as_a_refactor_would(monkeypatch, build):
+    """A tableau at an LP's basis, extended by the rows appended since with
+    their logicals basic, equals ``_refactor`` at the extended basis entry
+    by entry, reduced costs included."""
+    extended = 0
+    for sf, basis, _, _ in _carried_node_lps(monkeypatch, build()):
+        n, m, m0 = len(sf.c), sf.a.shape[0], len(basis)
+        if m0 == m:
+            continue
+        mat = np.hstack([sf.a, -np.eye(m)])
+        cost = np.concatenate([-sf.c, np.zeros(m)])
+        old = np.asarray(basis)
+        rows = solver_mod._refactor(mat[:m0, :n + m0], old)
+        tab = np.vstack([rows, cost[:n + m0] - cost[old] @ rows])
+        full = np.concatenate([old, np.arange(n + m0, n + m)])
+        rows = solver_mod._refactor(mat, full)
+        d = cost - cost[full] @ rows
+        d[full] = 0.0
+        np.testing.assert_allclose(solver_mod._carry(tab, mat, full), np.vstack([rows, d]),
+                                   rtol=0.0, atol=1e-9)
+        extended += 1
+    assert extended
+
+
+def test_unproven_verdict_from_a_carried_tableau_is_retried_refactored(monkeypatch):
+    """A verdict reached from a carried tableau is retried from a dense
+    refactor even without a step: the refactor does not repeat that
+    tableau."""
+    m = Model()
+    x = m.add_variable("x", upper=2000.0)
+    m.set_objective("max", [(x, 1.0)])
+    m.add_constraint([(x, 1e-12)], ">=", -1.0)
+    sf = to_standard_form(m.finalize())
+    origin = solver_mod._solve_standard(sf, INF)
+    assert origin.status == "optimal" and origin.tab is not None
+    starts = []
+    start = solver_mod._start
+    monkeypatch.setattr(solver_mod, "_start", lambda *args: starts.append(args[-1]) or start(*args))
+    monkeypatch.setattr(solver_mod, "_proven", lambda *args: False)
+    infeasible = replace(sf, row_lo=np.array([1e-6]))  # no column can move the row
+    res = solver_mod._solve_standard(infeasible, INF, origin=origin)
+    assert (res.status, res.iterations) == ("limit", 0)
+    assert starts[0] is origin.tab and starts[1] is None
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

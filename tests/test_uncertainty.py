@@ -419,6 +419,15 @@ def test_distribution_validation():
         BoundedRange(3.0, 1.0)
 
 
+def test_bounded_range_wider_than_a_float_rejected():
+    """A range whose width overflows would make every draw overflow."""
+    with pytest.raises(ValueError, match="wider than a float"):
+        BoundedRange(-1e308, 1e308)
+    wide = BoundedRange(-0.5 * sys.float_info.max, 0.5 * sys.float_info.max)
+    rng = np.random.Generator(np.random.Philox(key=0))
+    assert np.all(np.isfinite(wide.draw(rng, 64)))
+
+
 @pytest.mark.parametrize("make", [
     lambda bad: Bounded(bad),
     lambda bad: BoundedRange(bad, bad),
