@@ -68,7 +68,6 @@ from .solver import (
     SolverOptions,
     solve,
     solve_cone,
-    solve_lp,
     solve_milp,
 )
 from .uncertainty import (

@@ -61,17 +61,20 @@ def _solver_options(args) -> SolverOptions:
     return SolverOptions(**{k: v for k, v in limits.items() if v is not None})
 
 
+def _stats(sol) -> dict:
+    """The work counters of a solve, as every ``--json`` report of one
+    carries them."""
+    return {key: getattr(sol.stats, key)
+            for key in ("iterations", "nodes", "cone_cuts", "refactors")}
+
+
 def _print_solution(model: Model, sol, as_json: bool):
     if as_json:
         payload = {
             "status": sol.status,
             "objective": None if math.isnan(sol.objective) else sol.objective,
             "values": {model.variables[v].name: val for v, val in sol.values.items()},
-            "stats": {
-                "iterations": sol.stats.iterations,
-                "nodes": sol.stats.nodes,
-                "cone_cuts": sol.stats.cone_cuts,
-            },
+            "stats": _stats(sol),
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
         return
@@ -163,6 +166,7 @@ def cmd_sitesel(args) -> int:
             "assignments": assignments,
             "budget_used": budget_used,
             "budget": instance.budget,
+            "stats": _stats(sol),
         }, indent=2, sort_keys=True))
     else:
         print(f"status: {sol.status}")

@@ -6,9 +6,9 @@ linear constraints (optionally augmented with a square-root cone term on
 nominal problems and for their robust counterparts, so downstream code never
 has to distinguish the two.
 
-The module also provides evaluation of constraint residuals, conversion to
-the bounded standard form consumed by the simplex solver, and a line-oriented
-text format for persisting models.
+The module also provides the residual of each constraint at a point,
+conversion to the bounded standard form that branch and bound solves, and a
+line-oriented text format for persisting models.
 """
 
 from __future__ import annotations
@@ -147,14 +147,13 @@ class Constraint:
 
 @dataclass
 class SolverStats:
-    """Work counters attached to a Solution, the row duals of ``solve_lp``
-    and the worst cone-row residual of a cone solve (None elsewhere)."""
+    """Work counters attached to a Solution and the worst cone-row residual
+    of a cone solve (None elsewhere)."""
 
     iterations: int = 0
     nodes: int = 0
     cone_cuts: int = 0
     refactors: int = 0  # dense solves of B^-1 [A | -I]
-    duals: np.ndarray | None = None
     cone_violation: float | None = None
 
 
@@ -305,9 +304,6 @@ class Model:
 
     def has_cones(self) -> bool:
         return any(c.cone is not None for c in self.constraints)
-
-    def has_integers(self) -> bool:
-        return any(v.is_integer for v in self.variables)
 
     # -- evaluation -------------------------------------------------------
 
@@ -594,6 +590,8 @@ def import_text(text: str) -> Model:
             except ModelError as exc:
                 raise ParseError(str(exc), line_no, 1)
         elif section == "#obj":
+            if have_objective:
+                raise ParseError("second objective line", line_no, 1)
             sc = _LineScanner(raw, line_no)
             sc.skip_ws()
             if sc.accept("max"):

@@ -5,11 +5,13 @@ Everything here is deterministic for one numpy/BLAS build and thread count:
 identical inputs and options produce identical Solutions, including node
 counts.  Dense solves and products round differently per BLAS thread count
 (gen 12x8 rc takes 78,004 LP iterations with OpenBLAS's two threads on a
-2-core host and 78,729 with one).  Every LP (``solve_lp``, the root of a
-tree, every node) runs through one routine over ``[A | -I]``: model
-variables keep their bounds on their columns and each row gets a logical
-column bounded by the row's range (Dantzig's upper-bounding technique).  ``solve_lp`` and the root of a tree start at the slack
-basis, where the tableau is ``-[A | -I]``.  A node LP starts from the final
+2-core host and 78,729 with one).  Every model is solved by one
+branch-and-bound tree; a model with no integer variables and no cone rows
+is the tree's root node alone.  Every LP of the tree runs through one
+routine over ``[A | -I]``: model variables keep their bounds on their
+columns and each row gets a logical column bounded by the row's range
+(Dantzig's upper-bounding technique).  The root starts at the slack basis,
+where the tableau is ``-[A | -I]``.  A node LP starts from the final
 tableau ``B^-1 [A | -I]`` of the LP it was made from, its parent's or,
 after a cut, its own; rows appended since join it with their logicals
 basic (the dual-simplex warm start of Koberstein 2005; Achterberg 2007).
@@ -40,10 +42,8 @@ incumbents are rounded points where every row holds.
 
 A node's bounds are two arrays; a child copies one and changes one integer
 bound, so every node LP is the working LP with the node's arrays as its
-column bounds.
-Duals of the final basis are computed only for ``solve_lp``; branch and
-bound never reads them.  One deadline, taken when the call starts, stops
-the tree and the simplex inside every node LP.
+column bounds.  One deadline, taken when the call starts, stops the tree
+and the simplex inside every node LP.
 
 One solve runs on one thread; distinct solves on distinct models may run
 concurrently (no shared mutable state).
@@ -81,7 +81,7 @@ _REFACTOR_EVERY = 50  # LP iterations a tableau carries before a node refactors
 
 
 class SolverError(ValueError):
-    """Raised for malformed solver input (dimension mismatch etc.)."""
+    """Raised for malformed solver input: a limit that is negative or NaN."""
 
 
 @dataclass
@@ -117,17 +117,15 @@ class NodeRecord:
 
 
 class _SimplexResult:
-    __slots__ = ("status", "x", "objective", "iterations", "basis", "duals", "tab", "age",
-                 "refactors")
+    __slots__ = ("status", "x", "objective", "iterations", "basis", "tab", "age", "refactors")
 
     def __init__(self, status, x=None, objective=math.nan, iterations=0, basis=None,
-                 duals=None, tab=None, age=0, refactors=0):
+                 tab=None, age=0, refactors=0):
         self.status = status
         self.x = x
         self.objective = objective
         self.iterations = iterations
         self.basis = basis
-        self.duals = duals
         self.tab = tab  # the final tableau at ``basis``
         self.age = age  # LP iterations ``tab`` carries since its last dense solve
         self.refactors = refactors  # dense solves of B^-1 [A | -I]
@@ -262,34 +260,6 @@ def _run_primal(tab, basis, x, lo, hi, deadline):
     return "limit", _MAX_ITER, -1
 
 
-def solve_lp(sf: StandardFormLP, options: SolverOptions | None = None) -> Solution:
-    """Solve a standard-form LP by bounded dual, then primal, simplex.
-
-    Status ``optimal`` certifies every row and column within its bounds up
-    to the pivot tolerance and no improving reduced cost; ``infeasible`` and
-    ``unbounded`` are each certified by a ray checked against the original
-    matrix; ``limit_reached`` means a loop hit the pivot cap or the time
-    limit, or a verdict failed its check.  A row that no column can move is
-    accepted within ``FEASIBILITY_TOL``.  The values are the model's
-    variables, and ``stats.duals`` holds one multiplier per row, appended
-    cut rows included: ``c - a.T @ duals`` are the columns' reduced costs,
-    and a row's multiplier is nonnegative at its upper bound, nonpositive at
-    its lower.
-    """
-    options = options or SolverOptions()
-    res = _solve_standard(sf, time.monotonic() + options.time_limit_seconds, duals=True)
-    stats = SolverStats(iterations=res.iterations, refactors=res.refactors)
-    if res.status == "optimal":
-        stats.duals = res.duals
-        return Solution("optimal", dict(enumerate(res.x.tolist())),
-                        sf.model_objective(res.objective), stats)
-    if res.status == "infeasible":
-        return Solution("infeasible", {}, math.nan, stats)
-    if res.status == "unbounded":
-        return Solution("unbounded", {}, sf.model_objective(INF), stats)
-    return Solution("limit_reached", {}, math.nan, stats)
-
-
 def _refactor(mat, basis):
     """``B^-1 mat`` for the basis columns ``B`` of ``mat``, or None when B is
     too near singular: its computed ``B^-1 B`` strays from the identity by
@@ -404,7 +374,7 @@ def _proven(status, mat, cost, lo, hi, basis, x, enter) -> bool:
                 and np.all(lo[ray < -_PIVOT_TOL * scale] == -INF))
 
 
-def _solve_standard(sf: StandardFormLP, deadline: float, duals: bool = False,
+def _solve_standard(sf: StandardFormLP, deadline: float,
                     origin: _SimplexResult | None = None) -> _SimplexResult:
     """The one LP routine: bounded dual simplex to a feasible basis, then
     bounded primal simplex with the true costs, over ``[a | -I]`` whose last
@@ -422,13 +392,8 @@ def _solve_standard(sf: StandardFormLP, deadline: float, duals: bool = False,
     the first one that is not refactors at the current basis and goes on if
     the first try took a step or carried its tableau, and otherwise, or at a
     second, the LP ends with 'limit'.  Every loop stops at ``deadline``.
-    The result carries the final basis and tableau; its duals are computed
-    only when ``duals`` is set."""
+    The result carries the final basis and tableau."""
     n, m = len(sf.c), sf.a.shape[0]
-    if sf.a.shape[1] != n or sf.col_lo.shape != (n,) or sf.col_hi.shape != (n,):
-        raise SolverError("constraint matrix or bound width does not match objective length")
-    if sf.row_lo.shape != (m,) or sf.row_hi.shape != (m,):
-        raise SolverError("row range length does not match matrix rows")
     lo = np.concatenate([sf.col_lo, sf.row_lo])
     hi = np.concatenate([sf.col_hi, sf.row_hi])
     if np.any((lo > hi) | (lo == INF) | (hi == -INF)):
@@ -456,11 +421,8 @@ def _solve_standard(sf: StandardFormLP, deadline: float, duals: bool = False,
             age += more
         if status == "optimal":
             xs = np.clip(x[:n], sf.col_lo, sf.col_hi)
-            res = _SimplexResult("optimal", xs, float(sf.c @ xs + sf.c0), iters,
-                                 tuple(basis.tolist()), tab=tab, age=age, refactors=refactors)
-            if duals:
-                res.duals = -np.linalg.solve(mat[:, basis].T, cost[basis])
-            return res
+            return _SimplexResult("optimal", xs, float(sf.c @ xs + sf.c0), iters,
+                                  tuple(basis.tolist()), tab=tab, age=age, refactors=refactors)
         if status == "limit" or _proven(status, mat, cost, lo, hi, basis, x, enter):
             return _SimplexResult(status, iterations=iters, refactors=refactors)
         if not (iters or carried):
@@ -671,9 +633,10 @@ def solve_cone(model: Model, options: SolverOptions | None = None) -> Solution:
 
 
 def solve(model: Model, options: SolverOptions | None = None) -> Solution:
-    """Dispatch on model features: cone rows, integrality, or plain LP."""
+    """Solve any model by one branch-and-bound tree (:func:`solve_milp`,
+    through :func:`solve_cone` when it has cone rows).  A model with no
+    integer variables and no cone rows is the tree's root node alone, and
+    every limit bounds it."""
     if model.has_cones():
         return solve_cone(model, options)
-    if model.has_integers():
-        return solve_milp(model, options)
-    return solve_lp(to_standard_form(model), options)
+    return solve_milp(model, options)

@@ -520,7 +520,7 @@ def parse_annotations(text: str, model: Model) -> UncertainSet:
             raise ValueError(f"annotation line {line_no}: expected 'target(dist args)'")
         target_name, payload = rest.split("(", 1)
         target_name = target_name.strip()
-        payload = payload.rstrip().rstrip(")")
+        payload = payload.rstrip()[:-1]
         parts = payload.split()
         if not parts:
             raise ValueError(f"annotation line {line_no}: empty distribution")

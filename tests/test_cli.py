@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from robustcounter.cli import _solver_options, main, parse_grid_spec
+from robustcounter.cli import _counterpart, _solver_options, main, parse_grid_spec
 from robustcounter.fixtures import demo_instance, demo_lp, one_row_uncertain
 from robustcounter.model import export_text, import_text
 from robustcounter.sitesel import write_instance
@@ -410,6 +410,28 @@ def test_solve_node_limit_exit_four(workdir):
     model = build_rc(load_instance(workdir / "big"), 0.05, 0.0, 0.14)
     (workdir / "big_rc.txt").write_text(export_text(model))
     assert main(["solve", str(workdir / "big_rc.txt"), "--max-nodes", "1"]) == 4
+
+
+def test_solve_lp_node_limit_exit_four(workdir):
+    """An LP is the root node of the tree, so a node limit of 0 stops it."""
+    assert main(["solve", str(workdir / "demo_lp.txt"), "--max-nodes", "0"]) == 4
+    assert main(["solve", str(workdir / "demo_lp.txt"), "--max-nodes", "1"]) == 0
+
+
+@pytest.mark.parametrize("mode", ["nominal", "irc", "rc"])
+def test_sitesel_json_reports_solver_stats(workdir, capsys, mode):
+    """``sitesel --json`` carries the solve's counters as ``solve --json`` does."""
+    rc = main(["sitesel", str(workdir / "hk_demo"), "--mode", mode, "--json"])
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert rc == 0
+    model = _counterpart(demo_instance(), mode, False, 0.05, 0.0, 0.14)
+    (workdir / "model.txt").write_text(export_text(model))
+    assert main(["solve", str(workdir / "model.txt"), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["stats"] == stats
+    expected = solve(model).stats
+    assert stats == {"iterations": expected.iterations, "nodes": expected.nodes,
+                     "cone_cuts": expected.cone_cuts, "refactors": expected.refactors}
+    assert stats["nodes"] > 1 and (stats["cone_cuts"] > 0) == (mode == "rc")
 
 
 def test_zero_limits_are_honoured():

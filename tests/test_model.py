@@ -16,7 +16,7 @@ from robustcounter.model import (
     import_text,
     to_standard_form,
 )
-from robustcounter.solver import solve, solve_lp
+from robustcounter.solver import solve
 
 from _oracles import random_lp_model
 
@@ -251,7 +251,7 @@ def test_standard_form_equivalence_on_random_models():
     solved = 0
     for _ in range(100):
         m = random_lp_model(rng)
-        sol = solve_lp(to_standard_form(m))
+        sol = solve(m)
         if sol.status != "optimal":
             continue
         solved += 1
@@ -451,6 +451,21 @@ def test_import_reads_ascii_numbers_only(line, text):
     m = import_text("#vars\nx continuous -inf inf\n#obj\nmin 1*x\n#cons\nc: 1*x >= -inf\n")
     assert (m.variables[0].lower, m.variables[0].upper, m.constraints[0].rhs) == (
         -INF, INF, -INF)
+
+
+@pytest.mark.parametrize("line, text", [
+    (5, "#obj\nmax 1*x\nmin 2*x\n#cons\n"),
+    (5, "#obj\nmax 1*x\nmax 1*x\n#cons\n"),
+    (6, "#obj\nmax 1*x\n// a comment\nmin 2*x\n#cons\n"),
+    (6, "#obj\nmax 1*x\n#obj\nmin 2*x\n#cons\n"),
+    (8, "#obj\nmax 1*x\n#cons\nc: 1*x <= 1\n#obj\nmin 2*x\n"),
+], ids=["max-then-min", "repeated", "after-comment", "second-header", "after-rows"])
+def test_import_rejects_a_second_objective(line, text):
+    """A model has one objective; a second objective line is an error at
+    that line, not a replacement of the first."""
+    with pytest.raises(ParseError, match="second objective") as err:
+        import_text("#vars\nx continuous 0 10\n" + text)
+    assert err.value.line == line
 
 
 @pytest.mark.parametrize("raw, col", [

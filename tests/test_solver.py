@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from robustcounter import solver as solver_mod
-from robustcounter.fixtures import demo_instance
+from robustcounter.fixtures import demo_instance, demo_lp
 
 from robustcounter.model import (
     CONE_CUT_TOL,
@@ -29,7 +29,6 @@ from robustcounter.solver import (
     SolverOptions,
     solve,
     solve_cone,
-    solve_lp,
     solve_milp,
 )
 
@@ -67,7 +66,7 @@ def test_lp_single_bound():
     x = m.add_variable("x")
     m.set_objective("max", [(x, 1.0)])
     m.add_constraint([(x, 1.0)], "<=", 5.0)
-    sol = solve_lp(to_standard_form(m.finalize()))
+    sol = solve(m.finalize())
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(5.0)
     assert sol.values[x] == pytest.approx(5.0)
@@ -76,7 +75,7 @@ def test_lp_single_bound():
 def test_lp_two_rows_vertex_oracle():
     # vertex enumeration puts the optimum at (4, 0) with objective 12
     m, x, y = _lp()
-    sol = solve_lp(to_standard_form(m))
+    sol = solve(m)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(12.0, abs=1e-9)
     assert (sol.values[x], sol.values[y]) == (pytest.approx(4.0), pytest.approx(0.0))
@@ -87,7 +86,7 @@ def test_lp_infeasible():
     x = m.add_variable("x")
     m.set_objective("max", [(x, 1.0)])
     m.add_constraint([(x, 1.0)], "<=", -1.0)
-    assert solve_lp(to_standard_form(m.finalize())).status == "infeasible"
+    assert solve(m.finalize()).status == "infeasible"
 
 
 def _tiny_row_model(integer, cap):
@@ -178,15 +177,15 @@ def test_unproven_verdict_is_retried_only_after_a_step(monkeypatch):
 
 def test_lp_unbounded():
     """An unbounded solve reports the model's infinity, +inf for max and
-    -inf for min, from the LP and from branch and bound alike."""
+    -inf for min, for a continuous and for an integer variable alike."""
     for sense, objective in (("max", INF), ("min", -INF)):
         for kind in ("continuous", "integer"):
             m = Model()
             x = m.add_variable("x", kind, -INF, INF)
             m.set_objective(sense, [(x, 1.0)])
             m.finalize()
-            for sol in (solve_lp(to_standard_form(m)), solve_milp(m)):
-                assert (sol.status, sol.objective) == ("unbounded", objective)
+            sol = solve(m)
+            assert (sol.status, sol.objective) == ("unbounded", objective)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -197,44 +196,6 @@ def test_solver_options_reject_unusable_limits(field, value):
         SolverOptions(**{field: value})
 
 
-def test_lp_dimension_mismatch_rejected():
-    sf = to_standard_form(_lp()[0])
-    sf.row_hi = sf.row_hi[:-1]
-    with pytest.raises(SolverError):
-        solve_lp(sf)
-
-
-def _dual_bound(y, sf):
-    """The bound that row multipliers ``y`` give on the LP's optimum: each
-    row and each column's reduced cost ``c - a.T @ y`` priced at the bound
-    its sign points to, ``inf`` where that bound is infinite."""
-    total = sf.c0
-    for coef, lo, hi in ((y, sf.row_lo, sf.row_hi), (sf.c - sf.a.T @ y, sf.col_lo, sf.col_hi)):
-        coef = np.where(np.abs(coef) > 1e-9, coef, 0.0)
-        bound = np.where(coef > 0, hi, lo)
-        total += float(coef[coef != 0] @ bound[coef != 0])
-    return total
-
-
-def test_lp_weak_duality_certificate():
-    """Duals from the final basis, one per row, are dual feasible and certify
-    the optimum."""
-    rng = np.random.default_rng(11)
-    checked = 0
-    for _ in range(60):
-        m = random_lp_model(rng)
-        sf = to_standard_form(m)
-        sol = solve_lp(sf)
-        if sol.status != "optimal":
-            continue
-        checked += 1
-        y = sol.stats.duals
-        assert y.shape == (len(m.constraints),)
-        cano = sol.objective if sf.sense == "max" else -sol.objective
-        assert _dual_bound(y, sf) == pytest.approx(cano, abs=1e-6)
-    assert checked >= 20
-
-
 def test_lp_matches_scipy_highs():
     """Independent route: the same standard forms through scipy's HiGHS."""
     rng = np.random.default_rng(4242)
@@ -242,7 +203,7 @@ def test_lp_matches_scipy_highs():
     for _ in range(100):
         m = random_lp_model(rng)
         sf = to_standard_form(m)
-        sol = solve_lp(sf)
+        sol = solve(m)
         upper, lower = np.isfinite(sf.row_hi), np.isfinite(sf.row_lo)
         res = linprog(
             -sf.c,
@@ -286,8 +247,7 @@ def test_milp_integral_relaxation_needs_no_branching():
     m.set_objective("max", [(x, 1.0)])
     m.add_constraint([(x, 1.0)], "<=", 7.0)
     sol = solve_milp(m.finalize())
-    lp_sol = solve_lp(to_standard_form(m))
-    assert sol.objective == pytest.approx(lp_sol.objective)
+    assert sol.objective == 7.0  # the root relaxation's optimum
     assert sol.stats.nodes == 1  # the root relaxation was already integral
 
 
@@ -646,6 +606,20 @@ def test_dispatcher_routes_by_feature():
     assert solve(m.finalize()).objective == pytest.approx(1.0)
 
 
+def test_lp_is_the_root_node_of_one_tree():
+    """A model with no integer variables and no cone rows is solved by the
+    one tree as its root node, so it counts one node and every node limit
+    bounds it."""
+    for sense in ("max", "min"):
+        m = _lp(sense)[0]
+        sol = solve(m)
+        assert (sol.status, sol.stats.nodes) == ("optimal", 1)
+        assert solve(m, SolverOptions(max_nodes=1)).objective == sol.objective
+    sol = solve(demo_lp(), SolverOptions(max_nodes=0))
+    assert (sol.status, sol.values, sol.stats.nodes) == ("limit_reached", {}, 0)
+    assert math.isnan(sol.objective)
+
+
 def test_beale_cycling_example_terminates():
     """The classic degenerate LP that cycles without an anti-cycling rule."""
     m = Model()
@@ -657,7 +631,7 @@ def test_beale_cycling_example_terminates():
     m.add_constraint([(x4, 0.25), (x5, -60.0), (x6, -1 / 25), (x7, 9.0)], "<=", 0.0)
     m.add_constraint([(x4, 0.5), (x5, -90.0), (x6, -1 / 50), (x7, 3.0)], "<=", 0.0)
     m.add_constraint([(x6, 1.0)], "<=", 1.0)
-    sol = solve_lp(to_standard_form(m.finalize()))
+    sol = solve(m.finalize())
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(-0.05, abs=1e-9)
 
@@ -723,8 +697,8 @@ def test_mixed_integer_matches_scipy_highs():
 
 @pytest.mark.parametrize("sense, row_sense", [("max", "<="), ("min", ">=")])
 def test_simplex_pivot_cap_reports_limit(monkeypatch, sense, row_sense):
-    """A simplex loop that hits its pivot cap gives ``limit_reached`` from
-    solve_lp and solve_milp, for a ``<=`` and for a ``>=`` row."""
+    """A simplex loop that hits its pivot cap gives ``limit_reached`` for a
+    continuous and for an integer model, for a ``<=`` and for a ``>=`` row."""
     monkeypatch.setattr(solver_mod, "_MAX_ITER", 0)
     for kind in ("continuous", "integer"):
         m = Model()
@@ -737,7 +711,7 @@ def test_simplex_pivot_cap_reports_limit(monkeypatch, sense, row_sense):
 
 def test_lp_time_limit_reports_limit():
     m, _, _ = _lp()
-    sol = solve_lp(to_standard_form(m), SolverOptions(time_limit_seconds=0))
+    sol = solve(m, SolverOptions(time_limit_seconds=0))
     assert sol.status == "limit_reached"
     assert sol.values == {}
 
@@ -828,9 +802,8 @@ def test_cone_violation_reported_on_optimal_exit():
     sol = solve(model)
     assert 0.0 <= sol.stats.cone_violation <= CONE_CUT_TOL
     assert model.max_violation(sol.values) <= CONE_CUT_TOL
-    # models without cone rows report none, and only solve_lp reports duals
-    stats = solve(build_irc(demo_instance(), 0.05, 0.0)).stats
-    assert stats.cone_violation is None and stats.duals is None
+    # models without cone rows report none
+    assert solve(build_irc(demo_instance(), 0.05, 0.0)).stats.cone_violation is None
 
 
 # -- pivot sequence ----------------------------------------------------------------
@@ -873,11 +846,11 @@ def _carried_node_lps(monkeypatch, model):
     its working LP, and its origin's basis, tableau and age."""
     solve_standard, lps = solver_mod._solve_standard, []
 
-    def node_lp(sf, deadline, duals=False, origin=None):
+    def node_lp(sf, deadline, origin=None):
         if origin is not None and origin.tab is not None and (
                 origin.age < solver_mod._REFACTOR_EVERY):
             lps.append((sf, origin.basis, origin.tab, origin.age))
-        return solve_standard(sf, deadline, duals, origin)
+        return solve_standard(sf, deadline, origin)
 
     monkeypatch.setattr(solver_mod, "_solve_standard", node_lp)
     assert solve(model).status == "optimal"

@@ -566,6 +566,8 @@ def test_annotation_normal_keeps_every_digit():
     ("binomial +1_0 0.5", "malformed binomial arguments"),
     ("discrete \u0661 1", "malformed discrete arguments"),
     ("bounded inf", "malformed bounded arguments ['inf']: bounded half-width must be finite"),
+    ("bounded 0.1))", "malformed bounded arguments ['0.1))']"),
+    ("bounded)", "unknown distribution tag 'bounded)'"),
     ("gamma 1 2", "unknown distribution tag 'gamma'"),
 ])
 def test_annotation_tags_count_their_arguments(payload, message):
