@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -251,8 +252,9 @@ def cmd_sweep(args) -> int:
     build = functools.partial(_counterpart, source, args.mode,
                               args.exact_assignment)
     options = _solver_options(args)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(grid), os.cpu_count() or 1)  # a pool forks them all
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = sweep(build, grid, options, pool)
     else:
         rows = sweep(build, grid, options)
@@ -283,9 +285,11 @@ def _load_solution_values(path: str, model: Model) -> dict[int, float]:
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict):
         raise ValueError("solution file must hold a JSON object")
-    by_name = payload["values"] if "values" in payload else payload
-    if not isinstance(by_name, dict):
-        raise ValueError("solution values must be a JSON object")
+    by_name = payload.get("values")
+    if not isinstance(by_name, dict):  # a bare object, unless "values" names no variable
+        if "values" in payload and not any(v.name == "values" for v in model.variables):
+            raise ValueError("solution values must be a JSON object")
+        by_name = payload
     values = {}
     for v in model.variables:
         if v.name not in by_name:
@@ -336,7 +340,7 @@ def cmd_validate(args) -> int:
     if args.json:
         print(json.dumps({
             "method": "corner",
-            "corners_checked": report.corners_checked,
+            "entries": report.entries,
             "certified": report.certified,
             "worst_violation": {
                 model.constraints[cid].label: v
@@ -344,7 +348,7 @@ def cmd_validate(args) -> int:
             },
         }, indent=2, sort_keys=True))
     else:
-        print(f"corners checked: {report.corners_checked}")
+        print(f"uncertain entries: {report.entries} (the worst of 2**{report.entries} corners)")
         worst = max(report.worst_violation.values(), default=0.0)
         print(f"worst violation: {worst:.6f}")
         print(f"certified: {'yes' if report.certified else 'no'}")

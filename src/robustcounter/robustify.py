@@ -60,9 +60,8 @@ def _prepare(model: Model, uncertain_set: UncertainSet, epsilon: float,
     if model.has_cones():
         raise ModelError("input model must be cone-free")
     check_levels(epsilon, delta, ModelError)
-    uncertain_set.validate(model)
-    grouped = uncertain_set.by_constraint()
-    for con_id in grouped:
+    resolved = uncertain_set.validate(model)
+    for con_id in resolved:
         con = model.constraints[con_id]
         if con.sense != "<=":
             raise ModelError(
@@ -70,7 +69,7 @@ def _prepare(model: Model, uncertain_set: UncertainSet, epsilon: float,
                 "normalize to <= before robustifying"
             )
     out = model.copy(name=model.name + suffix)
-    return out, grouped
+    return out, resolved
 
 
 def interval_robust_counterpart(model: Model, uncertain_set: UncertainSet,
@@ -93,17 +92,17 @@ def interval_robust_counterpart(model: Model, uncertain_set: UncertainSet,
     right-hand side, else ``b``.  All nominal rows and the objective are
     kept, so any feasible point of the counterpart is nominal feasible.
     """
-    out, grouped = _prepare(model, uncertain_set, epsilon, delta, IRC_SUFFIX)
-    for con_id in sorted(grouped):
+    out, resolved = _prepare(model, uncertain_set, epsilon, delta, IRC_SUFFIX)
+    for con_id in sorted(resolved):
         con = model.constraints[con_id]
         coeffs = dict(con.lhs.terms)
         rhs = con.rhs
-        for entry in grouped[con_id]:
+        for _, entry, nominal in resolved[con_id]:
+            lo, hi = bounded_interval(nominal, entry.distribution, epsilon)
             if entry.is_rhs:
-                rhs = bounded_interval(con.rhs, entry.distribution, epsilon)[0]
+                rhs = lo
                 continue
             var = model.variables[entry.target]
-            lo, hi = bounded_interval(coeffs[var.id], entry.distribution, epsilon)
             if var.lower >= 0:
                 coeffs[var.id] = hi
                 continue
@@ -143,23 +142,23 @@ def symmetric_robust_counterpart(model: Model, uncertain_set: UncertainSet,
     nominal point with ``v = x, u = 0``.
     """
     omega = omega_from_kappa(kappa)
-    out, grouped = _prepare(model, uncertain_set, epsilon, delta, RC_SUFFIX)
-    for con_id in sorted(grouped):
+    out, resolved = _prepare(model, uncertain_set, epsilon, delta, RC_SUFFIX)
+    for con_id in sorted(resolved):
         con = model.constraints[con_id]
-        coeffs = dict(con.lhs.terms)
-        rhs_uncertain = any(e.is_rhs for e in grouped[con_id])
+        rhs_uncertain = False
         robust_terms = list(con.lhs.terms)
         cone_components = []
-        for entry in grouped[con_id]:
+        for _, entry, nominal in resolved[con_id]:
             if entry.is_rhs:
+                rhs_uncertain = True
                 continue
             var = model.variables[entry.target]
             u = out.add_variable(f"u_{con.label}_{var.name}", "continuous", 0.0)
             v = out.add_variable(
                 f"v_{con.label}_{var.name}", "continuous", -math.inf, math.inf
             )
-            robust_terms.append((u, epsilon * abs(coeffs[var.id])))
-            cone_components.append((v, coeffs[var.id]))
+            robust_terms.append((u, epsilon * abs(nominal)))
+            cone_components.append((v, nominal))
             for sign, side in ((1.0, "up"), (-1.0, "lo")):
                 out.add_constraint(
                     [(var.id, sign), (v, -sign), (u, -1.0)], "<=", 0.0,

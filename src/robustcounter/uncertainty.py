@@ -225,8 +225,8 @@ class UncertainSet:
 
     Entries are (constraint id, variable id or RHS, distribution) triples,
     each passed to :meth:`add`, which rejects a non-integer id, an unknown
-    tag and a duplicate.  ``validate`` checks every reference against a
-    companion model.
+    tag and a duplicate.  :meth:`validate`, the one place where entries meet
+    a model, resolves each to its row and nominal value for every reader.
     """
 
     def __init__(self, entries=()):
@@ -262,21 +262,26 @@ class UncertainSet:
             grouped.setdefault(entry.constraint_id, []).append(entry)
         return grouped
 
-    def validate(self, model: Model) -> None:
-        for entry in self.entries:
+    def validate(self, model: Model) -> dict[int, list[tuple[int, UncertainEntry, float]]]:
+        """Check every entry against ``model``; return ``{constraint id:
+        [(entry index, entry, nominal rhs or coefficient), ...]}``, rows in
+        first-appearance order, reading each row's terms once."""
+        resolved: dict[int, list[tuple[int, UncertainEntry, float]]] = {}
+        row_terms: dict[int, dict[int, float]] = {}
+        for idx, entry in enumerate(self.entries):
             if not 0 <= entry.constraint_id < len(model.constraints):
                 raise ValueError(f"unknown constraint id {entry.constraint_id}")
-            if entry.is_rhs:
-                continue
             con = model.constraints[entry.constraint_id]
-            coeffs = dict(con.lhs.terms)
-            if entry.target not in coeffs:
+            if con.id not in row_terms and not entry.is_rhs:
+                row_terms[con.id] = dict(con.lhs.terms)
+            nominal = con.rhs if entry.is_rhs else row_terms[con.id].get(entry.target)
+            if nominal is None:
                 name = (model.variables[entry.target].name
                         if 0 <= entry.target < len(model.variables)
                         else repr(entry.target))
-                raise ValueError(
-                    f"constraint {con.label!r} has no term for variable {name}"
-                )
+                raise ValueError(f"constraint {con.label!r} has no term for variable {name}")
+            resolved.setdefault(con.id, []).append((idx, entry, nominal))
+        return resolved
 
 
 # -- scalar deviation machinery ------------------------------------------------

@@ -6,22 +6,25 @@ candidate solution:
 * :func:`corner_check` -- exact worst-case certification for bounded
   uncertainty.  The worst corner of each row is found entry by entry (the
   worst case is separable); certification requires every violation to stay
-  within the ``delta * max(1, |rhs|)`` allowance.
+  within the ``delta * max(1, |rhs|)`` allowance.  The report carries the
+  count k of ``entries``, whose ``2**k`` corners that covers.
 * :func:`monte_carlo_check` -- violation-probability estimation for random
   uncertainty, with splittable per-entry random streams so adding an entry
   never perturbs the draws of the others.
 * :func:`sweep` -- solve a builder across an (epsilon, delta, kappa) grid and
   tabulate objectives against the nominal solve, serially or on an executor.
 
-Sweep grid points are embarrassingly parallel.  The estimator walks its
-samples in fixed blocks on the calling thread, each entry drawing
-(``uncertainty.draw_deviations``) from its own counter-based stream that
-continues from block to block, and adds the terms to their rows in entry
-order: it holds a few one-block buffers and one generator per drawn entry,
-whatever the sample count, and its bits do not depend on the block size.
-It draws nothing for a variable at 0, nor for a row whose worst realization
-in its tags' ``uncertainty.support``, plus a rounding margin, stays within
-its allowance; the estimate stays the one with every entry drawn, bitwise.
+Both checks read entries, rows and nominal values as ``UncertainSet.validate``
+resolves them, in time linear in the entries.  Sweep grid points are
+embarrassingly parallel.  The estimator walks its samples in fixed blocks on
+the calling thread, each entry drawing (``uncertainty.draw_deviations``) from
+its own counter-based stream that continues from block to block, and adds the
+terms to their rows in entry order: it holds a few one-block buffers and one
+generator per drawn entry, whatever the sample count, and its bits do not
+depend on the block size.  It draws nothing for a variable at 0, nor for a row
+whose worst realization in its tags' ``uncertainty.support``, plus a rounding
+margin, stays within its allowance; the estimate stays the one with every
+entry drawn, bitwise.
 """
 
 from __future__ import annotations
@@ -51,9 +54,9 @@ _MC_BLOCK = 8192  # samples per Monte Carlo block: 64 KiB per float64 buffer
 
 @dataclass
 class CornerReport:
-    """Worst-case certification over all interval corners."""
+    """Worst-case certification over the ``2**entries`` interval corners."""
 
-    corners_checked: int
+    entries: int
     worst_violation: dict[int, float]
     certified: bool
 
@@ -87,11 +90,6 @@ def _require_finite_values(model: Model, solution_values, constraints) -> None:
                     f"solution value of {name} is {value}; values must be finite")
 
 
-def _nominal_coefficient(model: Model, entry) -> float:
-    con = model.constraints[entry.constraint_id]
-    return con.rhs if entry.is_rhs else dict(con.lhs.terms)[entry.target]
-
-
 def _nominal_lhs(con, solution_values) -> float:
     """The row's left-hand side at the point, cone term included."""
     lhs = con.lhs.value(solution_values)
@@ -100,9 +98,9 @@ def _nominal_lhs(con, solution_values) -> float:
     return lhs
 
 
-def _worst_residual(model: Model, con, entries, solution_values, epsilon: float
+def _worst_residual(con, entries, solution_values, epsilon: float
                     ) -> tuple[float, float] | None:
-    """Greatest residual of row ``con`` over its ``entries``, each anywhere
+    """Greatest residual of row ``con`` over its resolved ``entries``, each anywhere
     in its own :func:`support` independently of the others, and the row's
     magnitude ``S = |lhs0| + |rhs| + sum_j m_j |x_j|`` (``m_j = max(|a_j|,
     |lo_j|, |hi_j|)``, inf from 2**1000 on); None when a support is None.
@@ -112,8 +110,7 @@ def _worst_residual(model: Model, con, entries, solution_values, epsilon: float
     lhs_low = lhs_high = lhs = _nominal_lhs(con, solution_values)
     rhs_low = rhs_high = con.rhs
     size = abs(lhs) + abs(con.rhs)
-    for entry in entries:
-        nominal = _nominal_coefficient(model, entry)
+    for _, entry, nominal in entries:
         bounds = support(nominal, entry.distribution, epsilon)
         if bounds is None:
             return None
@@ -141,8 +138,8 @@ def corner_check(model: Model, uncertain_set: UncertainSet, solution_values,
     Each uncertain entry belongs to exactly one row and ranges over its own
     interval (:func:`support`), independently of the others, so the
     worst case of a row is separable (:func:`_worst_residual`).  That is the
-    worst of all ``2**len(uncertain_set)`` corners, which ``corners_checked``
-    reports, without enumerating them.  Certification requires every
+    worst of all ``2**k`` corners of the k entries, which ``entries``
+    reports, found in time linear in k.  Certification requires every
     violation to stay within the ``delta * max(1, |rhs|)`` allowance.
     Constraints without uncertain entries are checked for plain feasibility.
 
@@ -153,7 +150,7 @@ def corner_check(model: Model, uncertain_set: UncertainSet, solution_values,
     value the rows read present and finite.
     """
     check_levels(epsilon, delta)
-    uncertain_set.validate(model)
+    resolved = uncertain_set.validate(model)
     _require_finite_values(model, solution_values, model.constraints)
     for entry in uncertain_set:
         if not isinstance(entry.distribution, INTERVAL_TAGS):
@@ -161,16 +158,15 @@ def corner_check(model: Model, uncertain_set: UncertainSet, solution_values,
                 f"corner_check supports bounded, range and uniform tags only, got "
                 f"{type(entry.distribution).__name__}; use monte_carlo_check")
 
-    grouped = uncertain_set.by_constraint()
     worst: dict[int, float] = {}
     certified = True
     for con in model.constraints:
-        entries = grouped.get(con.id, [])
+        entries = resolved.get(con.id, [])
         allowance = slack_allowance(con.rhs, delta) if entries else FEASIBILITY_TOL
-        viol, _ = _worst_residual(model, con, entries, solution_values, epsilon)
+        viol, _ = _worst_residual(con, entries, solution_values, epsilon)
         worst[con.id] = max(0.0, viol)
         certified = certified and worst[con.id] <= allowance + _CERT_TOL
-    return CornerReport(2 ** len(uncertain_set), worst, certified)
+    return CornerReport(len(uncertain_set), worst, certified)
 
 
 # -- Monte Carlo ----------------------------------------------------------------
@@ -235,35 +231,28 @@ def monte_carlo_check(model: Model, uncertain_set: UncertainSet, solution_values
     if not (_is_int(seed) and 0 <= int(seed) < 2 ** 64):
         raise ValueError(f"seed must lie in [0, 2**64) as an integer, got {seed!r}")
     seed = int(seed)
-    uncertain_set.validate(model)
-    entries = list(uncertain_set)
-    rows: dict[int, list[int]] = {}
-    for idx, entry in enumerate(entries):
-        rows.setdefault(entry.constraint_id, []).append(idx)
+    resolved = uncertain_set.validate(model)
     _require_finite_values(model, solution_values,
-                           [model.constraints[cid] for cid in rows])
+                           [model.constraints[cid] for cid in resolved])
 
     drawn = []  # (row, its nominal lhs, its violation limit, its drawn terms)
-    for con_id, idxs in rows.items():
+    for con_id, entries in resolved.items():
         con = model.constraints[con_id]
         limit = slack_allowance(con.rhs, delta) + _CERT_TOL
-        bound = _worst_residual(model, con, [entries[idx] for idx in idxs],
-                                solution_values, epsilon)
+        bound = _worst_residual(con, entries, solution_values, epsilon)
         if bound is not None:
             worst, size = bound
-            margin = 8 * (len(idxs) + 4) * 2.0 ** -52 * size
+            margin = 8 * (len(entries) + 4) * 2.0 ** -52 * size
             if size < 2.0 ** 1000 and worst + margin <= limit:
                 continue  # no draw can violate the row: it counts 0
         terms = []
-        for idx in idxs:
-            entry = entries[idx]
+        for idx, entry, nominal in entries:
             x = None if entry.is_rhs else solution_values[entry.target]
             if x != 0.0:
-                terms.append((entry.distribution, _nominal_coefficient(model, entry),
-                              x, _entry_stream(seed, idx)))
+                terms.append((entry.distribution, nominal, x, _entry_stream(seed, idx)))
         drawn.append((con, _nominal_lhs(con, solution_values), limit, terms))
 
-    counts = dict.fromkeys(rows, 0)
+    counts = dict.fromkeys(resolved, 0)
     for start in range(0, n_samples, _MC_BLOCK):
         b = min(_MC_BLOCK, n_samples - start)
         for con, lhs0, limit, terms in drawn:

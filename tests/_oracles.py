@@ -759,6 +759,27 @@ def reference_run_primal(tab, basis, x, lo, hi, deadline=math.inf, max_iter=1_00
 # -- restart loop for cone rows ---------------------------------------------------
 
 
+def reference_tangent_cut(cone, values):
+    """The tangent plane of ``f(x) = s * sqrt(c0 + sum_j (c_j x_j)^2)`` at
+    ``values``, as (terms, constant) on the row's left-hand side.
+
+    With ``g = sqrt(c0 + sum_j (c_j xbar_j)^2) > 0`` the gradient is
+    ``s * c_j^2 * xbar_j / g``, and ``f(xbar) - grad . xbar`` simplifies to
+    ``s * c0 / g``.  At ``g = 0`` (``c0 = 0`` and every ``c_j xbar_j = 0``)
+    ``f`` has no gradient; the cut is ``s * c_j * sign(xbar_j) * x_j``, which
+    lies below ``s * |c_j x_j| <= f``, for the component with the largest
+    ``|c_j|`` (lowest variable id on ties; ``sign(0)`` is 1)."""
+    scale, c0 = cone.scale, cone.constant_inside
+    g = math.sqrt(c0 + sum((c * values[v]) ** 2 for v, c in cone.components))
+    if g > 1e-12:
+        return [(v, scale * c * c * values[v] / g) for v, c in cone.components], scale * c0 / g
+    if not cone.components:
+        return [], 0.0
+    best = max(abs(c) for _, c in cone.components)
+    v, c = min((v, c) for v, c in cone.components if abs(c) == best)
+    return [(v, scale * c * (1.0 if values[v] >= 0 else -1.0))], 0.0
+
+
 def reference_solve_cone(model: Model, max_rounds: int = 200):
     """Outer approximation by restarts: each round solves a fresh branch and
     bound over the model with every cone row at its radical floor plus every
@@ -786,7 +807,7 @@ def reference_solve_cone(model: Model, max_rounds: int = 200):
             return sol
         work = work.copy()
         for con in violated:
-            terms, constant = solver._cone_support_cut(con.cone, sol.values)
+            terms, constant = reference_tangent_cut(con.cone, sol.values)
             total.cone_cuts += 1
             work.add_constraint(
                 LinExpr.from_terms(list(con.lhs.terms) + list(terms),

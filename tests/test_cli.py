@@ -2,12 +2,14 @@ import argparse
 import csv
 import json
 import math
+import os
 
 import pytest
 
+from robustcounter import cli
 from robustcounter.cli import _counterpart, _solver_options, main, parse_grid_spec
 from robustcounter.fixtures import demo_instance, demo_lp, one_row_uncertain
-from robustcounter.model import export_text, import_text
+from robustcounter.model import Model, export_text, import_text
 from robustcounter.sitesel import write_instance
 from robustcounter.solver import solve
 from robustcounter.uncertainty import format_annotations
@@ -400,6 +402,83 @@ def test_sweep_parallel_matches_serial(workdir):
     assert main(args + ["-o", str(workdir / "s1.csv")]) == 0
     assert main(args + ["--jobs", "2", "-o", str(workdir / "s2.csv")]) == 0
     assert (workdir / "s1.csv").read_text() == (workdir / "s2.csv").read_text()
+
+
+@pytest.mark.parametrize("jobs, cpus, workers", [
+    ("100000", 8, [3]), ("100000", 2, [2]), ("2", 8, [2]), ("4", 1, []),
+])
+def test_sweep_starts_no_more_workers_than_cells_or_cpus(workdir, monkeypatch,
+                                                         jobs, cpus, workers):
+    """A pool forks all its workers on the first submit, so ``--jobs`` is
+    capped by the grid's cells and the CPUs; one worker runs serially."""
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    out = workdir / "sweep.csv"
+    assert main(["sweep", str(workdir / "one_row.txt"), "eps=0,0.05,0.1",
+                 "--annotations", str(workdir / "one_row.unc"), "--mode", "irc",
+                 "--jobs", jobs, "-o", str(out)]) == 0
+    assert started == workers
+    assert len(list(csv.DictReader(out.open()))) == 3
+
+
+def test_validate_reads_a_bare_object_with_a_variable_named_values(tmp_path, capsys):
+    """Only a JSON object under ``values`` is a wrapped solution; a number
+    there is the value of a variable named ``values``."""
+    m = Model()
+    a = m.add_variable("values")
+    b = m.add_variable("y")
+    m.set_objective("max", [(a, 1.0), (b, 1.0)])
+    m.add_constraint([(a, 1.0), (b, 2.0)], "<=", 10.0, label="cap")
+    m.finalize()
+    (tmp_path / "m.txt").write_text(export_text(m))
+    (tmp_path / "m.unc").write_text("cap values(bounded)\ncap RHS(bounded)\n")
+    (tmp_path / "sol.json").write_text('{"values": 1.0, "y": 0.5}')
+    rc = main(["validate", str(tmp_path / "m.txt"), str(tmp_path / "m.unc"),
+               "--solution", str(tmp_path / "sol.json"), "--eps", "0.1", "--json"])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert json.loads(captured.out)["certified"] is True
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_validate_reports_entries_past_the_int_digit_limit(tmp_path, capsys, as_json):
+    """2**14300 has more digits than ``str(int)`` converts, so the report
+    carries the entry count k, not the 2**k corners it covers."""
+    n = 14_300
+    m = Model()
+    xs = [m.add_variable(f"x{i}") for i in range(n)]
+    m.set_objective("max", [(x, 1.0) for x in xs])
+    m.add_constraint([(x, 1.0) for x in xs], "<=", float(n), label="cap")
+    m.finalize()
+    (tmp_path / "m.txt").write_text(export_text(m))
+    (tmp_path / "m.unc").write_text("".join(f"cap x{i}(bounded)\n" for i in range(n)))
+    (tmp_path / "sol.json").write_text(json.dumps({f"x{i}": 0.5 for i in range(n)}))
+    rc = main(["validate", str(tmp_path / "m.txt"), str(tmp_path / "m.unc"),
+               "--solution", str(tmp_path / "sol.json"), "--eps", "0.1",
+               *(["--json"] if as_json else [])])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    if as_json:
+        payload = json.loads(captured.out)
+        assert payload["entries"] == n and payload["certified"] is True
+    else:
+        assert f"uncertain entries: {n}" in captured.out
+        assert "certified: yes" in captured.out
 
 
 def test_solve_node_limit_exit_four(workdir):

@@ -469,6 +469,27 @@ def test_uncertain_set_validates_references():
         UncertainSet([(5, x, Bounded())]).validate(m)
 
 
+def test_uncertain_set_validate_resolves_entries_to_rows_and_nominals():
+    """Rows come in first-appearance order, each with its entries in entry
+    order, their indices and nominal values: the rhs or the coefficient."""
+    m = Model()
+    x = m.add_variable("x")
+    y = m.add_variable("y")
+    m.add_constraint([(x, 2.0), (y, 1.0)], "<=", 6.0, label="a")
+    m.add_constraint([(x, -3.0)], "<=", 4.0, label="b")
+    m.finalize()
+    uset = UncertainSet([(1, RHS, Bounded()), (0, y, Uniform()), (1, x, Bounded(0.2)),
+                         (0, x, Bounded())])
+    e = uset.entries
+    assert list(uset.validate(m).items()) == [
+        (1, [(0, e[0], 4.0), (2, e[2], -3.0)]),
+        (0, [(1, e[1], 1.0), (3, e[3], 2.0)]),
+    ]
+    assert UncertainSet().validate(m) == {}
+    with pytest.raises(ValueError, match="constraint 'b' has no term for variable y"):
+        UncertainSet([(1, y, Bounded())]).validate(m)
+
+
 @pytest.mark.parametrize("constraint_id, target", [
     (0, "x"), (0, None), (0, True), (0, 1.0), (0.0, 0), ("0", 0), (None, 0), (True, 0),
 ])
