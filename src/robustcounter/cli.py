@@ -212,6 +212,7 @@ def parse_grid_spec(tokens) -> list[tuple[float, float, float]]:
     axes = {"eps": [0.0], "delta": [0.0], "kappa": [1.0]}
     if not tokens:
         raise ValueError("empty grid specification")
+    given = set()
     for token in tokens:
         if "=" not in token:
             raise ValueError(f"grid token {token!r} is not key=values")
@@ -221,6 +222,9 @@ def parse_grid_spec(tokens) -> list[tuple[float, float, float]]:
             key = "eps"
         if key not in axes:
             raise ValueError(f"unknown grid axis {key!r} (use eps/delta/kappa)")
+        if key in given:
+            raise ValueError(f"grid axis {key!r} is given twice, again in {token!r}")
+        given.add(key)
         axes[key] = _parse_axis(spec, key)
     for key in ("eps", "delta"):
         if any(v < 0 for v in axes[key]):
@@ -240,10 +244,17 @@ def cmd_sweep(args) -> int:
     grid = parse_grid_spec(args.grid)
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    kappas = list(dict.fromkeys(k for _, _, k in grid))
+    if args.mode == "irc" and kappas != [1.0]:
+        raise ValueError(f"kappa: --mode irc never reads kappa, got {kappas}")
     path = Path(args.input)
     if path.is_dir():
+        if args.annotations is not None:
+            raise ValueError(f"--annotations: {args.input} is an instance directory")
         source = load_instance(path)
     else:
+        if args.exact_assignment:
+            raise ValueError(f"--exact-assignment: {args.input} is a model file")
         model = import_text(path.read_text())
         if not args.annotations:
             raise ValueError("model-file sweeps need --annotations")

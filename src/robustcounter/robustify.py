@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 from .model import ConeTerm, LinExpr, Model, ModelError
 from .uncertainty import (
+    Bounded,
+    BoundedRange,
     UncertainSet,
     _require_finite,
     bounded_interval,
@@ -245,9 +247,10 @@ def robust_timing_bounded(template: TimingConstraintTemplate, epsilon: float,
                           ) -> tuple[list[TimingRow], float]:
     """Bounded-uncertainty timing rows and the emitted slack split.
 
-    Both coefficients are lowered to their interval floor ((1 - eps) times
-    nominal, or the explicit range floor for the targeted coefficient when
-    ``alpha_range`` is given).  The auxiliary slack satisfies the identity
+    Both coefficients are lowered to their interval floor, (1 - eps) times
+    nominal; the targeted one's floor and width are :func:`bounded_interval`'s
+    over ``BoundedRange(*alpha_range)``, or ``Bounded()`` with no range.  The
+    auxiliary slack satisfies the identity
 
         delta + delta2 == upper - lower   (== 2 * eps * coefficient)
 
@@ -261,19 +264,13 @@ def robust_timing_bounded(template: TimingConstraintTemplate, epsilon: float,
         raise ValueError("target must be 'alpha' or 'beta'")
     alpha_eff = (1.0 - epsilon) * template.alpha
     beta_eff = (1.0 - epsilon) * template.beta
-    if alpha_range is not None:
-        low, high = alpha_range
-        _require_finite(low, high)
-        if low > high:
-            raise ValueError(f"empty range [{low}, {high}]")
-        width = high - low
-        if target == "alpha":
-            alpha_eff = low
-        else:
-            beta_eff = low
+    tag = Bounded() if alpha_range is None else BoundedRange(*alpha_range)
+    low, high = bounded_interval(getattr(template, target), tag, epsilon)
+    if target == "alpha":
+        alpha_eff = low
     else:
-        width = 2.0 * epsilon * (template.alpha if target == "alpha" else template.beta)
-    delta2 = width - delta
+        beta_eff = low
+    delta2 = high - low - delta
     return _timing_rows(template, alpha_eff, beta_eff, delta2, IRC_SUFFIX), delta2
 
 

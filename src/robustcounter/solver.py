@@ -52,6 +52,7 @@ concurrently (no shared mutable state).
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import time
 from collections import deque
@@ -100,35 +101,19 @@ class SolverOptions:
                 raise SolverError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
-@dataclass
-class NodeRecord:
-    """One branch-and-bound subproblem: every variable's bounds in id order
-    (read-only, shared with children), and the optimal result of the LP it
-    was made from, if it has one (shared by both children): the node starts
-    from that result's final tableau while the tree holds it, and otherwise
-    refactors at that result's basis."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-    origin: _SimplexResult | None = None
-
-
 # -- simplex ----------------------------------------------------------------
 
 
+@dataclass(slots=True)
 class _SimplexResult:
-    __slots__ = ("status", "x", "objective", "iterations", "basis", "tab", "age", "refactors")
-
-    def __init__(self, status, x=None, objective=math.nan, iterations=0, basis=None,
-                 tab=None, age=0, refactors=0):
-        self.status = status
-        self.x = x
-        self.objective = objective
-        self.iterations = iterations
-        self.basis = basis
-        self.tab = tab  # the final tableau at ``basis``
-        self.age = age  # LP iterations ``tab`` carries since its last dense solve
-        self.refactors = refactors  # dense solves of B^-1 [A | -I]
+    status: str
+    x: np.ndarray | None = None
+    objective: float = math.nan
+    iterations: int = 0
+    basis: np.ndarray | None = None
+    tab: np.ndarray | None = None  # the final tableau at ``basis``
+    age: int = 0  # LP iterations ``tab`` carries since its last dense solve
+    refactors: int = 0  # dense solves of B^-1 [A | -I]
 
 
 def _pivot(tab, basis, row, col):
@@ -401,7 +386,7 @@ def _solve_standard(sf: StandardFormLP, deadline: float,
     mat = np.hstack([sf.a, -np.eye(m)])
     cost = np.concatenate([-sf.c, np.zeros(m)])
     basis = np.arange(n, n + m) if origin is None else np.concatenate(
-        [origin.basis, np.arange(n + len(origin.basis), n + m)]).astype(np.intp)
+        [origin.basis, np.arange(n + len(origin.basis), n + m)])
     carried = origin is not None and origin.tab is not None and origin.age < _REFACTOR_EVERY
     tab, age = (origin.tab, origin.age) if carried else (None, 0)
     iters = refactors = 0
@@ -421,8 +406,8 @@ def _solve_standard(sf: StandardFormLP, deadline: float,
             age += more
         if status == "optimal":
             xs = np.clip(x[:n], sf.col_lo, sf.col_hi)
-            return _SimplexResult("optimal", xs, float(sf.c @ xs + sf.c0), iters,
-                                  tuple(basis.tolist()), tab=tab, age=age, refactors=refactors)
+            return _SimplexResult("optimal", xs, float(sf.c @ xs + sf.c0), iters, basis,
+                                  tab, age, refactors)
         if status == "limit" or _proven(status, mat, cost, lo, hi, basis, x, enter):
             return _SimplexResult(status, iterations=iters, refactors=refactors)
         if not (iters or carried):
@@ -494,10 +479,12 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
 
     best_values = None
     best_cano = -INF
-    counter = 0
     separations = 0
     cut_off = 0.0
-    heap = [(-INF, counter, NodeRecord(lp.col_lo, lp.col_hi))]
+    # a node is (-bound, FIFO seq, lo, hi, origin): every variable's bounds in id order,
+    # shared with children, and the optimal LP result it starts from, None at the root
+    seq = itertools.count()
+    heap = [(-INF, next(seq), lp.col_lo, lp.col_hi, None)]
     held = deque()  # results whose tableaux nodes may start from, oldest first
 
     def hold(res):
@@ -509,14 +496,13 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
     status = "optimal"
     bounded = False  # some node LP was optimal, so none can be unbounded
     while heap:
-        neg_bound, _, node = heapq.heappop(heap)
+        neg_bound, _, node_lo, node_hi, origin = heapq.heappop(heap)
         if -neg_bound <= best_cano + _PRUNE_TOL:
             break  # best-bound order: nothing left can improve
         if stats.nodes >= options.max_nodes or time.monotonic() > deadline:
             status = "limit_reached"
             break
-        res = _solve_standard(replace(lp, col_lo=node.lo, col_hi=node.hi), deadline,
-                              origin=node.origin)
+        res = _solve_standard(replace(lp, col_lo=node_lo, col_hi=node_hi), deadline, origin)
         stats.nodes += 1
         stats.iterations += res.iterations
         stats.refactors += res.refactors
@@ -566,21 +552,19 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
                 lp = replace(lp, a=np.vstack([lp.a, rows]),
                              row_lo=np.concatenate([lp.row_lo, np.full(len(rows), -INF)]),
                              row_hi=np.concatenate([lp.row_hi, row_hi]))
-                counter += 1
-                heapq.heappush(heap, (-cano, counter, replace(node, origin=hold(res))))
+                heapq.heappush(heap, (-cano, next(seq), node_lo, node_hi, hold(res)))
                 continue
             cano = float(lp.c @ point + lp.c0)
             if cano > best_cano:
                 best_cano = cano
                 best_values = values
             continue
-        down, up = node.hi.copy(), node.lo.copy()
+        down, up = node_hi.copy(), node_lo.copy()
         down[var], up[var] = math.floor(res.x[var]), math.ceil(res.x[var])
-        origin = hold(res)
-        for lo, hi in ((node.lo, down), (up, node.hi)):
+        hold(res)
+        for lo, hi in ((node_lo, down), (up, node_hi)):
             if lo[var] <= hi[var]:
-                counter += 1
-                heapq.heappush(heap, (-cano, counter, NodeRecord(lo, hi, origin)))
+                heapq.heappush(heap, (-cano, next(seq), lo, hi, res))
 
     if cone_rows:
         stats.cone_violation = cut_off if best_values is None else max(

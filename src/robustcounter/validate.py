@@ -306,22 +306,24 @@ def sweep(builder, grid, options: SolverOptions | None = None,
     """Solve ``builder(eps, delta, kappa)`` at every grid point.
 
     The nominal point (0, 0, 1) comes first, added when the grid does not
-    contain it.  Individual failures are recorded as status ``error`` and
-    the sweep continues.  ``relative_gap`` is the objective shortfall
-    relative to the nominal optimum.  ``executor`` (anything with ``map``,
-    such as a ``ProcessPoolExecutor``) runs the cells; a process pool needs
-    a picklable builder.
+    contain it.  It is built and solved unguarded, in the calling process,
+    so an error there (an input the builder rejects) raises.  Failures at
+    the other points are recorded as status ``error`` and the sweep
+    continues.  ``relative_gap`` is the objective shortfall relative to the
+    nominal optimum.  ``executor`` (anything with ``map``, such as a
+    ``ProcessPoolExecutor``) runs the other cells; a process pool needs a
+    picklable builder.
     """
     points = [tuple(map(float, p)) for p in grid]
     if not points:
         raise ValueError("sweep grid is empty")
     nominal_point = (0.0, 0.0, 1.0)
     points = [nominal_point] + [p for p in points if p != nominal_point]
+    nominal = solve(builder(*nominal_point), options)
     cell = functools.partial(_solve_cell, builder, options)
-    results = list((executor.map if executor is not None else map)(cell, points))
-    status, nominal_objective = results[0]
-    if status != "optimal":
-        nominal_objective = math.nan
+    results = [(nominal.status, nominal.objective)]
+    results += (executor.map if executor is not None else map)(cell, points[1:])
+    nominal_objective = nominal.objective if nominal.status == "optimal" else math.nan
     rows: list[SweepRow] = []
     for (eps, delta, kappa), (status, objective) in zip(points, results):
         gap = math.nan

@@ -601,3 +601,57 @@ def test_numbers_outside_the_file_grammar_exit_one(workdir, capsys, option, argv
     err = capsys.readouterr().err
     assert err.startswith(f"error: {option}: malformed number ") and err.count("\n") == 1
     assert not (workdir / "out").exists()
+
+
+def _rejected_row(tmp_path):
+    """A model whose one tagged row is ``>=``, which no counterpart takes."""
+    (tmp_path / "m.txt").write_text(
+        "#vars\nx continuous 0 10\n#obj\nmax 1*x\n#cons\ncap: 1*x >= 1\n")
+    (tmp_path / "m.unc").write_text("cap x(bounded)\n")
+    return str(tmp_path / "m.txt"), str(tmp_path / "m.unc")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_of_an_input_the_builder_rejects_exits_one(tmp_path, capsys, jobs):
+    """The nominal cell is built and solved outside the per-cell guard, so a
+    sweep fails as robustify does on the same files, where it wrote two
+    ``error`` rows and exited 0."""
+    model, unc = _rejected_row(tmp_path)
+    out = tmp_path / "s.csv"
+    assert main(["sweep", model, "eps=0,0.1", "--annotations", unc, "--mode", "irc",
+                 "--jobs", jobs, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert main(["robustify", model, unc, "--mode", "irc", "-o", str(tmp_path / "r.txt")]) == 1
+    assert err == capsys.readouterr().err == (
+        "error: uncertain constraint 'cap' has sense '>='; normalize to <= before "
+        "robustifying\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["{hk}", "eps=0.1", "--annotations", "{unc}"], "--annotations: {hk} is an instance"),
+    (["{hk}", "eps=0.1", "--annotations", "/nonexistent"], "--annotations: {hk} is an"),
+    (["{model}", "eps=0.1", "--annotations", "{unc}", "--exact-assignment"],
+     "--exact-assignment: {model} is a model file"),
+    (["{hk}", "eps=0.1", "eps=0.2"], "grid axis 'eps' is given twice, again in 'eps=0.2'"),
+    (["{hk}", "epsilon=0.1", "eps=0.3"], "grid axis 'eps' is given twice, again in 'eps=0.3'"),
+    (["{hk}", "eps=0.1", "kappa=1,0.5,0.14", "--mode", "irc"],
+     "kappa: --mode irc never reads kappa, got [1.0, 0.5, 0.14]"),
+    (["{hk}", "eps=0.1", "kappa=0.5", "--mode", "irc"],
+     "kappa: --mode irc never reads kappa, got [0.5]"),
+], ids=["annotations-with-instance", "missing-annotations-with-instance",
+        "exact-assignment-with-model", "repeated-axis", "repeated-axis-alias", "irc-kappa",
+        "irc-one-kappa"])
+def test_sweep_rejects_inputs_it_never_reads(workdir, capsys, argv, message):
+    """Each of these sweeps exited 0: an input an instance or a model file
+    never reads was dropped, a repeated axis kept only its last values, and
+    an irc sweep solved one identical cell per kappa."""
+    paths = {"hk": workdir / "hk_demo", "model": workdir / "one_row.txt",
+             "unc": workdir / "one_row.unc"}
+    out = workdir / "s.csv"
+    assert main(["sweep", *(a.format(**paths) for a in argv), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(**paths)) and err.count("\n") == 1, err
+    assert not out.exists()
+    assert main(["sweep", str(workdir / "hk_demo"), "eps=0.1", "kappa=1", "--mode", "irc",
+                 "-o", str(out)]) == 0

@@ -394,6 +394,17 @@ def test_timing_bounded_rejects_nonfinite_alpha_range(alpha_range):
         robust_timing_bounded(tpl, 0.05, 0.1, alpha_range=alpha_range)
 
 
+@pytest.mark.parametrize("target", ["alpha", "beta"])
+def test_timing_bounded_rejects_a_range_wider_than_a_float(target):
+    """An explicit range is read as a ``BoundedRange`` tag; one whose width
+    overflowed gave ``delta2 = inf`` and two vacuous rows."""
+    tpl, _ = _template()
+    with pytest.raises(ValueError, match="wider than a float"):
+        robust_timing_bounded(tpl, 0.05, 0.1, target, alpha_range=(-1.7e308, 1.7e308))
+    with pytest.raises(ValueError, match="empty range"):
+        robust_timing_bounded(tpl, 0.05, 0.1, target, alpha_range=(10.0, 8.0))
+
+
 def test_timing_bounded_zero_epsilon():
     tpl, _ = _template()
     rows, delta2 = robust_timing_bounded(tpl, 0.0, 0.25)

@@ -939,6 +939,20 @@ def test_sweep_records_failures_and_continues():
     assert statuses[0.05] == "optimal"
 
 
+def test_sweep_raises_the_builders_error_at_the_nominal_point():
+    """The nominal cell is built unguarded: a builder that rejects its input
+    raises there, where every cell used to be recorded as ``error``."""
+    m = Model()
+    x = m.add_variable("x", upper=10.0)
+    m.set_objective("max", [(x, 1.0)])
+    m.add_constraint([(x, 1.0)], ">=", 1.0, label="cap")
+    m.finalize()
+    uset = UncertainSet([(0, x, Bounded())])
+    with pytest.raises(ValueError, match="uncertain constraint 'cap' has sense '>='"):
+        sweep(lambda e, d, k: interval_robust_counterpart(m, uset, e, d).model,
+              [(0.1, 0.0, 1.0)])
+
+
 def test_sweep_empty_grid_rejected():
     with pytest.raises(ValueError, match="empty"):
         sweep(_builder(_one_row), [])
