@@ -6,8 +6,8 @@ Exit codes: 0 optimal/success, 1 rejected input or unreadable/unwritable
 file (reported once, by :func:`main`, as ``error: ...``), 2 infeasible (or
 certification failure), 3 unbounded, 4 limit reached.  All floating-point
 output is printed with 6 decimals; CSV files carry full precision.  The
-``--json`` flag mirrors every report as a machine-readable object.  The
-Monte Carlo seed is ``--seed``, 0 unless given.
+``--json`` flag mirrors every report's record, field by field.  The Monte
+Carlo seed is ``--seed``, 0 unless given.  An option never read is rejected.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 from .model import Model, _read_number, export_text, import_text
@@ -39,6 +38,9 @@ _MAX_GRID = 10_000  # values on one sweep axis, and cells in one sweep grid
 # numeric options, read in `main` as model text reads numbers: a bad one is one error line
 _NUMBER_OPTIONS = {"eps": float, "delta": float, "kappa": float, "time_limit": float,
                    "max_nodes": int, "jobs": int, "mc": int, "seed": int}
+# the levels each mode reads and their defaults (validate's checks read irc's)
+_LEVELS = {"nominal": {}, "irc": {"eps": 0.05, "delta": 0.0},
+           "rc": {"eps": 0.05, "delta": 0.0, "kappa": 0.14}}
 
 
 def _fail(message: str) -> int:
@@ -62,22 +64,23 @@ def _solver_options(args) -> SolverOptions:
     return SolverOptions(**{k: v for k, v in limits.items() if v is not None})
 
 
-def _stats(sol) -> dict:
-    """The work counters of a solve, as every ``--json`` report of one
-    carries them."""
-    return {key: getattr(sol.stats, key)
-            for key in ("iterations", "nodes", "cone_cuts", "refactors")}
+def _levels(args, mode: str) -> dict[str, float]:
+    """The levels ``mode`` reads (:data:`_LEVELS`), each given or at its
+    default; a level option the mode never reads is rejected."""
+    for key in ("eps", "delta", "kappa"):
+        if key not in _LEVELS[mode] and getattr(args, key, None) is not None:
+            raise ValueError(f"--{key}: --mode {mode} never reads {key}")
+    return {key: default if getattr(args, key) is None else getattr(args, key)
+            for key, default in _LEVELS[mode].items()}
 
 
 def _print_solution(model: Model, sol, as_json: bool):
-    if as_json:
-        payload = {
-            "status": sol.status,
-            "objective": None if math.isnan(sol.objective) else sol.objective,
+    if as_json:  # JSON spells no inf or NaN: such an objective is null
+        print(json.dumps({
+            **asdict(sol),
+            "objective": sol.objective if math.isfinite(sol.objective) else None,
             "values": {model.variables[v].name: val for v, val in sol.values.items()},
-            "stats": _stats(sol),
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        }, indent=2, sort_keys=True))
         return
     print(f"status: {sol.status}")
     if not math.isnan(sol.objective):
@@ -87,8 +90,8 @@ def _print_solution(model: Model, sol, as_json: bool):
             print(f"  {model.variables[v].name} = {val:.6f}")
 
 
-def _counterpart(source, mode: str, exact: bool, eps: float, delta: float,
-                 kappa: float) -> Model:
+def _counterpart(source, mode: str, exact: bool, eps: float | None = None,
+                 delta: float | None = None, kappa: float | None = None) -> Model:
     """The ``mode`` model of a site-selection instance (``exact``: each
     unit assigned to exactly one site) or of a (model, uncertain set) pair
     at one (eps, delta, kappa) point: a sitesel or robustify run's model and
@@ -119,10 +122,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_robustify(args) -> int:
+    levels = _levels(args, args.mode)  # before any file is read
     model = _read_model(args.model)
     uset = parse_annotations(Path(args.annotations).read_text(), model)
-    robust = _counterpart((model, uset), args.mode, exact=False, eps=args.eps,
-                          delta=args.delta, kappa=args.kappa)
+    robust = _counterpart((model, uset), args.mode, False, **levels)
     Path(args.output).write_text(export_text(robust))
     if args.json:
         print(json.dumps({
@@ -141,9 +144,9 @@ def cmd_robustify(args) -> int:
 
 
 def cmd_sitesel(args) -> int:
+    levels = _levels(args, args.mode)
     instance = load_instance(args.instance)
-    model = _counterpart(instance, args.mode, args.exact_assignment, args.eps,
-                         args.delta, args.kappa)
+    model = _counterpart(instance, args.mode, args.exact_assignment, **levels)
     sol = solve(model, _solver_options(args))
     if sol.status != "optimal":
         _print_solution(model, sol, args.json)
@@ -167,7 +170,7 @@ def cmd_sitesel(args) -> int:
             "assignments": assignments,
             "budget_used": budget_used,
             "budget": instance.budget,
-            "stats": _stats(sol),
+            "stats": asdict(sol.stats),
         }, indent=2, sort_keys=True))
     else:
         print(f"status: {sol.status}")
@@ -245,8 +248,8 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     kappas = list(dict.fromkeys(k for _, _, k in grid))
-    if args.mode == "irc" and kappas != [1.0]:
-        raise ValueError(f"kappa: --mode irc never reads kappa, got {kappas}")
+    if "kappa" not in _LEVELS[args.mode] and kappas != [1.0]:
+        raise ValueError(f"kappa: --mode {args.mode} never reads kappa, got {kappas}")
     path = Path(args.input)
     if path.is_dir():
         if args.annotations is not None:
@@ -262,13 +265,7 @@ def cmd_sweep(args) -> int:
         source = (model, uset)
     build = functools.partial(_counterpart, source, args.mode,
                               args.exact_assignment)
-    options = _solver_options(args)
-    workers = min(args.jobs, len(grid), os.cpu_count() or 1)  # a pool forks them all
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = sweep(build, grid, options, pool)
-    else:
-        rows = sweep(build, grid, options)
+    rows = sweep(build, grid, _solver_options(args), args.jobs)
     nominal_objective = rows[0].nominal_objective
     with open(args.output, "w", newline="") as fh:
         write_sweep_csv(rows, fh)
@@ -316,6 +313,12 @@ def _load_solution_values(path: str, model: Model) -> dict[int, float]:
 
 
 def cmd_validate(args) -> int:
+    eps, delta = _levels(args, "irc").values()
+    if args.seed is not None and not args.mc:
+        raise ValueError("--seed: only --mc reads the seed")
+    if args.solution and (args.max_nodes, args.time_limit) != (None, None):
+        option = "--max-nodes" if args.max_nodes is not None else "--time-limit"
+        raise ValueError(f"{option}: --solution is checked, not solved")
     model = _read_model(args.model)
     uset = parse_annotations(Path(args.annotations).read_text(), model)
     if args.solution:
@@ -327,16 +330,12 @@ def cmd_validate(args) -> int:
         values = sol.values
 
     if args.mc:
-        est = monte_carlo_check(model, uset, values, args.eps, args.delta, args.mc,
-                                args.seed)
+        est = monte_carlo_check(model, uset, values, eps, delta, args.mc,
+                                args.seed or 0)
         if args.json:
             print(json.dumps({
+                **asdict(est),
                 "method": "monte_carlo",
-                "samples": est.samples,
-                "violations": est.violations,
-                "frequency": est.frequency,
-                "ci_half_width": est.ci_half_width,
-                "seed": est.seed,
                 "per_constraint": {
                     model.constraints[cid].label: f
                     for cid, f in est.per_constraint.items()
@@ -347,12 +346,11 @@ def cmd_validate(args) -> int:
             print(f"violation frequency: {est.frequency:.6f} "
                   f"(+/- {est.ci_half_width:.6f}, seed {est.seed})")
         return 0
-    report = corner_check(model, uset, values, args.eps, args.delta)
+    report = corner_check(model, uset, values, eps, delta)
     if args.json:
         print(json.dumps({
+            **asdict(report),
             "method": "corner",
-            "entries": report.entries,
-            "certified": report.certified,
             "worst_violation": {
                 model.constraints[cid].label: v
                 for cid, v in report.worst_violation.items()
@@ -369,13 +367,11 @@ def cmd_validate(args) -> int:
 # -- entry point --------------------------------------------------------------------
 
 
-def _add_robust_params(p):
-    p.add_argument("--eps", default=0.05,
-                   help="uncertainty level (default 0.05)")
-    p.add_argument("--delta", default=0.0,
-                   help="infeasibility tolerance (default 0)")
-    p.add_argument("--kappa", default=0.14,
-                   help="reliability level (default 0.14)")
+def _add_robust_params(p, kappa=True):
+    p.add_argument("--eps", help="uncertainty level (default 0.05)")
+    p.add_argument("--delta", help="infeasibility tolerance (default 0)")
+    if kappa:
+        p.add_argument("--kappa", help="reliability level, --mode rc only (default 0.14)")
 
 
 def _add_solver_params(p):
@@ -442,10 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc", metavar="N", default=0,
                    help="Monte Carlo estimation with N samples instead of the "
                    "corner check")
-    p.add_argument("--eps", default=0.05)
-    p.add_argument("--delta", default=0.0)
-    p.add_argument("--seed", default=0,
-                   help="Monte Carlo seed in [0, 2**64) (default 0)")
+    _add_robust_params(p, kappa=False)
+    p.add_argument("--seed", help="Monte Carlo seed in [0, 2**64) (default 0)")
     _add_solver_params(p)
     p.set_defaults(func=cmd_validate)
 

@@ -12,7 +12,7 @@ candidate solution:
   uncertainty, with splittable per-entry random streams so adding an entry
   never perturbs the draws of the others.
 * :func:`sweep` -- solve a builder across an (epsilon, delta, kappa) grid and
-  tabulate objectives against the nominal solve, serially or on an executor.
+  tabulate objectives against the nominal solve, serially or on a process pool.
 
 Both checks read entries, rows and nominal values as ``UncertainSet.validate``
 resolves them, in time linear in the entries.  Sweep grid points are
@@ -32,7 +32,8 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -302,7 +303,7 @@ def _solve_cell(builder, options, point) -> tuple[str, float]:
 
 
 def sweep(builder, grid, options: SolverOptions | None = None,
-          executor=None) -> list[SweepRow]:
+          jobs: int = 1) -> list[SweepRow]:
     """Solve ``builder(eps, delta, kappa)`` at every grid point.
 
     The nominal point (0, 0, 1) comes first, added when the grid does not
@@ -310,9 +311,9 @@ def sweep(builder, grid, options: SolverOptions | None = None,
     so an error there (an input the builder rejects) raises.  Failures at
     the other points are recorded as status ``error`` and the sweep
     continues.  ``relative_gap`` is the objective shortfall relative to the
-    nominal optimum.  ``executor`` (anything with ``map``, such as a
-    ``ProcessPoolExecutor``) runs the other cells; a process pool needs a
-    picklable builder.
+    nominal optimum.  The other cells run on ``min(jobs, cells, CPUs)``
+    forked workers (all start at once) when that is over 1, which needs a
+    picklable builder, and in the calling process otherwise.
     """
     points = [tuple(map(float, p)) for p in grid]
     if not points:
@@ -322,7 +323,13 @@ def sweep(builder, grid, options: SolverOptions | None = None,
     nominal = solve(builder(*nominal_point), options)
     cell = functools.partial(_solve_cell, builder, options)
     results = [(nominal.status, nominal.objective)]
-    results += (executor.map if executor is not None else map)(cell, points[1:])
+    workers = min(jobs, len(points) - 1, os.cpu_count() or 1)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # kept out of import time
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results += pool.map(cell, points[1:])
+    else:
+        results += map(cell, points[1:])
     nominal_objective = nominal.objective if nominal.status == "optimal" else math.nan
     rows: list[SweepRow] = []
     for (eps, delta, kappa), (status, objective) in zip(points, results):
@@ -336,13 +343,8 @@ def sweep(builder, grid, options: SolverOptions | None = None,
 
 
 def write_sweep_csv(rows, fh) -> None:
-    """Write sweep rows as CSV at full precision (repr of each float)."""
+    """Write sweep rows as CSV, one column per :class:`SweepRow` field, at
+    full precision (``csv`` writes a float's ``str``, its ``repr``)."""
     writer = csv.writer(fh)
-    writer.writerow(["epsilon", "delta", "kappa", "status", "objective",
-                     "nominal_objective", "relative_gap"])
-    for row in rows:
-        writer.writerow([
-            repr(row.epsilon), repr(row.delta), repr(row.kappa), row.status,
-            repr(row.objective), repr(row.nominal_objective),
-            repr(row.relative_gap),
-        ])
+    writer.writerow(f.name for f in fields(SweepRow))
+    writer.writerows(map(astuple, rows))

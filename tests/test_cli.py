@@ -1,5 +1,7 @@
 import argparse
+import concurrent.futures
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -43,6 +45,21 @@ def test_solve_unbounded_exit_three(workdir):
     (workdir / "unb.txt").write_text(
         "#vars\nx continuous 0 inf\n#obj\nmax 1*x\n#cons\n")
     assert main(["solve", str(workdir / "unb.txt")]) == 3
+
+
+@pytest.mark.parametrize("objective", ["max 1*x", "min -1*x"], ids=["max", "min"])
+def test_solve_json_of_an_unbounded_model_is_strict_json(workdir, capsys, objective):
+    """An unbounded objective prints as null, as a stopped solve's NaN does:
+    JSON has no spelling for +-Infinity."""
+    (workdir / "unb.txt").write_text(
+        f"#vars\nx continuous 0 inf\n#obj\n{objective}\n#cons\n")
+    assert main(["solve", str(workdir / "unb.txt"), "--json"]) == 3
+
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert (payload["status"], payload["objective"]) == ("unbounded", None)
 
 
 def test_solve_garbage_exit_one(workdir, capsys):
@@ -405,12 +422,13 @@ def test_sweep_parallel_matches_serial(workdir):
 
 
 @pytest.mark.parametrize("jobs, cpus, workers", [
-    ("100000", 8, [3]), ("100000", 2, [2]), ("2", 8, [2]), ("4", 1, []),
+    ("100000", 8, [2]), ("100000", 2, [2]), ("2", 8, [2]), ("4", 1, []),
 ])
 def test_sweep_starts_no_more_workers_than_cells_or_cpus(workdir, monkeypatch,
                                                          jobs, cpus, workers):
     """A pool forks all its workers on the first submit, so ``--jobs`` is
-    capped by the grid's cells and the CPUs; one worker runs serially."""
+    capped by the cells after the nominal one, which the calling process
+    solves, and by the CPUs; one worker runs serially."""
     started = []
 
     class SerialPool:
@@ -426,7 +444,7 @@ def test_sweep_starts_no_more_workers_than_cells_or_cpus(workdir, monkeypatch,
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     out = workdir / "sweep.csv"
     assert main(["sweep", str(workdir / "one_row.txt"), "eps=0,0.05,0.1",
@@ -499,7 +517,8 @@ def test_solve_lp_node_limit_exit_four(workdir):
 
 @pytest.mark.parametrize("mode", ["nominal", "irc", "rc"])
 def test_sitesel_json_reports_solver_stats(workdir, capsys, mode):
-    """``sitesel --json`` carries the solve's counters as ``solve --json`` does."""
+    """``sitesel --json`` carries every field of the solve's ``SolverStats``
+    as ``solve --json`` does, ``cone_violation`` null without cone rows."""
     rc = main(["sitesel", str(workdir / "hk_demo"), "--mode", mode, "--json"])
     stats = json.loads(capsys.readouterr().out)["stats"]
     assert rc == 0
@@ -507,10 +526,9 @@ def test_sitesel_json_reports_solver_stats(workdir, capsys, mode):
     (workdir / "model.txt").write_text(export_text(model))
     assert main(["solve", str(workdir / "model.txt"), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["stats"] == stats
-    expected = solve(model).stats
-    assert stats == {"iterations": expected.iterations, "nodes": expected.nodes,
-                     "cone_cuts": expected.cone_cuts, "refactors": expected.refactors}
+    assert stats == dataclasses.asdict(solve(model).stats)
     assert stats["nodes"] > 1 and (stats["cone_cuts"] > 0) == (mode == "rc")
+    assert (stats["cone_violation"] is None) == (mode != "rc")
 
 
 def test_zero_limits_are_honoured():
@@ -521,11 +539,11 @@ def test_zero_limits_are_honoured():
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_sweep_cells_get_solver_options(workdir, jobs):
     out = workdir / "sweep.csv"
-    rc = main(["sweep", str(workdir / "hk_demo"), "eps=0,0.05", "--mode", "irc",
+    rc = main(["sweep", str(workdir / "hk_demo"), "eps=0,0.05,0.1", "--mode", "irc",
                "--max-nodes", "0", "--jobs", jobs, "-o", str(out)])
     assert rc == 0
     rows = list(csv.DictReader(out.open()))
-    assert [r["status"] for r in rows] == ["limit_reached"] * 2
+    assert [r["status"] for r in rows] == ["limit_reached"] * 3
 
 
 # -- rejected input and unwritable output ----------------------------------------
@@ -655,3 +673,43 @@ def test_sweep_rejects_inputs_it_never_reads(workdir, capsys, argv, message):
     assert not out.exists()
     assert main(["sweep", str(workdir / "hk_demo"), "eps=0.1", "kappa=1", "--mode", "irc",
                  "-o", str(out)]) == 0
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["sitesel", "{hk}", "--mode", "irc", "--kappa", "0.5"], "--kappa"),
+    (["sitesel", "{hk}", "--mode", "nominal", "--eps", "0.3", "--delta", "0.2"], "--eps"),
+    (["robustify", "{model}", "{unc}", "--mode", "irc", "--kappa", "0.5", "-o", "{out}"],
+     "--kappa"),
+    (["validate", "{model}", "{unc}", "--solution", "{sol}", "--eps", "0.1", "--seed", "7"],
+     "--seed"),
+    (["validate", "{model}", "{unc}", "--solution", "{sol}", "--eps", "0.1",
+      "--max-nodes", "3", "--time-limit", "1"], "--max-nodes"),
+], ids=["sitesel-irc-kappa", "sitesel-nominal-levels", "robustify-irc-kappa",
+        "validate-corner-seed", "validate-solution-limits"])
+def test_options_a_command_never_reads_exit_one(workdir, capsys, argv, option):
+    """Each of these exited 0 with the option dropped: irc reads no kappa,
+    nominal no level, the corner check no seed and a given solution is not
+    solved."""
+    assert main(["solve", str(workdir / "one_row.txt"), "--json"]) == 0
+    (workdir / "sol.json").write_text(capsys.readouterr().out)
+    paths = {"hk": workdir / "hk_demo", "model": workdir / "one_row.txt",
+             "unc": workdir / "one_row.unc", "sol": workdir / "sol.json",
+             "out": workdir / "out"}
+    assert main([a.format(**paths) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option}: ") and err.count("\n") == 1, err
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sitesel", "{hk}", "--mode", "rc", "--eps", "0.05", "--kappa", "0.14"],
+    ["sitesel", "{hk}", "--mode", "irc", "--eps", "0.05", "--delta", "0"],
+    ["validate", "{model}", "{unc}", "--solution", "{sol}", "--mc", "2000", "--seed", "7"],
+    ["validate", "{model}", "{unc}", "--eps", "0.1", "--max-nodes", "3", "--mc", "2000"],
+], ids=["sitesel-rc", "sitesel-irc", "validate-mc", "validate-solve"])
+def test_options_a_command_reads_are_accepted(workdir, capsys, argv):
+    assert main(["solve", str(workdir / "one_row.txt"), "--json"]) == 0
+    (workdir / "sol.json").write_text(capsys.readouterr().out)
+    paths = {"hk": workdir / "hk_demo", "model": workdir / "one_row.txt",
+             "unc": workdir / "one_row.unc", "sol": workdir / "sol.json"}
+    assert main([a.format(**paths) for a in argv]) == 0, capsys.readouterr().err

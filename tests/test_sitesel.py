@@ -25,7 +25,7 @@ from robustcounter.sitesel import (
 from robustcounter.solver import solve
 from robustcounter.validate import corner_check
 
-from _oracles import highs_solve
+from _oracles import highs_solve, oa_highs_solve
 
 
 def _pair_instance(budget=80.0):
@@ -338,6 +338,31 @@ def test_rc_budget_row_extends_nominal_budget_row_bit_for_bit(inst):
                    eps * abs(inst.sites[j].fixed_cost)) for j in inst.uncertain_fixed]
     row = rc.constraint_by_label("budget__rc")
     assert bits(row.lhs.terms) == bits(budget.lhs.terms) + bits(protection)
+
+
+def test_a_site_no_unit_chooses_adds_no_variable_cost_entry():
+    """With site s2's probability 0 for every unit its variable-cost block is
+    empty: the rc row gets no ``zv_s2`` component or link, the uncertain set
+    no entry for its four assignments, and both counterparts solve as HiGHS
+    does."""
+    inst = demo_instance()
+    probabilities = inst.probabilities.copy()
+    probabilities[:, 1] = 0.0
+    inst = dataclasses.replace(inst, probabilities=probabilities)
+    rc = build_rc(inst, 0.05, 0.0, 0.14)
+    names = {v.name for v in rc.variables}
+    labels = {c.label for c in rc.constraints}
+    assert {"zv_s1", "zv_s3"} <= names and "zv_s2" not in names
+    assert "budget__rc_lnk_s1_v" in labels and "budget__rc_lnk_s2_v" not in labels
+    assert len(budget_uncertain_set(inst, build_nominal(inst))) == 12
+    assert len(budget_uncertain_set(demo_instance(), build_nominal(demo_instance()))) == 16
+    sol = solve(rc)
+    assert (sol.status, oa_highs_solve(rc)[:2]) == ("optimal", ("optimal", 159.0))
+    assert sol.objective == pytest.approx(159.0, abs=1e-6)
+    irc = build_irc(inst, 0.05, 0.0)
+    sol = solve(irc)
+    assert (sol.status, highs_solve(irc)) == ("optimal", ("optimal", 177.0))
+    assert sol.objective == pytest.approx(177.0, abs=1e-6)
 
 
 def test_rc_fixed_cost_only_example():

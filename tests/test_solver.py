@@ -439,14 +439,17 @@ def test_cone_constant_radical():
     assert sol.objective == pytest.approx(9.0, abs=1e-9)
 
 
-def test_cone_cuts_never_cut_feasible_points():
-    """Sampled points satisfying the exact cone row satisfy every cut."""
+@pytest.mark.parametrize("inside", [2.5, 0.0])
+def test_cone_cuts_never_cut_feasible_points(inside):
+    """Sampled points satisfying the exact cone row satisfy every cut.  With
+    nothing inside the radical it is zero at the anchor (0, 0), which takes
+    the fallback subgradient along the largest component."""
     rng = np.random.default_rng(21)
     m = Model()
     x = m.add_variable("x", lower=-5.0, upper=5.0)
     y = m.add_variable("y", lower=-5.0, upper=5.0)
     m.set_objective("max", [(x, 1.0), (y, 0.5)])
-    cone = ConeTerm.from_components(0.8, [(x, 1.0), (y, -2.0)], 2.5)
+    cone = ConeTerm.from_components(0.8, [(x, 1.0), (y, -2.0)], inside)
     m.add_constraint([(x, 1.0), (y, 1.0)], "<=", 6.0, cone=cone, label="soc")
     m.finalize()
     sol = solve_cone(m)
@@ -466,6 +469,8 @@ def test_cone_cuts_never_cut_feasible_points():
             if len(feasible) >= 1000:
                 break
     anchors = [sol.values, {x: 0.0, y: 0.0}, {x: 3.0, y: -1.0}]
+    if inside == 0.0:
+        assert _cone_support_cut(cone, anchors[1]) == ([(y, -1.6)], 0.0)
     for anchor in anchors:
         terms, constant = _cone_support_cut(cone, anchor)
         for vals in feasible:

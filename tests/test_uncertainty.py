@@ -123,7 +123,8 @@ def test_normal_lambda_matches_ndtri():
 
 def test_import_loads_numpy_alone():
     """Importing the package and its CLI loads numpy and the standard
-    library and nothing else: no scipy.  (``__mp_main__`` is the alias
+    library and nothing else: no scipy, and no ``concurrent.futures``
+    until a sweep forks workers.  (``__mp_main__`` is the alias
     multiprocessing gives the main module.)"""
     code = (
         "import sys\n"
@@ -133,6 +134,7 @@ def test_import_loads_numpy_alone():
         "       if not m.startswith('__')}\n"
         "print(' '.join(sorted(new - set(sys.stdlib_module_names))))\n"
         "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        "print('concurrent.futures' in sys.modules)\n"
     )
     src = str(Path(robustcounter.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -140,6 +142,7 @@ def test_import_loads_numpy_alone():
                          text=True, env=env, check=True).stdout.split("\n")
     assert out[0].split() == ["numpy", "robustcounter"]
     assert out[1] == ""
+    assert out[2] == "False"
 
 
 def test_normal_lambda_monte_carlo_agreement():
