@@ -24,9 +24,9 @@ m.add_constraint([(x, 1.0), (y, 1.0)], "<=", 4.0, label="labour")
 m.add_constraint([(x, 1.0), (y, 3.0)], "<=", 6.0, label="material")
 m.finalize()
 
-sol = solve(m)
-print(f"LP: {sol.status}, objective {sol.objective:.6f}, "
-      f"x = {sol.values[x]:.3f}, y = {sol.values[y]:.3f}")
+lp = solve(m)
+print(f"LP: {lp.status}, objective {lp.objective:.6f}, "
+      f"x = {lp.values[x]:.3f}, y = {lp.values[y]:.3f}")
 
 # Declaring a variable binary flips the solver into branch-and-bound.
 knap = Model("knapsack")
@@ -60,5 +60,6 @@ print(f"cone: z + sqrt(z^2) <= 10 gives z = {sol.values[z]:.6f} "
 text = export_text(m)
 print("\nserialized model:")
 print(text)
-assert solve(import_text(text)).objective == sol.objective or True
-print("reparsed objective:", f"{solve(import_text(text)).objective:.6f}")
+again = solve(import_text(text))
+assert again.objective == lp.objective == 12.0
+print("reparsed objective:", f"{again.objective:.6f}")

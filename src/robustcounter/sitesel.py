@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +36,18 @@ _ID_OK = _NAME_RE.fullmatch  # ids become parts of variable names and labels
 
 class InstanceError(ValueError):
     """Raised when instance data violates its invariants; names the culprit."""
+
+
+def _check_ids(units, sites) -> None:
+    """Each unit and each site has its own ASCII identifier."""
+    for kind, records in (("unit", units), ("site", sites)):
+        seen = set()
+        for r in records:
+            if not _ID_OK(r.id):
+                raise InstanceError(f"{kind} id {r.id!r} is not an ASCII identifier")
+            if r.id in seen:
+                raise InstanceError(f"{kind} id {r.id!r} is repeated")
+            seen.add(r.id)
 
 
 @dataclass(frozen=True)
@@ -117,12 +129,7 @@ class SiteSelectionInstance:
                                     f"[0, {n}), got {indices}")
             if len(set(indices)) != len(indices):
                 raise InstanceError(f"{key} repeats a site index: {indices}")
-        for u in self.units:
-            if not _ID_OK(u.id):
-                raise InstanceError(f"unit id {u.id!r} is not an ASCII identifier")
-        for s in self.sites:
-            if not _ID_OK(s.id):
-                raise InstanceError(f"site id {s.id!r} is not an ASCII identifier")
+        _check_ids(self.units, self.sites)
         util = np.asarray([u.population for u in self.units], dtype=float)[:, None] * p
         p.flags.writeable = util.flags.writeable = False  # stay as checked
         object.__setattr__(self, "utilization", util)
@@ -297,11 +304,17 @@ def budget_uncertain_set(instance: SiteSelectionInstance, model: Model
 # -- instance files ---------------------------------------------------------------
 #
 # A directory with:
-#   units.csv   id,name,population
-#   sites.csv   id,name,fixed_cost,variable_cost
+#   units.csv   the fields of PopulationUnit: id,name,population
+#   sites.csv   the fields of SiteCandidate: id,name,fixed_cost,variable_cost
 #   prob.csv    header `id,<site ids...>`; one row per unit
-#   config.txt  budget= / min_enrollment= / max_sites= /
-#               uncertain_fixed= / uncertain_variable=  (site-id lists or `all`)
+#   config.txt  one key=value line per _SETTINGS entry, each key once
+#
+# Ids and numbers are read stripped; names are kept as written.
+
+# config.txt: the instance field each key sets, read as a number of its kind,
+# or as site ids (`all`, the default, names every site) for a tuple
+_SETTINGS = {"budget": float, "min_enrollment": float, "max_sites": int,
+             "uncertain_fixed": tuple, "uncertain_variable": tuple}
 
 
 def _read_csv(path: Path, expected: list[str]):
@@ -331,29 +344,38 @@ def _float(path_name: str, row_id: str, field_name: str, raw: str) -> float:
         ) from None
 
 
+def _read_records(path: Path, record) -> list:
+    """The rows of ``path`` as ``record``s; its columns are the record's
+    fields, an id, a name and numbers."""
+    columns = [f.name for f in fields(record)]
+    records = []
+    for row in _read_csv(path, columns):
+        if len(row) != len(columns):
+            raise InstanceError(f"{path.name}: malformed row {row}")
+        rid, name, *numbers = row
+        rid = rid.strip()
+        records.append(record(rid, name, *(_float(path.name, rid, column, raw.strip())
+                                           for column, raw in zip(columns[2:], numbers))))
+    return records
+
+
+def _write_records(path: Path, record, records) -> None:
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(f.name for f in fields(record))
+        for r in records:
+            rid, name, *numbers = astuple(r)
+            w.writerow([rid, name, *map(_num, numbers)])
+
+
 def load_instance(path) -> SiteSelectionInstance:
     """Load and validate a site-selection instance directory."""
     root = Path(path)
     if not root.is_dir():
         raise InstanceError(f"instance directory {root} does not exist")
-
-    units = []
-    for row in _read_csv(root / "units.csv", ["id", "name", "population"]):
-        if len(row) != 3:
-            raise InstanceError(f"units.csv: malformed row {row}")
-        uid, name, pop = (c.strip() for c in row)
-        units.append(PopulationUnit(uid, name, _float("units.csv", uid, "population", pop)))
-
-    sites = []
-    for row in _read_csv(root / "sites.csv", ["id", "name", "fixed_cost", "variable_cost"]):
-        if len(row) != 4:
-            raise InstanceError(f"sites.csv: malformed row {row}")
-        sid, name, f, v = (c.strip() for c in row)
-        sites.append(SiteCandidate(
-            sid, name,
-            _float("sites.csv", sid, "fixed_cost", f),
-            _float("sites.csv", sid, "variable_cost", v),
-        ))
+    units = _read_records(root / "units.csv", PopulationUnit)
+    sites = _read_records(root / "sites.csv", SiteCandidate)
+    _check_ids(units, sites)  # before prob.csv is keyed by them
     site_index = {s.id: j for j, s in enumerate(sites)}
     unit_index = {u.id: i for i, u in enumerate(units)}
 
@@ -386,20 +408,22 @@ def load_instance(path) -> SiteSelectionInstance:
         if "=" not in line:
             raise InstanceError(f"{config_path.name}:{line_no}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _SETTINGS or key in settings:
+            raise InstanceError(f"{config_path.name}:{line_no}: "
+                                f"{'repeated' if key in settings else 'unknown'} setting {key!r}")
         settings[key] = value
 
-    def scalar(key, kind=float):
-        if key not in settings:
-            raise InstanceError(f"{config_path.name}: missing {key}=")
-        try:
-            return _read_number(settings[key], kind)
-        except ValueError:
-            raise InstanceError(
-                f"{config_path.name}: {key}={settings[key]!r} is not a number"
-            ) from None
-
-    def site_list(key):
-        raw = settings.get(key, "all").strip()
+    def setting(key, kind):
+        if kind is not tuple:
+            if key not in settings:
+                raise InstanceError(f"{config_path.name}: missing {key}=")
+            try:
+                return _read_number(settings[key], kind)
+            except ValueError:
+                raise InstanceError(
+                    f"{config_path.name}: {key}={settings[key]!r} is not a number"
+                ) from None
+        raw = settings.get(key, "all")
         if raw == "all":
             return tuple(range(len(sites)))
         if not raw:
@@ -414,32 +438,16 @@ def load_instance(path) -> SiteSelectionInstance:
             out.append(site_index[token])
         return tuple(out)
 
-    return SiteSelectionInstance(
-        units=tuple(units),
-        sites=tuple(sites),
-        probabilities=p,
-        budget=scalar("budget"),
-        min_enrollment=scalar("min_enrollment"),
-        max_sites=scalar("max_sites", int),
-        uncertain_fixed=site_list("uncertain_fixed"),
-        uncertain_variable=site_list("uncertain_variable"),
-    )
+    return SiteSelectionInstance(tuple(units), tuple(sites), p, **{
+        key: setting(key, kind) for key, kind in _SETTINGS.items()})
 
 
 def write_instance(instance: SiteSelectionInstance, path) -> None:
     """Write an instance directory in the load_instance format."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    with (root / "units.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "name", "population"])
-        for u in instance.units:
-            w.writerow([u.id, u.name, _num(u.population)])
-    with (root / "sites.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "name", "fixed_cost", "variable_cost"])
-        for s in instance.sites:
-            w.writerow([s.id, s.name, _num(s.fixed_cost), _num(s.variable_cost)])
+    _write_records(root / "units.csv", PopulationUnit, instance.units)
+    _write_records(root / "sites.csv", SiteCandidate, instance.sites)
     with (root / "prob.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["id"] + [s.id for s in instance.sites])
@@ -447,13 +455,10 @@ def write_instance(instance: SiteSelectionInstance, path) -> None:
             w.writerow([u.id] + [_num(p) for p in instance.probabilities[i]])
     every = tuple(range(len(instance.sites)))
 
-    def site_list(indices):
-        return "all" if indices == every else ",".join(instance.sites[j].id for j in indices)
+    def text(value, kind):
+        if kind is tuple:
+            return "all" if value == every else ",".join(instance.sites[j].id for j in value)
+        return _num(value) if kind is float else str(value)
 
-    (root / "config.txt").write_text(
-        f"budget={_num(instance.budget)}\n"
-        f"min_enrollment={_num(instance.min_enrollment)}\n"
-        f"max_sites={instance.max_sites}\n"
-        f"uncertain_fixed={site_list(instance.uncertain_fixed)}\n"
-        f"uncertain_variable={site_list(instance.uncertain_variable)}\n"
-    )
+    (root / "config.txt").write_text("".join(
+        f"{key}={text(getattr(instance, key), kind)}\n" for key, kind in _SETTINGS.items()))

@@ -452,8 +452,10 @@ def check_levels(epsilon: float, delta: float, error=ValueError) -> None:
 
 
 def slack_allowance(rhs: float, delta: float) -> float:
-    """The violation ``delta * max(1, |rhs|)`` a row may keep at tolerance ``delta``."""
-    return delta * max(1.0, abs(rhs))
+    """The violation ``delta * max(1, |rhs|)`` a row may keep at tolerance
+    ``delta``; 0 for an infinite ``rhs``, which no allowance moves: a row
+    ``<= inf`` holds everywhere and a row ``<= -inf`` nowhere."""
+    return delta * max(1.0, abs(rhs)) if abs(rhs) < math.inf else 0.0
 
 
 def deviation_radius(nominal: float, distribution, epsilon: float,
@@ -479,10 +481,13 @@ def deviation_radius(nominal: float, distribution, epsilon: float,
 # -- annotation file format ----------------------------------------------------
 #
 # One entry per line: `constraint_label target(dist args)` where target is a
-# variable name or `RHS`, e.g.
+# variable name or `RHS`.  `RHS` is reserved: for a model with a variable of
+# that name, both the parser and the formatter reject an `RHS` target.  E.g.
 #
 #   cost1 f_2(bounded 0.05)
 #   cost1 RHS(normal 100 5)
+
+_RHS_RESERVED = "target 'RHS' names the right-hand side, and the model has a variable 'RHS'"
 
 
 def _parse_distribution(tag: str, args: list[str]):
@@ -540,6 +545,8 @@ def parse_annotations(text: str, model: Model) -> UncertainSet:
                 f"annotation line {line_no}: unknown constraint label {label!r}"
             ) from None
         if target_name == "RHS":
+            if "RHS" in model._by_name:
+                raise ValueError(f"annotation line {line_no}: {_RHS_RESERVED}")
             target = RHS
         else:
             try:
@@ -567,5 +574,7 @@ def format_annotations(uset: UncertainSet, model: Model) -> str:
     for entry in uset:
         label = model.constraints[entry.constraint_id].label
         target = "RHS" if entry.is_rhs else model.variables[entry.target].name
+        if target == "RHS" and "RHS" in model._by_name:
+            raise ValueError(f"row {label!r}: {_RHS_RESERVED}")
         lines.append(f"{label} {target}({_format_distribution(entry.distribution)})")
     return "\n".join(lines) + ("\n" if lines else "")

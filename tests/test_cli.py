@@ -184,6 +184,25 @@ def test_sitesel_nonfinite_instance_data_exit_one(workdir, capsys, path, old, ne
     assert err.startswith("error: ") and name in err
 
 
+@pytest.mark.parametrize("path, old, new, message", [
+    ("config.txt", "uncertain_fixed=all", "uncertain_fixd=s1",
+     "config.txt:4: unknown setting 'uncertain_fixd'"),
+    ("config.txt", "max_sites=3\n", "max_sites=3\nbudget=999\n",
+     "config.txt:4: repeated setting 'budget'"),
+    ("units.csv", "u2,Midtown", "u1,Midtown", "unit id 'u1' is repeated"),
+    ("sites.csv", "s2,Central annex", "s1,Central annex", "site id 's1' is repeated"),
+], ids=["misspelt-key", "repeated-key", "repeated-unit-id", "repeated-site-id"])
+def test_sitesel_instance_data_that_would_change_meaning_exit_one(
+        workdir, capsys, path, old, new, message):
+    """A misspelt key was ignored and a repeated one kept its last value
+    (both exited 0), a repeated unit id failed as a repeated prob.csv row
+    and a repeated site id as a prob.csv header mismatch."""
+    target = workdir / "hk_demo" / path
+    target.write_text(target.read_text().replace(old, new, 1))
+    assert main(["sitesel", str(workdir / "hk_demo"), "--mode", "nominal"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_sitesel_json(workdir, capsys):
     rc = main(["sitesel", str(workdir / "hk_demo"), "--mode", "irc",
                "--eps", "0.05", "--json"])
@@ -273,11 +292,40 @@ def test_sweep_bad_grid_exit_one(workdir, capsys):
         (["eps=0:1e-5:1"], "eps: range '0:1e-5:1' has more than 10000 values"),
         (["eps=0:1e-12:1"], "eps: range '0:1e-12:1' has more than 10000 values"),
         (["eps=0:0.01:1", "delta=0:0.01:1"], "grid has more than 10000 cells"),
+        (["eps= "], "empty value list for eps"),
+        (["eps=0:1"], "eps: range must be start:step:stop, got '0:1'"),
+        (["eps=0:0:1"], "eps: range step must be positive"),
+        (["eps=0:-0.1:1"], "eps: range step must be positive"),
     ]:
         assert main(["sweep", str(workdir / "hk_demo"), *grid, "-o", str(out)]) == 1, grid
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err, (grid, err)
         assert not out.exists(), grid
+
+
+def test_sweep_json_reports_the_csv(workdir, capsys):
+    out = workdir / "s.csv"
+    assert main(["sweep", str(workdir / "hk_demo"), "eps=0,0.05", "--mode", "irc",
+                 "-o", str(out), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"output": str(out), "rows": 2, "nominal_objective": 261.0}
+    assert len(list(csv.DictReader(out.open()))) == 2
+
+
+def test_model_file_sweep_without_annotations_exit_one(workdir, capsys):
+    out = workdir / "s.csv"
+    assert main(["sweep", str(workdir / "one_row.txt"), "eps=0.1", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == "error: model-file sweeps need --annotations\n"
+    assert not out.exists()
+
+
+def test_validate_of_a_model_without_an_optimum_exit_one(tmp_path, capsys):
+    (tmp_path / "m.txt").write_text(
+        "#vars\nx continuous 0 10\n#obj\nmax 1*x\n#cons\ncap: 1*x <= -1\n")
+    (tmp_path / "m.unc").write_text("cap x(bounded)\n")
+    assert main(["validate", str(tmp_path / "m.txt"), str(tmp_path / "m.unc")]) == 1
+    assert capsys.readouterr().err == (
+        "error: model solve ended infeasible; supply --solution\n")
 
 
 def test_validate_corner_certified(workdir, tmp_path, capsys):
@@ -340,6 +388,8 @@ def test_validate_mc_json_reports_rows_by_label(workdir, capsys):
     pytest.param('{"x": [1.5]}', "solution value of x must be a number", id="bare-list"),
     pytest.param('{"x": 1%s}' % ("0" * 400), "solution value of x is too large",
                  id="huge-int"),
+    pytest.param('{"values": {"y": 1.5}}', "solution file lacks a value for 'x'",
+                 id="missing"),
 ])
 @pytest.mark.parametrize("mc", [[], ["--mc", "2000"]], ids=["corner", "mc"])
 def test_validate_nonfinite_solution_exit_one(workdir, capsys, text, message, mc):
@@ -370,6 +420,9 @@ def _validate_mc(workdir, *extra):
      "annotation line 1: malformed binomial arguments"),
     ("cap x(poisson 1e19)", "annotation line 1: malformed poisson arguments"),
     ("cap x(range -1e308 1e308)", "annotation line 1: malformed range arguments"),
+    ("cap", "annotation line 1: expected 'label target(dist ...)'"),
+    ("cap x bounded", "annotation line 1: expected 'target(dist args)'"),
+    ("cap x( )", "annotation line 1: empty distribution"),
 ])
 def test_validate_mc_bad_annotation_exit_one(workdir, capsys, annotation, message):
     (workdir / "one_row.unc").write_text(annotation + "\n")

@@ -422,6 +422,44 @@ def test_import_rejects_unknown_variable():
 
 
 
+@pytest.mark.parametrize("line, text, message", [
+    (2, "x continuous 0\n#obj\nmax 1*x\n#cons\n", "expected 'name kind lower upper'"),
+    (4, "x continuous 0 10\n#obj\nopt 1*x\n#cons\n", "objective must start with max or min"),
+    (4, "x continuous 0 10\n#obj\nmax 1*x 2\n#cons\n", "trailing content after objective"),
+    (6, "x continuous 0 10\n#obj\nmax 1*x\n#cons\nc: 1*x < 3\n", "expected <=, >= or ="),
+    (6, "x continuous 0 10\n#obj\nmax 1*x\n#cons\nc: 1*x <= 3 4\n",
+     "trailing content after constraint"),
+    (6, "x continuous 0 10\n#obj\nmax 1*x\n#cons\n"
+        "c: 1*x + CONE(1; 1*x; 0) + CONE(1; 1*x; 0) <= 3\n",
+     "multiple CONE terms in one constraint"),
+    (6, "x continuous 0 10\n#obj\nmax 1*x\n#cons\nc: 1*x + CONE(1; 2; 0) <= 3\n",
+     "cone components must be coeff*name"),
+    (6, "x continuous 0 10\n#obj\n#cons\nc: 1*x <= 3\n", "missing objective line"),
+], ids=["short-vars-line", "objective-sense", "objective-trailing", "row-sense",
+        "row-trailing", "two-cones", "cone-constant-component", "no-objective"])
+def test_import_names_each_malformed_line(line, text, message):
+    with pytest.raises(ParseError, match=re.escape(message)) as err:
+        import_text("#vars\n" + text)
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda m, x: m.add_variable("y", "real"), "unknown variable kind 'real'"),
+    (lambda m, x: m.add_constraint([(x, 1.0)], "<", 1.0), "unknown sense '<'"),
+    (lambda m, x: m.add_constraint([(x, 1.0)], "<=", 1.0, label="c"),
+     "duplicate constraint label 'c'"),
+    (lambda m, x: m.set_objective("maximize", [(x, 1.0)]),
+     "objective sense must be max or min, got 'maximize'"),
+], ids=["kind", "sense", "label", "objective-sense"])
+def test_model_rejects_unknown_kinds_senses_and_repeated_labels(build, message):
+    m = Model()
+    x = m.add_variable("x")
+    m.add_constraint([(x, 1.0)], "<=", 1.0, label="c")
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        build(m, x)
+    assert (len(m.variables), len(m.constraints)) == (1, 1)
+
+
 @pytest.mark.parametrize("line, text", [
     (2, "x continuous nan 10\n#obj\nmax 1*x\n#cons\n"),
     (2, "x continuous inf inf\n#obj\nmax 1*x\n#cons\n"),

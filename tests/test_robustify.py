@@ -344,6 +344,28 @@ def test_rc_monotone_in_kappa():
         assert all(a <= b + 1e-6 for a, b in zip(objs, objs[1:]))
 
 
+@pytest.mark.parametrize("rhs, status", [(math.inf, "optimal"), (-math.inf, "infeasible")])
+def test_counterparts_of_a_row_with_an_infinite_rhs(rhs, status):
+    """An infinite right-hand side gets no slack allowance, so ``x <= inf``
+    stays vacuous and ``x <= -inf`` infeasible.  Both counterparts raised
+    'right-hand side must not be NaN': the allowance was ``0 * inf`` at
+    delta 0 and ``-inf + inf`` at delta 0.1."""
+    m = Model("inf_rhs")
+    x = m.add_variable("x", "continuous", 0.0, 10.0)
+    m.set_objective("max", [(x, 1.0)])
+    m.add_constraint([(x, 1.0)], "<=", rhs, label="c")
+    m, uset = m.finalize(), UncertainSet([(0, x, Bounded())])
+    for delta in (0.0, 0.1):
+        for art, label in ((interval_robust_counterpart(m, uset, 0.05, delta), "c__irc"),
+                           (symmetric_robust_counterpart(m, uset, 0.05, delta, 0.14),
+                            "c__rc")):
+            assert art.model.constraint_by_label(label).rhs == rhs
+            sol = solve(art.model)
+            assert sol.status == status, (label, delta)
+            if status == "optimal":
+                assert sol.values[x] == 10.0
+
+
 # -- robust timing rows ----------------------------------------------------------------
 
 

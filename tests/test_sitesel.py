@@ -484,6 +484,19 @@ def test_instance_ids_must_be_ascii_identifiers(kind, bad):
         SiteSelectionInstance.with_all_uncertain([unit], [site], [[0.5]], 10.0, 0.0, 1)
 
 
+@pytest.mark.parametrize("kind", ["unit", "site"])
+def test_instance_ids_must_be_unique(kind):
+    """A repeated id was accepted: build_nominal then failed on a duplicate
+    variable name, and write_instance wrote a directory load_instance refused."""
+    units = [PopulationUnit("u", "U", 10), PopulationUnit("v", "V", 20)]
+    sites = [SiteCandidate("s", "S", 1.0, 0.0), SiteCandidate("t", "T", 2.0, 0.0)]
+    records = units if kind == "unit" else sites
+    records[1] = dataclasses.replace(records[1], id=records[0].id)
+    with pytest.raises(InstanceError, match=f"^{kind} id '{records[0].id}' is repeated$"):
+        SiteSelectionInstance.with_all_uncertain(units, sites, np.full((2, 2), 0.25),
+                                                 10.0, 0.0, 1)
+
+
 @pytest.mark.parametrize("key", ["budget", "min_enrollment"])
 def test_load_instance_rejects_infinite_config_value(tmp_path, key):
     write_instance(demo_instance(), tmp_path / "demo")
@@ -524,7 +537,8 @@ _finite = st.floats(0.0, 1e12, allow_nan=False, allow_infinity=False)
 @st.composite
 def _instances(draw):
     m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    name = st.from_regex(r"[A-Za-z][A-Za-z0-9 ,]{0,6}[A-Za-z0-9]", fullmatch=True)
+    # any name csv can hold: spaces at either end, quotes, commas, line breaks
+    name = st.text(st.characters(min_codepoint=1, max_codepoint=127), max_size=8)
     units = [PopulationUnit(f"u{i}", draw(name), draw(_finite)) for i in range(m)]
     sites = [SiteCandidate(f"s{j}", draw(name), draw(_finite), draw(_finite))
              for j in range(n)]
@@ -552,6 +566,74 @@ def test_instance_directory_round_trips_exactly(inst):
         inst.budget, inst.min_enrollment, inst.max_sites)
     assert again.uncertain_fixed == inst.uncertain_fixed
     assert again.uncertain_variable == inst.uncertain_variable
+
+
+def test_names_come_back_as_written(tmp_path):
+    """Every cell used to be stripped, so ``" Harbour, east "`` came back as
+    ``"Harbour, east"``; ids and numbers are still read stripped."""
+    inst = dataclasses.replace(
+        demo_instance(),
+        units=(PopulationUnit("u1", " Harbour, east ", 120.0),
+               *demo_instance().units[1:]),
+        sites=(SiteCandidate("s1", '"North"\r\ncampus\t', 55.0, 0.1),
+               *demo_instance().sites[1:]))
+    write_instance(inst, tmp_path / "demo")
+    again = load_instance(tmp_path / "demo")
+    assert again.units == inst.units and again.sites == inst.sites
+    units = tmp_path / "demo" / "units.csv"
+    units.write_text(units.read_text().replace("u2,Midtown,90.0", " u2 ,Midtown, 90.0 "))
+    assert load_instance(tmp_path / "demo").units[1] == PopulationUnit("u2", "Midtown", 90.0)
+
+
+@pytest.mark.parametrize("path, old, new, message", [
+    ("sites.csv", None, "", "sites.csv: empty file"),
+    ("units.csv", "u2,Midtown,90.0", "u2,Midtown", "units.csv: malformed row ['u2', 'Midtown']"),
+    ("sites.csv", "s2,Central annex,65.0,0.12", "s2,Central annex,65.0",
+     "sites.csv: malformed row ['s2', 'Central annex', '65.0']"),
+    ("units.csv", "u2,Midtown", "u1,Midtown", "unit id 'u1' is repeated"),
+    ("sites.csv", "s2,Central annex", "s1,Central annex", "site id 's1' is repeated"),
+    ("prob.csv", "u4,", "u9,", "prob.csv: unknown unit id 'u9'"),
+    ("prob.csv", "u4,", "u1,", "prob.csv: duplicate row for unit 'u1'"),
+    ("prob.csv", "u2,0.2,0.6,0.1", "u2,0.2,0.6",
+     "prob.csv: row for 'u2' has 2 probabilities for 3 sites"),
+    ("prob.csv", "u4,0.1,0.2,0.6\n", "", "prob.csv: missing rows for units ['u4']"),
+    ("config.txt", "max_sites=3", "max_sites 3", "config.txt:3: expected key=value"),
+    ("config.txt", "budget=150.0\n", "", "config.txt: missing budget="),
+    ("config.txt", "uncertain_fixed=all", "uncertain_fixd=s1",
+     "config.txt:4: unknown setting 'uncertain_fixd'"),
+    ("config.txt", "max_sites=3\n", "max_sites=3\nbudget=999\n",
+     "config.txt:4: repeated setting 'budget'"),
+], ids=["empty-file", "short-unit-row", "short-site-row", "repeated-unit-id",
+        "repeated-site-id", "unknown-prob-unit", "repeated-prob-row", "short-prob-row",
+        "missing-prob-row", "no-equals", "missing-budget", "misspelt-key", "repeated-key"])
+def test_load_instance_rejects_malformed_files(tmp_path, path, old, new, message):
+    """Four of these loaded or failed elsewhere: a misspelt key was ignored
+    (every fixed cost stayed uncertain), a repeated key kept its last value,
+    a repeated unit id failed as a repeated prob.csv row and a repeated site
+    id as a prob.csv header mismatch."""
+    write_instance(demo_instance(), tmp_path / "demo")
+    target = tmp_path / "demo" / path
+    text = target.read_text()
+    assert old is None or old in text
+    target.write_text(new if old is None else text.replace(old, new, 1))
+    with pytest.raises(InstanceError) as err:
+        load_instance(tmp_path / "demo")
+    assert str(err.value) == message
+
+
+def test_load_instance_missing_directory(tmp_path):
+    with pytest.raises(InstanceError, match="does not exist"):
+        load_instance(tmp_path / "nowhere")
+
+
+def test_config_txt_skips_comments_and_blank_lines(tmp_path):
+    write_instance(demo_instance(), tmp_path / "demo")
+    config = tmp_path / "demo" / "config.txt"
+    lines = config.read_text().splitlines()
+    config.write_text("# hk demo\n\n" + "\n".join(f"{line}  # set" for line in lines))
+    again = load_instance(tmp_path / "demo")
+    assert (again.budget, again.min_enrollment, again.max_sites, again.uncertain_fixed,
+            again.uncertain_variable) == (150.0, 25.0, 3, (0, 1, 2), (0, 1, 2))
 
 
 def test_load_instance_names_bad_probability_cell(tmp_path):

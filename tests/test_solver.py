@@ -151,6 +151,24 @@ def test_row_no_column_can_move_beyond_feasibility_tol_is_infeasible():
     assert solve(m.finalize()).status == "infeasible"
 
 
+@pytest.mark.parametrize("sense, rhs, status", [
+    ("<=", -INF, "infeasible"), (">=", INF, "infeasible"), ("=", INF, "infeasible"),
+    ("<=", INF, "optimal")])
+def test_a_row_with_an_infinite_rhs_needs_no_pivot(sense, rhs, status):
+    """A row no finite point meets is infeasible from its bounds alone, and
+    ``x <= inf`` holds everywhere."""
+    m = Model()
+    x = m.add_variable("x", upper=10.0)
+    m.set_objective("max", [(x, 1.0)])
+    m.add_constraint([(x, 1.0)], sense, rhs)
+    sol = solve(m.finalize())
+    assert sol.status == status
+    if status == "infeasible":
+        assert sol.stats.iterations == 0
+    else:
+        assert sol.objective == 10.0
+
+
 def test_unproven_verdict_is_retried_only_after_a_step(monkeypatch):
     """A retry from the basis the first try started at would repeat its
     verdict bit for bit, so only a try that took a step is retried."""

@@ -422,6 +422,16 @@ def test_distribution_validation():
         BoundedRange(3.0, 1.0)
 
 
+@pytest.mark.parametrize("values, probs, message", [
+    ((1.0, 2.0), (1.0,), "must match"),
+    ((), (), "must match"),
+    ((1.0, 2.0, 3.0), (-0.5, 1.0, 0.5), "must be nonnegative"),
+], ids=["lengths", "empty", "negative"])
+def test_discrete_rejects_unmatched_or_negative_probabilities(values, probs, message):
+    with pytest.raises(ValueError, match=message):
+        Discrete(values, probs)
+
+
 def test_bounded_range_wider_than_a_float_rejected():
     """A range whose width overflows would make every draw overflow."""
     with pytest.raises(ValueError, match="wider than a float"):
@@ -569,6 +579,26 @@ def test_annotations_round_trip_exactly(d_x, d_y, d_rhs):
     assert [e.distribution for e in again] == [d_x, d_y, d_rhs]
 
 
+def test_annotation_text_reserves_rhs():
+    """``RHS`` names a row's right-hand side: the entry of a variable named
+    ``RHS`` was written as ``cap RHS(bounded)``, which read back as the
+    right-hand side.  Neither side picks a meaning now."""
+    m = Model()
+    r = m.add_variable("RHS")
+    y = m.add_variable("y")
+    m.set_objective("max", [(r, 1.0), (y, 1.0)])
+    m.add_constraint([(r, 1.0), (y, 1.0)], "<=", 4.0, label="cap")
+    m = m.finalize()
+    for target in (r, RHS):
+        with pytest.raises(ValueError, match="variable 'RHS'"):
+            format_annotations(UncertainSet([(0, y, Bounded()), (0, target, Bounded())]), m)
+    with pytest.raises(ValueError, match="^annotation line 2: .*variable 'RHS'"):
+        parse_annotations("cap y(bounded)\ncap RHS(bounded)\n", m)
+    uset = UncertainSet([(0, y, Bounded(0.1))])
+    again = parse_annotations(format_annotations(uset, m), m)
+    assert [(e.target, e.distribution) for e in again] == [(y, Bounded(0.1))]
+
+
 def test_annotation_normal_keeps_every_digit():
     m, x, _ = _small_model()
     uset = UncertainSet([(0, x, Normal(100.123456789, 5.0))])
@@ -598,6 +628,12 @@ def test_annotation_tags_count_their_arguments(payload, message):
     m, _, _ = _small_model()
     with pytest.raises(ValueError, match=re.escape(f"annotation line 2: {message}")):
         parse_annotations(f"cap RHS(bounded)\ncap x({payload})\n", m)
+
+
+def test_annotations_skip_comments_and_blank_lines():
+    m, x, _ = _small_model()
+    uset = parse_annotations("# cap's tags\n\n  cap x(bounded 0.1)  # x only\n", m)
+    assert [(e.target, e.distribution) for e in uset] == [(x, Bounded(0.1))]
 
 
 def test_annotation_unknown_label_named():

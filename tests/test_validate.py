@@ -18,14 +18,7 @@ from robustcounter.robustify import (
     interval_robust_counterpart,
     symmetric_robust_counterpart,
 )
-from robustcounter.sitesel import (
-    PopulationUnit,
-    SiteCandidate,
-    SiteSelectionInstance,
-    budget_uncertain_set,
-    build_irc,
-    build_nominal,
-)
+from robustcounter.sitesel import budget_uncertain_set, build_irc, build_nominal
 from robustcounter.solver import solve
 from robustcounter.uncertainty import (
     RHS,
@@ -48,6 +41,7 @@ from robustcounter.validate import (
 )
 
 from _oracles import (
+    generated_instance,
     highs_solve,
     random_uncertain_ilp,
     reference_corner_check,
@@ -140,27 +134,11 @@ def test_corner_certifies_uniform_tags():
     assert not corner_check(m, uset, {x: 8.2}, 0.1, 0.0).certified
 
 
-def _generated_instance(units, sites, gen_seed):
-    """Seeded m x n site-selection instance with every cost and the budget
-    uncertain: populations 40-200, fixed costs 40-90, variable costs
-    0.05-0.2, Dirichlet(1) choice probabilities, budget 0.45 * sum(f) + 20."""
-    rng = np.random.default_rng([units, sites, gen_seed])
-    unit_list = [PopulationUnit(f"u{i}", f"unit {i}", float(rng.integers(40, 201)))
-                 for i in range(units)]
-    site_list = [SiteCandidate(f"s{j}", f"site {j}", float(rng.integers(40, 91)),
-                               round(float(rng.uniform(0.05, 0.2)), 3))
-                 for j in range(sites)]
-    probabilities = rng.dirichlet(np.ones(sites), size=units)
-    budget = 0.45 * sum(s.fixed_cost for s in site_list) + 20.0
-    return SiteSelectionInstance.with_all_uncertain(
-        unit_list, site_list, probabilities, budget, 25.0, sites // 2)
-
-
 def test_corner_certifies_46_entries_without_cap():
     """The budget row of a generated 8x5 instance carries 46 entries (5 fixed
     costs, 40 variable costs, the budget): the IRC optimum is certified and
     its worst case at eps 0.5 is every cost up and the budget down."""
-    inst = _generated_instance(8, 5, 1)
+    inst = generated_instance(8, 5, 1)
     nominal = build_nominal(inst)
     uset = budget_uncertain_set(inst, nominal)
     assert len(uset) == 46
@@ -319,6 +297,25 @@ def test_corner_check_and_irc_match_enumeration(spec):
     values = {v.id: sol.values[v.id] for v in model.variables}
     _, certified = reference_corner_check(model, uset, values, eps, delta, tol=1e-7)
     assert certified
+
+
+@pytest.mark.parametrize("rhs, certified", [(math.inf, True), (-math.inf, False)])
+def test_checks_of_a_row_with_an_infinite_rhs(rhs, certified):
+    """An infinite right-hand side gets no slack allowance.  With the NaN
+    allowance ``0 * inf`` the corner check left ``x <= inf`` uncertified at
+    delta 0 with a worst violation of 0, and Monte Carlo counted no
+    violation of ``x <= -inf``."""
+    m = Model("inf_rhs")
+    x = m.add_variable("x", "continuous", 0.0, 10.0)
+    m.set_objective("max", [(x, 1.0)])
+    m.add_constraint([(x, 1.0)], "<=", rhs, label="c")
+    m, uset = m.finalize(), UncertainSet([(0, x, Bounded())])
+    for delta in (0.0, 0.1):
+        report = corner_check(m, uset, {x: 5.0}, 0.05, delta)
+        assert report.certified is certified
+        assert report.worst_violation == {0: 0.0 if certified else math.inf}
+        est = monte_carlo_check(m, uset, {x: 5.0}, 0.05, delta, 1000, seed=1)
+        assert est.frequency == (0.0 if certified else 1.0)
 
 
 # -- monte_carlo_check ------------------------------------------------------------
