@@ -17,17 +17,17 @@ normal fits where plant data gave a mean and standard deviation.
 """
 
 from robustcounter import (
+    BoundedRange,
     Model,
     TimingConstraintTemplate,
     robust_timing_bounded,
     robust_timing_normal,
 )
 from robustcounter.fixtures import TIMING_UNCERTAINTY
-from robustcounter.uncertainty import BoundedRange
 
 EPS, DELTA, KAPPA = 0.05, 0.1, 0.05
 
-# one shared variable block for illustration
+# one shared variable block for illustration; every record adds its rows here
 m = Model("schedule_fragment")
 template_vars = dict(
     start_var=m.add_variable("start_next"),
@@ -40,28 +40,25 @@ template_vars = dict(
 print(f"eps = {EPS}, delta = {DELTA}, kappa = {KAPPA}\n")
 print(f"{'missions':>12} {'units':>6} {'nominal':>8} {'kind':>8} "
       f"{'floor-coeff':>12} {'delta2':>8}")
-for record in TIMING_UNCERTAINTY:
+for k, record in enumerate(TIMING_UNCERTAINTY):
     tpl = TimingConstraintTemplate(
         alpha=record.nominal, beta=0.0, horizon_H=12.0, changeover_tcl=1.0,
         **template_vars,
     )
     if isinstance(record.distribution, BoundedRange):
-        rows, delta2 = robust_timing_bounded(
-            tpl, EPS, DELTA,
-            alpha_range=(record.distribution.low, record.distribution.high))
+        rows, delta2 = robust_timing_bounded(m, tpl, EPS, DELTA, label=f"record{k}",
+                                             distribution=record.distribution)
         kind = "range"
-        floor = record.distribution.low
     else:
-        rows, delta2 = robust_timing_normal(
-            tpl, record.distribution.mean, record.distribution.std,
-            EPS, DELTA, KAPPA)
+        rows, delta2 = robust_timing_normal(m, tpl, record.distribution, EPS, DELTA,
+                                            KAPPA, label=f"record{k}")
         kind = "normal"
-        # the effective coefficient after the quantile shift
-        wv1 = template_vars["assign_vars"][0]
-        floor = tpl.horizon_H - dict(rows[0].terms)[wv1]
+    # the effective coefficient: the floor, or the nominal after the quantile shift
+    wv1 = template_vars["assign_vars"][0]
+    floor = tpl.horizon_H - dict(m.constraints[rows[0]].lhs.terms)[wv1]
     print(f"{record.missions:>12} {record.units:>6} {record.nominal:8.2f} "
           f"{kind:>8} {floor:12.4f} {delta2:8.4f}")
 
-print("\nnegative delta2 tightens the auxiliary rows (the split is an "
-      "identity, not an inequality); each record emits a sequencing row and "
-      "a changeover row ready to attach to a model.")
+print(f"\nnegative delta2 tightens the auxiliary rows (the split is an "
+      f"identity, not an inequality); each record added a sequencing row and "
+      f"a changeover row, {len(m.constraints)} rows in all, to {m.name!r}.")

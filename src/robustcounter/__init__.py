@@ -45,7 +45,6 @@ from .model import (
 from .robustify import (
     CounterpartArtifacts,
     TimingConstraintTemplate,
-    TimingRow,
     interval_robust_counterpart,
     robust_timing_bounded,
     robust_timing_normal,

@@ -30,7 +30,7 @@ from .sitesel import (
     load_instance,
 )
 from .solver import SolverOptions, solve
-from .uncertainty import parse_annotations
+from .uncertainty import UncertainSet, parse_annotations
 from .validate import corner_check, monte_carlo_check, sweep, write_sweep_csv
 
 _STATUS_EXIT = {"optimal": 0, "infeasible": 2, "unbounded": 3, "limit_reached": 4}
@@ -55,8 +55,12 @@ def _number(key: str, text: str, kind=float):
         raise ValueError(f"{key}: {exc}") from None
 
 
-def _read_model(path: str) -> Model:
-    return import_text(Path(path).read_text())
+def _read_model(path) -> Model:
+    return import_text(Path(path).read_text(encoding="utf-8"))
+
+
+def _read_annotations(path, model: Model) -> UncertainSet:
+    return parse_annotations(Path(path).read_text(encoding="utf-8"), model)
 
 
 def _solver_options(args) -> SolverOptions:
@@ -124,9 +128,9 @@ def cmd_solve(args) -> int:
 def cmd_robustify(args) -> int:
     levels = _levels(args, args.mode)  # before any file is read
     model = _read_model(args.model)
-    uset = parse_annotations(Path(args.annotations).read_text(), model)
+    uset = _read_annotations(args.annotations, model)
     robust = _counterpart((model, uset), args.mode, False, **levels)
-    Path(args.output).write_text(export_text(robust))
+    Path(args.output).write_text(export_text(robust), encoding="utf-8")
     if args.json:
         print(json.dumps({
             "output": args.output,
@@ -258,16 +262,16 @@ def cmd_sweep(args) -> int:
     else:
         if args.exact_assignment:
             raise ValueError(f"--exact-assignment: {args.input} is a model file")
-        model = import_text(path.read_text())
+        model = _read_model(path)
         if not args.annotations:
             raise ValueError("model-file sweeps need --annotations")
-        uset = parse_annotations(Path(args.annotations).read_text(), model)
+        uset = _read_annotations(args.annotations, model)
         source = (model, uset)
     build = functools.partial(_counterpart, source, args.mode,
                               args.exact_assignment)
     rows = sweep(build, grid, _solver_options(args), args.jobs)
     nominal_objective = rows[0].nominal_objective
-    with open(args.output, "w", newline="") as fh:
+    with open(args.output, "w", newline="", encoding="utf-8") as fh:
         write_sweep_csv(rows, fh)
     if args.json:
         print(json.dumps({
@@ -290,7 +294,7 @@ def _load_solution_values(path: str, model: Model) -> dict[int, float]:
     Names missing from the model (counterpart auxiliaries) are ignored; every
     model variable must be covered by a JSON number.
     """
-    payload = json.loads(Path(path).read_text())
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
         raise ValueError("solution file must hold a JSON object")
     by_name = payload.get("values")
@@ -320,7 +324,7 @@ def cmd_validate(args) -> int:
         option = "--max-nodes" if args.max_nodes is not None else "--time-limit"
         raise ValueError(f"{option}: --solution is checked, not solved")
     model = _read_model(args.model)
-    uset = parse_annotations(Path(args.annotations).read_text(), model)
+    uset = _read_annotations(args.annotations, model)
     if args.solution:
         values = _load_solution_values(args.solution, model)
     else:

@@ -195,10 +195,10 @@ class Model:
         """Append a variable and return its id (stable for the model's life).
 
         The name must be letters, digits and underscores, not starting with
-        a digit, so that the text format reads it back.  Binary variables
-        have their bounds forced to [0, 1] regardless of the arguments.  NaN
-        bounds, a lower bound of +inf, an upper bound of -inf and bound
-        inversion (lower > upper) are rejected.
+        a digit, so that the text format reads it back.  A binary variable's
+        bounds are the given ones intersected with [0, 1].  NaN bounds, a
+        lower bound of +inf, an upper bound of -inf and bound inversion
+        (lower > upper) are rejected.
         """
         self._check_mutable()
         _check_name("variable name", name)
@@ -206,12 +206,12 @@ class Model:
             raise ModelError(f"duplicate variable name {name!r}")
         if kind not in VARIABLE_KINDS:
             raise ModelError(f"unknown variable kind {kind!r}")
-        if kind == "binary":
-            lower, upper = 0.0, 1.0
         lower, upper = float(lower), float(upper)
         if not (lower < INF and upper > -INF):
             raise ModelError(f"bounds of {name!r} must be numbers with lower < inf "
                              f"and upper > -inf, got [{lower}, {upper}]")
+        if kind == "binary":
+            lower, upper = max(0.0, lower), min(1.0, upper)
         if lower > upper:
             raise ModelError(
                 f"inverted bounds for {name!r}: lower {lower} > upper {upper}"

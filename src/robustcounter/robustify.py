@@ -14,9 +14,9 @@ Two transformations on a nominal model plus an uncertain set:
 Both are pure transformations: the input model is read-only and a fresh model
 is returned, so many transformations may run in parallel.
 
-The module also derives the robust timing rows used for sequencing
-constraints, where the slack budget is split between the main constraints
-(``delta``) and the emitted auxiliary rows (``delta2``).
+The module also adds the robust timing rows of sequencing constraints to a
+caller's model, where the slack budget is split between the main
+constraints (``delta``) and the emitted auxiliary rows (``delta2``).
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ from dataclasses import dataclass
 
 from .model import ConeTerm, LinExpr, Model, ModelError
 from .uncertainty import (
+    INTERVAL_TAGS,
     Bounded,
-    BoundedRange,
+    Normal,
     UncertainSet,
     _require_finite,
     bounded_interval,
@@ -210,18 +211,9 @@ class TimingConstraintTemplate:
                 raise ValueError(f"{name} must be nonnegative")
 
 
-@dataclass(frozen=True)
-class TimingRow:
-    label: str
-    terms: tuple[tuple[int, float], ...]
-    sense: str
-    rhs: float
-    note: str = ""
-
-
-def _timing_rows(template: TimingConstraintTemplate, alpha_eff: float,
-                 beta_eff: float, delta2: float, suffix: str
-                 ) -> list[TimingRow]:
+def _add_timing_rows(model: Model, template: TimingConstraintTemplate, label: str,
+                     alpha_eff: float, beta_eff: float, delta2: float, suffix: str
+                     ) -> tuple[tuple[int, int], float]:
     wv1, wv2 = template.assign_vars
     h = template.horizon_H
     base = (
@@ -231,69 +223,73 @@ def _timing_rows(template: TimingConstraintTemplate, alpha_eff: float,
         (wv2, h),
         (template.batch_var, -beta_eff),
     )
-    note = f"delta2={delta2:.12g}" + (" (negative: tightens)" if delta2 < 0 else "")
-    return [
-        TimingRow(f"timing_seq{suffix}", base, "<=", 2.0 * h + delta2, note),
-        TimingRow(
-            f"timing_changeover{suffix}", base, "<=",
-            2.0 * h + template.changeover_tcl + delta2, note,
-        ),
-    ]
+    changeover_label = f"{label}_changeover{suffix}"
+    if changeover_label in model._labels:  # the one way the second row fails after the first
+        raise ModelError(f"duplicate constraint label {changeover_label!r}")
+    seq = model.add_constraint(base, "<=", 2.0 * h + delta2, label=f"{label}_seq{suffix}")
+    changeover = model.add_constraint(base, "<=", 2.0 * h + template.changeover_tcl + delta2,
+                                      label=changeover_label)
+    return (seq, changeover), delta2
 
 
-def robust_timing_bounded(template: TimingConstraintTemplate, epsilon: float,
-                          delta: float, target: str = "alpha",
-                          alpha_range: tuple[float, float] | None = None
-                          ) -> tuple[list[TimingRow], float]:
-    """Bounded-uncertainty timing rows and the emitted slack split.
+def robust_timing_bounded(model: Model, template: TimingConstraintTemplate,
+                          epsilon: float, delta: float, *, label: str,
+                          target: str = "alpha", distribution=Bounded()
+                          ) -> tuple[tuple[int, int], float]:
+    """Add a template's bounded-uncertainty rows ``<label>_seq__irc`` and
+    ``<label>_changeover__irc`` to ``model``; return their ids and delta2.
 
     Both coefficients are lowered to their interval floor, (1 - eps) times
-    nominal; the targeted one's floor and width are :func:`bounded_interval`'s
-    over ``BoundedRange(*alpha_range)``, or ``Bounded()`` with no range.  The
-    auxiliary slack satisfies the identity
+    nominal; the ``target`` one's floor and width are :func:`bounded_interval`'s
+    over ``distribution``, one of the ``INTERVAL_TAGS``.  The auxiliary slack
+    satisfies the identity
 
         delta + delta2 == upper - lower   (== 2 * eps * coefficient)
 
-    with the ``target`` argument selecting the fixed-time ("alpha") or rate
-    ("beta") branch.  A negative delta2 (delta exceeding the interval width)
-    is emitted as-is with a note on the rows: the identity is an identity,
-    not an inequality.
+    with ``target`` selecting the fixed-time ("alpha") or rate ("beta")
+    branch.  A negative delta2 (delta exceeding the interval width) is
+    emitted as-is and tightens the rows: the identity is an identity, not an
+    inequality.  :meth:`Model.add_constraint` checks the template's variable
+    ids and the labels, and a call that fails adds no row.
     """
     check_levels(epsilon, delta)
     if target not in ("alpha", "beta"):
         raise ValueError("target must be 'alpha' or 'beta'")
+    if not isinstance(distribution, INTERVAL_TAGS):
+        raise ValueError(f"robust_timing_bounded reads an interval tag, got {distribution!r}")
     alpha_eff = (1.0 - epsilon) * template.alpha
     beta_eff = (1.0 - epsilon) * template.beta
-    tag = Bounded() if alpha_range is None else BoundedRange(*alpha_range)
-    low, high = bounded_interval(getattr(template, target), tag, epsilon)
+    low, high = bounded_interval(getattr(template, target), distribution, epsilon)
     if target == "alpha":
         alpha_eff = low
     else:
         beta_eff = low
     delta2 = high - low - delta
-    return _timing_rows(template, alpha_eff, beta_eff, delta2, IRC_SUFFIX), delta2
+    return _add_timing_rows(model, template, label, alpha_eff, beta_eff, delta2, IRC_SUFFIX)
 
 
-def robust_timing_normal(template: TimingConstraintTemplate, mu: float,
-                         sigma: float, epsilon: float, delta: float,
-                         kappa: float) -> tuple[list[TimingRow], float]:
-    """Normal-uncertainty timing rows and the emitted slack split.
+def robust_timing_normal(model: Model, template: TimingConstraintTemplate,
+                         distribution: Normal, epsilon: float, delta: float,
+                         kappa: float, *, label: str) -> tuple[tuple[int, int], float]:
+    """Add a template's normal-uncertainty rows ``<label>_seq__rc`` and
+    ``<label>_changeover__rc`` to ``model``; return their ids and delta2.
 
-    Both coefficients are scaled by ``1 - eps * (lambda * sqrt(sigma) - mu)``
-    with ``lambda`` the standard-normal quantile at ``1 - kappa``.  The slack
+    With ``mu`` and ``sigma`` the ``Normal`` tag's mean and std, both
+    coefficients are scaled by ``1 - eps * (lambda * sqrt(sigma) - mu)`` with
+    ``lambda`` the standard-normal quantile at ``1 - kappa``.  The slack
     split follows the same quantile shift:
 
         delta + delta2 == 2 * eps * (lambda * sqrt(sigma) - mu)
 
     with ``sigma`` under the square root, as in the multipliers.
     """
-    if not (0 < sigma < math.inf and math.isfinite(mu)):
-        raise ValueError(f"sigma must be positive and finite and mu finite, "
-                         f"got sigma {sigma}, mu {mu}")
+    if not isinstance(distribution, Normal):
+        raise ValueError(f"robust_timing_normal reads a Normal tag, got {distribution!r}")
     check_levels(epsilon, delta)
+    mu, sigma = distribution.mean, distribution.std
     lam = normal_lambda(kappa)
     multiplier = 1.0 - epsilon * (lam * math.sqrt(sigma) - mu)
     alpha_eff = multiplier * template.alpha
     beta_eff = multiplier * template.beta
     delta2 = 2.0 * epsilon * (lam * math.sqrt(sigma) - mu) - delta
-    return _timing_rows(template, alpha_eff, beta_eff, delta2, RC_SUFFIX), delta2
+    return _add_timing_rows(model, template, label, alpha_eff, beta_eff, delta2, RC_SUFFIX)

@@ -320,7 +320,7 @@ _SETTINGS = {"budget": float, "min_enrollment": float, "max_sites": int,
 def _read_csv(path: Path, expected: list[str]):
     if not path.exists():
         raise InstanceError(f"missing instance file {path}")
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -360,7 +360,7 @@ def _read_records(path: Path, record) -> list:
 
 
 def _write_records(path: Path, record, records) -> None:
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(f.name for f in fields(record))
         for r in records:
@@ -401,7 +401,8 @@ def load_instance(path) -> SiteSelectionInstance:
     if not config_path.exists():
         raise InstanceError(f"missing instance file {config_path}")
     settings = {}
-    for line_no, raw in enumerate(config_path.read_text().splitlines(), start=1):
+    config_lines = config_path.read_text(encoding="utf-8").splitlines()
+    for line_no, raw in enumerate(config_lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -448,7 +449,7 @@ def write_instance(instance: SiteSelectionInstance, path) -> None:
     root.mkdir(parents=True, exist_ok=True)
     _write_records(root / "units.csv", PopulationUnit, instance.units)
     _write_records(root / "sites.csv", SiteCandidate, instance.sites)
-    with (root / "prob.csv").open("w", newline="") as fh:
+    with (root / "prob.csv").open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["id"] + [s.id for s in instance.sites])
         for i, u in enumerate(instance.units):
@@ -461,4 +462,5 @@ def write_instance(instance: SiteSelectionInstance, path) -> None:
         return _num(value) if kind is float else str(value)
 
     (root / "config.txt").write_text("".join(
-        f"{key}={text(getattr(instance, key), kind)}\n" for key, kind in _SETTINGS.items()))
+        f"{key}={text(getattr(instance, key), kind)}\n" for key, kind in _SETTINGS.items()),
+        encoding="utf-8")

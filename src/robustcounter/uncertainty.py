@@ -265,13 +265,17 @@ class UncertainSet:
     def validate(self, model: Model) -> dict[int, list[tuple[int, UncertainEntry, float]]]:
         """Check every entry against ``model``; return ``{constraint id:
         [(entry index, entry, nominal rhs or coefficient), ...]}``, rows in
-        first-appearance order, reading each row's terms once."""
+        first-appearance order, reading each row's terms once.  A tagged
+        right-hand side must be finite: an infinite one has no interval."""
         resolved: dict[int, list[tuple[int, UncertainEntry, float]]] = {}
         row_terms: dict[int, dict[int, float]] = {}
         for idx, entry in enumerate(self.entries):
             if not 0 <= entry.constraint_id < len(model.constraints):
                 raise ValueError(f"unknown constraint id {entry.constraint_id}")
             con = model.constraints[entry.constraint_id]
+            if entry.is_rhs and not math.isfinite(con.rhs):
+                raise ValueError(f"row {con.label!r} has an uncertain right-hand side "
+                                 f"of {con.rhs}; only a finite one can be tagged")
             if con.id not in row_terms and not entry.is_rhs:
                 row_terms[con.id] = dict(con.lhs.terms)
             nominal = con.rhs if entry.is_rhs else row_terms[con.id].get(entry.target)

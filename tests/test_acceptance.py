@@ -5,6 +5,7 @@ criterion lines inline).  Every tolerance is pinned here; nothing defers to
 later calibration.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from robustcounter.fixtures import (
     one_row_uncertain,
     tiny_instance,
 )
-from robustcounter.model import export_text, import_text
+from robustcounter.model import Model, export_text, import_text
 from robustcounter.robustify import (
     TimingConstraintTemplate,
     interval_robust_counterpart,
@@ -229,10 +230,7 @@ def test_criterion_08_milp_oracle_equivalence():
 # -- criterion 9 -----------------------------------------------------------------------
 
 
-def _template(alpha, beta):
-    from robustcounter.model import Model
-
-    m = Model()
+def _template(m, alpha, beta):
     ts = m.add_variable("ts")
     tf = m.add_variable("tf")
     w1 = m.add_variable("w1", "binary")
@@ -249,36 +247,37 @@ def test_criterion_09_timing_split_identities():
         beta = float(rng.uniform(0.01, 2.0))
         eps = float(rng.uniform(0.0, 0.3))
         delta = float(rng.uniform(0.0, 1.5))
-        tpl = _template(alpha, beta)
-        _, d2 = robust_timing_bounded(tpl, eps, delta)
+        m = Model()
+        tpl = _template(m, alpha, beta)
+        _, d2 = robust_timing_bounded(m, tpl, eps, delta, label="timing")
         ok = ok and abs((delta + d2) - 2.0 * eps * alpha) <= 1e-12
         mu = float(rng.uniform(-2.0, 12.0))
         sigma = float(rng.uniform(0.01, 2.0))
         kappa = float(rng.uniform(0.01, 0.99))
-        _, d2 = robust_timing_normal(tpl, mu, sigma, eps, delta, kappa)
+        _, d2 = robust_timing_normal(m, tpl, Normal(mu, sigma), eps, delta, kappa,
+                                     label="timing")
         lam = normal_lambda(kappa)
         ok = ok and abs((delta + d2) - 2.0 * eps * (lam * math.sqrt(sigma) - mu)) <= 1e-12
-    # the bundled uncertain-parameter records round-trip without error
-    for record in TIMING_UNCERTAINTY:
-        tpl = _template(record.nominal, 0.0)
-        if isinstance(record.distribution, BoundedRange):
-            rows, d2 = robust_timing_bounded(
-                tpl, 0.05, 0.1,
-                alpha_range=(record.distribution.low, record.distribution.high))
-            width = record.distribution.high - record.distribution.low
-            ok = ok and abs((0.1 + d2) - width) <= 1e-12
+    # the bundled uncertain-parameter records each add their rows to one model
+    m = Model()
+    tpl = _template(m, 1.0, 0.0)
+    for k, record in enumerate(TIMING_UNCERTAINTY):
+        tpl = dataclasses.replace(tpl, alpha=record.nominal)
+        tag = record.distribution
+        if isinstance(tag, BoundedRange):
+            ids, d2 = robust_timing_bounded(m, tpl, 0.05, 0.1, label=f"r{k}",
+                                            distribution=tag)
+            ok = ok and abs((0.1 + d2) - (tag.high - tag.low)) <= 1e-12
         else:
-            assert isinstance(record.distribution, Normal)
-            rows, d2 = robust_timing_normal(
-                tpl, record.distribution.mean, record.distribution.std,
-                0.05, 0.1, 0.05)
+            assert isinstance(tag, Normal)
+            ids, d2 = robust_timing_normal(m, tpl, tag, 0.05, 0.1, 0.05, label=f"r{k}")
             lam = normal_lambda(0.05)
-            expect = 2.0 * 0.05 * (lam * math.sqrt(record.distribution.std)
-                                   - record.distribution.mean)
+            expect = 2.0 * 0.05 * (lam * math.sqrt(tag.std) - tag.mean)
             ok = ok and abs((0.1 + d2) - expect) <= 1e-12
-        ok = ok and all(math.isfinite(r.rhs) for r in rows)
+        ok = ok and all(math.isfinite(m.constraints[i].rhs) for i in ids)
+    ok = ok and len(m.constraints) == 2 * len(TIMING_UNCERTAINTY)
     _report(9, "slack-split identities hold to 1e-12; bundled uncertain "
-               "records round-trip", ok)
+               "records add their rows to one model", ok)
 
 
 # -- criterion 10 -----------------------------------------------------------------------

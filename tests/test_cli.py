@@ -5,6 +5,9 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -182,6 +185,44 @@ def test_sitesel_nonfinite_instance_data_exit_one(workdir, capsys, path, old, ne
     assert main(["sitesel", str(workdir / "hk_demo"), "--mode", "nominal"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and name in err
+
+
+def _run_under_ascii_locale(*args, cwd):
+    """``python *args`` where the locale's encoding is ASCII."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+           "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    env.pop("PYTHONIOENCODING", None)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, cwd=cwd, timeout=120)
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    """Under an ASCII locale ``write_instance`` failed on a unit named
+    Zürich, ``sitesel`` failed to decode its units.csv, and ``robustify``
+    failed on non-ASCII comments in model and annotation text."""
+    write = ("import dataclasses\n"
+             "from robustcounter.fixtures import demo_instance\n"
+             "from robustcounter.sitesel import write_instance\n"
+             "inst = demo_instance()\n"
+             "units = (dataclasses.replace(inst.units[0], name='Z\\u00fcrich'), *inst.units[1:])\n"
+             "write_instance(dataclasses.replace(inst, units=units), 'zurich')\n")
+    out = _run_under_ascii_locale("-c", write, cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert "u1,Zürich,120" in (tmp_path / "zurich" / "units.csv").read_text(encoding="utf-8")
+    out = _run_under_ascii_locale("-m", "robustcounter.cli", "sitesel", "zurich", cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert "open sites" in out.stdout
+
+    model, uset = one_row_uncertain()
+    (tmp_path / "row.txt").write_text("// Zürich Spital\n" + export_text(model),
+                                      encoding="utf-8")
+    (tmp_path / "row.unc").write_text("# Maß für Zürich\n" + format_annotations(uset, model),
+                                      encoding="utf-8")
+    out = _run_under_ascii_locale("-m", "robustcounter.cli", "robustify", "row.txt",
+                                  "row.unc", "-o", "irc.txt", cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert import_text((tmp_path / "irc.txt").read_text(encoding="utf-8")).constraint_by_label(
+        "cap__irc")
 
 
 @pytest.mark.parametrize("path, old, new, message", [

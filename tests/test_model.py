@@ -29,6 +29,25 @@ def test_add_variable_basics():
     assert (m.variables[y].lower, m.variables[y].upper) == (0.0, 1.0)
 
 
+def test_a_binary_keeps_the_bounds_it_is_given():
+    """A binary's bounds are the given bounds intersected with [0, 1]; they
+    were replaced by [0, 1], so ``b binary 0 0`` could take the value 1."""
+    m = import_text("#vars\nb binary 0 0\nc binary 0 0\nd binary 1 inf\n#obj\n"
+                    "max 1*b + 1*c + 1*d\n#cons\n")
+    assert [(v.lower, v.upper) for v in m.variables] == [(0.0, 0.0), (0.0, 0.0), (1.0, 1.0)]
+    text = export_text(m)
+    assert text.startswith("#vars\nb binary 0.0 0.0\nc binary 0.0 0.0\nd binary 1.0 1.0\n")
+    assert export_text(import_text(text)) == text
+    sol = solve(m)
+    assert (sol.status, sol.objective) == ("optimal", 1.0)
+    assert [sol.values[v.id] for v in m.variables] == [0.0, 0.0, 1.0]
+    with pytest.raises(ParseError, match=r"inverted bounds for 'b'") as err:
+        import_text("#vars\nx continuous 0 1\nb binary 2 3\n#obj\nmax 1*b\n#cons\n")
+    assert err.value.line == 3
+    with pytest.raises(ModelError, match="bounds of 'b'"):
+        Model().add_variable("b", "binary", math.nan, 1.0)
+
+
 def test_add_variable_rejects_bound_inversion():
     m = Model()
     with pytest.raises(ModelError, match="inverted bounds"):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,12 +18,15 @@ from robustcounter.uncertainty import (
     RHS,
     Bounded,
     BoundedRange,
+    Normal,
+    Poisson,
     UncertainSet,
     Uniform,
     normal_lambda,
     omega_from_kappa,
+    parse_annotations,
 )
-from robustcounter.validate import corner_check
+from robustcounter.validate import corner_check, monte_carlo_check
 
 from _oracles import random_uncertain_ilp
 
@@ -366,6 +371,27 @@ def test_counterparts_of_a_row_with_an_infinite_rhs(rhs, status):
                 assert sol.values[x] == 10.0
 
 
+@pytest.mark.parametrize("rhs", [math.inf, -math.inf])
+def test_a_tagged_infinite_rhs_fails_the_same_way_everywhere(rhs):
+    """An infinite right-hand side has no interval to range over.  The
+    interval counterpart and both checks raised 'nominal value must be
+    finite', the symmetric counterpart a cone error, and the annotation
+    parser accepted the tag."""
+    m = Model("inf_rhs")
+    x = m.add_variable("x", "continuous", 0.0, 10.0)
+    m.set_objective("max", [(x, 1.0)])
+    m.add_constraint([(x, 1.0)], "<=", rhs, label="c")
+    m, uset = m.finalize(), UncertainSet([(0, x, Bounded()), (0, RHS, Bounded())])
+    message = f"row 'c' has an uncertain right-hand side of {rhs}"
+    for check in (lambda: interval_robust_counterpart(m, uset, 0.05, 0.1),
+                  lambda: symmetric_robust_counterpart(m, uset, 0.05, 0.1, 0.14),
+                  lambda: corner_check(m, uset, {x: 5.0}, 0.05, 0.1),
+                  lambda: monte_carlo_check(m, uset, {x: 5.0}, 0.05, 0.1, 1000, seed=1),
+                  lambda: parse_annotations("c RHS(bounded)\n", m)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            check()
+
+
 # -- robust timing rows ----------------------------------------------------------------
 
 
@@ -379,23 +405,30 @@ def _template(alpha=10.0, beta=0.5, horizon=12.0, tcl=1.5):
     return TimingConstraintTemplate(alpha, beta, horizon, tcl, ts, tf, (w1, w2), b), m
 
 
+def _wv1_coeff(m, tpl, ids):
+    """The first assignment binary's coefficient in the sequencing row."""
+    return dict(m.constraints[ids[0]].lhs.terms)[tpl.assign_vars[0]]
+
+
 @pytest.mark.parametrize("eps, delta", [
     (math.nan, 0.25), (math.inf, 0.25), (0.05, math.nan), (0.05, math.inf)])
 def test_timing_rows_reject_unusable_levels(eps, delta):
     """A NaN level used to give NaN rows, an infinite one infinite rows."""
-    tpl, _ = _template()
+    tpl, m = _template()
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        robust_timing_bounded(tpl, eps, delta)
+        robust_timing_bounded(m, tpl, eps, delta, label="t")
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        robust_timing_normal(tpl, 1.0, 0.5, eps, delta, 0.05)
+        robust_timing_normal(m, tpl, Normal(1.0, 0.5), eps, delta, 0.05, label="t")
+    assert not m.constraints
 
 
 @pytest.mark.parametrize("mu, sigma", [
     (math.nan, 0.5), (math.inf, 0.5), (1.0, math.nan), (1.0, math.inf)])
 def test_timing_normal_rejects_nonfinite_parameters(mu, sigma):
-    tpl, _ = _template()
+    """The parameters are the ``Normal`` tag's, which checks them."""
+    tpl, m = _template()
     with pytest.raises(ValueError, match="finite"):
-        robust_timing_normal(tpl, mu, sigma, 0.1, 0.0, 0.05)
+        robust_timing_normal(m, tpl, Normal(mu, sigma), 0.1, 0.0, 0.05, label="t")
 
 
 @pytest.mark.parametrize("field", ["alpha", "beta", "horizon", "tcl"])
@@ -410,51 +443,100 @@ def test_timing_template_rejects_nonfinite_data(field, value):
 @pytest.mark.parametrize("alpha_range", [
     (math.nan, 10.0), (8.0, math.nan), (8.0, math.inf), (-math.inf, 10.0)])
 def test_timing_bounded_rejects_nonfinite_alpha_range(alpha_range):
-    """A non-finite range end used to give a NaN or infinite row."""
-    tpl, _ = _template()
+    """A non-finite range end used to give a NaN or infinite row; the range
+    is a ``BoundedRange`` tag, which checks it."""
+    tpl, m = _template()
     with pytest.raises(ValueError, match="finite"):
-        robust_timing_bounded(tpl, 0.05, 0.1, alpha_range=alpha_range)
+        robust_timing_bounded(m, tpl, 0.05, 0.1, label="t",
+                              distribution=BoundedRange(*alpha_range))
 
 
 @pytest.mark.parametrize("target", ["alpha", "beta"])
 def test_timing_bounded_rejects_a_range_wider_than_a_float(target):
-    """An explicit range is read as a ``BoundedRange`` tag; one whose width
-    overflowed gave ``delta2 = inf`` and two vacuous rows."""
-    tpl, _ = _template()
+    """A range whose width overflowed gave ``delta2 = inf`` and two vacuous
+    rows; the ``BoundedRange`` tag rejects it, and an empty range."""
+    tpl, m = _template()
     with pytest.raises(ValueError, match="wider than a float"):
-        robust_timing_bounded(tpl, 0.05, 0.1, target, alpha_range=(-1.7e308, 1.7e308))
+        robust_timing_bounded(m, tpl, 0.05, 0.1, label="t", target=target,
+                              distribution=BoundedRange(-1.7e308, 1.7e308))
     with pytest.raises(ValueError, match="empty range"):
-        robust_timing_bounded(tpl, 0.05, 0.1, target, alpha_range=(10.0, 8.0))
+        robust_timing_bounded(m, tpl, 0.05, 0.1, label="t", target=target,
+                              distribution=BoundedRange(10.0, 8.0))
+
+
+@pytest.mark.parametrize("rule, tag", [
+    *(("bounded", tag) for tag in (Normal(1.0, 0.5), Poisson(2.0), None, (8.0, 10.0))),
+    *(("normal", tag) for tag in (Bounded(), BoundedRange(0.5, 1.5), Uniform(), (1.0, 0.5))),
+])
+def test_timing_rules_refuse_a_tag_of_the_wrong_kind(rule, tag):
+    """The bounded rule reads the interval tags, the normal rule a Normal."""
+    tpl, m = _template()
+    with pytest.raises(ValueError, match=f"^robust_timing_{rule} reads an? "):
+        if rule == "bounded":
+            robust_timing_bounded(m, tpl, 0.05, 0.1, label="t", distribution=tag)
+        else:
+            robust_timing_normal(m, tpl, tag, 0.05, 0.1, 0.05, label="t")
+    assert not m.constraints
 
 
 def test_timing_bounded_zero_epsilon():
-    tpl, _ = _template()
-    rows, delta2 = robust_timing_bounded(tpl, 0.0, 0.25)
+    tpl, m = _template()
+    ids, delta2 = robust_timing_bounded(m, tpl, 0.0, 0.25, label="t")
     assert delta2 == pytest.approx(-0.25)
-    wv1_coeff = dict(rows[0].terms)[tpl.assign_vars[0]]
-    assert wv1_coeff == pytest.approx(tpl.horizon_H - tpl.alpha)
+    assert _wv1_coeff(m, tpl, ids) == pytest.approx(tpl.horizon_H - tpl.alpha)
 
 
 def test_timing_bounded_split_example():
-    tpl, _ = _template(alpha=10.0)
-    rows, delta2 = robust_timing_bounded(tpl, 0.05, 0.5)
+    tpl, m = _template(alpha=10.0)
+    ids, delta2 = robust_timing_bounded(m, tpl, 0.05, 0.5, label="t")
+    seq, changeover = (m.constraints[i] for i in ids)
     assert delta2 == pytest.approx(0.5, abs=1e-12)
-    assert dict(rows[0].terms)[tpl.assign_vars[0]] == pytest.approx(12.0 - 9.5)
-    assert rows[1].rhs - rows[0].rhs == pytest.approx(tpl.changeover_tcl)
+    assert _wv1_coeff(m, tpl, ids) == pytest.approx(12.0 - 9.5)
+    assert changeover.rhs - seq.rhs == pytest.approx(tpl.changeover_tcl)
+    assert seq.rhs == 2.0 * tpl.horizon_H + delta2
+    assert (seq.label, changeover.label) == ("t_seq__irc", "t_changeover__irc")
+    assert seq.sense == changeover.sense == "<="
+    assert seq.lhs == changeover.lhs
+    assert dict(seq.lhs.terms) == {tpl.start_var: 1.0, tpl.finish_var: -1.0,
+                                   tpl.assign_vars[0]: 12.0 - 9.5,
+                                   tpl.assign_vars[1]: 12.0,
+                                   tpl.batch_var: -0.95 * 0.5}
 
 
 def test_timing_bounded_explicit_range():
-    tpl, _ = _template(alpha=8.38)
-    rows, delta2 = robust_timing_bounded(tpl, 0.05, 1.0, alpha_range=(8.00, 10.42))
-    assert delta2 == pytest.approx(1.42, abs=1e-12)
-    assert dict(rows[0].terms)[tpl.assign_vars[0]] == pytest.approx(12.0 - 8.00)
+    """The range is read for either target; the other coefficient keeps
+    its (1 - eps) floor."""
+    tpl, m = _template(alpha=8.38, beta=8.38)
+    for target, other in (("alpha", "beta"), ("beta", "alpha")):
+        ids, delta2 = robust_timing_bounded(m, tpl, 0.05, 1.0, label=target, target=target,
+                                            distribution=BoundedRange(8.00, 10.42))
+        assert delta2 == pytest.approx(1.42, abs=1e-12)
+        terms = dict(m.constraints[ids[0]].lhs.terms)
+        floors = {"alpha": 12.0 - terms[tpl.assign_vars[0]], "beta": -terms[tpl.batch_var]}
+        assert floors[target] == pytest.approx(8.00)
+        assert floors[other] == pytest.approx(0.95 * 8.38)
+
+
+def test_timing_bounded_reads_the_level_of_its_tag():
+    """A ``Bounded`` tag with its own half-width overrides the global level
+    for the targeted coefficient only."""
+    tpl, m = _template(alpha=10.0, beta=0.5)
+    ids, delta2 = robust_timing_bounded(m, tpl, 0.05, 0.5, label="t",
+                                        distribution=Bounded(0.2))
+    assert delta2 == pytest.approx(2 * 0.2 * 10.0 - 0.5)
+    assert _wv1_coeff(m, tpl, ids) == pytest.approx(12.0 - 8.0)
+    assert dict(m.constraints[ids[0]].lhs.terms)[tpl.batch_var] == -0.95 * 0.5
 
 
 def test_timing_bounded_negative_delta2_noted():
-    tpl, _ = _template(alpha=1.0)
-    rows, delta2 = robust_timing_bounded(tpl, 0.05, 0.5)
+    """A negative delta2 shows in the rows: both sit below their nominal
+    right-hand sides."""
+    tpl, m = _template(alpha=1.0)
+    ids, delta2 = robust_timing_bounded(m, tpl, 0.05, 0.5, label="t")
     assert delta2 == pytest.approx(0.1 - 0.5)
-    assert "negative" in rows[0].note
+    seq, changeover = (m.constraints[i] for i in ids)
+    assert seq.rhs < 2.0 * tpl.horizon_H
+    assert changeover.rhs < 2.0 * tpl.horizon_H + tpl.changeover_tcl
 
 
 def test_timing_bounded_split_identity_randomized():
@@ -463,71 +545,100 @@ def test_timing_bounded_split_identity_randomized():
         alpha, beta = rng.uniform(0.1, 20.0, 2)
         eps = float(rng.uniform(0.0, 0.3))
         delta = float(rng.uniform(0.0, 1.0))
-        tpl, _ = _template(alpha=float(alpha), beta=float(beta))
+        tpl, m = _template(alpha=float(alpha), beta=float(beta))
         target = "alpha" if rng.random() < 0.5 else "beta"
-        _, delta2 = robust_timing_bounded(tpl, eps, delta, target=target)
+        _, delta2 = robust_timing_bounded(m, tpl, eps, delta, label="t", target=target)
         coeff = alpha if target == "alpha" else beta
         assert delta + delta2 == pytest.approx(2.0 * eps * coeff, abs=1e-12)
 
 
 def test_timing_normal_zero_epsilon():
-    tpl, _ = _template()
-    rows, delta2 = robust_timing_normal(tpl, 1.0, 0.5, 0.0, 0.3, 0.05)
+    tpl, m = _template()
+    ids, delta2 = robust_timing_normal(m, tpl, Normal(1.0, 0.5), 0.0, 0.3, 0.05, label="t")
     assert delta2 == pytest.approx(-0.3)
-    assert dict(rows[0].terms)[tpl.assign_vars[0]] == pytest.approx(
-        tpl.horizon_H - tpl.alpha)
+    assert _wv1_coeff(m, tpl, ids) == pytest.approx(tpl.horizon_H - tpl.alpha)
+    assert [m.constraints[i].label for i in ids] == ["t_seq__rc", "t_changeover__rc"]
 
 
 def test_timing_normal_table_row_multiplier():
     # mean 9.912, sd 0.523 at eps = 0.05, kappa = 0.05
-    tpl, _ = _template(alpha=9.5)
-    rows, _ = robust_timing_normal(tpl, 9.912, 0.523, 0.05, 0.0, 0.05)
+    tpl, m = _template(alpha=9.5)
+    ids, _ = robust_timing_normal(m, tpl, Normal(9.912, 0.523), 0.05, 0.0, 0.05, label="t")
     lam = normal_lambda(0.05)
     expected = (1.0 - 0.05 * (lam * math.sqrt(0.523) - 9.912)) * 9.5
-    assert dict(rows[0].terms)[tpl.assign_vars[0]] == pytest.approx(
-        tpl.horizon_H - expected, abs=1e-9)
+    assert _wv1_coeff(m, tpl, ids) == pytest.approx(tpl.horizon_H - expected, abs=1e-9)
 
 
 def test_timing_normal_median_kappa_vanishes():
-    tpl, _ = _template()
-    rows, delta2 = robust_timing_normal(tpl, 0.0, 0.7, 0.1, 0.2, 0.5)
+    tpl, m = _template()
+    ids, delta2 = robust_timing_normal(m, tpl, Normal(0.0, 0.7), 0.1, 0.2, 0.5, label="t")
     # lambda = 0 and mu = 0: multiplier 1, delta2 = -delta
     assert delta2 == pytest.approx(-0.2)
-    assert dict(rows[0].terms)[tpl.assign_vars[0]] == pytest.approx(
-        tpl.horizon_H - tpl.alpha)
+    assert _wv1_coeff(m, tpl, ids) == pytest.approx(tpl.horizon_H - tpl.alpha)
 
 
 def test_timing_normal_split_identity_randomized():
     rng = np.random.default_rng(67)
     for _ in range(200):
-        tpl, _ = _template(alpha=float(rng.uniform(0.1, 20)),
+        tpl, m = _template(alpha=float(rng.uniform(0.1, 20)),
                            beta=float(rng.uniform(0.1, 2)))
         mu = float(rng.uniform(-2, 12))
         sigma = float(rng.uniform(0.01, 2.0))
         eps = float(rng.uniform(0.0, 0.3))
         delta = float(rng.uniform(0.0, 1.0))
         kappa = float(rng.uniform(0.01, 0.99))
-        _, delta2 = robust_timing_normal(tpl, mu, sigma, eps, delta, kappa)
+        _, delta2 = robust_timing_normal(m, tpl, Normal(mu, sigma), eps, delta, kappa,
+                                         label="t")
         lam = normal_lambda(kappa)
         assert delta + delta2 == pytest.approx(
             2.0 * eps * (lam * math.sqrt(sigma) - mu), abs=1e-12)
 
 
 def test_timing_normal_split_reads_sigma():
-    tpl, _ = _template()
-    _, d_sigma = robust_timing_normal(tpl, 1.0, 0.5, 0.1, 0.3, 0.05)
+    tpl, m = _template()
+    _, d_sigma = robust_timing_normal(m, tpl, Normal(1.0, 0.5), 0.1, 0.3, 0.05, label="t")
     lam = normal_lambda(0.05)
     assert d_sigma == pytest.approx(2 * 0.1 * (lam * math.sqrt(0.5) - 1.0) - 0.3)
 
 
 def test_timing_rows_attach_to_models():
+    """Every call labelled its rows ``timing_seq__irc``, so a second
+    template's rows could not join the model of the first."""
     tpl, m = _template()
-    rows, _ = robust_timing_bounded(tpl, 0.05, 0.1)
-    m.set_objective("max", [(tpl.start_var, 1.0)])
-    for row in rows:
-        m.add_constraint(list(row.terms), row.sense, row.rhs, label=row.label)
-    m.finalize()
-    assert m.constraint_by_label("timing_seq__irc") is not None
+    other = TimingConstraintTemplate(8.0, 0.2, 12.0, 1.0, tpl.finish_var, tpl.start_var,
+                                     tpl.assign_vars[::-1], tpl.batch_var)
+    first, _ = robust_timing_bounded(m, tpl, 0.05, 0.1, label="a_b")
+    second, _ = robust_timing_bounded(m, other, 0.05, 0.1, label="b_a")
+    third, _ = robust_timing_normal(m, other, Normal(8.1, 0.3), 0.05, 0.1, 0.05, label="b_a")
+    assert [first, second, third] == [(0, 1), (2, 3), (4, 5)]
+    assert [c.label for c in m.constraints] == [
+        "a_b_seq__irc", "a_b_changeover__irc", "b_a_seq__irc", "b_a_changeover__irc",
+        "b_a_seq__rc", "b_a_changeover__rc"]
+    with pytest.raises(ModelError, match="duplicate constraint label 'a_b_"):
+        robust_timing_bounded(m, tpl, 0.05, 0.1, label="a_b")
+    with pytest.raises(ModelError, match="duplicate constraint label 'b_a_"):
+        robust_timing_normal(m, other, Normal(8.1, 0.3), 0.05, 0.1, 0.05, label="b_a")
+    m.add_constraint([(tpl.start_var, 1.0)], "<=", 24.0, label="c_changeover__irc")
+    with pytest.raises(ModelError, match="duplicate constraint label 'c_changeover__irc'"):
+        robust_timing_bounded(m, tpl, 0.05, 0.1, label="c")  # and adds no row
+    assert len(m.constraints) == 7
+    m.set_objective("max", [(tpl.assign_vars[0], 1.0)])
+    assert solve(m.finalize()).status == "optimal"
+    with pytest.raises(ModelError, match="finalized"):
+        robust_timing_bounded(m, tpl, 0.05, 0.1, label="d")
+
+
+@pytest.mark.parametrize("var", [999, -4])
+@pytest.mark.parametrize("field", ["start_var", "finish_var", "batch_var"])
+def test_timing_rows_reject_variables_the_model_lacks(field, var):
+    """A template whose variable ids are not the model's still gave rows."""
+    tpl, m = _template()
+    tpl = dataclasses.replace(tpl, **{field: var})
+    with pytest.raises(ModelError, match=f"unknown variable id {var}"):
+        robust_timing_bounded(m, tpl, 0.05, 0.1, label="t")
+    with pytest.raises(ModelError, match=f"unknown variable id {var}"):
+        robust_timing_normal(m, tpl, Normal(1.0, 0.5), 0.05, 0.1, 0.05, label="t")
+    assert not m.constraints
 
 
 def test_rc_matches_fine_grid_split_oracle():
