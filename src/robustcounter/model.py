@@ -350,8 +350,7 @@ class StandardFormLP:
     ``min`` models ``c`` and ``c0`` are negated, and :meth:`model_objective`
     maps any value here, ``inf`` included, back to the model's sense.
     Branch and bound keeps one such LP as its working copy: a node is the
-    same LP under other column bounds, and a cut is a row appended to it
-    (both by ``dataclasses.replace``).
+    same LP under other column bounds, and a cut is a row appended to it.
     """
 
     c: np.ndarray

@@ -147,48 +147,54 @@ def _run_dual(tab, basis, x, lo, hi, deadline):
     """
     m = len(basis)
     d = tab[-1]
+    xb = x[basis]  # the basic values, written back to ``x`` on return
     lob, hib = lo[basis] - _PIVOT_TOL, hi[basis] + _PIVOT_TOL
     up, down = x < hi, x > lo  # which nonbasic columns can rise, fall
     up[basis] = down[basis] = False
     passed = []  # rows no column can move, within tolerance, since the last pivot
     iters = 0
-    while iters < _MAX_ITER:
-        xb = x[basis]
-        below = xb < lob
-        bad = (below | (xb > hib)).nonzero()[0]
-        bad = bad[~np.isin(bad, passed)] if passed else bad
-        if not bad.size:
-            return "optimal", iters
-        if time.monotonic() >= deadline:
-            return "limit", iters
-        r = bad[basis[bad].argmin()]
-        # the basic value is -row @ x over the nonbasic columns
-        row = tab[r]
-        neg, pos = row < -_PIVOT_TOL, row > _PIVOT_TOL
-        cand = ((neg & up) | (pos & down) if below[r] else (pos & up) | (neg & down)).nonzero()[0]
-        if not cand.size:
-            if not lo[basis[r]] - FEASIBILITY_TOL <= xb[r] <= hi[basis[r]] + FEASIBILITY_TOL:
-                return "infeasible", iters
-            passed.append(r)
-            continue
-        a = row[cand]
-        ratio = -d[cand] / a if below[r] else d[cand] / a
-        near = ratio <= ratio.min() + _PIVOT_TOL
-        q = cand[near][np.abs(a[near]).argmax()]
-        p = basis[r]
-        target = lo[p] if below[r] else hi[p]
-        col = tab[:m, q]
-        step = (xb[r] - target) / col[r]
-        x[basis] = xb - step * col
-        x[q] += step
-        x[p] = target
-        lob[r], hib[r] = lo[q] - _PIVOT_TOL, hi[q] + _PIVOT_TOL
-        up[q] = down[q] = False
-        up[p], down[p] = target < hi[p], target > lo[p]
-        _pivot(tab, basis, r, q)
-        passed = []
-        iters += 1
-    return "limit", _MAX_ITER
+    try:
+        while iters < _MAX_ITER:
+            below = xb < lob
+            bad = (below | (xb > hib)).nonzero()[0]
+            bad = bad[~np.isin(bad, passed)] if passed else bad
+            if not bad.size:
+                return "optimal", iters
+            if time.monotonic() >= deadline:
+                return "limit", iters
+            r = bad[basis[bad].argmin()]
+            # the basic value is -row @ x over the nonbasic columns
+            row = tab[r]
+            neg, pos = row < -_PIVOT_TOL, row > _PIVOT_TOL
+            cand = ((neg & up) | (pos & down) if below[r]
+                    else (pos & up) | (neg & down)).nonzero()[0]
+            if not cand.size:
+                if not lo[basis[r]] - FEASIBILITY_TOL <= xb[r] <= hi[basis[r]] + FEASIBILITY_TOL:
+                    return "infeasible", iters
+                passed.append(r)
+                continue
+            q = cand[0]
+            if cand.size > 1:
+                a = row[cand]
+                ratio = -d[cand] / a if below[r] else d[cand] / a
+                near = ratio <= np.minimum.reduce(ratio) + _PIVOT_TOL
+                q = cand[near][np.abs(a[near]).argmax()]
+            p = basis[r]
+            target = lo[p] if below[r] else hi[p]
+            col = tab[:m, q]
+            step = (xb[r] - target) / col[r]
+            xb -= step * col
+            xb[r] = x[q] + step
+            x[p] = target
+            lob[r], hib[r] = lo[q] - _PIVOT_TOL, hi[q] + _PIVOT_TOL
+            up[q] = down[q] = False
+            up[p], down[p] = target < hi[p], target > lo[p]
+            _pivot(tab, basis, r, q)
+            passed = []
+            iters += 1
+        return "limit", _MAX_ITER
+    finally:
+        x[basis] = xb
 
 
 def _run_primal(tab, basis, x, lo, hi, deadline):
@@ -271,6 +277,8 @@ def _carry(tab, mat, basis):
     new logical columns."""
     m0, width = tab.shape[0] - 1, tab.shape[1]
     m = mat.shape[0]
+    if m == m0:
+        return tab.copy()
     out = np.zeros((m + 1, mat.shape[1]))
     out[:m0, :width] = tab[:m0]
     out[m0:m] = mat[m0:, basis[:m0]] @ out[:m0] - mat[m0:]
@@ -301,11 +309,12 @@ def _start(mat, cost, lo, hi, basis, tab=None):
     else:
         tab = _carry(tab, mat, basis)
     rows, d = tab[:-1], tab[-1]
-    at_hi = np.isfinite(hi) & ((d < 0) | ~np.isfinite(lo))
-    x = np.where(at_hi, hi, np.where(np.isfinite(lo), lo, 0.0))
+    finite_lo, neg, pos = np.isfinite(lo), d < 0, d > 0
+    at_hi = np.isfinite(hi) & (neg | ~finite_lo)
+    x = np.where(at_hi, hi, np.where(finite_lo, lo, 0.0))
     x[basis] = 0.0
     x[basis] = -(rows @ x)
-    shifted = (lo < hi) & np.where(at_hi, d > 0, (d < 0) | ((d > 0) & ~np.isfinite(lo)))
+    shifted = (lo < hi) & np.where(at_hi, pos, neg | (pos & ~finite_lo))
     shifted[basis] = False
     d[shifted] = 0.0
     return tab, x, shifted, refactored
@@ -359,8 +368,14 @@ def _proven(status, mat, cost, lo, hi, basis, x, enter) -> bool:
                 and np.all(lo[ray < -_PIVOT_TOL * scale] == -INF))
 
 
+def _working(sf):
+    """``[a | -I]`` of the LP ``sf``, and its costs: ``-c``, then 0 on the logicals."""
+    m = len(sf.a)
+    return np.hstack([sf.a, -np.eye(m)]), np.concatenate([-sf.c, np.zeros(m)])
+
+
 def _solve_standard(sf: StandardFormLP, deadline: float,
-                    origin: _SimplexResult | None = None) -> _SimplexResult:
+                    origin: _SimplexResult | None = None, work=None) -> _SimplexResult:
     """The one LP routine: bounded dual simplex to a feasible basis, then
     bounded primal simplex with the true costs, over ``[a | -I]`` whose last
     columns are the rows' logical columns, bounded by the row ranges.
@@ -377,14 +392,15 @@ def _solve_standard(sf: StandardFormLP, deadline: float,
     the first one that is not refactors at the current basis and goes on if
     the first try took a step or carried its tableau, and otherwise, or at a
     second, the LP ends with 'limit'.  Every loop stops at ``deadline``.
-    The result carries the final basis and tableau."""
+    The result carries the final basis and tableau.  ``work`` is
+    :func:`_working` of ``sf`` when the caller holds it."""
     n, m = len(sf.c), sf.a.shape[0]
     lo = np.concatenate([sf.col_lo, sf.row_lo])
     hi = np.concatenate([sf.col_hi, sf.row_hi])
-    if np.any((lo > hi) | (lo == INF) | (hi == -INF)):
+    # a node's bounds are its parent's with one tightened to lo <= hi
+    if origin is None and np.logical_or.reduce((lo > hi) | (lo == INF) | (hi == -INF)):
         return _SimplexResult("infeasible")
-    mat = np.hstack([sf.a, -np.eye(m)])
-    cost = np.concatenate([-sf.c, np.zeros(m)])
+    mat, cost = work or _working(sf)
     basis = np.arange(n, n + m) if origin is None else np.concatenate(
         [origin.basis, np.arange(n + len(origin.basis), n + m)])
     carried = origin is not None and origin.tab is not None and origin.age < _REFACTOR_EVERY
@@ -405,7 +421,7 @@ def _solve_standard(sf: StandardFormLP, deadline: float,
             iters += more
             age += more
         if status == "optimal":
-            xs = np.clip(x[:n], sf.col_lo, sf.col_hi)
+            xs = np.minimum(np.maximum(x[:n], sf.col_lo), sf.col_hi)
             return _SimplexResult("optimal", xs, float(sf.c @ xs + sf.c0), iters, basis,
                                   tab, age, refactors)
         if status == "limit" or _proven(status, mat, cost, lo, hi, basis, x, enter):
@@ -423,8 +439,8 @@ def _branching_var(x: np.ndarray, is_int: np.ndarray) -> int | None:
     """The integer variable whose distance to the nearest integer is closest
     to 0.5, the lowest id among ties; None when all are within
     ``INTEGRALITY_TOL``."""
-    frac = np.abs(x - np.round(x))
-    cand = np.flatnonzero(is_int & (frac > INTEGRALITY_TOL))
+    frac = np.abs(x - np.rint(x))
+    cand = (is_int & (frac > INTEGRALITY_TOL)).nonzero()[0]
     return int(cand[np.argmin(np.abs(frac[cand] - 0.5))]) if cand.size else None
 
 
@@ -485,6 +501,7 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
     # shared with children, and the optimal LP result it starts from, None at the root
     seq = itertools.count()
     heap = [(-INF, next(seq), lp.col_lo, lp.col_hi, None)]
+    work = _working(lp)
     held = deque()  # results whose tableaux nodes may start from, oldest first
 
     def hold(res):
@@ -502,7 +519,8 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
         if stats.nodes >= options.max_nodes or time.monotonic() > deadline:
             status = "limit_reached"
             break
-        res = _solve_standard(replace(lp, col_lo=node_lo, col_hi=node_hi), deadline, origin)
+        res = _solve_standard(StandardFormLP(lp.c, lp.c0, lp.a, lp.row_lo, lp.row_hi, node_lo,
+                                             node_hi, lp.sense), deadline, origin, work)
         stats.nodes += 1
         stats.iterations += res.iterations
         stats.refactors += res.refactors
@@ -522,11 +540,11 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
             continue
         var = _branching_var(res.x, is_int)
         if var is None:
-            point = np.where(is_int, np.round(res.x), res.x) + 0.0
+            point = np.where(is_int, np.rint(res.x), res.x) + 0.0
             act = lin_a @ point
-            if (np.any((lin_lo - act > FEASIBILITY_TOL) | (act - lin_hi > FEASIBILITY_TOL))
-                    or np.any((lp.col_lo - point > FEASIBILITY_TOL)
-                              | (point - lp.col_hi > FEASIBILITY_TOL))):
+            breach = np.concatenate([lin_lo - act, act - lin_hi,
+                                     lp.col_lo - point, point - lp.col_hi])
+            if np.logical_or.reduce(breach > FEASIBILITY_TOL):
                 var = int(np.argmax(np.abs(res.x - point)))
                 if res.x[var] == point[var]:
                     status = "limit_reached"  # the LP point itself breaks a row
@@ -552,6 +570,7 @@ def solve_milp(model: Model, options: SolverOptions | None = None) -> Solution:
                 lp = replace(lp, a=np.vstack([lp.a, rows]),
                              row_lo=np.concatenate([lp.row_lo, np.full(len(rows), -INF)]),
                              row_hi=np.concatenate([lp.row_hi, row_hi]))
+                work = _working(lp)
                 heapq.heappush(heap, (-cano, next(seq), node_lo, node_hi, hold(res)))
                 continue
             cano = float(lp.c @ point + lp.c0)

@@ -869,11 +869,11 @@ def _carried_node_lps(monkeypatch, model):
     its working LP, and its origin's basis, tableau and age."""
     solve_standard, lps = solver_mod._solve_standard, []
 
-    def node_lp(sf, deadline, origin=None):
+    def node_lp(sf, deadline, origin=None, work=None):
         if origin is not None and origin.tab is not None and (
                 origin.age < solver_mod._REFACTOR_EVERY):
             lps.append((sf, origin.basis, origin.tab, origin.age))
-        return solve_standard(sf, deadline, origin)
+        return solve_standard(sf, deadline, origin, work)
 
     monkeypatch.setattr(solver_mod, "_solve_standard", node_lp)
     assert solve(model).status == "optimal"
