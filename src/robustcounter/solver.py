@@ -21,14 +21,17 @@ basis only when the tree no longer holds it (it holds those of the last
 ``_REFACTOR_EVERY`` LP iterations since its last dense solve, so rounding
 drifts only that far, and on the retry after an unproven verdict.  The
 slack basis, which is never singular, replaces a singular one.  A bounded
-dual simplex (Bland's leaving row, the largest pivot among near-tied
-ratios) reaches a feasible basis with wrong-signed reduced costs shifted to
-zero, and a bounded primal simplex with Bland's rule finishes with the true
-costs.  A row that no column can move is accepted within the feasibility
-tolerance.  'infeasible' and 'unbounded' stand only when a ray recomputed
-from the original matrix proves them.  Branching picks the most fractional
-variable with lowest-index tie-breaks, and the node queue is ordered by
-best bound with FIFO tie-breaks.
+dual simplex (the row farthest out of bounds leaves, Koberstein 2005, and
+Bland's row after ``_BLAND_AFTER`` dual-degenerate pivots in a row; the
+largest pivot among near-tied ratios enters) reaches a feasible basis with
+wrong-signed reduced costs shifted to zero, and a bounded primal simplex
+with Bland's rule finishes with the true costs.  Each simplex loop stops at
+``_MAX_ITER_PER_COLUMN`` pivots per column of ``[A | -I]``.  A row that no
+column can move is accepted within the feasibility tolerance.  'infeasible'
+and 'unbounded' stand only when a ray recomputed from the original matrix
+proves them.  Branching picks the most fractional variable with
+lowest-index tie-breaks, and the node queue is ordered by best bound with
+FIFO tie-breaks.
 
 Square-root cone rows are handled by LP/NLP-based branch and bound (Quesada
 & Grossmann 1992): node LPs see each cone row at its radical floor, and at
@@ -75,7 +78,8 @@ from .model import (
 )
 
 _PIVOT_TOL = 1e-9
-_MAX_ITER = 1_000_000  # pivots per simplex loop before it reports "limit"
+_MAX_ITER_PER_COLUMN = 100  # a simplex loop's pivot cap per column of [A | -I]
+_BLAND_AFTER = 50  # dual-degenerate pivots in a row before the leaving row is Bland's
 _PRUNE_TOL = 1e-9
 _HELD_TABLEAUX = 16  # LP results whose final tableaux a tree holds for its nodes
 _REFACTOR_EVERY = 50  # LP iterations a tableau carries before a node refactors
@@ -131,19 +135,23 @@ def _run_dual(tab, basis, x, lo, hi, deadline):
     """Bounded dual simplex over the tableau in place, from dual-feasible
     reduced costs (the last row of ``tab``) and values ``x`` of every column.
 
-    The leaving row is Bland's: the lowest basis index among rows whose value
-    is more than the pivot tolerance outside its bounds; it leaves at the
-    bound it breaks.  The entering column is a nonbasic one that can move the
-    leaving value towards that bound from where it sits, with the smallest
-    ratio ``|d_j| / |a_rj|``; ratios within the pivot tolerance of the
-    smallest go to the largest ``|a_rj|``, then to the lowest index.  A
-    leaving row with no entering column is passed over until the next pivot
-    if it is within ``FEASIBILITY_TOL`` of its bounds.  Returns (status,
-    iterations); status is 'optimal' once every basic value not passed over
-    is within its bounds, 'infeasible' when one beyond ``FEASIBILITY_TOL``
-    has no entering column, or 'limit' after ``_MAX_ITER`` pivots or once
-    ``deadline`` (a ``time.monotonic`` value) has passed with a pivot still
-    to make.
+    The leaving row is, among rows whose value is more than the pivot
+    tolerance outside its bounds, the one farthest beyond its bound widened
+    by that tolerance, the lowest row among ties (Koberstein 2005).  After
+    ``_BLAND_AFTER`` dual-degenerate pivots in a row (smallest ratio within
+    the pivot tolerance) it is Bland's, the lowest basis index, until a
+    pivot that is not degenerate.  It leaves at the bound it breaks.  The
+    entering column is a nonbasic one that can move the leaving value
+    towards that bound from where it sits, with the smallest ratio
+    ``|d_j| / |a_rj|``; ratios within the pivot tolerance of the smallest go
+    to the largest ``|a_rj|``, then to the lowest index.  A leaving row with
+    no entering column is passed over until the next pivot if it is within
+    ``FEASIBILITY_TOL`` of its bounds.  Returns (status, iterations); status
+    is 'optimal' once every basic value not passed over is within its
+    bounds, 'infeasible' when one beyond ``FEASIBILITY_TOL`` has no entering
+    column, or 'limit' after ``_MAX_ITER_PER_COLUMN`` pivots per column of
+    ``tab`` or once ``deadline`` (a ``time.monotonic`` value) has passed
+    with a pivot still to make.
     """
     m = len(basis)
     d = tab[-1]
@@ -152,17 +160,18 @@ def _run_dual(tab, basis, x, lo, hi, deadline):
     up, down = x < hi, x > lo  # which nonbasic columns can rise, fall
     up[basis] = down[basis] = False
     passed = []  # rows no column can move, within tolerance, since the last pivot
-    iters = 0
+    iters = degenerate = 0
     try:
-        while iters < _MAX_ITER:
+        while iters < _MAX_ITER_PER_COLUMN * tab.shape[1]:
             below = xb < lob
-            bad = (below | (xb > hib)).nonzero()[0]
+            viol = np.maximum(lob - xb, xb - hib)
+            bad = (viol > 0).nonzero()[0]
             bad = bad[~np.isin(bad, passed)] if passed else bad
             if not bad.size:
                 return "optimal", iters
             if time.monotonic() >= deadline:
                 return "limit", iters
-            r = bad[basis[bad].argmin()]
+            r = bad[basis[bad].argmin()] if degenerate >= _BLAND_AFTER else bad[viol[bad].argmax()]
             # the basic value is -row @ x over the nonbasic columns
             row = tab[r]
             neg, pos = row < -_PIVOT_TOL, row > _PIVOT_TOL
@@ -173,12 +182,13 @@ def _run_dual(tab, basis, x, lo, hi, deadline):
                     return "infeasible", iters
                 passed.append(r)
                 continue
-            q = cand[0]
+            a = row[cand]
+            ratio = -d[cand] / a if below[r] else d[cand] / a
+            least, q = np.minimum.reduce(ratio), cand[0]
             if cand.size > 1:
-                a = row[cand]
-                ratio = -d[cand] / a if below[r] else d[cand] / a
-                near = ratio <= np.minimum.reduce(ratio) + _PIVOT_TOL
+                near = ratio <= least + _PIVOT_TOL
                 q = cand[near][np.abs(a[near]).argmax()]
+            degenerate = degenerate + 1 if least <= _PIVOT_TOL else 0
             p = basis[r]
             target = lo[p] if below[r] else hi[p]
             col = tab[:m, q]
@@ -192,7 +202,7 @@ def _run_dual(tab, basis, x, lo, hi, deadline):
             _pivot(tab, basis, r, q)
             passed = []
             iters += 1
-        return "limit", _MAX_ITER
+        return "limit", iters
     finally:
         x[basis] = xb
 
@@ -214,7 +224,8 @@ def _run_primal(tab, basis, x, lo, hi, deadline):
     lob, hib = lo[basis], hi[basis]
     up, down = x < hi, x > lo
     up[basis] = down[basis] = False
-    for iters in range(_MAX_ITER):
+    cap = _MAX_ITER_PER_COLUMN * tab.shape[1]
+    for iters in range(cap):
         cand = (((d < -_PIVOT_TOL) & up) | ((d > _PIVOT_TOL) & down)).nonzero()[0]
         if not cand.size:
             return "optimal", iters, -1
@@ -248,7 +259,7 @@ def _run_primal(tab, basis, x, lo, hi, deadline):
         up[q] = down[q] = False
         up[p], down[p] = x[p] < hi[p], x[p] > lo[p]
         _pivot(tab, basis, r, q)
-    return "limit", _MAX_ITER, -1
+    return "limit", cap, -1
 
 
 def _refactor(mat, basis):

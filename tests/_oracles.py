@@ -6,13 +6,14 @@ robust optima and worst violations from explicit corner realization, LP
 optima from vertex enumeration or scipy, cone optima from an outer
 approximation with HiGHS as the master.  The scalar simplex kernel is the
 row-by-row pivot and the element-by-element scans of the bounded primal
-(Bland) and bounded dual simplex that the solver's vectorised kernel must
-reproduce pivot for pivot.  The reference Monte Carlo estimator keeps every entry's draws and
-sums each row at the end, as the streaming, concurrent estimator must
-reproduce bit for bit.  The restart loop is the outer approximation for cone rows
-that solves a fresh branch and bound per round of cuts, against which the
-solver's single-tree cone cuts are checked.  Generators are seeded and
-deterministic.
+(Bland) and bounded dual simplex (largest bound violation leaves, Bland's
+row after a run of dual-degenerate pivots) that the solver's vectorised
+kernel must reproduce pivot for pivot.  The reference Monte Carlo estimator
+keeps every entry's draws and sums each row at the end, as the streaming,
+concurrent estimator must reproduce bit for bit.  The restart loop is the
+outer approximation for cone rows that solves a fresh branch and bound per
+round of cuts, against which the solver's single-tree cone cuts are checked.
+Generators are seeded and deterministic.
 """
 
 from __future__ import annotations
@@ -651,28 +652,35 @@ def reference_pivot(tab, basis, row, col):
     basis[row] = col
 
 
-def reference_run_dual(tab, basis, x, lo, hi, tol, deadline=math.inf, max_iter=1_000_000):
-    """Bounded dual simplex with scalar scans: the leaving row has the lowest
-    basis index among rows whose value is more than the pivot tolerance
-    outside its bounds and leaves at the bound it breaks; the entering column
-    can move that value towards the bound from where it sits and has the
-    smallest ratio ``|d_j| / |a_rj|``, ratios within the pivot tolerance of
-    the smallest going to the largest ``|a_rj|`` and then to the lowest
-    index.  A leaving row with no entering column is skipped until the next
-    pivot when its value is within ``tol`` of its bounds, and ends the run
-    'infeasible' otherwise.  Stops with 'limit' when a pivot is due at or
-    after ``deadline``."""
+def reference_run_dual(tab, basis, x, lo, hi, tol, bland_after, deadline=math.inf,
+                       max_iter=1_000_000):
+    """Bounded dual simplex with scalar scans: the leaving row is, among rows
+    whose value is more than the pivot tolerance outside its bounds, the one
+    that lies farthest beyond its bound widened by that tolerance (the lowest
+    row among ties); after ``bland_after`` dual-degenerate pivots in a row
+    (smallest ratio within the pivot tolerance) it is instead the one with
+    the lowest basis index (Bland's), until a pivot that is not degenerate.
+    It leaves at the bound it breaks.  The entering column can move that
+    value towards the bound from where it sits and has the smallest ratio
+    ``|d_j| / |a_rj|``, ratios within the pivot tolerance of the smallest
+    going to the largest ``|a_rj|`` and then to the lowest index.  A leaving
+    row with no entering column is skipped until the next pivot when its
+    value is within ``tol`` of its bounds, and ends the run 'infeasible'
+    otherwise.  Stops with 'limit' when a pivot is due at or after
+    ``deadline``."""
     m = len(basis)
-    iters = 0
+    iters = degenerate = 0
     skipped = set()
     while iters < max_iter:
-        leave, below = -1, False
+        leave, below, worst = -1, False, 0.0
         for r in range(m):
             p = basis[r]
             low = x[p] < lo[p] - _PIVOT_TOL
-            if (r not in skipped and (low or x[p] > hi[p] + _PIVOT_TOL)
-                    and (leave < 0 or p < basis[leave])):
-                leave, below = r, low
+            excess = max(lo[p] - _PIVOT_TOL - x[p], x[p] - (hi[p] + _PIVOT_TOL))
+            if r in skipped or excess <= 0.0:
+                continue
+            if leave < 0 or (p < basis[leave] if degenerate >= bland_after else excess > worst):
+                leave, below, worst = r, low, excess
         if leave < 0:
             return "optimal", iters
         if time.monotonic() >= deadline:
@@ -689,6 +697,7 @@ def reference_run_dual(tab, basis, x, lo, hi, tol, deadline=math.inf, max_iter=1
                 continue
             return "infeasible", iters
         best = min(ratio for ratio, _, _ in eligible)
+        degenerate = degenerate + 1 if best <= _PIVOT_TOL else 0
         enter, size = -1, 0.0
         for ratio, a, j in eligible:
             if ratio <= best + _PIVOT_TOL and a > size:

@@ -1,6 +1,10 @@
 import contextlib
 import heapq
+import json
 import math
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -564,6 +568,32 @@ def test_generated_irc_reaches_the_highs_optimum():
     assert sol.objective == pytest.approx(objective, abs=1e-6)
 
 
+@pytest.mark.parametrize("seed, counts", [(0, (663, 2019, 88)), (1, (211, 517, 20))])
+def test_gen12x8_irc_matches_highs_and_pins_counts(seed, counts):
+    """gen 12x8 irc, the size where the dual simplex with Bland's leaving row
+    took 8,776 (seed 0) and 1,531 (seed 1) LP iterations: the objective is
+    HiGHS's, and nodes, LP iterations and dense refactors are pinned.  Dense
+    solves at this size round differently per BLAS thread count, so the solve
+    runs in a child process with one thread."""
+    model = build_irc(generated_instance(12, 8, seed), 0.05, 0.0)
+    status, objective = highs_solve(model)
+    script = ("import json; from _oracles import generated_instance; "
+              "from robustcounter.sitesel import build_irc; "
+              "from robustcounter.solver import solve; "
+              f"s = solve(build_irc(generated_instance(12, 8, {seed}), 0.05, 0.0)); "
+              "print(json.dumps([s.status, s.objective, s.stats.nodes, s.stats.iterations, "
+              "s.stats.refactors]))")
+    paths = [str(Path(solver_mod.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    sol_status, sol_objective, *sol_counts = json.loads(out)
+    assert sol_status == status == "optimal"
+    assert sol_objective == pytest.approx(objective, abs=1e-6)
+    assert tuple(sol_counts) == counts
+
+
 def test_node_lp_claiming_unbounded_below_an_optimal_root_stops_the_call(monkeypatch):
     """Bounds and cuts only shrink the region, so once a node LP is optimal a
     later 'unbounded' is rounding: the call stops with ``limit_reached`` and
@@ -720,16 +750,21 @@ def test_mixed_integer_matches_scipy_highs():
 
 @pytest.mark.parametrize("sense, row_sense", [("max", "<="), ("min", ">=")])
 def test_simplex_pivot_cap_reports_limit(monkeypatch, sense, row_sense):
-    """A simplex loop that hits its pivot cap gives ``limit_reached`` for a
-    continuous and for an integer model, for a ``<=`` and for a ``>=`` row."""
-    monkeypatch.setattr(solver_mod, "_MAX_ITER", 0)
+    """The pivot cap of a simplex loop is a multiple of the LP's columns.
+    With that multiple at 0, the LP routine reports 'limit' and a solve gives
+    ``limit_reached``, for a continuous and for an integer model, for a
+    ``<=`` and for a ``>=`` row."""
+    monkeypatch.setattr(solver_mod, "_MAX_ITER_PER_COLUMN", 0)
     for kind in ("continuous", "integer"):
         m = Model()
         x = m.add_variable("x", kind, 0, 10)
         y = m.add_variable("y", kind, 0, 10)
         m.set_objective(sense, [(x, 2.0), (y, 3.0)])
         m.add_constraint([(x, 2.0), (y, 2.0)], row_sense, 5.0)
-        assert solve(m.finalize()).status == "limit_reached"
+        model = m.finalize()
+        res = solver_mod._solve_standard(to_standard_form(model), INF)
+        assert (res.status, res.iterations) == ("limit", 0)
+        assert solve(model).status == "limit_reached"
 
 
 def test_lp_time_limit_reports_limit():
@@ -760,7 +795,7 @@ def test_node_lps_share_the_call_deadline(monkeypatch):
 
 
 def test_cone_time_limit_bounds_the_whole_call():
-    # unlimited, this solve takes about 3,500 nodes and 25 s
+    # unlimited, this solve takes about 3,500 nodes and 5 s
     model = _generated_rc(12, 8)
     start = time.perf_counter()
     sol = solve(model, SolverOptions(time_limit_seconds=0.1))
@@ -770,14 +805,14 @@ def test_cone_time_limit_bounds_the_whole_call():
 
 
 def test_cone_node_limit_bounds_the_whole_call():
-    # the whole tree needs 32 nodes
+    # the whole tree needs 30 nodes
     sol = solve(build_rc(demo_instance(), 0.05, 0.0, 0.14), SolverOptions(max_nodes=20))
     assert sol.status == "limit_reached"
     assert sol.stats.nodes <= 20
 
 
 def test_cone_round_limit_bounds_the_whole_call():
-    # the whole tree separates at 7 integer-feasible nodes, one cut each
+    # the whole tree separates at 6 integer-feasible nodes, one cut each
     sol = solve(build_rc(demo_instance(), 0.05, 0.0, 0.14), SolverOptions(max_cone_rounds=3))
     assert sol.status == "limit_reached"
     assert sol.stats.cone_cuts == 3
@@ -798,12 +833,12 @@ def test_cone_pops_span_every_round(monkeypatch):
     (build_rc(demo_instance(), 0.05, 0.0, 0.14), SolverOptions(max_nodes=20)),
     (build_rc(demo_instance(), 0.05, 0.0, 0.14), SolverOptions(max_cone_rounds=0)),
     (build_rc(demo_instance(), 0.05, 0.0, 0.14), SolverOptions(max_cone_rounds=3)),
-    # unlimited, the first model separates at 52 nodes; the second takes
-    # about 25 s
-    (_rc_of_random_model(23, 12, 3, 10, False, 0.05), SolverOptions(max_cone_rounds=20)),
+    # unlimited, the first model separates at 14 nodes; the second takes
+    # about 5 s
+    (_rc_of_random_model(23, 12, 3, 10, False, 0.05), SolverOptions(max_cone_rounds=10)),
     (_generated_rc(12, 8), SolverOptions(time_limit_seconds=0.05)),
     (build_rc(demo_instance(), 0.05, 0.0, 0.14), SolverOptions(time_limit_seconds=0)),
-], ids=["nodes-5", "nodes-20", "rounds-0", "rounds-3", "rounds-20", "time-0.05",
+], ids=["nodes-5", "nodes-20", "rounds-0", "rounds-3", "rounds-10", "time-0.05",
         "time-0"])
 def test_limit_stopped_cone_solve_returns_cone_feasible_values_or_none(model, options):
     """A cone solve stopped by a limit returns a cone-feasible incumbent or no
@@ -832,19 +867,39 @@ def test_cone_violation_reported_on_optimal_exit():
 # -- pivot sequence ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("instance, build, objective, refactored, carried", [
-    (demo_instance, build_nominal, 261.0, (3, 16, 0, 2), (3, 16, 0, 0)),
-    (demo_instance, lambda inst: build_irc(inst, 0.05, 0.0), 177.0,
-     (29, 117, 0, 28), (29, 119, 0, 0)),
-    (demo_instance, lambda inst: build_rc(inst, 0.05, 0.0, 0.14), 159.0,
-     (32, 152, 7, 31), (30, 153, 7, 2)),
-    (lambda: generated_instance(7, 5, 1), build_nominal, 386.94188275568615,
-     (27, 118, 0, 26), (33, 161, 0, 4)),
+_PINNED = [
+    (demo_instance, build_nominal, 261.0),
+    (demo_instance, lambda inst: build_irc(inst, 0.05, 0.0), 177.0),
+    (demo_instance, lambda inst: build_rc(inst, 0.05, 0.0, 0.14), 159.0),
+    (lambda: generated_instance(7, 5, 1), build_nominal, 386.94188275568615),
     (lambda: generated_instance(7, 5, 1), lambda inst: build_irc(inst, 0.05, 0.02),
-     323.85452413973695, (29, 228, 0, 28), (33, 335, 0, 6)),
+     323.85452413973695),
     (lambda: generated_instance(8, 5, 1), lambda inst: build_rc(inst, 0.05, 0.0, 0.14),
-     327.5182571681296, (43, 474, 15, 42), (41, 433, 14, 5)),
-], ids=["nominal", "irc", "rc", "gen7x5s1-nominal", "gen7x5s1-irc", "gen8x5s1-rc"])
+     327.5182571681296),
+]
+_PINNED_IDS = ["nominal", "irc", "rc", "gen7x5s1-nominal", "gen7x5s1-irc", "gen8x5s1-rc"]
+
+
+def _assert_counts(monkeypatch, instance, build, objective, refactored, carried):
+    model = build(instance())
+    for held, counts in ((0, refactored), (solver_mod._HELD_TABLEAUX, carried)):
+        monkeypatch.setattr(solver_mod, "_HELD_TABLEAUX", held)
+        sol = solve(model)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(objective, abs=1e-6)
+        stats = sol.stats
+        assert (stats.nodes, stats.iterations, stats.cone_cuts, stats.refactors) == counts
+
+
+@pytest.mark.parametrize("instance, build, objective, refactored, carried", [
+    pinned + counts for pinned, counts in zip(_PINNED, [
+        ((3, 19, 0, 2), (3, 17, 0, 0)),
+        ((33, 84, 0, 32), (29, 74, 0, 0)),
+        ((44, 142, 6, 43), (30, 110, 6, 0)),
+        ((29, 96, 0, 28), (35, 114, 0, 2)),
+        ((25, 119, 0, 24), (37, 126, 0, 2)),
+        ((41, 214, 14, 40), (41, 213, 14, 2)),
+    ])], ids=_PINNED_IDS)
 def test_hk_demo_pivot_counts_exact(monkeypatch, instance, build, objective, refactored,
                                     carried):
     """Node, LP-iteration, cut and dense-refactor counts pin the whole pivot
@@ -854,14 +909,25 @@ def test_hk_demo_pivot_counts_exact(monkeypatch, instance, build, objective, ref
     tableau differs from a refactored one in the last bits, so near-tied
     ratio tests may go the other way and the trees differ; the optimum does
     not."""
-    model = build(instance())
-    for held, counts in ((0, refactored), (solver_mod._HELD_TABLEAUX, carried)):
-        monkeypatch.setattr(solver_mod, "_HELD_TABLEAUX", held)
-        sol = solve(model)
-        assert sol.status == "optimal"
-        assert sol.objective == pytest.approx(objective, abs=1e-6)
-        stats = sol.stats
-        assert (stats.nodes, stats.iterations, stats.cone_cuts, stats.refactors) == counts
+    _assert_counts(monkeypatch, instance, build, objective, refactored, carried)
+
+
+@pytest.mark.parametrize("instance, build, objective, refactored, carried", [
+    pinned + counts for pinned, counts in zip(_PINNED, [
+        ((3, 16, 0, 2), (3, 16, 0, 0)),
+        ((29, 117, 0, 28), (29, 119, 0, 0)),
+        ((32, 152, 7, 31), (30, 153, 7, 2)),
+        ((27, 118, 0, 26), (33, 161, 0, 4)),
+        ((29, 228, 0, 28), (33, 335, 0, 6)),
+        ((43, 474, 15, 42), (41, 433, 14, 5)),
+    ])], ids=_PINNED_IDS)
+def test_bland_rows_throughout_repeat_the_bland_pivot_counts(monkeypatch, instance, build,
+                                                            objective, refactored, carried):
+    """With the degenerate run before the fallback at 0, every leaving row is
+    Bland's, and the trees take exactly the counts of the dual simplex that
+    always picked Bland's row."""
+    monkeypatch.setattr(solver_mod, "_BLAND_AFTER", 0)
+    _assert_counts(monkeypatch, instance, build, objective, refactored, carried)
 
 
 def _carried_node_lps(monkeypatch, model):
@@ -969,10 +1035,17 @@ def _scalar_kernel():
     names = ("_pivot", "_run_primal", "_run_dual")
     saved = [getattr(solver_mod, name) for name in names]
 
-    def run_dual(tab, basis, x, lo, hi, deadline):
-        return reference_run_dual(tab, basis, x, lo, hi, FEASIBILITY_TOL, deadline)
+    def cap(tab):
+        return solver_mod._MAX_ITER_PER_COLUMN * tab.shape[1]
 
-    for name, ref in zip(names, (reference_pivot, reference_run_primal, run_dual)):
+    def run_primal(tab, basis, x, lo, hi, deadline):
+        return reference_run_primal(tab, basis, x, lo, hi, deadline, cap(tab))
+
+    def run_dual(tab, basis, x, lo, hi, deadline):
+        return reference_run_dual(tab, basis, x, lo, hi, FEASIBILITY_TOL,
+                                  solver_mod._BLAND_AFTER, deadline, cap(tab))
+
+    for name, ref in zip(names, (reference_pivot, run_primal, run_dual)):
         setattr(solver_mod, name, ref)
     try:
         yield
@@ -1039,12 +1112,7 @@ def _highs(spec, relax):
     return res.status, (sign * res.fun if res.status == 0 else None)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(_bounded_models(), st.booleans())
-def test_vectorised_kernel_matches_scalar_kernel_and_highs(spec, relax):
-    """Objectives agree with HiGHS; the vectorised pivot, bounded primal and
-    bounded dual simplex scans take exactly the steps of the scalar
-    reference kernel."""
+def _assert_kernels_and_highs_agree(spec, relax):
     model = _model_of(spec, relax)
     sol = solve(model)
     with _scalar_kernel():
@@ -1059,3 +1127,24 @@ def test_vectorised_kernel_matches_scalar_kernel_and_highs(spec, relax):
     else:
         assert status == 0 and sol.status == "optimal"
         assert abs(sol.objective - objective) <= 1e-6 * max(1.0, abs(objective))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_bounded_models(), st.booleans())
+def test_vectorised_kernel_matches_scalar_kernel_and_highs(spec, relax):
+    """Objectives agree with HiGHS; the vectorised pivot, bounded primal and
+    bounded dual simplex scans take exactly the steps of the scalar
+    reference kernel."""
+    _assert_kernels_and_highs_agree(spec, relax)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_bounded_models(), st.booleans(), st.sampled_from([0, 1, 3]))
+def test_bland_fallback_matches_scalar_kernel_and_highs(spec, relax, run):
+    """With the run of dual-degenerate pivots before the fallback to Bland's
+    row at 0 (Bland's row throughout), 1 or 3 (in and out of the fallback
+    within one LP), the vectorised kernel takes exactly the steps of the
+    scalar reference kernel, and objectives agree with HiGHS."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver_mod, "_BLAND_AFTER", run)
+        _assert_kernels_and_highs_agree(spec, relax)
