@@ -570,11 +570,10 @@ def test_generated_irc_reaches_the_highs_optimum():
 
 @pytest.mark.parametrize("seed, counts", [(0, (663, 2019, 88)), (1, (211, 517, 20))])
 def test_gen12x8_irc_matches_highs_and_pins_counts(seed, counts):
-    """gen 12x8 irc, the size where the dual simplex with Bland's leaving row
-    took 8,776 (seed 0) and 1,531 (seed 1) LP iterations: the objective is
-    HiGHS's, and nodes, LP iterations and dense refactors are pinned.  Dense
-    solves at this size round differently per BLAS thread count, so the solve
-    runs in a child process with one thread."""
+    """gen 12x8 irc reaches HiGHS's objective, and its nodes, LP iterations
+    and dense refactors are pinned.  Dense solves at this size round
+    differently per BLAS thread count, so the solve runs in a child process
+    with one thread."""
     model = build_irc(generated_instance(12, 8, seed), 0.05, 0.0)
     status, objective = highs_solve(model)
     script = ("import json; from _oracles import generated_instance; "
